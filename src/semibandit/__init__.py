@@ -1,9 +1,10 @@
 """Simulator and library for finite-armed semiparametric bandits.
 
 Core pieces: G-optimal and anchored-difference experimental designs with
-certificates, orthogonalized ridge regression on centered features, a
-phase-elimination algorithm with regret/PAC/BAI behavior, reward-process
-simulation with adversarial shifts, and a reproducible experiment harness.
+certificates, orthogonalized ridge regression on centered features, phase
+elimination (regret and best-arm identification) with pure exploration
+(PAC, error scaling) as its one-phase case, reward-process simulation with
+adversarial shifts, and a reproducible experiment harness.
 """
 
 __version__ = "0.1.0"
@@ -13,7 +14,6 @@ from .design import (  # noqa: F401
     DesignPolicy,
     FeatureSet,
     PolicyMoments,
-    covariance_pairwise,
     deo,
     g_optimal,
     policy_moments,
@@ -25,24 +25,21 @@ from .environment import (  # noqa: F401
     ShiftSpec,
     make_gap_instance,
     make_mab_embedding,
-    shift_value,
-    step,
+    rewards_for,
+    shift_values,
 )
 from .estimator import (  # noqa: F401
     EstimatorState,
-    RidgeConfig,
-    center,
     error_bound_diagnostic,
     regularizer,
     solve,
-    update,
+    update_batch,
 )
-from .linalg import NormResult, eig_sym, psd_between, weighted_inv_norm  # noqa: F401
+from .linalg import NormResult, weighted_inv_norm  # noqa: F401
 from .sbe import (  # noqa: F401
     PhaseState,
     RunRecord,
     SbeConfig,
-    bai_stopping_time,
     eliminate,
     pac_budget,
     phase_length,

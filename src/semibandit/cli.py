@@ -44,7 +44,6 @@ def _cmd_run(args) -> int:
         cfg.output = args.out
     if args.workers is not None:
         cfg.workers = args.workers
-    cfg.validate()
     result = run_experiment(cfg)
     for key, value in result.items():
         if key not in ("certificate", "policy"):

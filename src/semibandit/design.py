@@ -122,26 +122,6 @@ def policy_moments(features: FeatureSet, policy: DesignPolicy) -> PolicyMoments:
     return PolicyMoments(mean=mean, covariance=cov)
 
 
-def covariance_pairwise(features: FeatureSet, policy: DesignPolicy) -> np.ndarray:
-    """Policy covariance in its pairwise-difference form.
-
-    Sum over i<j of p_i p_j (x_i - x_j)(x_i - x_j)^T; algebraically equal
-    to ``policy_moments(...).covariance``.
-    """
-    x = features.features
-    p = policy.probabilities
-    if p.shape[0] != features.K:
-        raise DimError(f"policy has {p.shape[0]} entries for {features.K} arms")
-    d = features.d
-    out = np.zeros((d, d))
-    supp = np.flatnonzero(p > 0)
-    for a, i in enumerate(supp):
-        for j in supp[a + 1 :]:
-            diff = x[i] - x[j]
-            out += p[i] * p[j] * np.outer(diff, diff)
-    return out
-
-
 def _span_basis(x: np.ndarray):
     """Orthonormal basis of the row span of x and its rank."""
     if x.size == 0:

@@ -74,11 +74,6 @@ def shift_values(spec: ShiftSpec, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def shift_value(spec: ShiftSpec, t: int) -> float:
-    """Shift value at a single round."""
-    return float(shift_values(spec, np.array([t]))[0])
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Reward noise: gaussian(sigma), uniform on [-scale, scale], or none."""
@@ -103,8 +98,8 @@ class NoiseStream:
     """Counter-based noise draws keyed by (seed, t).
 
     Values are generated in fixed-size chunks, each chunk from its own
-    deterministically derived generator, so value(t) is independent of how
-    the stream is traversed.
+    deterministically derived generator, so the value at round t is
+    independent of how the stream is traversed.
     """
 
     def __init__(self, spec: NoiseSpec, seed: int):
@@ -128,11 +123,6 @@ class NoiseStream:
                 block = gen.uniform(-self.spec.scale, self.spec.scale, _NOISE_CHUNK)
         self._chunks[index] = block
         return block
-
-    def value(self, t: int) -> float:
-        if t < 1:
-            raise ValueError("round indices start at 1")
-        return float(self._chunk(t // _NOISE_CHUNK)[t % _NOISE_CHUNK])
 
     def values(self, t0: int, n: int) -> np.ndarray:
         """Noise for rounds t0, t0+1, ..., t0+n-1."""
@@ -198,18 +188,6 @@ class Environment:
         """Arm-sampling RNG, independent of the noise stream."""
         entropy = (self.rng_seed & (2**64 - 1), 0x616374, 0 if run_seed is None else run_seed & (2**64 - 1))
         return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
-
-
-def step(env: Environment, arm: int, t: int, noise_stream: NoiseStream) -> float:
-    """One reward draw: x_arm' theta* + nu_t + eta_t.
-
-    The shift and noise depend only on t (and the stream seed), never on
-    the arm, so changing the arm changes the reward only through the linear
-    term.
-    """
-    if not 0 <= arm < env.K:
-        raise InvalidArm(f"arm {arm} out of range for {env.K} arms")
-    return float(env.values[arm] + shift_value(env.shift, t) + noise_stream.value(t))
 
 
 def rewards_for(env: Environment, arms: np.ndarray, t0: int, noise_stream: NoiseStream) -> np.ndarray:

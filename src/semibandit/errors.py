@@ -13,10 +13,6 @@ class DimError(SemibanditError):
     """Dimension mismatch between operands."""
 
 
-class SingularMatrix(SemibanditError):
-    """Operation requires a strictly positive definite matrix."""
-
-
 class DegenerateFeatures(SemibanditError):
     """Feature set spans nothing usable for the requested design."""
 

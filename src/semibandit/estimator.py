@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .design import DesignCertificate, DesignPolicy, FeatureSet
+from .design import DesignCertificate
 from .errors import DimError, InvalidRegularizer, InvalidSample
 
 
@@ -34,57 +34,12 @@ class EstimatorState:
     def dim(self) -> int:
         return self.moment.shape[0]
 
-    def reset(self) -> None:
-        self.gram[:] = 0.0
-        self.moment[:] = 0.0
-        self.count = 0
-
-
-@dataclass(frozen=True)
-class RidgeConfig:
-    """Regularizer selection: beta_t = log(t / delta) unless overridden."""
-
-    delta: float = 0.1
-    beta_override: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.beta_override is not None and self.beta_override <= 0:
-            raise ValueError("beta_override must be positive")
-
-    def beta(self, t: int) -> float:
-        if self.beta_override is not None:
-            return self.beta_override
-        return regularizer(t, self.delta)
-
-
-def center(features: FeatureSet, policy: DesignPolicy, arm: int) -> np.ndarray:
-    """Centered feature of ``arm`` under the sampling policy: x_arm - sum p_i x_i."""
-    x = features.features
-    p = policy.probabilities
-    if p.shape[0] != features.K:
-        raise DimError(f"policy has {p.shape[0]} entries for {features.K} arms")
-    return x[arm] - p @ x
-
-
-def update(state: EstimatorState, centered: np.ndarray, reward: float) -> EstimatorState:
-    """Add one (centered feature, reward) sample in place; returns ``state``."""
-    centered = np.asarray(centered, dtype=float)
-    if centered.shape != (state.dim,):
-        raise DimError(f"centered feature shape {centered.shape} vs dim {state.dim}")
-    if not math.isfinite(reward) or not np.isfinite(centered).all():
-        raise InvalidSample("non-finite reward or feature")
-    state.gram += np.outer(centered, centered)
-    state.moment += centered * reward
-    state.count += 1
-    return state
-
 
 def update_batch(state: EstimatorState, centered: np.ndarray, rewards: np.ndarray) -> EstimatorState:
-    """Add many samples at once (rows of ``centered`` paired with ``rewards``).
+    """Add samples in place (rows of ``centered`` paired with ``rewards``); returns ``state``.
 
-    Equivalent to repeated ``update`` up to floating-point summation order.
+    Splitting the rows over several calls gives the same statistics up to
+    floating-point summation order.
     """
     centered = np.asarray(centered, dtype=float)
     rewards = np.asarray(rewards, dtype=float)

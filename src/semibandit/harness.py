@@ -1,9 +1,12 @@
 """Experiment orchestration: config parsing, replication runs, CSV output.
 
 A single JSON config describes the environment, the algorithm, and the
-run bookkeeping.  Replications are seeded as ``base_seed + index`` and can
-execute in parallel; outputs are gathered and written in index order by a
-single writer, so files are byte-identical regardless of worker count.
+run bookkeeping.  Modes: ``regret`` (phase elimination; its summary also
+records the best-arm identification outcome), ``pac`` and ``error-scaling``
+(pure exploration), ``design-cert`` (the anchored design alone).
+Replications are seeded as ``base_seed + index`` and can execute in
+parallel; outputs are gathered and written in index order by a single
+writer, so files are byte-identical regardless of worker count.
 
 Floats are serialized with 17 significant digits, which round-trips IEEE
 doubles exactly and keeps repeated runs byte-stable.
@@ -35,7 +38,7 @@ from .environment import (
 from .errors import ConfigError, IoError
 from .sbe import RunRecord, SbeConfig, pac_budget, run_pure_exploration, run_sbe
 
-MODES = ("regret", "pac", "bai", "design-cert", "error-scaling")
+MODES = ("regret", "pac", "design-cert", "error-scaling")
 
 TRAJECTORY_COLUMNS = (
     "t",
@@ -155,13 +158,11 @@ def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1) -> 
                 snapshot = float(errs.max())
         e_t[pos:] = snapshot
 
-    active_size = np.full(n, env.K, dtype=np.int64)
-    if record.kind != "pure":
-        pos = 0
-        for ph in record.phases:
-            active_size[pos : pos + ph.taken] = len(ph.active)
-            pos += ph.taken
-        active_size[pos:] = 1
+    active_size = np.ones(n, dtype=np.int64)  # one arm left after the last phase
+    pos = 0
+    for ph in record.phases:
+        active_size[pos : pos + ph.taken] = len(ph.active)
+        pos += ph.taken
 
     return MetricTable(
         t=ts,
@@ -174,6 +175,17 @@ def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1) -> 
         sqrt_t_e_t=np.sqrt(ts) * e_t,
         active_size=active_size,
     )
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_int(value, name: str, minimum: int | None = None) -> int:
+    """``value`` if it is an integer (not a bool) of at least ``minimum``; else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int) or (minimum is not None and value < minimum):
+        raise ConfigError(name, "must be an integer" + ("" if minimum is None else f" >= {minimum}"))
+    return value
 
 
 @dataclass
@@ -199,46 +211,59 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("config", "must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown field")
-        cfg = cls(**{k: raw[k] for k in raw})
+        for name in ("mode", "environment"):
+            if name not in raw:
+                raise ConfigError(name, "missing field")
+        cfg = cls(**raw)
         cfg.validate()
         return cfg
 
-    def validate(self) -> None:
+    def validate(self) -> Environment:
+        """Check every field; returns the environment the config describes."""
         if self.mode not in MODES:
             raise ConfigError("mode", f"must be one of {MODES}")
         if not isinstance(self.environment, dict):
             raise ConfigError("environment", "must be an object")
-        if not isinstance(self.replications, int) or self.replications < 1:
-            raise ConfigError("replications", "must be an integer >= 1")
-        if not isinstance(self.base_seed, int):
-            raise ConfigError("base_seed", "must be an integer")
-        if self.workers is not None and (not isinstance(self.workers, int) or self.workers < 1):
-            raise ConfigError("workers", "must be an integer >= 1")
-        build_environment(self.environment)  # raises ConfigError on bad spec
-        alg = self.algorithm
-        if self.mode in ("regret", "bai"):
-            if "horizon" not in alg:
-                raise ConfigError("algorithm.horizon", f"required for mode {self.mode}")
-            self.sbe_config()
-        elif self.mode == "pac":
-            if "epsilon" not in alg:
-                raise ConfigError("algorithm.epsilon", "required for mode pac")
-            self.exploration_plan()
-        elif self.mode == "error-scaling":
-            if "budget" not in alg:
-                raise ConfigError("algorithm.budget", "required for mode error-scaling")
-            self.exploration_plan()
+        if not isinstance(self.algorithm, dict):
+            raise ConfigError("algorithm", "must be an object")
+        if not isinstance(self.output, str):
+            raise ConfigError("output", "must be a string")
+        _check_int(self.replications, "replications", 1)
+        _check_int(self.base_seed, "base_seed")
+        if self.workers is not None:
+            _check_int(self.workers, "workers", 1)
+        env = build_environment(self.environment)  # raises ConfigError on bad spec
+        if env.K < 2:
+            raise ConfigError("environment", "needs at least two arms")
+        rounds = self.rounds(env)
+        if env.shift.kind == "custom" and env.shift.table.shape[0] < rounds:
+            raise ConfigError(
+                "environment.shift.table", f"has {env.shift.table.shape[0]} entries for a run of {rounds} rounds"
+            )
+        return env
+
+    def rounds(self, env: Environment) -> int:
+        """Rounds one replication draws: the horizon, the budget, or 0 for design-cert."""
+        if self.mode == "regret":
+            return self.sbe_config().horizon
+        if self.mode == "design-cert":
+            return 0
+        return self.exploration_plan(env)["budget"]
 
     def sbe_config(self) -> SbeConfig:
         alg = self.algorithm
+        if "horizon" not in alg:
+            raise ConfigError("algorithm.horizon", f"required for mode {self.mode}")
         try:
             return SbeConfig(
                 delta=alg.get("delta", 0.05),
-                horizon=alg["horizon"],
+                horizon=_check_int(alg["horizon"], "algorithm.horizon", 1),
                 c2=alg.get("c2", 1.0),
                 c3=alg.get("c3", 1.0),
                 schedule=alg.get("schedule", "fixed"),
@@ -248,19 +273,25 @@ class ExperimentConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigError("algorithm", str(exc))
 
-    def exploration_plan(self) -> dict:
+    def exploration_plan(self, env: Environment) -> dict:
         """Budget, delta, epsilon for pure-exploration modes."""
         alg = self.algorithm
+        required = "epsilon" if self.mode == "pac" else "budget"
+        if required not in alg:
+            raise ConfigError(f"algorithm.{required}", f"required for mode {self.mode}")
         delta = alg.get("delta", 0.1)
-        if not isinstance(delta, (int, float)) or not 0 < delta < 1:
+        if not _is_number(delta) or not 0 < delta < 1:
             raise ConfigError("algorithm.delta", "must lie in (0, 1)")
         epsilon = alg.get("epsilon")
+        if epsilon is not None and not (_is_number(epsilon) and 0 < epsilon < math.inf):
+            raise ConfigError("algorithm.epsilon", "must be a positive number")
         budget = alg.get("budget")
         if budget is None:
-            env = build_environment(self.environment)
-            budget = pac_budget(env.d, env.K, epsilon, delta, c2=alg.get("c2", 4.0))
-        if not isinstance(budget, int) or budget < 1:
-            raise ConfigError("algorithm.budget", "must be an integer >= 1")
+            try:
+                budget = pac_budget(env.d, env.K, epsilon, delta, c2=alg.get("c2", 4.0))
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise ConfigError("algorithm", f"no PAC budget: {exc}")
+        _check_int(budget, "algorithm.budget", 1)
         return {"budget": budget, "delta": delta, "epsilon": epsilon}
 
 
@@ -291,61 +322,50 @@ def build_environment(spec: dict) -> Environment:
     except Exception as exc:
         raise ConfigError("environment", str(exc))
     if "shift" in spec:
-        sh = dict(spec["shift"])
         try:
+            sh = dict(spec["shift"])
             env.shift = ShiftSpec(
                 kind=sh.get("kind", "none"),
                 constant=sh.get("constant", 0.0),
                 table=sh.get("table"),
                 clip_to_unit=sh.get("clip_to_unit", False),
             )
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise ConfigError("environment.shift", str(exc))
     if "noise" in spec:
-        nz = dict(spec["noise"])
         try:
+            nz = dict(spec["noise"])
             env.noise = NoiseSpec(kind=nz.get("kind", "gaussian"), scale=nz.get("scale", 1.0))
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise ConfigError("environment.noise", str(exc))
     return env
 
 
-def _replication_task(cfg_dict: dict, rep: int):
+def _replication_task(cfg: ExperimentConfig, env: Environment, rep: int):
     """Run one replication; used both inline and from worker processes."""
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    env = build_environment(cfg.environment)
     seed = cfg.base_seed + rep
-    if cfg.mode in ("regret", "bai"):
-        record = run_sbe(env, cfg.sbe_config(), run_seed=seed)
-        table = compute_metrics(record, env, delta=cfg.sbe_config().delta)
-        correct = record.declared_best == env.best_arm if record.declared_best is not None else False
-        summary = {
-            "replication": rep,
-            "seed": seed,
-            "final_regret": record.final_regret,
-            "declared_best": record.declared_best,
-            "declared_at": record.declared_at,
-            "greedy_arm": None,
-            "success": int(correct),
-        }
+    greedy = None
+    if cfg.mode == "regret":
+        sbe_cfg = cfg.sbe_config()
+        record = run_sbe(env, sbe_cfg, run_seed=seed)
+        delta = sbe_cfg.delta
+        success = record.declared_best == env.best_arm
     else:
-        plan = cfg.exploration_plan()
-        theta_hat, greedy, record = run_pure_exploration(
-            env, plan["budget"], plan["delta"], run_seed=seed
-        )
-        table = compute_metrics(record, env, delta=plan["delta"])
+        plan = cfg.exploration_plan(env)
+        delta = plan["delta"]
+        _, greedy, record = run_pure_exploration(env, plan["budget"], delta, run_seed=seed)
         value_gap = float(env.values[env.best_arm] - env.values[greedy])
-        ok = value_gap <= plan["epsilon"] if plan["epsilon"] is not None else greedy == env.best_arm
-        summary = {
-            "replication": rep,
-            "seed": seed,
-            "final_regret": record.final_regret,
-            "declared_best": None,
-            "declared_at": None,
-            "greedy_arm": greedy,
-            "success": int(ok),
-        }
-    return rep, table, summary
+        success = value_gap <= plan["epsilon"] if plan["epsilon"] is not None else greedy == env.best_arm
+    summary = {
+        "replication": rep,
+        "seed": seed,
+        "final_regret": record.final_regret,
+        "declared_best": record.declared_best,
+        "declared_at": record.declared_at,
+        "greedy_arm": greedy,
+        "success": int(success),
+    }
+    return rep, compute_metrics(record, env, delta=delta), summary
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -358,16 +378,6 @@ def _write_csv(path: Path, header, rows) -> None:
         raise IoError(f"cannot write {path}: {exc}")
 
 
-def _default_workers() -> int:
-    try:
-        import psutil
-
-        n = psutil.cpu_count(logical=False)
-    except ImportError:
-        n = None
-    return n or os.cpu_count() or 1
-
-
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute all replications of the configured experiment and write CSVs.
 
@@ -377,21 +387,20 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     Mode ``design-cert`` instead writes ``certificate.csv``.
     Returns a small dict of paths and aggregate results.
     """
-    cfg.validate()
+    env = cfg.validate()
     out = Path(cfg.output)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create output directory {out}: {exc}")
 
-    env = build_environment(cfg.environment)
     seeds = [cfg.base_seed + r for r in range(cfg.replications)]
     manifest = {
         "version": __version__,
         "mode": cfg.mode,
         "config": dataclasses.asdict(cfg),
         "seeds": seeds,
-        "assumption_audit": assumption_audit(env, horizon=1000),
+        "assumption_audit": assumption_audit(env, horizon=cfg.rounds(env)),
         "created_unix": time.time(),
     }
 
@@ -414,18 +423,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         _write_manifest(out / "manifest.json", manifest)
         return {"certificate": cert, "policy": policy, "output": str(out)}
 
-    cfg_dict = dataclasses.asdict(cfg)
-    workers = cfg.workers or _default_workers()
+    workers = cfg.workers or os.cpu_count() or 1
+    reps = range(cfg.replications)
     results = {}
     if workers > 1 and cfg.replications > 1:
         with ProcessPoolExecutor(max_workers=min(workers, cfg.replications)) as pool:
-            for rep, table, summary in pool.map(
-                _replication_task, [cfg_dict] * cfg.replications, range(cfg.replications)
-            ):
+            for rep, table, summary in pool.map(_replication_task, [cfg] * len(reps), [env] * len(reps), reps):
                 results[rep] = (table, summary)
     else:
-        for rep in range(cfg.replications):
-            _, table, summary = _replication_task(cfg_dict, rep)
+        for rep in reps:
+            _, table, summary = _replication_task(cfg, env, rep)
             results[rep] = (table, summary)
 
     def trajectory_rows():

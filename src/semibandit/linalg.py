@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DimError, InvalidMatrix, SingularMatrix
+from .errors import DimError, InvalidMatrix
 
 SYM_RTOL = 1e-12
 PSD_EIG_RTOL = 1e-10
@@ -51,17 +50,6 @@ def validate_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def eig_sym(a: np.ndarray):
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
-
-    Returns ``(w, q)`` with ``a = q @ diag(w) @ q.T`` and orthonormal
-    columns in ``q``.
-    """
-    a = validate_psd(a, "eig_sym input")
-    w, q = np.linalg.eigh(0.5 * (a + a.T))
-    return w[::-1].copy(), q[:, ::-1].copy()
-
-
 def weighted_inv_norm(a: np.ndarray, x: np.ndarray, range_tol: float = DEFAULT_RANGE_TOL) -> NormResult:
     """Inverse-weighted norm sqrt(x' A^+ x) with range detection.
 
@@ -92,23 +80,3 @@ def weighted_inv_norm(a: np.ndarray, x: np.ndarray, range_tol: float = DEFAULT_R
         return NormResult(math.inf, False)
     value = float(np.sqrt(np.sum(coeffs[keep] ** 2 / w[keep])))
     return NormResult(value, True)
-
-
-def psd_between(a: np.ndarray, b: np.ndarray, c: float, slack: float = 1e-9) -> bool:
-    """Whether (1/c) a <= b <= c a in the PSD order, for c > 1.
-
-    Decided through the generalized eigenvalues of (b, a), which must all
-    lie in [1/c - slack, c + slack].  Requires strictly positive definite
-    ``a`` (and ``b``); callers pass ridge-regularized matrices.
-    """
-    a = validate_psd(a, "psd_between first")
-    b = validate_psd(b, "psd_between second")
-    if a.shape != b.shape:
-        raise DimError(f"shape mismatch {a.shape} vs {b.shape}")
-    if c <= 1.0:
-        raise ValueError("c must exceed 1")
-    try:
-        w = scipy.linalg.eigh(0.5 * (b + b.T), 0.5 * (a + a.T), eigvals_only=True)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-        raise SingularMatrix("psd_between requires positive definite matrices")
-    return bool(w.min() >= 1.0 / c - slack and w.max() <= c + slack)

@@ -1,10 +1,12 @@
-"""Phase elimination with anchored designs, plus one-shot pure exploration.
+"""Phase elimination with anchored designs; pure exploration is its one-phase case.
 
 Each phase recomputes the anchored-difference design over the surviving
 arms (anchor = smallest surviving index), samples it for a schedule-driven
-number of rounds, solves the orthogonalized ridge system, and eliminates
-arms whose estimated reward trails the leader by more than eps_l = 2^-l.
-When one arm survives it is declared best and exploited to the horizon.
+number of rounds, and solves the orthogonalized ridge system.  Elimination
+then drops arms whose estimated reward trails the leader by more than
+eps_l = 2^-l; when one arm survives it is declared best and exploited to
+the horizon.  Pure exploration (PAC, error scaling) runs a single phase
+over all arms for a fixed budget and picks the greedy arm.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ class SbeConfig:
             raise ValueError("horizon must be >= 1")
         if self.c2 <= 0 or self.c3 <= 0:
             raise ValueError("schedule constants must be positive")
+        if not self.fw_tol > 0:
+            raise ValueError("fw_tol must be positive")
         if self.schedule not in ("fixed", "adaptive"):
             raise ValueError("schedule must be 'fixed' or 'adaptive'")
         if self.k_in_log not in ("active", "original"):
@@ -68,7 +72,7 @@ class PhaseState:
 class RunRecord:
     """Per-step and per-phase log of a single run.
 
-    ``kind`` distinguishes elimination runs ("sbe") from one-design
+    ``kind`` distinguishes elimination runs ("sbe") from one-phase
     pure-exploration runs ("pure"); metric computation keys off it.
     """
 
@@ -142,151 +146,119 @@ def eliminate(features: FeatureSet, active, theta_hat: np.ndarray, epsilon: floa
     return [a for a, v in zip(active, values) if best - v <= epsilon]
 
 
+def _run_phase(env, active, index, epsilon, t0, max_rounds, rng, noise, fw_tol, schedule):
+    """One phase, the step shared by elimination and pure exploration.
+
+    Computes the anchored design over ``active`` (anchor = its first arm) and
+    asks ``schedule(certificate)`` for the scheduled length and the ridge
+    regularizer beta.  Samples the design for that length, capped at
+    ``max_rounds``, from round ``t0`` on; regresses the rewards on
+    policy-centered features; and measures the anchored estimation error.
+    Returns ``(PhaseState, arms, rewards)``.
+    """
+    feats = FeatureSet(env.features.features[active])
+    policy, cert = deo(feats, anchor=0, fw_tol=fw_tol)
+    length, beta = schedule(cert)
+    taken = min(length, max_rounds)
+
+    local = rng.choice(len(active), size=taken, p=policy.probabilities)
+    arms = np.asarray(active, dtype=np.int64)[local]
+    rewards = rewards_for(env, arms, t0, noise)
+    xbar = policy.probabilities @ feats.features
+    state = est.EstimatorState.zeros(env.d)
+    est.update_batch(state, feats.features[local] - xbar, rewards)
+    theta_hat = est.solve(state, beta)
+    errs = np.abs((feats.features - feats.features[0]) @ (theta_hat - env.theta_star))
+    phase = PhaseState(
+        index=index,
+        active=tuple(active),
+        epsilon=epsilon,
+        length=length,
+        policy=policy,
+        certificate=cert,
+        anchor=active[0],
+        estimator=state,
+        taken=taken,
+        beta=beta,
+        theta_hat=theta_hat,
+        max_est_error=float(errs.max()),
+        truncated=taken < length,
+    )
+    return phase, arms, rewards
+
+
 def run_sbe(env: Environment, cfg: SbeConfig, run_seed: int = 0) -> RunRecord:
     """Execute one phase-elimination run to the horizon."""
     if env.K < 2:
         raise ValueError("elimination needs at least two arms")
     big_t = cfg.horizon
-    x = env.features.features
     noise = env.noise_stream(run_seed)
     rng = env.action_rng(run_seed)
-    opt_value = env.values[env.best_arm]
-
-    arm_log = np.zeros(big_t, dtype=np.int64)
-    reward_log = np.zeros(big_t)
-    regret_log = np.zeros(big_t)
-    phase_log = np.zeros(big_t, dtype=np.int64)
-
     active = list(range(env.K))
     phases: list[PhaseState] = []
-    declared = None
-    declared_at = None
+    arms, rewards = [], []
     t = 0
-    ell = 0
-    while t < big_t:
-        if len(active) == 1:
-            declared = active[0]
-            declared_at = t
-            arm_log[t:] = declared
-            reward_log[t:] = rewards_for(env, arm_log[t:], t + 1, noise)
-            regret_log[t:] = opt_value - env.values[declared]
-            phase_log[t:] = ell
-            t = big_t
-            break
-        ell += 1
-        epsilon = 2.0 ** (-ell)
-        active_feats = FeatureSet(x[active])
-        policy, cert = deo(active_feats, anchor=0, fw_tol=cfg.fw_tol)
+    while t < big_t and len(active) > 1:
+        ell = len(phases) + 1
         k_log = len(active) if cfg.k_in_log == "active" else env.K
-        n_ell = phase_length(ell, cert.dim, k_log, cfg)
-        n_take = min(n_ell, big_t - t)
 
-        local = rng.choice(len(active), size=n_take, p=policy.probabilities)
-        arms = np.asarray(active, dtype=np.int64)[local]
-        rewards = rewards_for(env, arms, t + 1, noise)
-        xbar = policy.probabilities @ active_feats.features
-        centered = active_feats.features[local] - xbar
+        def schedule(cert):
+            n_ell = phase_length(ell, cert.dim, k_log, cfg)
+            return n_ell, math.log(n_ell * ell * (ell + 1) / cfg.delta)
 
-        state = est.EstimatorState.zeros(env.d)
-        est.update_batch(state, centered, rewards)
-
-        arm_log[t : t + n_take] = arms
-        reward_log[t : t + n_take] = rewards
-        regret_log[t : t + n_take] = opt_value - env.values[arms]
-        phase_log[t : t + n_take] = ell
-        t += n_take
-
-        beta = math.log(n_ell * ell * (ell + 1) / cfg.delta)
-        theta_hat = est.solve(state, beta)
-        anchor_arm = active[0]
-        errs = np.abs((x[active] - x[anchor_arm]) @ (theta_hat - env.theta_star))
-        phase = PhaseState(
-            index=ell,
-            active=tuple(active),
-            epsilon=epsilon,
-            length=n_ell,
-            policy=policy,
-            certificate=cert,
-            anchor=anchor_arm,
-            estimator=state,
-            taken=n_take,
-            beta=beta,
-            theta_hat=theta_hat,
-            max_est_error=float(errs.max()),
-            truncated=n_take < n_ell,
+        phase, phase_arms, phase_rewards = _run_phase(
+            env, active, ell, 2.0 ** (-ell), t + 1, big_t - t, rng, noise, cfg.fw_tol, schedule
         )
         phases.append(phase)
+        arms.append(phase_arms)
+        rewards.append(phase_rewards)
+        t += phase.taken
         if phase.truncated:
             break  # horizon hit mid-phase: no elimination from a partial phase
-        active = eliminate(env.features, active, theta_hat, epsilon)
+        active = eliminate(env.features, active, phase.theta_hat, phase.epsilon)
 
+    declared = declared_at = None
+    if t < big_t:  # one arm survived: declare it best and play it to the horizon
+        declared, declared_at = active[0], t
+        arms.append(np.full(big_t - t, declared, dtype=np.int64))
+        rewards.append(rewards_for(env, arms[-1], t + 1, noise))
+    arm = np.concatenate(arms)
+    regret = env.values[env.best_arm] - env.values[arm]
+    # phase index of each sampled segment; the exploitation tail carries the last one
+    segment_phase = np.array([ph.index for ph in phases] + [len(phases)], dtype=np.int64)
     return RunRecord(
         seed=run_seed,
         horizon=big_t,
-        arm=arm_log[:t],
-        reward=reward_log[:t],
-        inst_regret=regret_log[:t],
-        cum_regret=np.cumsum(regret_log[:t]),
-        phase=phase_log[:t],
+        arm=arm,
+        reward=np.concatenate(rewards),
+        inst_regret=regret,
+        cum_regret=np.cumsum(regret),
+        phase=np.repeat(segment_phase, [ph.taken for ph in phases] + [big_t - t]),
         phases=phases,
         declared_best=declared,
         declared_at=declared_at,
     )
 
 
-def run_pure_exploration(
-    env: Environment,
-    budget: int,
-    delta: float,
-    run_seed: int = 0,
-    beta_override: float | None = None,
-    fw_tol: float = 1e-3,
-):
-    """Sample one anchored design for ``budget`` rounds, then pick greedily.
+def run_pure_exploration(env: Environment, budget: int, delta: float, run_seed: int = 0, fw_tol: float = 1e-3):
+    """Pure exploration: one phase over all arms with a fixed budget, then a greedy pick.
 
     Returns ``(theta_hat, greedy_arm, RunRecord)``.  The estimate uses
-    beta = log(budget / delta) unless overridden; the greedy arm maximizes
-    x_i' theta_hat (equivalently (x_i - x_1)' theta_hat).
+    beta = log(budget / delta); the greedy arm maximizes x_i' theta_hat
+    (equivalently (x_i - x_1)' theta_hat).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    x = env.features.features
-    noise = env.noise_stream(run_seed)
-    rng = env.action_rng(run_seed)
-    opt_value = env.values[env.best_arm]
-
-    policy, cert = deo(env.features, anchor=0, fw_tol=fw_tol)
-    arms = rng.choice(env.K, size=budget, p=policy.probabilities)
-    rewards = rewards_for(env, arms, 1, noise)
-    xbar = policy.probabilities @ x
-    centered = x[arms] - xbar
-
-    state = est.EstimatorState.zeros(env.d)
-    est.update_batch(state, centered, rewards)
-    beta = beta_override if beta_override is not None else est.regularizer(budget, delta)
-    theta_hat = est.solve(state, beta)
-    greedy_arm = int(np.argmax(x @ theta_hat))
-
-    errs = np.abs((x - x[0]) @ (theta_hat - env.theta_star))
-    phase = PhaseState(
-        index=1,
-        active=tuple(range(env.K)),
-        epsilon=math.nan,
-        length=budget,
-        policy=policy,
-        certificate=cert,
-        anchor=0,
-        estimator=state,
-        taken=budget,
-        beta=beta,
-        theta_hat=theta_hat,
-        max_est_error=float(errs.max()),
+    beta = est.regularizer(budget, delta)
+    rng, noise = env.action_rng(run_seed), env.noise_stream(run_seed)
+    phase, arms, rewards = _run_phase(
+        env, list(range(env.K)), 1, math.nan, 1, budget, rng, noise, fw_tol, lambda cert: (budget, beta)
     )
-    regret = opt_value - env.values[arms]
+    regret = env.values[env.best_arm] - env.values[arms]
     record = RunRecord(
         seed=run_seed,
         horizon=budget,
-        arm=arms.astype(np.int64),
+        arm=arms,
         reward=rewards,
         inst_regret=regret,
         cum_regret=np.cumsum(regret),
@@ -294,9 +266,4 @@ def run_pure_exploration(
         phases=[phase],
         kind="pure",
     )
-    return theta_hat, greedy_arm, record
-
-
-def bai_stopping_time(record: RunRecord) -> int | None:
-    """Declaration time of the best-arm identification, if one happened."""
-    return record.declared_at
+    return phase.theta_hat, int(np.argmax(env.features.features @ phase.theta_hat)), record

@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from semibandit.design import (
-    FeatureSet,
-    DesignPolicy,
-    covariance_pairwise,
-    deo,
-    g_optimal,
-    policy_moments,
-)
+import semibandit.design as design
+from semibandit.design import FeatureSet, DesignPolicy, deo, g_optimal, policy_moments
 from semibandit.errors import DegenerateFeatures, DimError
 from semibandit.linalg import weighted_inv_norm
 
@@ -25,6 +19,23 @@ def max_leverage(features, policy):
     p = policy.probabilities
     m = (x.T * p) @ x
     return max(weighted_inv_norm(m, xi).value ** 2 for xi in x)
+
+
+def covariance_pairwise(features, policy):
+    """Policy covariance in its pairwise-difference form, the oracle for ``policy_moments``.
+
+    Sum over i<j of p_i p_j (x_i - x_j)(x_i - x_j)^T, an O(K^2) loop that is
+    algebraically equal to ``policy_moments(...).covariance``.
+    """
+    x = features.features
+    p = policy.probabilities
+    out = np.zeros((features.d, features.d))
+    supp = np.flatnonzero(p > 0)
+    for a, i in enumerate(supp):
+        for j in supp[a + 1 :]:
+            diff = x[i] - x[j]
+            out += p[i] * p[j] * np.outer(diff, diff)
+    return out
 
 
 class TestFeatureSet:
@@ -116,6 +127,33 @@ class TestGOptimal:
         with pytest.warns(UserWarning):
             policy = g_optimal(FeatureSet(3.7 * x))
         assert max_leverage(FeatureSet(3.7 * x), policy) <= 4 * 1.001 + 1e-9
+
+    def test_support_drop_fallback(self, monkeypatch):
+        # near-duplicate arms where the Caratheodory reduction leaves
+        # d(d+1)/2 + 1 = 4 affinely independent atoms, so the greedy
+        # support drop (and its restricted polish) has to run
+        x = np.array(
+            [
+                [0.05690541049539659, -2.180862259333457],
+                [0.05690662183497443, -2.180862711932706],
+                [1.345015642996123, -0.7398999238119222],
+                [-1.1338055676470047, -0.9334098871217539],
+            ]
+        )
+        calls = []
+        drop = design._greedy_support_drop
+
+        def spy(*args, **kwargs):
+            calls.append(int((args[1] > 0).sum()))
+            return drop(*args, **kwargs)
+
+        monkeypatch.setattr(design, "_greedy_support_drop", spy)
+        with pytest.warns(UserWarning, match="exceed 1"):
+            fs = FeatureSet(x)
+        policy = g_optimal(fs)
+        assert calls == [4]
+        assert policy.support.size <= 3
+        assert max_leverage(fs, policy) <= 2 * (1 + 1e-3)
 
 
 class TestDeo:

@@ -12,34 +12,36 @@ from semibandit.environment import (
     make_gap_instance,
     make_mab_embedding,
     rewards_for,
-    shift_value,
     shift_values,
-    step,
 )
 from semibandit.design import FeatureSet
 from semibandit.errors import InvalidArm
 
 
+def shift_at(spec, t):
+    return float(shift_values(spec, np.array([t]))[0])
+
+
 class TestShiftSpec:
     def test_sine(self):
-        assert np.isclose(shift_value(ShiftSpec(kind="sine"), 1), 1 + math.sin(2))
-        assert np.isclose(shift_value(ShiftSpec(kind="sine"), 7), 1 + math.sin(14))
+        assert np.isclose(shift_at(ShiftSpec(kind="sine"), 1), 1 + math.sin(2))
+        assert np.isclose(shift_at(ShiftSpec(kind="sine"), 7), 1 + math.sin(14))
 
     def test_log_alternating(self):
         spec = ShiftSpec(kind="log_alternating")
         # ln(2)/5 < 2, exponent t mod 3: signs -, +, +, -, ...
-        assert shift_value(spec, 1) == -2.0
-        assert shift_value(spec, 2) == 2.0
-        assert shift_value(spec, 3) == 2.0
-        assert shift_value(spec, 4) == -2.0
+        assert shift_at(spec, 1) == -2.0
+        assert shift_at(spec, 2) == 2.0
+        assert shift_at(spec, 3) == 2.0
+        assert shift_at(spec, 4) == -2.0
 
     def test_log_alternating_min_variant(self):
         spec = ShiftSpec(kind="log_alternating_min")
-        assert np.isclose(shift_value(spec, 1), -math.log(2) / 5)
+        assert np.isclose(shift_at(spec, 1), -math.log(2) / 5)
 
     def test_none_and_constant(self):
-        assert shift_value(ShiftSpec(kind="none"), 123) == 0.0
-        assert shift_value(ShiftSpec(kind="constant", constant=0.7), 5) == 0.7
+        assert shift_at(ShiftSpec(kind="none"), 123) == 0.0
+        assert shift_at(ShiftSpec(kind="constant", constant=0.7), 5) == 0.7
 
     def test_clip(self):
         spec = ShiftSpec(kind="log_alternating", clip_to_unit=True)
@@ -48,9 +50,9 @@ class TestShiftSpec:
 
     def test_custom_table(self):
         spec = ShiftSpec(kind="custom", table=[0.1, -0.2, 0.3])
-        assert shift_value(spec, 2) == -0.2
+        assert shift_at(spec, 2) == -0.2
         with pytest.raises(ValueError):
-            shift_value(spec, 4)
+            shift_at(spec, 4)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -66,8 +68,11 @@ class TestNoise:
     def test_stream_random_access_consistency(self):
         stream = NoiseStream(NoiseSpec(kind="gaussian", scale=1.0), seed=9)
         block = stream.values(4090, 20)  # crosses a chunk boundary
-        singles = [stream.value(t) for t in range(4090, 4110)]
+        singles = [stream.values(t, 1)[0] for t in range(4090, 4110)]
         assert np.array_equal(block, singles)
+        # a fresh stream read from the far side of the boundary agrees too
+        fresh = NoiseStream(NoiseSpec(kind="gaussian", scale=1.0), seed=9)
+        assert np.array_equal(fresh.values(4100, 10), block[10:])
 
     def test_bounded_uniform_range(self):
         stream = NoiseStream(NoiseSpec(kind="bounded_uniform", scale=0.4), seed=1)
@@ -94,14 +99,14 @@ class TestEnvironment:
     def test_exact_reward_no_noise(self):
         env = self.make_env(noise=NoiseSpec(kind="none"))
         stream = env.noise_stream(0)
-        assert step(env, 1, 3, stream) == env.values[1]
+        assert rewards_for(env, [1], 3, stream)[0] == env.values[1]
 
     def test_constant_shift(self):
         env = self.make_env(
             noise=NoiseSpec(kind="none"), shift=ShiftSpec(kind="constant", constant=0.7)
         )
         stream = env.noise_stream(0)
-        assert np.isclose(step(env, 2, 9, stream), env.values[2] + 0.7)
+        assert np.isclose(rewards_for(env, [2], 9, stream)[0], env.values[2] + 0.7)
 
     def test_gaussian_empirical_mean(self):
         env = self.make_env()
@@ -120,14 +125,17 @@ class TestEnvironment:
     def test_shift_and_noise_independent_of_arm(self):
         env = self.make_env(shift=ShiftSpec(kind="sine"))
         t = 17
-        r_a = step(env, 0, t, env.noise_stream(3))
-        r_b = step(env, 2, t, env.noise_stream(3))
-        assert np.isclose(r_a - r_b, env.values[0] - env.values[2])
+        r_a = rewards_for(env, [1, 0], t, env.noise_stream(3))
+        r_b = rewards_for(env, [1, 2], t, env.noise_stream(3))
+        assert r_a[0] == r_b[0]
+        assert np.isclose(r_a[1] - r_b[1], env.values[0] - env.values[2])
 
     def test_invalid_arm(self):
         env = self.make_env()
         with pytest.raises(InvalidArm):
-            step(env, 5, 1, env.noise_stream(0))
+            rewards_for(env, [0, 5], 1, env.noise_stream(0))
+        with pytest.raises(InvalidArm):
+            rewards_for(env, [-1], 1, env.noise_stream(0))
 
     def test_theta_norm_warning(self):
         fs = FeatureSet(np.array([[1.0, 0.0], [0.0, 1.0]]))

@@ -2,58 +2,68 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from semibandit.design import DesignCertificate, DesignPolicy, FeatureSet, deo, policy_moments
 from semibandit.environment import make_gap_instance, rewards_for
 from semibandit.errors import InvalidRegularizer, InvalidSample
 from semibandit.estimator import (
     EstimatorState,
-    RidgeConfig,
-    center,
     error_bound_diagnostic,
     regularizer,
     solve,
-    update,
     update_batch,
 )
-from semibandit.linalg import psd_between
+
+
+def add_sample(state, x, r):
+    """One (centered feature, reward) sample through the batch update."""
+    return update_batch(state, np.asarray(x, dtype=float)[None, :], np.array([r], dtype=float))
+
+
+def centered(features, policy, arm):
+    """x_arm minus the policy's feature mean, as the sampler centers it."""
+    return features.features[arm] - policy_moments(features, policy).mean
 
 
 class TestCenter:
     def test_point_mass(self):
         fs = FeatureSet(np.array([[0.3, 0.4], [0.1, 0.2]]))
         policy = DesignPolicy(np.array([1.0, 0.0]))
-        assert np.allclose(center(fs, policy, 0), 0.0)
+        assert np.allclose(centered(fs, policy, 0), 0.0)
 
     def test_mean_zero_policy(self):
         fs = FeatureSet(np.array([[1.0, 0.0], [-1.0, 0.0]]))
         policy = DesignPolicy(np.array([0.5, 0.5]))
-        assert np.allclose(center(fs, policy, 0), [1.0, 0.0])
+        assert np.allclose(centered(fs, policy, 0), [1.0, 0.0])
 
     def test_direct_arithmetic(self):
         fs = FeatureSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         policy = DesignPolicy(np.array([0.5, 0.25, 0.25]))
-        assert np.allclose(center(fs, policy, 1), [0.75, -0.25])
+        assert np.allclose(centered(fs, policy, 1), [0.75, -0.25])
 
 
 class TestUpdate:
     def test_zero_vector_only_counts(self):
         state = EstimatorState.zeros(2)
-        update(state, np.zeros(2), 1.5)
+        add_sample(state, np.zeros(2), 1.5)
         assert state.count == 1
         assert np.allclose(state.gram, 0.0) and np.allclose(state.moment, 0.0)
 
     def test_single_sample(self):
         state = EstimatorState.zeros(2)
         x = np.array([0.5, -0.5])
-        update(state, x, 2.0)
+        add_sample(state, x, 2.0)
         assert np.allclose(state.gram, np.outer(x, x))
         assert np.allclose(state.moment, 2.0 * x)
 
     def test_non_finite_rejected(self):
         state = EstimatorState.zeros(2)
         with pytest.raises(InvalidSample):
-            update(state, np.zeros(2), math.nan)
+            add_sample(state, np.zeros(2), math.nan)
+        with pytest.raises(InvalidSample):
+            add_sample(state, np.array([0.0, math.inf]), 1.0)
+        assert state.count == 0
 
     def test_incremental_matches_batch(self):
         rng = np.random.default_rng(0)
@@ -61,7 +71,7 @@ class TestUpdate:
         rs = rng.standard_normal(50)
         one = EstimatorState.zeros(3)
         for x, r in zip(xs, rs):
-            update(one, x, r)
+            add_sample(one, x, r)
         batch = EstimatorState.zeros(3)
         update_batch(batch, xs, rs)
         # also an arbitrary chunked interleaving
@@ -80,7 +90,7 @@ class TestUpdate:
         state = EstimatorState.zeros(3)
         max_norm = np.linalg.norm(fs.features, axis=1).max()
         for arm in rng.integers(0, 6, 40):
-            update(state, center(fs, policy, int(arm)), 0.1)
+            add_sample(state, centered(fs, policy, int(arm)), 0.1)
         assert np.trace(state.gram) <= state.count * (2 * max_norm) ** 2 + 1e-12
 
 
@@ -95,22 +105,24 @@ class TestRegularizer:
             assert regularizer(t, 0.99) > 0
 
     def test_ridge_config(self):
-        assert np.isclose(RidgeConfig(delta=0.1).beta(10), math.log(100))
-        assert RidgeConfig(delta=0.1, beta_override=2.5).beta(10) == 2.5
+        # the log(t/delta) rule and its argument checks, as the samplers use it
+        assert np.isclose(regularizer(10, 0.1), math.log(100))
         with pytest.raises(ValueError):
-            RidgeConfig(delta=1.5)
+            regularizer(10, 1.5)
+        with pytest.raises(ValueError):
+            regularizer(0, 0.1)
 
 
 class TestSolve:
     def test_zero_moment(self):
         state = EstimatorState.zeros(3)
-        update(state, np.array([0.2, 0.1, 0.0]), 0.0)
+        add_sample(state, np.array([0.2, 0.1, 0.0]), 0.0)
         assert np.allclose(solve(state, 1.0), 0.0)
 
     def test_rank_one_closed_form(self):
         state = EstimatorState.zeros(2)
         x = np.array([0.6, -0.3])
-        update(state, x, 1.7)
+        add_sample(state, x, 1.7)
         beta = 0.8
         expected = 1.7 / (x @ x + beta) * x
         assert np.allclose(solve(state, beta), expected)
@@ -189,7 +201,9 @@ class TestComparability:
         for _ in range(50):
             counts = rng.multinomial(t, policy.probabilities)
             sigma_hat = (xc.T * (counts / t)) @ xc
-            if psd_between(sigma_hat + lam * eye, moments.covariance + lam * eye, 1.5):
+            # (1/c) A <= B <= c A iff every generalized eigenvalue of (B, A) lies in [1/c, c]
+            w = scipy.linalg.eigh(moments.covariance + lam * eye, sigma_hat + lam * eye, eigvals_only=True)
+            if w.min() >= 1 / 1.5 - 1e-9 and w.max() <= 1.5 + 1e-9:
                 hits += 1
         assert hits >= 48
 

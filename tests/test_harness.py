@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+import semibandit.harness as harness
 from semibandit.cli import main
 from semibandit.design import DesignCertificate, DesignPolicy, deo
 from semibandit.environment import make_gap_instance
 from semibandit.errors import ConfigError
 from semibandit.estimator import EstimatorState
 from semibandit.harness import (
+    MODES,
     SUMMARY_COLUMNS,
     TRAJECTORY_COLUMNS,
     ExperimentConfig,
@@ -41,6 +43,41 @@ def base_config(tmp_path, **overrides):
     }
     raw.update(overrides)
     return raw
+
+
+def features_env(**extra):
+    """Three arms in the plane, the kind of environment the CLI reads from a file."""
+    env = {"kind": "features", "features": [[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0]], "theta": [1.0, 0.0]}
+    env.update(extra)
+    return env
+
+
+# configs that validation must reject (exit 2) instead of failing mid-run or
+# running with a wrong type; a None value removes the field
+BAD_CONFIGS = {
+    "missing-mode": {"mode": None},
+    "algorithm-not-object": {"algorithm": ["horizon"]},
+    "output-not-string": {"output": 5},
+    "float-horizon": {"algorithm": {"horizon": 1e3}},
+    "bool-horizon": {"algorithm": {"horizon": True}},
+    "bool-budget": {"mode": "error-scaling", "algorithm": {"budget": True}},
+    "float-budget": {"mode": "error-scaling", "algorithm": {"budget": 300.0}},
+    "string-epsilon": {"mode": "pac", "algorithm": {"epsilon": "x"}},
+    "zero-epsilon": {"mode": "pac", "algorithm": {"epsilon": 0}},
+    "string-c2": {"mode": "pac", "algorithm": {"epsilon": 0.25, "c2": "x"}},
+    "one-arm": {"environment": {"kind": "features", "features": [[0.5, 0.0]], "theta": [1.0, 0.0]}},
+    "bool-workers": {"workers": True},
+    "bool-replications": {"replications": True},
+    "float-base-seed": {"base_seed": 1.5},
+    "bai-mode": {"mode": "bai"},
+    "zero-fw-tol": {"algorithm": {"horizon": 2000, "fw_tol": 0}},
+    "shift-not-object": {"environment": features_env(shift="sine")},
+    "string-noise-scale": {"environment": features_env(noise={"scale": "x"})},
+    "short-custom-table": {
+        "environment": features_env(shift={"kind": "custom", "table": [0.0] * 199}),
+        "algorithm": {"horizon": 200},
+    },
+}
 
 
 def manual_record(env, arms, phases=(), kind="sbe", declared=None, declared_at=None):
@@ -168,6 +205,12 @@ class TestConfig:
         )
         assert env.K == 2 and env.best_arm == 0
 
+    def test_bai_mode_folded_into_regret(self, tmp_path):
+        # the regret summary already records declared_best, declared_at and success
+        assert "bai" not in MODES
+        with pytest.raises(ConfigError, match="regret"):
+            ExperimentConfig.from_dict(base_config(tmp_path, mode="bai"))
+
     def test_mab_environment(self):
         env = build_environment({"kind": "mab", "mu": [0.2, 0.7]})
         assert env.best_arm == 1
@@ -275,6 +318,41 @@ class TestCli:
         path.write_text(json.dumps(cfgdict))
         assert main(["run", "--config", str(path)]) == 0
         assert (tmp_path / "cli_out" / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("overrides", BAD_CONFIGS.values(), ids=list(BAD_CONFIGS))
+    def test_config_errors_exit_2(self, tmp_path, capsys, command, overrides):
+        path = tmp_path / "cfg.json"
+        raw = {k: v for k, v in base_config(tmp_path, **overrides).items() if v is not None}
+        path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_custom_table_as_long_as_horizon(self, tmp_path):
+        table = [0.5 * math.sin(t) for t in range(1, 201)]
+        raw = base_config(
+            tmp_path,
+            environment=features_env(shift={"kind": "custom", "table": table}),
+            algorithm={"horizon": 200},
+            output=str(tmp_path / "table"),
+        )
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == 0
+        assert len((tmp_path / "table" / "trajectory.csv").read_text().splitlines()) == 1 + 2 * 200
+        manifest = json.loads((tmp_path / "table" / "manifest.json").read_text())
+        assert manifest["assumption_audit"] == []
+
+    def test_environment_built_per_validation_only(self, tmp_path, monkeypatch):
+        # once when the file is read, once when run_experiment validates;
+        # replications reuse that environment
+        calls = []
+        build = harness.build_environment
+        monkeypatch.setattr(harness, "build_environment", lambda spec: calls.append(1) or build(spec))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path, replications=3, algorithm={"horizon": 300})))
+        assert main(["run", "--config", str(path)]) == 0
+        assert len(calls) == 2
 
     def test_unwritable_output(self, tmp_path):
         blocker = tmp_path / "blocker"

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from semibandit.errors import DimError, InvalidMatrix, SingularMatrix
-from semibandit.linalg import eig_sym, psd_between, weighted_inv_norm
+from semibandit.errors import DimError, InvalidMatrix
+from semibandit.linalg import weighted_inv_norm
 
 
 def random_psd(rng, d, rank=None, lo=0.5, hi=2.0):
@@ -16,38 +16,40 @@ def random_psd(rng, d, rank=None, lo=0.5, hi=2.0):
 
 
 class TestEigSym:
+    """The symmetric eigendecomposition inside ``weighted_inv_norm``, checked on known spectra."""
+
     def test_identity(self):
-        w, _ = eig_sym(np.eye(3))
-        assert np.allclose(w, [1.0, 1.0, 1.0])
+        x = np.array([1.0, -2.0, 2.0])
+        assert np.isclose(weighted_inv_norm(np.eye(3), x).value, 3.0)
 
     def test_diagonal(self):
-        w, q = eig_sym(np.diag([4.0, 1.0]))
-        assert np.allclose(w, [4.0, 1.0])
-        assert np.allclose(np.abs(q), np.eye(2))
+        # diag(4, 1): x' A^{-1} x = 2^2/4 + 3^2/1
+        assert np.isclose(weighted_inv_norm(np.diag([4.0, 1.0]), np.array([2.0, 3.0])).value, math.sqrt(10.0))
 
     def test_two_by_two(self):
-        # characteristic polynomial of [[2,1],[1,2]]: (2-l)^2 - 1 = 0
-        w, _ = eig_sym(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(w, [3.0, 1.0])
+        # [[2,1],[1,2]] has eigenpairs 3, (1,1)/sqrt2 and 1, (1,-1)/sqrt2
+        a = np.array([[2.0, 1.0], [1.0, 2.0]])
+        assert np.isclose(weighted_inv_norm(a, np.array([1.0, 1.0])).value, math.sqrt(2.0 / 3.0))
+        assert np.isclose(weighted_inv_norm(a, np.array([1.0, -1.0])).value, math.sqrt(2.0))
 
     def test_reconstruction(self):
+        # along each eigenvector q_i of a known spectrum the norm is 1/sqrt(w_i)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            a, _, _ = random_psd(rng, 6)
-            w, q = eig_sym(a)
-            recon = (q * w) @ q.T
-            assert np.linalg.norm(recon - a) <= 1e-9 * max(np.linalg.norm(a), 1.0)
-            assert np.all(np.diff(w) <= 1e-12)
-            assert np.allclose(q.T @ q, np.eye(6), atol=1e-10)
+            a, q, w = random_psd(rng, 6)
+            for i in range(6):
+                res = weighted_inv_norm(a, q[:, i])
+                assert res.in_range
+                assert abs(res.value - 1.0 / math.sqrt(w[i])) <= 1e-9 / math.sqrt(w[i])
 
     def test_non_finite_rejected(self):
         bad = np.array([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(InvalidMatrix):
-            eig_sym(bad)
+            weighted_inv_norm(bad, np.ones(2))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidMatrix):
-            eig_sym(np.array([[1.0, 0.5], [0.0, 1.0]]))
+            weighted_inv_norm(np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones(2))
 
 
 class TestWeightedInvNorm:
@@ -102,28 +104,3 @@ class TestWeightedInvNorm:
     def test_dim_mismatch(self):
         with pytest.raises(DimError):
             weighted_inv_norm(np.eye(2), np.zeros(3))
-
-
-class TestPsdBetween:
-    def test_equal(self):
-        assert psd_between(np.eye(3), np.eye(3), 2.0)
-
-    def test_violation(self):
-        assert not psd_between(np.eye(2), 3.0 * np.eye(2), 2.0)
-
-    def test_inside_band(self):
-        assert psd_between(np.eye(2), np.diag([0.6, 1.5]), 2.0)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            d = int(rng.integers(2, 6))
-            a, _, _ = random_psd(rng, d)
-            b, _, _ = random_psd(rng, d)
-            c = float(rng.uniform(1.5, 5.0))
-            assert psd_between(a, b, c) == psd_between(b, a, c)
-
-    def test_singular_rejected(self):
-        a = np.diag([1.0, 0.0])
-        with pytest.raises(SingularMatrix):
-            psd_between(a, np.eye(2), 2.0)

@@ -8,7 +8,6 @@ from semibandit.environment import Environment, NoiseSpec, ShiftSpec, make_gap_i
 from semibandit.errors import DegenerateFeatures, ScheduleOverflow
 from semibandit.sbe import (
     SbeConfig,
-    bai_stopping_time,
     eliminate,
     pac_budget,
     phase_length,
@@ -116,7 +115,7 @@ class TestRunSbe:
         assert max(eliminating_phases) <= last_possible
         # declaration right at the end of the eliminating phase
         total = sum(ph.taken for ph in record.phases)
-        assert bai_stopping_time(record) == total
+        assert record.declared_at == total
 
     def test_regret_zero_after_correct_declaration(self):
         env = make_gap_instance(3, 6, 0.5, seed=2)
@@ -147,7 +146,7 @@ class TestRunSbe:
         assert record.steps == 500
         assert record.phases[-1].truncated
         assert record.declared_best is None
-        assert bai_stopping_time(record) is None
+        assert record.declared_at is None
 
     def test_cumulative_regret_monotone(self):
         env = make_gap_instance(3, 6, 0.5, seed=7)
@@ -266,6 +265,6 @@ class TestPureExploration:
     def test_declared_arm_invariant(self):
         env = make_gap_instance(3, 6, 0.5, seed=10)
         record = run_sbe(env, cfg(horizon=40_000, delta=0.05), run_seed=4)
-        tau = bai_stopping_time(record)
+        tau = record.declared_at
         assert tau is not None
         assert np.all(record.arm[tau:] == record.declared_best)
