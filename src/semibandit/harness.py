@@ -9,7 +9,11 @@ parallel; outputs are gathered and written in index order by a single
 writer, so files are byte-identical regardless of worker count.
 
 Floats are serialized with 17 significant digits, which round-trips IEEE
-doubles exactly and keeps repeated runs byte-stable.
+doubles exactly and keeps repeated runs byte-stable.  One writer formats NumPy
+columns ``_BLOCK`` rows at a time with one ``%``-format per line.  The per-step
+estimation error of pure exploration is computed block-wise as well: running
+sums of the rank-one terms and one batched ridge solve per block, bit for bit
+equal to solving after every step.
 """
 
 from __future__ import annotations
@@ -40,28 +44,18 @@ from .sbe import RunRecord, SbeConfig, pac_budget, run_pure_exploration, run_sbe
 
 MODES = ("regret", "pac", "design-cert", "error-scaling")
 
+# CSV headers, each beside its line format; "%.17g" % x == f"{x:.17g}", nan, inf and -0 included
 TRAJECTORY_COLUMNS = (
-    "t",
-    "replication",
-    "phase",
-    "arm",
-    "reward",
-    "inst_regret",
-    "cum_regret",
-    "e_t",
-    "sqrt_t_e_t",
-    "active_size",
+    "t", "replication", "phase", "arm", "reward", "inst_regret", "cum_regret", "e_t", "sqrt_t_e_t", "active_size"
 )
+TRAJECTORY_LINE = "%d,%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
+MEAN_COLUMNS = ("t", "mean_cum_regret", "mean_e_t", "mean_sqrt_t_e_t")
+MEAN_LINE = "%d,%.17g,%.17g,%.17g\n"
+SUMMARY_COLUMNS = ("replication", "seed", "final_regret", "declared_best", "declared_at", "greedy_arm", "success")
+SUMMARY_LINE = "%d,%d,%.17g,%s,%s,%s,%d\n"  # the %s cells may be empty
 
-SUMMARY_COLUMNS = (
-    "replication",
-    "seed",
-    "final_regret",
-    "declared_best",
-    "declared_at",
-    "greedy_arm",
-    "success",
-)
+# rows per block of the CSV writer and of the batched e_t; bounds what is alive at once
+_BLOCK = 512
 
 
 def fmt(value) -> str:
@@ -71,19 +65,6 @@ def fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"
-
-
-@dataclass(frozen=True)
-class MetricRow:
-    t: int
-    phase: int
-    arm: int
-    reward: float
-    inst_regret: float
-    cum_regret: float
-    e_t: float
-    sqrt_t_e_t: float
-    active_size: int
 
 
 @dataclass
@@ -99,20 +80,6 @@ class MetricTable:
     e_t: np.ndarray
     sqrt_t_e_t: np.ndarray
     active_size: np.ndarray
-
-    def rows(self):
-        for i in range(self.t.shape[0]):
-            yield MetricRow(
-                t=int(self.t[i]),
-                phase=int(self.phase[i]),
-                arm=int(self.arm[i]),
-                reward=float(self.reward[i]),
-                inst_regret=float(self.inst_regret[i]),
-                cum_regret=float(self.cum_regret[i]),
-                e_t=float(self.e_t[i]),
-                sqrt_t_e_t=float(self.sqrt_t_e_t[i]),
-                active_size=int(self.active_size[i]),
-            )
 
 
 def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1) -> MetricTable:
@@ -133,20 +100,22 @@ def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1) -> 
     e_t = np.full(n, math.nan)
 
     if record.kind == "pure" and record.phases:
-        ph = record.phases[0]
-        xbar = ph.policy.probabilities @ x
+        # running sums of x~x~' and x~r, carried from block to block.  Each step
+        # equals a step-by-step solve bit for bit; np.log or einsum in place of
+        # math.log or matmul would change the last bit
+        xt = x[record.arm] - record.phases[0].policy.probabilities @ x
+        xr = xt * record.reward[:, None]
         z = x - x[0]
-        theta = env.theta_star
-        gram = np.zeros((env.d, env.d))
-        moment = np.zeros(env.d)
+        gram = np.zeros((1, env.d, env.d))
+        moment = np.zeros((1, env.d))
         eye = np.eye(env.d)
-        for i in range(n):
-            xt = x[record.arm[i]] - xbar
-            gram += np.outer(xt, xt)
-            moment += xt * record.reward[i]
-            beta = math.log((i + 1) / delta)
-            theta_hat = np.linalg.solve(gram + beta * eye, moment)
-            e_t[i] = np.abs(z @ (theta_hat - theta)).max()
+        for s in range(0, n, _BLOCK):
+            b = slice(s, s + _BLOCK)
+            gram = np.cumsum(np.concatenate([gram[-1:], xt[b, :, None] * xt[b, None, :]]), axis=0)[1:]
+            moment = np.cumsum(np.concatenate([moment[-1:], xr[b]]), axis=0)[1:]
+            beta = np.array([math.log(t / delta) for t in range(s + 1, s + gram.shape[0] + 1)])
+            theta_hat = np.linalg.solve(gram + beta[:, None, None] * eye, moment[:, :, None])
+            e_t[b] = np.abs(np.matmul(z, theta_hat - env.theta_star[:, None])).max(axis=(1, 2))
     else:
         snapshot = math.nan
         pos = 0
@@ -241,6 +210,8 @@ class ExperimentConfig:
         env = build_environment(self.environment)  # raises ConfigError on bad spec
         if env.K < 2:
             raise ConfigError("environment", "needs at least two arms")
+        if self.mode == "design-cert":
+            self.design_params(env)
         rounds = self.rounds(env)
         if env.shift.kind == "custom" and env.shift.table.shape[0] < rounds:
             raise ConfigError(
@@ -273,6 +244,16 @@ class ExperimentConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigError("algorithm", str(exc))
 
+    def design_params(self, env: Environment) -> tuple[int, float]:
+        """Anchor arm and Frank-Wolfe tolerance for design-cert."""
+        anchor = _check_int(self.algorithm.get("anchor", 0), "algorithm.anchor", 0)
+        if anchor >= env.K:
+            raise ConfigError("algorithm.anchor", f"must be an arm index below {env.K}")
+        fw_tol = self.algorithm.get("fw_tol", 1e-3)
+        if not (_is_number(fw_tol) and 0 < fw_tol < math.inf):
+            raise ConfigError("algorithm.fw_tol", "must be a positive finite number")
+        return anchor, fw_tol
+
     def exploration_plan(self, env: Environment) -> dict:
         """Budget, delta, epsilon for pure-exploration modes."""
         alg = self.algorithm
@@ -298,11 +279,12 @@ class ExperimentConfig:
 def build_environment(spec: dict) -> Environment:
     """Construct an Environment from its JSON description."""
     kind = spec.get("kind")
+    seed = _check_int(spec.get("seed", 0), "environment.seed")
     try:
         if kind == "gap_instance":
-            env = make_gap_instance(spec["d"], spec["K"], spec["gap"], spec.get("seed", 0))
+            env = make_gap_instance(spec["d"], spec["K"], spec["gap"], seed)
         elif kind == "mab":
-            env = make_mab_embedding(spec["mu"], seed=spec.get("seed", 0))
+            env = make_mab_embedding(spec["mu"], seed=seed)
         elif kind == "features":
             if "path" in spec:
                 feats = FeatureSet.from_file(spec["path"])
@@ -311,7 +293,7 @@ def build_environment(spec: dict) -> Environment:
             env = Environment(
                 features=feats,
                 theta_star=np.asarray(spec["theta"], dtype=float),
-                rng_seed=spec.get("seed", 0),
+                rng_seed=seed,
             )
         else:
             raise ConfigError("environment.kind", "must be gap_instance, mab, or features")
@@ -342,7 +324,10 @@ def build_environment(spec: dict) -> Environment:
 
 
 def _replication_task(cfg: ExperimentConfig, env: Environment, rep: int):
-    """Run one replication; used both inline and from worker processes."""
+    """Run one replication; used both inline and from worker processes.
+
+    Returns its metric table and its ``summary.csv`` cells by column name.
+    """
     seed = cfg.base_seed + rep
     greedy = None
     if cfg.mode == "regret":
@@ -360,20 +345,33 @@ def _replication_task(cfg: ExperimentConfig, env: Environment, rep: int):
         "replication": rep,
         "seed": seed,
         "final_regret": record.final_regret,
-        "declared_best": record.declared_best,
-        "declared_at": record.declared_at,
-        "greedy_arm": greedy,
+        "declared_best": _nullable(record.declared_best),
+        "declared_at": _nullable(record.declared_at),
+        "greedy_arm": _nullable(greedy),
         "success": int(success),
     }
-    return rep, compute_metrics(record, env, delta=delta), summary
+    return compute_metrics(record, env, delta=delta), summary
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _nullable(value) -> str:
+    """A summary cell that may be absent: an integer's text, or empty."""
+    return "" if value is None else str(int(value))
+
+
+def _write_csv(path: Path, header, line_format: str, tables) -> None:
+    """Write ``header``, then every row of ``tables`` as ``line_format % row``.
+
+    ``tables`` yields sequences of equal-length NumPy columns.  Rows are
+    formatted and joined ``_BLOCK`` at a time, so only one block of cells is
+    ever held as Python objects.
+    """
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(fmt(v) for v in row) + "\n")
+            for columns in tables:
+                for s in range(0, len(columns[0]), _BLOCK):
+                    rows = zip(*(c[s : s + _BLOCK].tolist() for c in columns))
+                    fh.write("".join(map(line_format.__mod__, rows)))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}")
 
@@ -405,77 +403,49 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     }
 
     if cfg.mode == "design-cert":
-        anchor = cfg.algorithm.get("anchor", 0)
-        fw_tol = cfg.algorithm.get("fw_tol", 1e-3)
+        anchor, fw_tol = cfg.design_params(env)
         policy, cert = deo(env.features, anchor=anchor, fw_tol=fw_tol)
-        cert_path = out / "certificate.csv"
+        cert_row = (cert.max_anchor_norm, cert.max_centered_norm, cert.support_size, cert.dim)
         _write_csv(
-            cert_path,
+            out / "certificate.csv",
             ("max_anchor_norm", "max_centered_norm", "support_size", "dim"),
-            [(cert.max_anchor_norm, cert.max_centered_norm, cert.support_size, cert.dim)],
+            "%.17g,%.17g,%d,%d\n",
+            [[np.array([v]) for v in cert_row]],
         )
-        policy_path = out / "policy.csv"
-        _write_csv(
-            policy_path,
-            ("arm_index", "probability"),
-            [(i, p) for i, p in enumerate(policy.probabilities)],
-        )
+        probs = policy.probabilities
+        _write_csv(out / "policy.csv", ("arm_index", "probability"), "%d,%.17g\n", [(np.arange(probs.size), probs)])
         _write_manifest(out / "manifest.json", manifest)
         return {"certificate": cert, "policy": policy, "output": str(out)}
 
     workers = cfg.workers or os.cpu_count() or 1
     reps = range(cfg.replications)
-    results = {}
     if workers > 1 and cfg.replications > 1:
         with ProcessPoolExecutor(max_workers=min(workers, cfg.replications)) as pool:
-            for rep, table, summary in pool.map(_replication_task, [cfg] * len(reps), [env] * len(reps), reps):
-                results[rep] = (table, summary)
+            done = list(pool.map(_replication_task, [cfg] * len(reps), [env] * len(reps), reps))
     else:
-        for rep in reps:
-            _, table, summary = _replication_task(cfg, env, rep)
-            results[rep] = (table, summary)
+        done = [_replication_task(cfg, env, rep) for rep in reps]
+    tables = [table for table, _ in done]
+    summaries = [summary for _, summary in done]
 
-    def trajectory_rows():
-        for rep in range(cfg.replications):
-            table = results[rep][0]
-            for row in table.rows():
-                yield (
-                    row.t,
-                    rep,
-                    row.phase,
-                    row.arm,
-                    row.reward,
-                    row.inst_regret,
-                    row.cum_regret,
-                    row.e_t,
-                    row.sqrt_t_e_t,
-                    row.active_size,
-                )
-
-    _write_csv(out / "trajectory.csv", TRAJECTORY_COLUMNS, trajectory_rows())
-
-    tables = [results[rep][0] for rep in range(cfg.replications)]
-    n_min = min(t.t.shape[0] for t in tables)
-    mean_rows = zip(
-        range(1, n_min + 1),
-        np.mean([t.cum_regret[:n_min] for t in tables], axis=0),
-        np.mean([t.e_t[:n_min] for t in tables], axis=0),
-        np.mean([t.sqrt_t_e_t[:n_min] for t in tables], axis=0),
+    trajectory = (
+        (tb.t, np.full(tb.t.shape[0], rep), tb.phase, tb.arm, tb.reward, tb.inst_regret, tb.cum_regret, tb.e_t,
+         tb.sqrt_t_e_t, tb.active_size)
+        for rep, tb in enumerate(tables)
     )
-    _write_csv(out / "trajectory_mean.csv", ("t", "mean_cum_regret", "mean_e_t", "mean_sqrt_t_e_t"), mean_rows)
+    _write_csv(out / "trajectory.csv", TRAJECTORY_COLUMNS, TRAJECTORY_LINE, trajectory)
 
-    summary_rows = [
-        tuple(results[rep][1][c] for c in SUMMARY_COLUMNS) for rep in range(cfg.replications)
-    ]
-    _write_csv(out / "summary.csv", SUMMARY_COLUMNS, summary_rows)
+    n_min = min(t.t.shape[0] for t in tables)
+    means = [np.mean([getattr(t, c)[:n_min] for t in tables], axis=0) for c in ("cum_regret", "e_t", "sqrt_t_e_t")]
+    _write_csv(out / "trajectory_mean.csv", MEAN_COLUMNS, MEAN_LINE, [[np.arange(1, n_min + 1), *means]])
+
+    summary_columns = [np.array([s[c] for s in summaries], dtype=object) for c in SUMMARY_COLUMNS]
+    _write_csv(out / "summary.csv", SUMMARY_COLUMNS, SUMMARY_LINE, [summary_columns])
     _write_manifest(out / "manifest.json", manifest)
-
-    successes = sum(results[rep][1]["success"] for rep in range(cfg.replications))
     return {
         "output": str(out),
         "replications": cfg.replications,
-        "successes": successes,
-        "mean_final_regret": float(np.mean([results[r][1]["final_regret"] for r in results])),
+        "successes": sum(s["success"] for s in summaries),
+        "mean_final_regret": float(np.mean([s["final_regret"] for s in summaries])),
     }
 
 

@@ -1,15 +1,17 @@
 """Byte-level golden outputs of ``run_experiment``.
 
 Every CSV that a small config writes in each mode is pinned by its sha256,
-under one and two workers.  Any change to sampling, estimation, metrics or
-formatting that moves a single byte fails here; a deliberate change has to
-re-record the digests and say why.
+under one and two workers; two longer runs (7000 and 5000 rounds) cross the
+block boundaries of the CSV writer and of the batched e_t.  Any change to
+sampling, estimation, metrics or formatting that moves a single byte fails
+here; a deliberate change has to re-record the digests and say why.
 """
 
 import hashlib
 
 import pytest
 
+import semibandit.harness as harness
 from semibandit.harness import ExperimentConfig, run_experiment
 
 ALGORITHM = {
@@ -42,7 +44,28 @@ GOLDEN = {
 }
 
 
-def golden_config(mode, workers, output):
+# runs of 7000 and 5000 rounds per replication: the CSV writer and the
+# batched e_t cross several block boundaries and end on a partial block
+LONG_ALGORITHM = {
+    "regret": {"delta": 0.05, "horizon": 7_000},
+    "error-scaling": {"budget": 5_000, "delta": 0.1},
+}
+
+LONG_GOLDEN = {
+    "regret": {
+        "summary.csv": "6d4268f222aac6b7c965af1bef439a5fdeeb7fbbb0f8552d8f033bd293600698",
+        "trajectory.csv": "b4d141d80f250268da316479e3b85c0aeb6b25b76deb203aa5d20981c5172419",
+        "trajectory_mean.csv": "90a6936ed5a5c7407bcc5cef4a34d8f8c024dfe61bf241e7b743bba92bce5b24",
+    },
+    "error-scaling": {
+        "summary.csv": "58a851807e5acbfa72df4df59fe0cdf5deefce7efa5916e2cdfda62d4e5bf389",
+        "trajectory.csv": "a3909d32bb1a40e6dbbd7bd0e31069bc416c1df3bf3618fff0c6b6545b8ec048",
+        "trajectory_mean.csv": "aa54dcb7f782524f86be3b8f59c8bc533646a736ab310deae724f5d121f56882",
+    },
+}
+
+
+def golden_config(mode, workers, output, algorithm=None):
     return {
         "mode": mode,
         "environment": {
@@ -54,7 +77,7 @@ def golden_config(mode, workers, output):
             "shift": {"kind": "sine"},
             "noise": {"kind": "gaussian", "scale": 1.0},
         },
-        "algorithm": dict(ALGORITHM[mode]),
+        "algorithm": dict(algorithm or ALGORITHM[mode]),
         "replications": 2,
         "base_seed": 100,
         "output": str(output),
@@ -71,3 +94,20 @@ def csv_digests(directory):
 def test_csv_digests(tmp_path, mode, workers):
     run_experiment(ExperimentConfig.from_dict(golden_config(mode, workers, tmp_path / "out")))
     assert csv_digests(tmp_path / "out") == GOLDEN[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(LONG_GOLDEN))
+def test_csv_digests_across_blocks(tmp_path, mode):
+    run_experiment(ExperimentConfig.from_dict(golden_config(mode, 1, tmp_path / "out", LONG_ALGORITHM[mode])))
+    assert csv_digests(tmp_path / "out") == LONG_GOLDEN[mode]
+
+
+@pytest.mark.parametrize("mode", ["regret", "error-scaling", "design-cert"])
+def test_block_size_does_not_change_bytes(tmp_path, monkeypatch, mode):
+    # a 7-row block puts a carry and a partial last block in every file
+    algorithm = {"regret": {"delta": 0.05, "horizon": 600}, "error-scaling": {"budget": 500, "delta": 0.1}}.get(mode)
+    run_experiment(ExperimentConfig.from_dict(golden_config(mode, 1, tmp_path / "default", algorithm)))
+    monkeypatch.setattr(harness, "_BLOCK", 7)
+    run_experiment(ExperimentConfig.from_dict(golden_config(mode, 1, tmp_path / "small", algorithm)))
+    default = {p.name: p.read_bytes() for p in (tmp_path / "default").glob("*.csv")}
+    assert default and default == {p.name: p.read_bytes() for p in (tmp_path / "small").glob("*.csv")}

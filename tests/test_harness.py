@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import semibandit.harness as harness
 from semibandit.cli import main
@@ -11,9 +13,12 @@ from semibandit.environment import make_gap_instance
 from semibandit.errors import ConfigError
 from semibandit.estimator import EstimatorState
 from semibandit.harness import (
+    MEAN_LINE,
     MODES,
     SUMMARY_COLUMNS,
+    SUMMARY_LINE,
     TRAJECTORY_COLUMNS,
+    TRAJECTORY_LINE,
     ExperimentConfig,
     build_environment,
     compute_metrics,
@@ -73,6 +78,11 @@ BAD_CONFIGS = {
     "zero-fw-tol": {"algorithm": {"horizon": 2000, "fw_tol": 0}},
     "shift-not-object": {"environment": features_env(shift="sine")},
     "string-noise-scale": {"environment": features_env(noise={"scale": "x"})},
+    "design-cert-zero-fw-tol": {"mode": "design-cert", "algorithm": {"fw_tol": 0}},
+    "design-cert-string-anchor": {"mode": "design-cert", "algorithm": {"anchor": "a"}},
+    "design-cert-anchor-out-of-range": {"mode": "design-cert", "algorithm": {"anchor": 9}},
+    "float-environment-seed": {"environment": features_env(seed=1.5)},
+    "bool-environment-seed": {"environment": features_env(seed=True)},
     "short-custom-table": {
         "environment": features_env(shift={"kind": "custom", "table": [0.0] * 199}),
         "algorithm": {"horizon": 200},
@@ -158,6 +168,25 @@ class TestComputeMetrics:
         theta_hat = np.linalg.solve(gram + math.log(t_check / 0.1) * np.eye(env.d), moment)
         expected = np.abs((x - x[0]) @ (theta_hat - env.theta_star)).max()
         assert np.isclose(table.e_t[t_check - 1], expected, rtol=1e-8)
+
+    @pytest.mark.parametrize("block", [7, 997, 2048])
+    @pytest.mark.parametrize("d", [2, 5, 7])
+    def test_pure_exploration_error_matches_stepwise_solves(self, monkeypatch, block, d):
+        # the batched e_t equals a ridge solve after every step, bit for bit
+        env = make_gap_instance(d, 9, 0.3, seed=d)
+        _, _, record = run_pure_exploration(env, 1_500, 0.1, run_seed=d)
+        monkeypatch.setattr(harness, "_BLOCK", block)
+        table = compute_metrics(record, env, delta=0.1)
+        x = env.features.features
+        xbar = record.phases[0].policy.probabilities @ x
+        gram, moment, expected = np.zeros((d, d)), np.zeros(d), []
+        for i in range(record.steps):
+            xt = x[record.arm[i]] - xbar
+            gram += np.outer(xt, xt)
+            moment += xt * record.reward[i]
+            theta_hat = np.linalg.solve(gram + math.log((i + 1) / 0.1) * np.eye(d), moment)
+            expected.append(np.abs((x - x[0]) @ (theta_hat - env.theta_star)).max())
+        assert table.e_t.tobytes() == np.array(expected).tobytes()
 
     def test_regret_monotone_and_total(self):
         env = make_gap_instance(3, 6, 0.4, seed=5)
@@ -288,6 +317,38 @@ class TestRunExperiment:
         values = [math.pi, 1 / 3, 1e-17, 123456.789012345678]
         for v in values:
             assert float(fmt(v)) == v
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
+    [-0.0, 1e308, -1e308, 5e-324, math.nan, math.inf, -math.inf]
+)
+INTS = st.integers(-(2**63), 2**63 - 1)
+CELLS = {"%d": INTS, "%.17g": FLOATS}
+
+
+def line_rows(line_format):
+    """Rows of cell values for ``line_format``; ``%s`` cells are absent ints (None) or ints."""
+    cells = [CELLS.get(spec, st.none() | INTS) for spec in line_format.rstrip("\n").split(",")]
+    return st.lists(st.tuples(*cells), min_size=1, max_size=12)
+
+
+class TestWriter:
+    @pytest.mark.parametrize("line_format", [TRAJECTORY_LINE, MEAN_LINE, SUMMARY_LINE])
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), block=st.integers(1, 5))
+    def test_lines_match_per_cell_format(self, tmp_path, monkeypatch, line_format, data, block):
+        rows = data.draw(line_rows(line_format))
+        monkeypatch.setattr(harness, "_BLOCK", block)
+        columns = []
+        for spec, cells in zip(line_format.rstrip("\n").split(","), zip(*rows)):
+            if spec == "%s":  # absent-or-integer cells are turned into text before writing
+                columns.append(np.array([harness._nullable(v) for v in cells], dtype=object))
+            else:
+                columns.append(np.array(cells, dtype=np.int64 if spec == "%d" else np.float64))
+        path = tmp_path / "rows.csv"
+        harness._write_csv(path, ("h",), line_format, [columns])
+        expected = "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
+        assert path.read_text() == "h\n" + expected
 
 
 class TestCli:
