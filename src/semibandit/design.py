@@ -122,7 +122,7 @@ def policy_moments(features: FeatureSet, policy: DesignPolicy) -> PolicyMoments:
     return PolicyMoments(mean=mean, covariance=cov)
 
 
-def _span_basis(x: np.ndarray):
+def span_basis(x: np.ndarray):
     """Orthonormal basis of the row span of x and its rank."""
     if x.size == 0:
         return np.zeros((x.shape[1], 0)), 0
@@ -134,7 +134,8 @@ def _span_basis(x: np.ndarray):
 
 
 def _leverages(x: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,jk,ik->i", x, m_inv, x)
+    """x_i' M^{-1} x_i for every row; x @ M^{-1} is one BLAS product."""
+    return np.einsum("ij,ij->i", x @ m_inv, x)
 
 
 def _pairwise_fw(x: np.ndarray, d: int, tol: float, max_iters: int):
@@ -219,7 +220,7 @@ def g_optimal(features: FeatureSet, fw_tol: float = 1e-3, max_iters: int | None 
     # dyadic normalization: dividing by a power of two is exact, so scaling
     # all features by 2^k leaves every branch of the solver unchanged
     x_full = x_full / math.ldexp(1.0, math.frexp(max_norm)[1])
-    basis, d_eff = _span_basis(x_full)
+    basis, d_eff = span_basis(x_full)
     if d_eff == 0:
         raise DegenerateFeatures("all features are zero")
     x = x_full if d_eff == x_full.shape[1] else x_full @ basis
@@ -346,12 +347,10 @@ def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = 1e-3, max_iters: 
 
     moments = policy_moments(features, policy)
     cov = moments.covariance
-    anchor_norms = [weighted_inv_norm(cov, x[i] - x[anchor]).value for i in range(k)]
-    centered_norms = [weighted_inv_norm(cov, x[i] - moments.mean).value for i in range(k)]
-    _, d_eff = _span_basis(diffs)
+    _, d_eff = span_basis(diffs)
     cert = DesignCertificate(
-        max_anchor_norm=float(max(anchor_norms)),
-        max_centered_norm=float(max(centered_norms)),
+        max_anchor_norm=float(weighted_inv_norm(cov, x - x[anchor]).max()),
+        max_centered_norm=float(weighted_inv_norm(cov, x - moments.mean).max()),
         support_size=int(policy.support.size),
         dim=d_eff,
     )

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .design import FeatureSet, deo
+from .design import FeatureSet, deo, span_basis
 from .environment import (
     Environment,
     NoiseSpec,
@@ -39,8 +39,8 @@ from .environment import (
     make_gap_instance,
     make_mab_embedding,
 )
-from .errors import ConfigError, IoError
-from .sbe import RunRecord, SbeConfig, pac_budget, run_pure_exploration, run_sbe
+from .errors import ConfigError, IoError, ScheduleOverflow
+from .sbe import RunRecord, SbeConfig, pac_budget, phase_length, run_pure_exploration, run_sbe
 
 MODES = ("regret", "pac", "design-cert", "error-scaling")
 
@@ -212,6 +212,14 @@ class ExperimentConfig:
             raise ConfigError("environment", "needs at least two arms")
         if self.mode == "design-cert":
             self.design_params(env)
+        if self.mode == "regret":
+            x = env.features.features
+            d_eff = span_basis(x[1:] - x[0])[1]  # the dim of phase 1's certificate
+            if d_eff:  # 0 when all arms are identical, which deo reports when the run starts
+                try:
+                    phase_length(1, d_eff, env.K, self.sbe_config())
+                except ScheduleOverflow as exc:
+                    raise ConfigError("algorithm", str(exc))
         rounds = self.rounds(env)
         if env.shift.kind == "custom" and env.shift.table.shape[0] < rounds:
             raise ConfigError(
@@ -396,7 +404,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     manifest = {
         "version": __version__,
         "mode": cfg.mode,
-        "config": dataclasses.asdict(cfg),
+        "config": {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)},  # shallow: no copy of features
         "seeds": seeds,
         "assumption_audit": assumption_audit(env, horizon=cfg.rounds(env)),
         "created_unix": time.time(),

@@ -50,33 +50,39 @@ def validate_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def weighted_inv_norm(a: np.ndarray, x: np.ndarray, range_tol: float = DEFAULT_RANGE_TOL) -> NormResult:
+def weighted_inv_norm(a: np.ndarray, x: np.ndarray, range_tol: float = DEFAULT_RANGE_TOL) -> NormResult | np.ndarray:
     """Inverse-weighted norm sqrt(x' A^+ x) with range detection.
 
     The pseudo-inverse keeps eigenvalues above ``range_tol`` times the top
-    eigenvalue.  ``in_range`` is True iff the component of ``x`` orthogonal
-    to the kept eigenspace has norm at most ``range_tol * ||x||``; otherwise
-    the norm is reported as infinite.  Agrees with the ridge limit
+    eigenvalue.  A vector is in range iff its component orthogonal to the
+    kept eigenspace has norm at most ``range_tol * ||x||``; otherwise its
+    norm is reported as infinite.  Agrees with the ridge limit
     lim_{lam->0} sqrt(x' (A + lam I)^{-1} x) for in-range vectors.
+
+    ``x`` of shape (d,) gives a ``NormResult``; a stack of shape (n, d) gives
+    the n norms as an array, from the same single eigendecomposition.
     """
     a = validate_psd(a, "weighted_inv_norm matrix")
     x = np.asarray(x, dtype=float)
-    if x.shape != (a.shape[0],):
+    if x.ndim not in (1, 2) or x.shape[-1] != a.shape[0]:
         raise DimError(f"vector shape {x.shape} does not match matrix dim {a.shape[0]}")
+    if not np.isfinite(x).all():
+        raise ValueError("weighted_inv_norm vector has non-finite entries")
     if range_tol <= 0:
         raise ValueError("range_tol must be positive")
     w, q = np.linalg.eigh(0.5 * (a + a.T))
     wmax = w[-1] if w.size else 0.0
-    xnorm = float(np.linalg.norm(x))
+    rows = x.reshape(-1, a.shape[0])
+    xnorm = np.linalg.norm(rows, axis=1)
     if wmax <= 0.0:
         # zero (or numerically negative) matrix: only the zero vector is in range
-        if xnorm == 0.0:
-            return NormResult(0.0, True)
-        return NormResult(math.inf, False)
-    keep = w > range_tol * wmax
-    coeffs = q.T @ x
-    resid = float(np.linalg.norm(coeffs[~keep]))
-    if resid > range_tol * xnorm:
-        return NormResult(math.inf, False)
-    value = float(np.sqrt(np.sum(coeffs[keep] ** 2 / w[keep])))
-    return NormResult(value, True)
+        values = np.where(xnorm == 0.0, 0.0, math.inf)
+    else:
+        keep = w > range_tol * wmax
+        coeffs = rows @ q
+        values = np.sqrt(np.sum(coeffs[:, keep] ** 2 / w[keep], axis=1))
+        values[np.linalg.norm(coeffs[:, ~keep], axis=1) > range_tol * xnorm] = math.inf
+    if x.ndim == 2:
+        return values
+    value = float(values[0])
+    return NormResult(value, math.isfinite(value))

@@ -39,10 +39,10 @@ class SbeConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.c2 <= 0 or self.c3 <= 0:
-            raise ValueError("schedule constants must be positive")
-        if not self.fw_tol > 0:
-            raise ValueError("fw_tol must be positive")
+        for name in ("c2", "c3", "fw_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+                raise ValueError(f"{name} must be a positive finite number")
         if self.schedule not in ("fixed", "adaptive"):
             raise ValueError("schedule must be 'fixed' or 'adaptive'")
         if self.k_in_log not in ("active", "original"):

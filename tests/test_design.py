@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semibandit.design as design
 from semibandit.design import FeatureSet, DesignPolicy, deo, g_optimal, policy_moments
@@ -134,10 +136,10 @@ class TestGOptimal:
         # support drop (and its restricted polish) has to run
         x = np.array(
             [
-                [0.05690541049539659, -2.180862259333457],
-                [0.05690662183497443, -2.180862711932706],
-                [1.345015642996123, -0.7398999238119222],
-                [-1.1338055676470047, -0.9334098871217539],
+                [-2.03448491902141, 0.1444993513252039],
+                [-2.034484735551103, 0.1444999831062366],
+                [-1.4886485895644839, -1.179835190012481],
+                [-0.1972230457551113, -1.397678703123582],
             ]
         )
         calls = []
@@ -196,6 +198,36 @@ class TestDeo:
             assert cert.max_centered_norm <= 4.0 * math.sqrt(cert.dim) * tol
             assert cert.support_size <= cert.dim * (cert.dim + 1) // 2 + 1
             assert np.isclose(policy.probabilities[0], 0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        rank=st.integers(1, 6),
+        k=st.integers(2, 24),
+        copies=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_certificate_bounds_property(self, d, rank, k, copies, seed):
+        # features in the unit ball, confined to a random subspace, each row repeated up to
+        # ``copies`` times, any anchor: the bounds hold at the rank d_eff of
+        # the anchored differences, and the stacked certificate equals the
+        # largest per-arm norm
+        rng = np.random.default_rng(seed)
+        rank = min(rank, d)
+        basis = np.linalg.qr(rng.standard_normal((d, rank)))[0]
+        x = random_unit_features(rng, rank, k) * rng.uniform(0.2, 1.0, size=(k, 1)) @ basis.T
+        x = np.repeat(x, rng.integers(1, copies + 1, size=k), axis=0)
+        anchor = int(rng.integers(x.shape[0]))
+        fs = FeatureSet(x)
+        policy, cert = deo(fs, anchor=anchor)
+        d_eff, tol = cert.dim, 1e-3
+        assert 1 <= d_eff <= rank
+        assert cert.max_anchor_norm <= 2.0 * math.sqrt(d_eff * (1 + tol))
+        assert cert.max_centered_norm <= 4.0 * math.sqrt(d_eff * (1 + tol))
+        assert cert.support_size <= d_eff * (d_eff + 1) // 2 + 1
+        cov = policy_moments(fs, policy).covariance
+        per_arm = max(weighted_inv_norm(cov, xi - x[anchor]).value for xi in x)
+        assert per_arm == pytest.approx(cert.max_anchor_norm, rel=1e-12)
 
     def test_anchor_weight_half(self):
         rng = np.random.default_rng(15)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -76,6 +77,11 @@ BAD_CONFIGS = {
     "float-base-seed": {"base_seed": 1.5},
     "bai-mode": {"mode": "bai"},
     "zero-fw-tol": {"algorithm": {"horizon": 2000, "fw_tol": 0}},
+    "infinite-fw-tol": {"algorithm": {"horizon": 2000, "fw_tol": math.inf}},
+    "bool-fw-tol": {"algorithm": {"horizon": 2000, "fw_tol": True}},
+    "infinite-c2": {"algorithm": {"horizon": 2000, "c2": math.inf}},
+    "nan-c3": {"algorithm": {"horizon": 2000, "c3": math.nan}},
+    "phase-1-schedule-overflow": {"algorithm": {"horizon": 2000, "delta": 1e-320}},
     "shift-not-object": {"environment": features_env(shift="sine")},
     "string-noise-scale": {"environment": features_env(noise={"scale": "x"})},
     "design-cert-zero-fw-tol": {"mode": "design-cert", "algorithm": {"fw_tol": 0}},
@@ -299,6 +305,15 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
         assert manifest["seeds"] == [100]
         assert manifest["mode"] == "regret"
+
+    def test_manifest_config_block(self, tmp_path):
+        # the config is written as given, feature lists included, in the
+        # same text as a deep copy through dataclasses.asdict
+        raw = base_config(tmp_path, environment=features_env(), algorithm={"horizon": 50}, output=str(tmp_path / "m"))
+        cfg = ExperimentConfig.from_dict(raw)
+        run_experiment(cfg)
+        block = json.dumps({"config": dataclasses.asdict(cfg)}, indent=2)[2:-2]
+        assert block in (tmp_path / "m" / "manifest.json").read_text()
 
     def test_pac_mode_summary(self, tmp_path):
         raw = base_config(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semibandit.errors import DimError, InvalidMatrix
 from semibandit.linalg import weighted_inv_norm
@@ -104,3 +106,39 @@ class TestWeightedInvNorm:
     def test_dim_mismatch(self):
         with pytest.raises(DimError):
             weighted_inv_norm(np.eye(2), np.zeros(3))
+
+
+class TestStackedNorms:
+    """A stack of vectors gives, row by row, what one vector at a time gives."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.integers(1, 7), rank=st.integers(0, 7), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    @example(d=3, rank=0, n=5, seed=0)  # zero matrix
+    @example(d=5, rank=2, n=8, seed=1)  # rank-deficient matrix
+    def test_stack_matches_rows(self, d, rank, n, seed):
+        rng = np.random.default_rng(seed)
+        rank = min(rank, d)
+        a, q, _ = random_psd(rng, d, rank=rank)
+        inside = rng.standard_normal((n, rank)) @ q[:, :rank].T
+        outside = rng.standard_normal((n, d - rank)) @ q[:, rank:].T
+        kind = rng.integers(0, 3, size=(n, 1))  # in range, off range, zero vector
+        x = np.where(kind == 0, inside, np.where(kind == 1, inside + outside, 0.0))
+        values = weighted_inv_norm(a, x)
+        assert values.shape == (n,)
+        for row, value in zip(x, values):
+            single = weighted_inv_norm(a, row)
+            assert math.isinf(value) == (not single.in_range)
+            if single.in_range:
+                assert value == pytest.approx(single.value, rel=1e-12, abs=0.0)
+
+    def test_non_finite_vector_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            weighted_inv_norm(np.eye(2), np.array([math.nan, 1.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            weighted_inv_norm(np.eye(2), np.array([[1.0, 0.0], [math.inf, 1.0]]))
+
+    def test_stack_dim_mismatch(self):
+        with pytest.raises(DimError):
+            weighted_inv_norm(np.eye(2), np.zeros((4, 3)))
+        with pytest.raises(DimError):
+            weighted_inv_norm(np.eye(2), np.zeros((1, 4, 2)))
