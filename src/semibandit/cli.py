@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .design import FeatureSet, deo
@@ -19,6 +20,8 @@ from .harness import ExperimentConfig, fmt, run_experiment
 
 
 def _cmd_design(args) -> int:
+    if not 0 < args.fw_tol < math.inf:
+        raise ConfigError("--fw-tol", "must be a positive finite number")
     feats = FeatureSet.from_file(args.features_file)
     policy, cert = deo(feats, anchor=args.anchor, fw_tol=args.fw_tol)
     print("arm_index,probability")

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, DegenerateFeatures, DimError
 from .linalg import weighted_inv_norm
@@ -58,13 +57,19 @@ class FeatureSet:
 
     @classmethod
     def from_file(cls, path) -> "FeatureSet":
-        """Load the plain-text matrix format: first line ``d K``, then K rows."""
+        """Load the plain-text matrix format: first line ``d K``, then K rows.
+
+        Raises ``DimError`` on any malformed file.
+        """
         with open(path) as fh:
-            header = fh.readline().split()
-            if len(header) != 2:
-                raise DimError(f"{path}: first line must be 'd K'")
-            d, k = int(header[0]), int(header[1])
-            rows = np.loadtxt(fh, ndmin=2)
+            try:
+                header = fh.readline().split()
+                if len(header) != 2:
+                    raise DimError(f"{path}: first line must be 'd K'")
+                d, k = int(header[0]), int(header[1])
+                rows = np.loadtxt(fh, ndmin=2)
+            except ValueError as exc:  # a header entry or cell that is not a number, a ragged row, non-text bytes
+                raise DimError(f"{path}: {exc}") from exc
         if rows.shape != (k, d):
             raise DimError(f"{path}: expected {k} rows of {d} values, got {rows.shape}")
         return cls(rows)
@@ -141,17 +146,24 @@ def _leverages(x: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
 def _pairwise_fw(x: np.ndarray, d: int, tol: float, max_iters: int):
     """Pairwise Frank-Wolfe on the log-det objective with exact line search.
 
-    ``x`` is (K, d) and full column rank.  Starts uniform on a pivoted-QR
-    rank-complete subset; each step moves weight from the lowest-leverage
-    support atom to the highest-leverage arm, with the step size maximizing
-    log det exactly (rank-two determinant update).  Stops once
-    max_i ||x_i||^2_{M^{-1}} <= d (1 + tol), the Kiefer-Wolfowitz condition.
+    ``x`` is (K, d) and full column rank.  Starts uniform on d rows chosen
+    greedily: d times, the row of largest residual norm, which is then
+    projected out of every residual.  These are the pivots of column-pivoted
+    QR of x' (Businger & Golub 1965), and they span R^d.  Each step moves
+    weight from the lowest-leverage support atom to the highest-leverage
+    arm, with the step size maximizing log det exactly (rank-two determinant
+    update).  Stops once max_i ||x_i||^2_{M^{-1}} <= d (1 + tol), the
+    Kiefer-Wolfowitz condition.
 
     Returns ``(p, converged, iterations)``.
     """
-    _, _, piv = scipy.linalg.qr(x.T, pivoting=True, mode="economic")
     p = np.zeros(x.shape[0])
-    p[piv[:d]] = 1.0 / d
+    r = x.copy()
+    for _ in range(d):
+        i = int(np.argmax(np.einsum("ij,ij->i", r, r)))
+        p[i] = 1.0 / d
+        q = r[i] / np.linalg.norm(r[i])
+        r -= np.outer(r @ q, q)
     return _pairwise_fw_from(x, p, d, tol, max_iters)
 
 

@@ -87,12 +87,6 @@ class NoiseSpec:
         if self.scale < 0:
             raise ValueError("noise scale must be nonnegative")
 
-    @property
-    def variance_proxy(self) -> float:
-        if self.kind == "none":
-            return 0.0
-        return self.scale
-
 
 class NoiseStream:
     """Counter-based noise draws keyed by (seed, t).
@@ -149,7 +143,6 @@ class Environment:
     shift: ShiftSpec = field(default_factory=ShiftSpec)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     rng_seed: int = 0
-    strict_ties: bool = False
     info: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -167,8 +160,6 @@ class Environment:
         others = np.delete(self.values, self.best_arm)
         self.gap = float(self.values[self.best_arm] - others.max()) if others.size else math.inf
         if others.size and self.gap == 0.0:
-            if self.strict_ties:
-                raise ValueError("best arm is not unique")
             warnings.warn("best arm is not unique; gap-dependent results are undefined", stacklevel=2)
 
     @property
@@ -248,7 +239,6 @@ def make_gap_instance(d: int, K: int, gap: float, seed: int) -> Environment:
             features=FeatureSet(x),
             theta_star=theta,
             rng_seed=seed,
-            strict_ties=True,
             info={"generator": "gap_instance", "requested_gap": gap, "seed": seed},
         )
         if abs(env.gap - gap) <= 1e-9:
@@ -276,6 +266,5 @@ def make_mab_embedding(mu, seed: int = 0) -> Environment:
         features=FeatureSet(np.eye(k)),
         theta_star=mu * scale,
         rng_seed=seed,
-        strict_ties=True,
         info={"generator": "mab_embedding", "scale": scale, "mu": mu.tolist()},
     )

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .design import DesignCertificate
 from .errors import DimError, InvalidRegularizer, InvalidSample
@@ -24,11 +23,10 @@ class EstimatorState:
 
     gram: np.ndarray
     moment: np.ndarray
-    count: int = 0
 
     @classmethod
     def zeros(cls, dim: int) -> "EstimatorState":
-        return cls(gram=np.zeros((dim, dim)), moment=np.zeros(dim), count=0)
+        return cls(gram=np.zeros((dim, dim)), moment=np.zeros(dim))
 
     @property
     def dim(self) -> int:
@@ -49,7 +47,6 @@ def update_batch(state: EstimatorState, centered: np.ndarray, rewards: np.ndarra
         raise InvalidSample("non-finite reward or feature")
     state.gram += centered.T @ centered
     state.moment += centered.T @ rewards
-    state.count += centered.shape[0]
     return state
 
 
@@ -63,12 +60,14 @@ def regularizer(t: int, delta: float) -> float:
 
 
 def solve(state: EstimatorState, beta: float) -> np.ndarray:
-    """Ridge solution (gram + beta I)^{-1} moment via a Cholesky solve."""
+    """Ridge solution (gram + beta I)^{-1} moment by one ``np.linalg.solve``.
+
+    The same routine solves every ridge system in the package, the per-step
+    e_t of ``harness.compute_metrics`` included.
+    """
     if beta <= 0:
         raise InvalidRegularizer(f"beta must be positive, got {beta}")
-    a = state.gram + beta * np.eye(state.dim)
-    cho = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    return scipy.linalg.cho_solve(cho, state.moment, check_finite=False)
+    return np.linalg.solve(state.gram + beta * np.eye(state.dim), state.moment)
 
 
 def error_bound_diagnostic(cert: DesignCertificate, t: int, delta: float, c1: float = 10.0) -> float:

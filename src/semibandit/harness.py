@@ -247,7 +247,6 @@ class ExperimentConfig:
                 c3=alg.get("c3", 1.0),
                 schedule=alg.get("schedule", "fixed"),
                 fw_tol=alg.get("fw_tol", 1e-3),
-                k_in_log=alg.get("k_in_log", "active"),
             )
         except (ValueError, TypeError) as exc:
             raise ConfigError("algorithm", str(exc))
@@ -425,10 +424,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         _write_manifest(out / "manifest.json", manifest)
         return {"certificate": cert, "policy": policy, "output": str(out)}
 
-    workers = cfg.workers or os.cpu_count() or 1
+    cpus = os.cpu_count() or 1
+    workers = min(cfg.workers or cpus, cpus, cfg.replications)
     reps = range(cfg.replications)
-    if workers > 1 and cfg.replications > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, cfg.replications)) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_replication_task, [cfg] * len(reps), [env] * len(reps), reps))
     else:
         done = [_replication_task(cfg, env, rep) for rep in reps]

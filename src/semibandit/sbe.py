@@ -32,7 +32,6 @@ class SbeConfig:
     c3: float = 1.0
     schedule: str = "fixed"  # "fixed" | "adaptive"
     fw_tol: float = 1e-3
-    k_in_log: str = "active"  # "active" | "original": which K enters the schedule logs
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
@@ -45,8 +44,6 @@ class SbeConfig:
                 raise ValueError(f"{name} must be a positive finite number")
         if self.schedule not in ("fixed", "adaptive"):
             raise ValueError("schedule must be 'fixed' or 'adaptive'")
-        if self.k_in_log not in ("active", "original"):
-            raise ValueError("k_in_log must be 'active' or 'original'")
 
 
 @dataclass
@@ -60,11 +57,9 @@ class PhaseState:
     policy: DesignPolicy
     certificate: DesignCertificate
     anchor: int
-    estimator: est.EstimatorState
     taken: int = 0
     beta: float = math.nan
     theta_hat: np.ndarray | None = None
-    max_est_error: float = math.nan
     truncated: bool = False
 
 
@@ -152,9 +147,8 @@ def _run_phase(env, active, index, epsilon, t0, max_rounds, rng, noise, fw_tol, 
     Computes the anchored design over ``active`` (anchor = its first arm) and
     asks ``schedule(certificate)`` for the scheduled length and the ridge
     regularizer beta.  Samples the design for that length, capped at
-    ``max_rounds``, from round ``t0`` on; regresses the rewards on
-    policy-centered features; and measures the anchored estimation error.
-    Returns ``(PhaseState, arms, rewards)``.
+    ``max_rounds``, from round ``t0`` on; and regresses the rewards on
+    policy-centered features.  Returns ``(PhaseState, arms, rewards)``.
     """
     feats = FeatureSet(env.features.features[active])
     policy, cert = deo(feats, anchor=0, fw_tol=fw_tol)
@@ -167,8 +161,6 @@ def _run_phase(env, active, index, epsilon, t0, max_rounds, rng, noise, fw_tol, 
     xbar = policy.probabilities @ feats.features
     state = est.EstimatorState.zeros(env.d)
     est.update_batch(state, feats.features[local] - xbar, rewards)
-    theta_hat = est.solve(state, beta)
-    errs = np.abs((feats.features - feats.features[0]) @ (theta_hat - env.theta_star))
     phase = PhaseState(
         index=index,
         active=tuple(active),
@@ -177,11 +169,9 @@ def _run_phase(env, active, index, epsilon, t0, max_rounds, rng, noise, fw_tol, 
         policy=policy,
         certificate=cert,
         anchor=active[0],
-        estimator=state,
         taken=taken,
         beta=beta,
-        theta_hat=theta_hat,
-        max_est_error=float(errs.max()),
+        theta_hat=est.solve(state, beta),
         truncated=taken < length,
     )
     return phase, arms, rewards
@@ -200,10 +190,9 @@ def run_sbe(env: Environment, cfg: SbeConfig, run_seed: int = 0) -> RunRecord:
     t = 0
     while t < big_t and len(active) > 1:
         ell = len(phases) + 1
-        k_log = len(active) if cfg.k_in_log == "active" else env.K
 
         def schedule(cert):
-            n_ell = phase_length(ell, cert.dim, k_log, cfg)
+            n_ell = phase_length(ell, cert.dim, len(active), cfg)
             return n_ell, math.log(n_ell * ell * (ell + 1) / cfg.delta)
 
         phase, phase_arms, phase_rewards = _run_phase(

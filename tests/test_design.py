@@ -157,6 +157,31 @@ class TestGOptimal:
         assert policy.support.size <= 3
         assert max_leverage(fs, policy) <= 2 * (1 + 1e-3)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 8),
+        rank=st.integers(1, 8),
+        k=st.integers(1, 40),
+        jitter=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_start_atoms_span(self, d, rank, k, jitter, seed):
+        # near-degenerate sets: pairs of near-duplicate rows of varied length,
+        # close to a random subspace.  Zero iterations return the start design,
+        # which is uniform on d_eff atoms that span the projected space
+        rng = np.random.default_rng(seed)
+        rank = min(rank, d)
+        basis = np.linalg.qr(rng.standard_normal((d, rank)))[0]
+        x = random_unit_features(rng, rank, k) * rng.uniform(0.1, 1.0, size=(k, 1)) @ basis.T
+        x = np.repeat(x, 2, axis=0) + jitter * rng.standard_normal((2 * k, d))
+        span, d_eff = design.span_basis(x)
+        projected = x @ span
+        p, _, _ = design._pairwise_fw(projected, d_eff, 1e-3, 0)
+        atoms = np.flatnonzero(p)
+        assert atoms.size == d_eff
+        assert np.all(p[atoms] == 1.0 / d_eff)
+        assert np.linalg.matrix_rank(projected[atoms]) == d_eff
+
 
 class TestDeo:
     def test_simplex_example(self):

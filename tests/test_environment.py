@@ -60,11 +60,6 @@ class TestShiftSpec:
 
 
 class TestNoise:
-    def test_variance_proxy(self):
-        assert NoiseSpec(kind="gaussian", scale=1.5).variance_proxy == 1.5
-        assert NoiseSpec(kind="bounded_uniform", scale=0.3).variance_proxy == 0.3
-        assert NoiseSpec(kind="none").variance_proxy == 0.0
-
     def test_stream_random_access_consistency(self):
         stream = NoiseStream(NoiseSpec(kind="gaussian", scale=1.0), seed=9)
         block = stream.values(4090, 20)  # crosses a chunk boundary

@@ -24,8 +24,8 @@ ALGORITHM = {
 GOLDEN = {
     "regret": {
         "summary.csv": "6d4268f222aac6b7c965af1bef439a5fdeeb7fbbb0f8552d8f033bd293600698",
-        "trajectory.csv": "8afc1df48caaaa479dfa04be2a0100a136c7f33abd3a7c5e0e586fd1669a1e02",
-        "trajectory_mean.csv": "c0caf2d76b1f80968547519c3707af34de883543f08bd053179d321684166161",
+        "trajectory.csv": "9b301ee9a92efb0c8b7872a687cc1b8933073dbb3a5798e30cd288865574ddd8",
+        "trajectory_mean.csv": "51fd1a9ab35af2da451cdc7f44a2981c541675d060552be55e382b89cd4594e4",
     },
     "pac": {
         "summary.csv": "b9dde1eab905d5f9ea8c91ed6ab333ada7a9e032bf245e33abd165fd1122d6bd",
@@ -54,8 +54,8 @@ LONG_ALGORITHM = {
 LONG_GOLDEN = {
     "regret": {
         "summary.csv": "6d4268f222aac6b7c965af1bef439a5fdeeb7fbbb0f8552d8f033bd293600698",
-        "trajectory.csv": "b4d141d80f250268da316479e3b85c0aeb6b25b76deb203aa5d20981c5172419",
-        "trajectory_mean.csv": "90a6936ed5a5c7407bcc5cef4a34d8f8c024dfe61bf241e7b743bba92bce5b24",
+        "trajectory.csv": "f1813742f5c11f79e8816e5f514409930632a7a2bbcbf2f4dc79757766d34c7d",
+        "trajectory_mean.csv": "71d3673922934d8a6df181bd6ab6915a01c5a792a9c458d6e22d8a610517374c",
     },
     "error-scaling": {
         "summary.csv": "58a851807e5acbfa72df4df59fe0cdf5deefce7efa5916e2cdfda62d4e5bf389",

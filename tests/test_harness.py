@@ -1,18 +1,22 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import semibandit
 import semibandit.harness as harness
 from semibandit.cli import main
 from semibandit.design import DesignCertificate, DesignPolicy, deo
 from semibandit.environment import make_gap_instance
 from semibandit.errors import ConfigError
-from semibandit.estimator import EstimatorState
 from semibandit.harness import (
     MEAN_LINE,
     MODES,
@@ -141,7 +145,6 @@ class TestComputeMetrics:
             policy=policy,
             certificate=cert,
             anchor=0,
-            estimator=EstimatorState.zeros(env.d),
             taken=4,
             theta_hat=env.theta_star.copy(),
         )
@@ -315,6 +318,34 @@ class TestRunExperiment:
         block = json.dumps({"config": dataclasses.asdict(cfg)}, indent=2)[2:-2]
         assert block in (tmp_path / "m" / "manifest.json").read_text()
 
+    @pytest.mark.parametrize(
+        "workers, replications, cpus, pool_size",
+        [(8, 4, 2, 2), (8, 3, 16, 3), (None, 4, 3, 3), (2, 4, 16, 2), (8, 4, None, None)],
+    )
+    def test_pool_capped_at_cpu_count(self, tmp_path, monkeypatch, workers, replications, cpus, pool_size):
+        # the stand-in pool records its size and maps in this process, so no worker starts;
+        # pool_size None means the replications run inline
+        sizes = []
+
+        class SpyPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SpyPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        raw = base_config(tmp_path, workers=workers, replications=replications, algorithm={"horizon": 50})
+        result = run_experiment(ExperimentConfig.from_dict(raw))
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert result["replications"] == replications
+
     def test_pac_mode_summary(self, tmp_path):
         raw = base_config(
             tmp_path,
@@ -394,6 +425,46 @@ class TestCli:
         path.write_text(json.dumps(cfgdict))
         assert main(["run", "--config", str(path)]) == 0
         assert (tmp_path / "cli_out" / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize(
+        "options, contents, code",
+        [
+            (["--fw-tol", "0"], b"2 3\n0 0\n1 0\n0 1\n", 2),
+            (["--fw-tol", "-1"], b"2 3\n0 0\n1 0\n0 1\n", 2),
+            (["--fw-tol", "inf"], b"2 3\n0 0\n1 0\n0 1\n", 2),
+            (["--fw-tol", "nan"], b"2 3\n0 0\n1 0\n0 1\n", 2),
+            ([], b"2 3\n0 0\n1 x\n0 1\n", 3),
+            ([], b"2 3.5\n0 0\n1 0\n0 1\n", 3),
+            ([], b"d K\n0 0\n1 0\n0 1\n", 3),
+            ([], b"2 3\n0 0\n1 0 1\n0 1\n", 3),
+            ([], b"2 3\n0 0\n\xff\xfe\n0 1\n", 3),
+        ],
+        ids=[
+            "zero-fw-tol", "negative-fw-tol", "infinite-fw-tol", "nan-fw-tol", "non-numeric-cell",
+            "non-integer-header", "non-numeric-header", "ragged-row", "not-utf8",
+        ],
+    )
+    def test_design_errors(self, tmp_path, capsys, options, contents, code):
+        # a bad option exits 2 and a malformed feature file exits 3, each with one message line
+        feats = tmp_path / "feats.txt"
+        feats.write_bytes(contents)
+        assert main(["design", str(feats), *options]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --fw-tol" if code == 2 else "error:")
+        assert len(err.splitlines()) == 1
+
+    def test_import_loads_numpy_only(self):
+        # numpy is the only dependency: in a fresh interpreter, the top-level
+        # packages that importing the CLI adds, less the standard library
+        # (and the dunder aliases it registers), are numpy and the package
+        code = (
+            "import sys; before = set(sys.modules); import semibandit.cli; "
+            "new = {m.split('.')[0] for m in set(sys.modules) - before if not m.startswith('__')}; "
+            "print(sorted(new - set(sys.stdlib_module_names)))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(semibandit.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "['numpy', 'semibandit']"
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("overrides", BAD_CONFIGS.values(), ids=list(BAD_CONFIGS))
