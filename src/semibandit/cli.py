@@ -16,13 +16,14 @@ import sys
 
 from .design import FeatureSet, deo
 from .errors import ConfigError, SemibanditError
-from .harness import ExperimentConfig, fmt, run_experiment
+from .harness import ExperimentConfig, check_anchor, fmt, run_experiment
 
 
 def _cmd_design(args) -> int:
     if not 0 < args.fw_tol < math.inf:
         raise ConfigError("--fw-tol", "must be a positive finite number")
     feats = FeatureSet.from_file(args.features_file)
+    check_anchor(args.anchor, feats.K, "--anchor")
     policy, cert = deo(feats, anchor=args.anchor, fw_tol=args.fw_tol)
     print("arm_index,probability")
     for i, p in enumerate(policy.probabilities):

@@ -221,7 +221,9 @@ def g_optimal(features: FeatureSet, fw_tol: float = 1e-3, max_iters: int | None 
     d_eff (d_eff + 1) / 2.
 
     The default iteration cap is max(2000, 10 d_eff^2); raises
-    ``ConvergenceError`` (carrying the best iterate) if it is hit.
+    ``ConvergenceError`` (carrying the best iterate) if it is hit, and
+    ``DegenerateFeatures`` if the design matrix over the span cannot be
+    inverted in double precision.
     """
     if fw_tol <= 0:
         raise ValueError("fw_tol must be positive")
@@ -239,20 +241,27 @@ def g_optimal(features: FeatureSet, fw_tol: float = 1e-3, max_iters: int | None 
     if max_iters is None:
         max_iters = max(2000, 10 * d_eff * d_eff)
 
-    p, converged, _ = _pairwise_fw(x, d_eff, fw_tol, max_iters)
-    p[p < WEIGHT_FLOOR] = 0.0
-    p /= p.sum()
-    p = _caratheodory_reduce(x, p)
+    try:
+        p, converged, _ = _pairwise_fw(x, d_eff, fw_tol, max_iters)
+        p[p < WEIGHT_FLOOR] = 0.0
+        p /= p.sum()
+        p = _caratheodory_reduce(x, p)
 
-    bound = d_eff * (d_eff + 1) // 2
-    if int((p > 0).sum()) > bound:
-        p = _greedy_support_drop(x, p, d_eff, fw_tol, bound)
-    if not converged:
-        raise ConvergenceError(
-            f"G-optimal solver did not reach tolerance {fw_tol} in {max_iters} iterations",
-            policy=DesignPolicy(p),
-            certificate=_certified_max_leverage(x, p),
-        )
+        bound = d_eff * (d_eff + 1) // 2
+        if int((p > 0).sum()) > bound:
+            p = _greedy_support_drop(x, p, d_eff, fw_tol, bound)
+        if not converged:
+            raise ConvergenceError(
+                f"G-optimal solver did not reach tolerance {fw_tol} in {max_iters} iterations",
+                policy=DesignPolicy(p),
+                certificate=_certified_max_leverage(x, p),
+            )
+    except np.linalg.LinAlgError as exc:
+        # span_basis keeps directions down to SPAN_RTOL of the largest singular
+        # value, so the design matrix can be too ill-conditioned for a double
+        raise DegenerateFeatures(
+            f"the {d_eff}-dimensional feature span is too ill-conditioned to invert the design matrix ({exc})"
+        ) from exc
     return DesignPolicy(p)
 
 

@@ -9,6 +9,7 @@ many other random draws they consume.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -43,10 +44,15 @@ class ShiftSpec:
     def __post_init__(self):
         if self.kind not in SHIFT_KINDS:
             raise ValueError(f"unknown shift kind {self.kind!r}")
+        if not (isinstance(self.constant, numbers.Real) and math.isfinite(self.constant)):
+            raise ValueError("shift constant must be a finite number")
         if self.kind == "custom":
             if self.table is None:
                 raise ValueError("custom shift needs a table")
-            object.__setattr__(self, "table", np.asarray(self.table, dtype=float))
+            table = np.asarray(self.table, dtype=float)
+            if table.ndim != 1 or not np.isfinite(table).all():
+                raise ValueError("custom shift table must be a flat list of finite numbers")
+            object.__setattr__(self, "table", table)
 
 
 def shift_values(spec: ShiftSpec, ts: np.ndarray) -> np.ndarray:
@@ -84,8 +90,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.scale < 0:
-            raise ValueError("noise scale must be nonnegative")
+        if not (isinstance(self.scale, numbers.Real) and 0 <= self.scale < math.inf):
+            raise ValueError("noise scale must be a nonnegative finite number")
 
 
 class NoiseStream:
@@ -149,6 +155,8 @@ class Environment:
         theta = np.asarray(self.theta_star, dtype=float)
         if theta.shape != (self.features.d,):
             raise DimError(f"theta shape {theta.shape} vs feature dim {self.features.d}")
+        if not np.isfinite(theta).all():
+            raise ValueError("theta contains non-finite entries")
         self.theta_star = theta
         if np.linalg.norm(theta) > 1.0 + 1e-12:
             warnings.warn(
@@ -256,6 +264,8 @@ def make_mab_embedding(mu, seed: int = 0) -> Environment:
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or mu.shape[0] < 2:
         raise ValueError("mu must be a vector of at least two means")
+    if not np.isfinite(mu).all():
+        raise ValueError("mu contains non-finite entries")
     top = np.sort(mu)[-2:]
     if top[0] == top[1]:
         raise ValueError("mab embedding requires a unique best arm")

@@ -10,10 +10,12 @@ writer, so files are byte-identical regardless of worker count.
 
 Floats are serialized with 17 significant digits, which round-trips IEEE
 doubles exactly and keeps repeated runs byte-stable.  One writer formats NumPy
-columns ``_BLOCK`` rows at a time with one ``%``-format per line.  The per-step
-estimation error of pure exploration is computed block-wise as well: running
-sums of the rank-one terms and one batched ridge solve per block, bit for bit
-equal to solving after every step.
+columns ``_WRITE_BLOCK`` rows at a time with one ``%``-format per line, and
+formats each distinct bit pattern of a column once per block when the column
+repeats (regret and e_t cells do).  The per-step estimation error of pure
+exploration is computed ``_BLOCK`` steps at a time: running sums of the
+rank-one terms and one batched ridge solve per block, bit for bit equal to
+solving after every step.
 """
 
 from __future__ import annotations
@@ -54,8 +56,10 @@ MEAN_LINE = "%d,%.17g,%.17g,%.17g\n"
 SUMMARY_COLUMNS = ("replication", "seed", "final_regret", "declared_best", "declared_at", "greedy_arm", "success")
 SUMMARY_LINE = "%d,%d,%.17g,%s,%s,%s,%d\n"  # the %s cells may be empty
 
-# rows per block of the CSV writer and of the batched e_t; bounds what is alive at once
+# steps per block of the batched e_t, which holds block x d x d floats at once
 _BLOCK = 512
+# rows per block of the CSV writer; bounds the cells held as Python objects at once
+_WRITE_BLOCK = 2048
 
 
 def fmt(value) -> str:
@@ -157,6 +161,14 @@ def _check_int(value, name: str, minimum: int | None = None) -> int:
     return value
 
 
+def check_anchor(anchor, k: int, name: str) -> int:
+    """``anchor`` if it is an arm index for ``k`` arms; else ConfigError naming ``name``."""
+    _check_int(anchor, name, 0)
+    if anchor >= k:
+        raise ConfigError(name, f"must be an arm index below {k}")
+    return anchor
+
+
 @dataclass
 class ExperimentConfig:
     mode: str
@@ -253,9 +265,7 @@ class ExperimentConfig:
 
     def design_params(self, env: Environment) -> tuple[int, float]:
         """Anchor arm and Frank-Wolfe tolerance for design-cert."""
-        anchor = _check_int(self.algorithm.get("anchor", 0), "algorithm.anchor", 0)
-        if anchor >= env.K:
-            raise ConfigError("algorithm.anchor", f"must be an arm index below {env.K}")
+        anchor = check_anchor(self.algorithm.get("anchor", 0), env.K, "algorithm.anchor")
         fw_tol = self.algorithm.get("fw_tol", 1e-3)
         if not (_is_number(fw_tol) and 0 < fw_tol < math.inf):
             raise ConfigError("algorithm.fw_tol", "must be a positive finite number")
@@ -277,7 +287,7 @@ class ExperimentConfig:
         if budget is None:
             try:
                 budget = pac_budget(env.d, env.K, epsilon, delta, c2=alg.get("c2", 4.0))
-            except (ValueError, TypeError, OverflowError) as exc:
+            except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:  # epsilon**2 may underflow to 0
                 raise ConfigError("algorithm", f"no PAC budget: {exc}")
         _check_int(budget, "algorithm.budget", 1)
         return {"budget": budget, "delta": delta, "epsilon": epsilon}
@@ -369,16 +379,31 @@ def _write_csv(path: Path, header, line_format: str, tables) -> None:
     """Write ``header``, then every row of ``tables`` as ``line_format % row``.
 
     ``tables`` yields sequences of equal-length NumPy columns.  Rows are
-    formatted and joined ``_BLOCK`` at a time, so only one block of cells is
-    ever held as Python objects.
+    formatted and joined ``_WRITE_BLOCK`` at a time, so only one block of cells
+    is ever held as Python objects.  In each block, a numeric column with at most
+    half as many distinct bit patterns as rows has each pattern formatted once
+    with its column's spec, and the text is gathered back through the inverse
+    index.  Equal bits always print as equal text, so the bytes equal those of
+    formatting every cell; keying on values instead would merge ``-0.0`` into
+    ``0.0``.
     """
+    specs = line_format.rstrip("\n").split(",")
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
             for columns in tables:
-                for s in range(0, len(columns[0]), _BLOCK):
-                    rows = zip(*(c[s : s + _BLOCK].tolist() for c in columns))
-                    fh.write("".join(map(line_format.__mod__, rows)))
+                for s in range(0, len(columns[0]), _WRITE_BLOCK):
+                    formats, cells = [], []
+                    for spec, column in zip(specs, columns):
+                        block = column[s : s + _WRITE_BLOCK]
+                        if block.dtype != object:
+                            keys, inverse = np.unique(block.view(f"i{block.itemsize}"), return_inverse=True)
+                            if 2 * keys.size <= block.size:
+                                text = [spec % v for v in keys.view(block.dtype).tolist()]
+                                block, spec = np.array(text, dtype=object)[inverse], "%s"
+                        formats.append(spec)
+                        cells.append(block.tolist())
+                    fh.write("".join(map((",".join(formats) + "\n").__mod__, zip(*cells))))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}")
 

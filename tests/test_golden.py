@@ -108,6 +108,7 @@ def test_block_size_does_not_change_bytes(tmp_path, monkeypatch, mode):
     algorithm = {"regret": {"delta": 0.05, "horizon": 600}, "error-scaling": {"budget": 500, "delta": 0.1}}.get(mode)
     run_experiment(ExperimentConfig.from_dict(golden_config(mode, 1, tmp_path / "default", algorithm)))
     monkeypatch.setattr(harness, "_BLOCK", 7)
+    monkeypatch.setattr(harness, "_WRITE_BLOCK", 7)
     run_experiment(ExperimentConfig.from_dict(golden_config(mode, 1, tmp_path / "small", algorithm)))
     default = {p.name: p.read_bytes() for p in (tmp_path / "default").glob("*.csv")}
     assert default and default == {p.name: p.read_bytes() for p in (tmp_path / "small").glob("*.csv")}

@@ -97,6 +97,21 @@ BAD_CONFIGS = {
         "environment": features_env(shift={"kind": "custom", "table": [0.0] * 199}),
         "algorithm": {"horizon": 200},
     },
+    "underflowing-epsilon": {"mode": "pac", "algorithm": {"epsilon": 1e-300}},
+    "string-shift-constant": {"environment": features_env(shift={"kind": "constant", "constant": "a"})},
+    "nan-shift-constant": {"environment": features_env(shift={"kind": "constant", "constant": math.nan})},
+    "2d-custom-table": {
+        "environment": features_env(shift={"kind": "custom", "table": [[0.0]] * 200}),
+        "algorithm": {"horizon": 200},
+    },
+    "nan-in-custom-table": {
+        "environment": features_env(shift={"kind": "custom", "table": [0.0] * 199 + [math.nan]}),
+        "algorithm": {"horizon": 200},
+    },
+    "nan-noise-scale": {"environment": features_env(noise={"scale": math.nan})},
+    "infinite-noise-scale": {"environment": features_env(noise={"scale": math.inf})},
+    "nan-theta": {"environment": features_env(theta=[math.nan, 0.0])},
+    "nan-mu": {"environment": {"kind": "mab", "mu": [0.5, math.nan, 0.1]}},
 }
 
 
@@ -369,22 +384,36 @@ FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | 
     [-0.0, 1e308, -1e308, 5e-324, math.nan, math.inf, -math.inf]
 )
 INTS = st.integers(-(2**63), 2**63 - 1)
-CELLS = {"%d": INTS, "%.17g": FLOATS}
+# a column drawn from a few of these repeats cells, so its blocks take the
+# writer's once-per-distinct-value path; 0.0 and -0.0 are equal but print apart
+FLOAT_POOL = [0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, 1 / 3]
+INT_POOL = [0, -1, 7, 2**63 - 1, -(2**63)]
+CELLS = {
+    "%d": st.one_of(st.just(INTS), st.lists(st.sampled_from(INT_POOL), min_size=1, max_size=3).map(st.sampled_from)),
+    "%.17g": st.one_of(
+        st.just(FLOATS), st.lists(st.sampled_from(FLOAT_POOL), min_size=1, max_size=3).map(st.sampled_from)
+    ),
+}
 
 
-def line_rows(line_format):
-    """Rows of cell values for ``line_format``; ``%s`` cells are absent ints (None) or ints."""
-    cells = [CELLS.get(spec, st.none() | INTS) for spec in line_format.rstrip("\n").split(",")]
-    return st.lists(st.tuples(*cells), min_size=1, max_size=12)
+def line_rows(data, line_format):
+    """Rows of cell values for ``line_format``; ``%s`` cells are absent ints (None) or ints.
+
+    Each numeric column draws its cells either from the full range or from a
+    few pooled values.
+    """
+    specs = line_format.rstrip("\n").split(",")
+    cells = [data.draw(CELLS[spec]) if spec in CELLS else st.none() | INTS for spec in specs]
+    return data.draw(st.lists(st.tuples(*cells), min_size=1, max_size=24))
 
 
 class TestWriter:
     @pytest.mark.parametrize("line_format", [TRAJECTORY_LINE, MEAN_LINE, SUMMARY_LINE])
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data(), block=st.integers(1, 5))
+    @given(data=st.data(), block=st.integers(1, 8))
     def test_lines_match_per_cell_format(self, tmp_path, monkeypatch, line_format, data, block):
-        rows = data.draw(line_rows(line_format))
-        monkeypatch.setattr(harness, "_BLOCK", block)
+        rows = line_rows(data, line_format)
+        monkeypatch.setattr(harness, "_WRITE_BLOCK", block)
         columns = []
         for spec, cells in zip(line_format.rstrip("\n").split(","), zip(*rows)):
             if spec == "%s":  # absent-or-integer cells are turned into text before writing
@@ -395,6 +424,14 @@ class TestWriter:
         harness._write_csv(path, ("h",), line_format, [columns])
         expected = "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
         assert path.read_text() == "h\n" + expected
+
+    @pytest.mark.parametrize("block", [2, 5, 2048])
+    def test_signed_zeros_print_apart(self, tmp_path, monkeypatch, block):
+        # 0.0 == -0.0, so a block that formats each distinct cell once must key on bits, not values
+        monkeypatch.setattr(harness, "_WRITE_BLOCK", block)
+        path = tmp_path / "zeros.csv"
+        harness._write_csv(path, ("z", "n"), "%.17g,%d\n", [(np.array([0.0, -0.0] * 6), np.zeros(12, dtype=np.int64))])
+        assert path.read_text() == "z,n\n" + "0,0\n-0,0\n" * 6
 
 
 class TestCli:
@@ -438,20 +475,32 @@ class TestCli:
             ([], b"d K\n0 0\n1 0\n0 1\n", 3),
             ([], b"2 3\n0 0\n1 0 1\n0 1\n", 3),
             ([], b"2 3\n0 0\n\xff\xfe\n0 1\n", 3),
+            (["--anchor", "3"], b"2 3\n0 0\n1 0\n0 1\n", 2),
+            (["--anchor", "-1"], b"2 3\n0 0\n1 0\n0 1\n", 2),
+            ([], b"2 3\n0 0\n0.1 0.1\n0.1 0.100000001\n", 3),
         ],
         ids=[
             "zero-fw-tol", "negative-fw-tol", "infinite-fw-tol", "nan-fw-tol", "non-numeric-cell",
-            "non-integer-header", "non-numeric-header", "ragged-row", "not-utf8",
+            "non-integer-header", "non-numeric-header", "ragged-row", "not-utf8", "anchor-out-of-range",
+            "negative-anchor", "near-duplicate-arms",
         ],
     )
     def test_design_errors(self, tmp_path, capsys, options, contents, code):
-        # a bad option exits 2 and a malformed feature file exits 3, each with one message line
+        # a bad option exits 2 and a malformed or unusable feature file exits 3, each with one message line
         feats = tmp_path / "feats.txt"
         feats.write_bytes(contents)
         assert main(["design", str(feats), *options]) == code
         err = capsys.readouterr().err
-        assert err.startswith("config error: --fw-tol" if code == 2 else "error:")
+        assert err.startswith(f"config error: {options[0]}" if code == 2 else "error:")
         assert len(err.splitlines()) == 1
+
+    def test_near_duplicate_arms_run_error(self, tmp_path, capsys):
+        # the design matrix of these arms cannot be inverted in double precision
+        env = features_env(features=[[0.0, 0.0], [0.1, 0.1], [0.1, 0.100000001]], theta=[0.0, 1.0])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path, environment=env)))
+        assert main(["run", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: the 2-dimensional feature span is too ill-conditioned")
 
     def test_import_loads_numpy_only(self):
         # numpy is the only dependency: in a fresh interpreter, the top-level
