@@ -16,7 +16,7 @@ import sys
 
 from .design import FeatureSet, deo
 from .errors import ConfigError, SemibanditError
-from .harness import ExperimentConfig, check_anchor, fmt, run_experiment
+from .harness import ExperimentConfig, check_anchor, run_experiment
 
 
 def _cmd_design(args) -> int:
@@ -27,10 +27,10 @@ def _cmd_design(args) -> int:
     policy, cert = deo(feats, anchor=args.anchor, fw_tol=args.fw_tol)
     print("arm_index,probability")
     for i, p in enumerate(policy.probabilities):
-        print(f"{i},{fmt(p)}")
+        print(f"{i},{p:.17g}")
     print(
-        f"# certificate: max_anchor_norm={fmt(cert.max_anchor_norm)} "
-        f"max_centered_norm={fmt(cert.max_centered_norm)} "
+        f"# certificate: max_anchor_norm={cert.max_anchor_norm:.17g} "
+        f"max_centered_norm={cert.max_centered_norm:.17g} "
         f"support={cert.support_size} dim={cert.dim}"
     )
     return 0

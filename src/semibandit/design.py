@@ -270,13 +270,14 @@ def _greedy_support_drop(x: np.ndarray, p: np.ndarray, d: int, tol: float, bound
 
     Fallback for the rare case where Caratheodory reduction leaves one atom
     too many (affinely independent support of maximal size).  Candidates are
-    tried lightest-first; a short pairwise-FW polish restricted to the
-    remaining atoms restores the certificate before the drop is accepted.
+    tried lightest-first, each with a short pairwise-FW polish restricted to
+    the remaining atoms.  The first polish that certifies every arm, not just
+    the support, is accepted; if none does, the one of lowest max leverage.
     """
     while int((p > 0).sum()) > bound:
         supp = np.flatnonzero(p > 0)
         order = supp[np.argsort(p[supp])]
-        accepted = None
+        polished = []  # (max leverage over every arm, design) of each converged polish
         for j in order:
             trial = p.copy()
             trial[j] = 0.0
@@ -284,27 +285,19 @@ def _greedy_support_drop(x: np.ndarray, p: np.ndarray, d: int, tol: float, bound
             sub = np.flatnonzero(trial > 0)
             if np.linalg.matrix_rank(x[sub]) < d:
                 continue
-            polished, ok, _ = _pairwise_fw_restricted(x, trial, d, tol, 500)
+            trial[sub], ok, _ = _pairwise_fw_from(x[sub], trial[sub], d, tol, 500)
             if ok:
-                accepted = polished
-                break
-        if accepted is None:
+                polished.append((_certified_max_leverage(x, trial), trial))
+                if polished[-1][0] <= d * (1.0 + tol):
+                    break
+        if not polished:
             raise ConvergenceError(
                 f"could not reduce support to {bound} while keeping the certificate",
                 policy=DesignPolicy(p),
                 certificate=_certified_max_leverage(x, p),
             )
-        p = _caratheodory_reduce(x, accepted)
+        p = _caratheodory_reduce(x, min(polished, key=lambda c: c[0])[1])
     return p
-
-
-def _pairwise_fw_restricted(x: np.ndarray, p0: np.ndarray, d: int, tol: float, max_iters: int):
-    """Pairwise FW polish that only ever adds arms already in p0's support."""
-    sub = np.flatnonzero(p0 > 0)
-    p_sub, ok, it = _pairwise_fw_from(x[sub], p0[sub].copy(), d, tol, max_iters)
-    p = np.zeros_like(p0)
-    p[sub] = p_sub
-    return p, ok, it
 
 
 def _pairwise_fw_from(x: np.ndarray, p: np.ndarray, d: int, tol: float, max_iters: int):

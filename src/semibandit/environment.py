@@ -24,6 +24,11 @@ NOISE_KINDS = ("gaussian", "bounded_uniform", "none")
 _NOISE_CHUNK = 4096
 
 
+def _finite_real(value) -> bool:
+    """True for a finite real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class ShiftSpec:
     """Round-indexed additive reward shift.
@@ -44,8 +49,10 @@ class ShiftSpec:
     def __post_init__(self):
         if self.kind not in SHIFT_KINDS:
             raise ValueError(f"unknown shift kind {self.kind!r}")
-        if not (isinstance(self.constant, numbers.Real) and math.isfinite(self.constant)):
+        if not _finite_real(self.constant):
             raise ValueError("shift constant must be a finite number")
+        if not isinstance(self.clip_to_unit, bool):
+            raise ValueError("clip_to_unit must be true or false")
         if self.kind == "custom":
             if self.table is None:
                 raise ValueError("custom shift needs a table")
@@ -90,7 +97,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not (isinstance(self.scale, numbers.Real) and 0 <= self.scale < math.inf):
+        if not (_finite_real(self.scale) and self.scale >= 0):
             raise ValueError("noise scale must be a nonnegative finite number")
 
 
@@ -227,8 +234,8 @@ def make_gap_instance(d: int, K: int, gap: float, seed: int) -> Environment:
     Draws are rejected until the corrected feature stays inside the unit
     ball (at most 10^4 attempts).
     """
-    if not 0.0 < gap < 2.0:
-        raise ValueError("gap must lie in (0, 2)")
+    if not (_finite_real(gap) and 0.0 < gap < 2.0):
+        raise ValueError("gap must be a number in (0, 2)")
     if K < 2:
         raise ValueError("need at least two arms")
     rng = np.random.default_rng(seed)

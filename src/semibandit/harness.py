@@ -6,7 +6,9 @@ records the best-arm identification outcome), ``pac`` and ``error-scaling``
 (pure exploration), ``design-cert`` (the anchored design alone).
 Replications are seeded as ``base_seed + index`` and can execute in
 parallel; outputs are gathered and written in index order by a single
-writer, so files are byte-identical regardless of worker count.
+writer, so files are byte-identical regardless of worker count.  A run
+returns only its decisions; ``compute_metrics`` lays every per-step column
+(phase, regret, active-set size, e_t) out over the run's phase segments.
 
 Floats are serialized with 17 significant digits, which round-trips IEEE
 doubles exactly and keeps repeated runs byte-stable.  One writer formats NumPy
@@ -62,15 +64,6 @@ _BLOCK = 512
 _WRITE_BLOCK = 2048
 
 
-def fmt(value) -> str:
-    """Serialize one CSV cell; floats get 17 significant digits."""
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
-
-
 @dataclass
 class MetricTable:
     """Column-oriented per-step metrics for one replication."""
@@ -87,27 +80,30 @@ class MetricTable:
 
 
 def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1) -> MetricTable:
-    """Per-step regret and estimation-error trajectory for one record.
+    """Per-step columns of one record, each laid out over its phase segments.
 
-    Regret is recomputed from the true parameter and best arm.  The
-    estimation error e_t is evaluated at estimator snapshots: per step for
+    The segments are the phases' ``taken`` rounds, then the declared arm's
+    tail; each carries its phase's index and active-set size (the tail: the
+    last index and one arm).  Regret is measured against the true best arm.
+    The estimation error e_t is evaluated at estimator snapshots: per step for
     pure-exploration records (anchored at arm 0 over all arms, with the
     log(t/delta) regularizer), and at phase ends for elimination records
-    (anchored at the phase anchor over the surviving arms), carried forward
-    between snapshots; steps before the first snapshot report NaN.
+    (anchored at the phase anchor over the surviving arms), each carried over
+    the next segment; steps before the first snapshot report NaN.
     """
     n = record.steps
     x = env.features.features
-    opt = env.values[env.best_arm]
-    inst = opt - env.values[record.arm]
+    phases = record.phases
+    lengths = [ph.taken for ph in phases] + [n - sum(ph.taken for ph in phases)]
+    inst = env.values[env.best_arm] - env.values[record.arm]
     ts = np.arange(1, n + 1)
-    e_t = np.full(n, math.nan)
 
-    if record.kind == "pure" and record.phases:
+    if record.kind == "pure" and phases:
         # running sums of x~x~' and x~r, carried from block to block.  Each step
         # equals a step-by-step solve bit for bit; np.log or einsum in place of
         # math.log or matmul would change the last bit
-        xt = x[record.arm] - record.phases[0].policy.probabilities @ x
+        e_t = np.empty(n)
+        xt = x[record.arm] - phases[0].policy.probabilities @ x
         xr = xt * record.reward[:, None]
         z = x - x[0]
         gram = np.zeros((1, env.d, env.d))
@@ -121,37 +117,31 @@ def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1) -> 
             theta_hat = np.linalg.solve(gram + beta[:, None, None] * eye, moment[:, :, None])
             e_t[b] = np.abs(np.matmul(z, theta_hat - env.theta_star[:, None])).max(axis=(1, 2))
     else:
-        snapshot = math.nan
-        pos = 0
-        for ph in record.phases:
-            e_t[pos : pos + ph.taken] = snapshot
-            pos += ph.taken
-            if ph.theta_hat is not None:
-                errs = np.abs((x[list(ph.active)] - x[ph.anchor]) @ (ph.theta_hat - env.theta_star))
-                snapshot = float(errs.max())
-        e_t[pos:] = snapshot
-
-    active_size = np.ones(n, dtype=np.int64)  # one arm left after the last phase
-    pos = 0
-    for ph in record.phases:
-        active_size[pos : pos + ph.taken] = len(ph.active)
-        pos += ph.taken
+        errors = [np.abs((x[list(ph.active)] - x[ph.anchor]) @ (ph.theta_hat - env.theta_star)) for ph in phases]
+        e_t = np.repeat([math.nan] + [float(err.max()) for err in errors], lengths)
 
     return MetricTable(
         t=ts,
-        phase=record.phase.copy(),
-        arm=record.arm.copy(),
-        reward=record.reward.copy(),
+        phase=np.repeat([ph.index for ph in phases] + [len(phases)], lengths),
+        arm=record.arm,
+        reward=record.reward,
         inst_regret=inst,
         cum_regret=np.cumsum(inst),
         e_t=e_t,
         sqrt_t_e_t=np.sqrt(ts) * e_t,
-        active_size=active_size,
+        active_size=np.repeat([len(ph.active) for ph in phases] + [1], lengths),
     )
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_positive(value, name: str):
+    """``value`` if it is a positive finite number (not a bool); else ConfigError."""
+    if not (_is_number(value) and 0 < value < math.inf):
+        raise ConfigError(name, "must be a positive finite number")
+    return value
 
 
 def _check_int(value, name: str, minimum: int | None = None) -> int:
@@ -266,10 +256,7 @@ class ExperimentConfig:
     def design_params(self, env: Environment) -> tuple[int, float]:
         """Anchor arm and Frank-Wolfe tolerance for design-cert."""
         anchor = check_anchor(self.algorithm.get("anchor", 0), env.K, "algorithm.anchor")
-        fw_tol = self.algorithm.get("fw_tol", 1e-3)
-        if not (_is_number(fw_tol) and 0 < fw_tol < math.inf):
-            raise ConfigError("algorithm.fw_tol", "must be a positive finite number")
-        return anchor, fw_tol
+        return anchor, _check_positive(self.algorithm.get("fw_tol", 1e-3), "algorithm.fw_tol")
 
     def exploration_plan(self, env: Environment) -> dict:
         """Budget, delta, epsilon for pure-exploration modes."""
@@ -281,12 +268,13 @@ class ExperimentConfig:
         if not _is_number(delta) or not 0 < delta < 1:
             raise ConfigError("algorithm.delta", "must lie in (0, 1)")
         epsilon = alg.get("epsilon")
-        if epsilon is not None and not (_is_number(epsilon) and 0 < epsilon < math.inf):
-            raise ConfigError("algorithm.epsilon", "must be a positive number")
+        if epsilon is not None:
+            _check_positive(epsilon, "algorithm.epsilon")
+        c2 = _check_positive(alg.get("c2", 4.0), "algorithm.c2")
         budget = alg.get("budget")
         if budget is None:
             try:
-                budget = pac_budget(env.d, env.K, epsilon, delta, c2=alg.get("c2", 4.0))
+                budget = pac_budget(env.d, env.K, epsilon, delta, c2=c2)
             except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:  # epsilon**2 may underflow to 0
                 raise ConfigError("algorithm", f"no PAC budget: {exc}")
         _check_int(budget, "algorithm.budget", 1)
@@ -358,16 +346,17 @@ def _replication_task(cfg: ExperimentConfig, env: Environment, rep: int):
         _, greedy, record = run_pure_exploration(env, plan["budget"], delta, run_seed=seed)
         value_gap = float(env.values[env.best_arm] - env.values[greedy])
         success = value_gap <= plan["epsilon"] if plan["epsilon"] is not None else greedy == env.best_arm
+    table = compute_metrics(record, env, delta=delta)
     summary = {
         "replication": rep,
         "seed": seed,
-        "final_regret": record.final_regret,
+        "final_regret": float(table.cum_regret[-1]),
         "declared_best": _nullable(record.declared_best),
         "declared_at": _nullable(record.declared_at),
         "greedy_arm": _nullable(greedy),
         "success": int(success),
     }
-    return compute_metrics(record, env, delta=delta), summary
+    return table, summary
 
 
 def _nullable(value) -> str:
@@ -457,8 +446,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             done = list(pool.map(_replication_task, [cfg] * len(reps), [env] * len(reps), reps))
     else:
         done = [_replication_task(cfg, env, rep) for rep in reps]
-    tables = [table for table, _ in done]
-    summaries = [summary for _, summary in done]
+    tables, summaries = zip(*done)
 
     trajectory = (
         (tb.t, np.full(tb.t.shape[0], rep), tb.phase, tb.arm, tb.reward, tb.inst_regret, tb.cum_regret, tb.e_t,
@@ -467,9 +455,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     )
     _write_csv(out / "trajectory.csv", TRAJECTORY_COLUMNS, TRAJECTORY_LINE, trajectory)
 
-    n_min = min(t.t.shape[0] for t in tables)
-    means = [np.mean([getattr(t, c)[:n_min] for t in tables], axis=0) for c in ("cum_regret", "e_t", "sqrt_t_e_t")]
-    _write_csv(out / "trajectory_mean.csv", MEAN_COLUMNS, MEAN_LINE, [[np.arange(1, n_min + 1), *means]])
+    means = [np.mean([getattr(t, c) for t in tables], axis=0) for c in ("cum_regret", "e_t", "sqrt_t_e_t")]
+    _write_csv(out / "trajectory_mean.csv", MEAN_COLUMNS, MEAN_LINE, [[tables[0].t, *means]])
 
     summary_columns = [np.array([s[c] for s in summaries], dtype=object) for c in SUMMARY_COLUMNS]
     _write_csv(out / "summary.csv", SUMMARY_COLUMNS, SUMMARY_LINE, [summary_columns])

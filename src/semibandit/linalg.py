@@ -10,7 +10,6 @@ and are reported as infinite off it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,22 +18,6 @@ from .errors import DimError, InvalidMatrix
 SYM_RTOL = 1e-12
 PSD_EIG_RTOL = 1e-10
 DEFAULT_RANGE_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class NormResult:
-    """Value of an inverse-weighted norm.
-
-    ``value`` is ``math.inf`` exactly when ``in_range`` is False, i.e. the
-    vector has a component outside the range of the weighting matrix.
-    """
-
-    value: float
-    in_range: bool
-
-    def __post_init__(self):
-        if self.in_range != math.isfinite(self.value):
-            raise ValueError("NormResult: infinite value must pair with in_range=False")
 
 
 def validate_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -50,39 +33,32 @@ def validate_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def weighted_inv_norm(a: np.ndarray, x: np.ndarray, range_tol: float = DEFAULT_RANGE_TOL) -> NormResult | np.ndarray:
-    """Inverse-weighted norm sqrt(x' A^+ x) with range detection.
+def weighted_inv_norm(a: np.ndarray, x: np.ndarray, range_tol: float = DEFAULT_RANGE_TOL) -> np.ndarray:
+    """Inverse-weighted norms sqrt(x_i' A^+ x_i) of the rows of ``x``, with range detection.
 
+    ``x`` is an (n, d) stack; the n norms come from one eigendecomposition.
     The pseudo-inverse keeps eigenvalues above ``range_tol`` times the top
-    eigenvalue.  A vector is in range iff its component orthogonal to the
-    kept eigenspace has norm at most ``range_tol * ||x||``; otherwise its
-    norm is reported as infinite.  Agrees with the ridge limit
-    lim_{lam->0} sqrt(x' (A + lam I)^{-1} x) for in-range vectors.
-
-    ``x`` of shape (d,) gives a ``NormResult``; a stack of shape (n, d) gives
-    the n norms as an array, from the same single eigendecomposition.
+    eigenvalue.  A row is in range iff its component orthogonal to the kept
+    eigenspace has norm at most ``range_tol * ||x_i||``; otherwise its norm is
+    reported as infinite.  Agrees with the ridge limit
+    lim_{lam->0} sqrt(x' (A + lam I)^{-1} x) for in-range rows.
     """
     a = validate_psd(a, "weighted_inv_norm matrix")
     x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != a.shape[0]:
-        raise DimError(f"vector shape {x.shape} does not match matrix dim {a.shape[0]}")
+    if x.ndim != 2 or x.shape[1] != a.shape[0]:
+        raise DimError(f"vector stack shape {x.shape} does not match matrix dim {a.shape[0]}")
     if not np.isfinite(x).all():
         raise ValueError("weighted_inv_norm vector has non-finite entries")
     if range_tol <= 0:
         raise ValueError("range_tol must be positive")
     w, q = np.linalg.eigh(0.5 * (a + a.T))
     wmax = w[-1] if w.size else 0.0
-    rows = x.reshape(-1, a.shape[0])
-    xnorm = np.linalg.norm(rows, axis=1)
+    xnorm = np.linalg.norm(x, axis=1)
     if wmax <= 0.0:
         # zero (or numerically negative) matrix: only the zero vector is in range
-        values = np.where(xnorm == 0.0, 0.0, math.inf)
-    else:
-        keep = w > range_tol * wmax
-        coeffs = rows @ q
-        values = np.sqrt(np.sum(coeffs[:, keep] ** 2 / w[keep], axis=1))
-        values[np.linalg.norm(coeffs[:, ~keep], axis=1) > range_tol * xnorm] = math.inf
-    if x.ndim == 2:
-        return values
-    value = float(values[0])
-    return NormResult(value, math.isfinite(value))
+        return np.where(xnorm == 0.0, 0.0, math.inf)
+    keep = w > range_tol * wmax
+    coeffs = x @ q
+    values = np.sqrt(np.sum(coeffs[:, keep] ** 2 / w[keep], axis=1))
+    values[np.linalg.norm(coeffs[:, ~keep], axis=1) > range_tol * xnorm] = math.inf
+    return values

@@ -7,6 +7,9 @@ then drops arms whose estimated reward trails the leader by more than
 eps_l = 2^-l; when one arm survives it is declared best and exploited to
 the horizon.  Pure exploration (PAC, error scaling) runs a single phase
 over all arms for a fixed budget and picks the greedy arm.
+
+A run records only what it decided (arms, rewards, phases, declaration);
+``harness.compute_metrics`` derives every per-step column from its phases.
 """
 
 from __future__ import annotations
@@ -65,19 +68,16 @@ class PhaseState:
 
 @dataclass
 class RunRecord:
-    """Per-step and per-phase log of a single run.
+    """What one run decided: the arm and reward of each step, its phases, its declaration.
 
-    ``kind`` distinguishes elimination runs ("sbe") from one-phase
-    pure-exploration runs ("pure"); metric computation keys off it.
+    The steps are the phases' ``taken`` rounds in order, then, if one arm was
+    declared best at step ``declared_at``, that arm to the horizon.  ``kind``
+    distinguishes elimination runs ("sbe") from one-phase pure-exploration
+    runs ("pure"); metric computation keys off it.
     """
 
-    seed: int
-    horizon: int
     arm: np.ndarray
     reward: np.ndarray
-    inst_regret: np.ndarray
-    cum_regret: np.ndarray
-    phase: np.ndarray
     phases: list = field(default_factory=list)
     declared_best: int | None = None
     declared_at: int | None = None
@@ -86,10 +86,6 @@ class RunRecord:
     @property
     def steps(self) -> int:
         return self.arm.shape[0]
-
-    @property
-    def final_regret(self) -> float:
-        return float(self.cum_regret[-1]) if self.steps else 0.0
 
 
 def phase_length(ell: int, d_eff: int, k_active: int, cfg: SbeConfig) -> int:
@@ -211,18 +207,9 @@ def run_sbe(env: Environment, cfg: SbeConfig, run_seed: int = 0) -> RunRecord:
         declared, declared_at = active[0], t
         arms.append(np.full(big_t - t, declared, dtype=np.int64))
         rewards.append(rewards_for(env, arms[-1], t + 1, noise))
-    arm = np.concatenate(arms)
-    regret = env.values[env.best_arm] - env.values[arm]
-    # phase index of each sampled segment; the exploitation tail carries the last one
-    segment_phase = np.array([ph.index for ph in phases] + [len(phases)], dtype=np.int64)
     return RunRecord(
-        seed=run_seed,
-        horizon=big_t,
-        arm=arm,
+        arm=np.concatenate(arms),
         reward=np.concatenate(rewards),
-        inst_regret=regret,
-        cum_regret=np.cumsum(regret),
-        phase=np.repeat(segment_phase, [ph.taken for ph in phases] + [big_t - t]),
         phases=phases,
         declared_best=declared,
         declared_at=declared_at,
@@ -243,16 +230,5 @@ def run_pure_exploration(env: Environment, budget: int, delta: float, run_seed: 
     phase, arms, rewards = _run_phase(
         env, list(range(env.K)), 1, math.nan, 1, budget, rng, noise, fw_tol, lambda cert: (budget, beta)
     )
-    regret = env.values[env.best_arm] - env.values[arms]
-    record = RunRecord(
-        seed=run_seed,
-        horizon=budget,
-        arm=arms,
-        reward=rewards,
-        inst_regret=regret,
-        cum_regret=np.cumsum(regret),
-        phase=np.ones(budget, dtype=np.int64),
-        phases=[phase],
-        kind="pure",
-    )
+    record = RunRecord(arm=arms, reward=rewards, phases=[phase], kind="pure")
     return phase.theta_hat, int(np.argmax(env.features.features @ phase.theta_hat)), record

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semibandit.design as design
@@ -20,7 +20,7 @@ def max_leverage(features, policy):
     x = features.features
     p = policy.probabilities
     m = (x.T * p) @ x
-    return max(weighted_inv_norm(m, xi).value ** 2 for xi in x)
+    return max(weighted_inv_norm(m, xi[None])[0] ** 2 for xi in x)
 
 
 def covariance_pairwise(features, policy):
@@ -232,6 +232,8 @@ class TestDeo:
         copies=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(d=2, rank=2, k=19, copies=3, seed=444)  # a support drop whose polish certified only the support
+    @example(d=4, rank=2, k=21, copies=2, seed=262144)  # no polish certifies every arm; the least-bad one is kept
     def test_certificate_bounds_property(self, d, rank, k, copies, seed):
         # features in the unit ball, confined to a random subspace, each row repeated up to
         # ``copies`` times, any anchor: the bounds hold at the rank d_eff of
@@ -251,7 +253,7 @@ class TestDeo:
         assert cert.max_centered_norm <= 4.0 * math.sqrt(d_eff * (1 + tol))
         assert cert.support_size <= d_eff * (d_eff + 1) // 2 + 1
         cov = policy_moments(fs, policy).covariance
-        per_arm = max(weighted_inv_norm(cov, xi - x[anchor]).value for xi in x)
+        per_arm = max(weighted_inv_norm(cov, (xi - x[anchor])[None])[0] for xi in x)
         assert per_arm == pytest.approx(cert.max_anchor_norm, rel=1e-12)
 
     def test_anchor_weight_half(self):

@@ -27,7 +27,6 @@ from semibandit.harness import (
     ExperimentConfig,
     build_environment,
     compute_metrics,
-    fmt,
     run_experiment,
 )
 from semibandit.sbe import PhaseState, RunRecord, SbeConfig, run_pure_exploration, run_sbe
@@ -112,21 +111,24 @@ BAD_CONFIGS = {
     "infinite-noise-scale": {"environment": features_env(noise={"scale": math.inf})},
     "nan-theta": {"environment": features_env(theta=[math.nan, 0.0])},
     "nan-mu": {"environment": {"kind": "mab", "mu": [0.5, math.nan, 0.1]}},
+    "string-clip-to-unit": {
+        "environment": features_env(shift={"kind": "constant", "constant": 3.0, "clip_to_unit": "false"})
+    },
+    "bool-shift-constant": {"environment": features_env(shift={"kind": "constant", "constant": True})},
+    "bool-noise-scale": {"environment": features_env(noise={"scale": True})},
+    "bool-gap": {"environment": {"kind": "gap_instance", "d": 3, "K": 5, "gap": True}},
+    "bool-pac-c2": {"mode": "pac", "algorithm": {"epsilon": 0.25, "c2": True}},
+    "negative-pac-c2": {"mode": "pac", "algorithm": {"epsilon": 0.25, "c2": -1}},
+    "bool-error-scaling-c2": {"mode": "error-scaling", "algorithm": {"budget": 300, "c2": True}},
+    "zero-error-scaling-c2": {"mode": "error-scaling", "algorithm": {"budget": 300, "c2": 0}},
 }
 
 
 def manual_record(env, arms, phases=(), kind="sbe", declared=None, declared_at=None):
     arms = np.asarray(arms, dtype=np.int64)
-    n = arms.shape[0]
-    inst = env.values[env.best_arm] - env.values[arms]
     return RunRecord(
-        seed=0,
-        horizon=n,
         arm=arms,
         reward=env.values[arms].astype(float),
-        inst_regret=inst,
-        cum_regret=np.cumsum(inst),
-        phase=np.ones(n, dtype=np.int64),
         phases=list(phases),
         declared_best=declared,
         declared_at=declared_at,
@@ -211,6 +213,52 @@ class TestComputeMetrics:
             theta_hat = np.linalg.solve(gram + math.log((i + 1) / 0.1) * np.eye(d), moment)
             expected.append(np.abs((x - x[0]) @ (theta_hat - env.theta_star)).max())
         assert table.e_t.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize(
+        "make, tail",
+        [
+            (lambda env: run_sbe(env, SbeConfig(delta=0.1, horizon=6_000), run_seed=3), 6_000 - 2_644),
+            (lambda env: run_sbe(env, SbeConfig(delta=0.1, horizon=500), run_seed=0), 0),  # cut inside phase 1
+            (lambda env: run_pure_exploration(env, 300, 0.1, run_seed=1)[2], 0),
+        ],
+        ids=["declared", "truncated", "pure"],
+    )
+    def test_columns_match_stepwise_walk(self, make, tail):
+        # phase, active_size and e_t, walking the steps one at a time: a step
+        # belongs to the first phase not yet used up, or else to the declared
+        # arm's tail, and e_t is the last finished phase's error (NaN before any)
+        env = make_gap_instance(3, 6, 0.5, seed=5)
+        record = make(env)
+        assert record.steps - sum(ph.taken for ph in record.phases) == tail
+        table = compute_metrics(record, env, delta=0.1)
+        x = env.features.features
+        phase, size, e_t = [], [], []
+        done, used, snapshot = 0, 0, math.nan
+        gram, moment = np.zeros((env.d, env.d)), np.zeros(env.d)
+        for t in range(1, record.steps + 1):
+            if done < len(record.phases) and used == record.phases[done].taken:
+                ph = record.phases[done]
+                snapshot = np.abs((x[list(ph.active)] - x[ph.anchor]) @ (ph.theta_hat - env.theta_star)).max()
+                done, used = done + 1, 0
+            if done < len(record.phases):
+                used += 1
+                phase.append(record.phases[done].index)
+                size.append(len(record.phases[done].active))
+            else:
+                phase.append(record.phases[-1].index)
+                size.append(1)
+                assert record.arm[t - 1] == record.declared_best
+            if record.kind == "pure":  # a ridge solve after every step, anchored at arm 0 over all arms
+                xt = x[record.arm[t - 1]] - record.phases[0].policy.probabilities @ x
+                gram += np.outer(xt, xt)
+                moment += xt * record.reward[t - 1]
+                theta_hat = np.linalg.solve(gram + math.log(t / 0.1) * np.eye(env.d), moment)
+                snapshot = np.abs((x - x[0]) @ (theta_hat - env.theta_star)).max()
+            e_t.append(snapshot)
+        assert table.phase.tolist() == phase
+        assert table.active_size.tolist() == size
+        assert table.e_t.tobytes() == np.array(e_t).tobytes()
+        assert np.isnan(table.e_t[0]) == (record.kind == "sbe")
 
     def test_regret_monotone_and_total(self):
         env = make_gap_instance(3, 6, 0.4, seed=5)
@@ -324,6 +372,18 @@ class TestRunExperiment:
         assert manifest["seeds"] == [100]
         assert manifest["mode"] == "regret"
 
+    @pytest.mark.parametrize("mode, algorithm", [("regret", {"horizon": 3_000}), ("error-scaling", {"budget": 400})])
+    def test_final_regret_is_sum_of_inst_regret(self, tmp_path, mode, algorithm):
+        raw = base_config(tmp_path, mode=mode, algorithm=algorithm, replications=3, output=str(tmp_path / mode))
+        run_experiment(ExperimentConfig.from_dict(raw))
+        rows = [line.split(",") for line in (tmp_path / mode / "trajectory.csv").read_text().splitlines()[1:]]
+        summary = (tmp_path / mode / "summary.csv").read_text().splitlines()[1:]
+        assert len(summary) == 3
+        for line in summary:
+            rep, _, final_regret = line.split(",")[:3]
+            inst = [float(row[5]) for row in rows if row[1] == rep]
+            assert float(final_regret) == sum(inst)  # both add left to right
+
     def test_manifest_config_block(self, tmp_path):
         # the config is written as given, feature lists included, in the
         # same text as a deep copy through dataclasses.asdict
@@ -374,10 +434,11 @@ class TestRunExperiment:
         lines = (tmp_path / "pac" / "summary.csv").read_text().splitlines()
         assert len(lines) == 3
 
-    def test_seventeen_digit_roundtrip(self):
+    def test_seventeen_digit_roundtrip(self, tmp_path):
         values = [math.pi, 1 / 3, 1e-17, 123456.789012345678]
-        for v in values:
-            assert float(fmt(v)) == v
+        path = tmp_path / "floats.csv"
+        harness._write_csv(path, ("x",), "%.17g\n", [(np.array(values),)])
+        assert [float(v) for v in path.read_text().splitlines()[1:]] == values
 
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
@@ -394,6 +455,15 @@ CELLS = {
         st.just(FLOATS), st.lists(st.sampled_from(FLOAT_POOL), min_size=1, max_size=3).map(st.sampled_from)
     ),
 }
+
+
+def cell_text(value) -> str:
+    """One cell formatted on its own: the oracle for the block-wise writer."""
+    if value is None:
+        return ""
+    if isinstance(value, int):
+        return str(value)
+    return f"{value:.17g}"
 
 
 def line_rows(data, line_format):
@@ -422,7 +492,7 @@ class TestWriter:
                 columns.append(np.array(cells, dtype=np.int64 if spec == "%d" else np.float64))
         path = tmp_path / "rows.csv"
         harness._write_csv(path, ("h",), line_format, [columns])
-        expected = "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
+        expected = "".join(",".join(cell_text(v) for v in row) + "\n" for row in rows)
         assert path.read_text() == "h\n" + expected
 
     @pytest.mark.parametrize("block", [2, 5, 2048])
@@ -523,6 +593,14 @@ class TestCli:
         path.write_text(json.dumps(raw))
         assert main([command, "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("case", ["bool-pac-c2", "negative-pac-c2", "bool-error-scaling-c2", "zero-error-scaling-c2"])
+    def test_c2_errors_name_c2(self, tmp_path, capsys, case):
+        # a PAC budget from a bad c2 must blame c2, not the budget it yields
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path, **BAD_CONFIGS[case])))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: algorithm.c2: ")
 
     def test_custom_table_as_long_as_horizon(self, tmp_path):
         table = [0.5 * math.sin(t) for t in range(1, 201)]
