@@ -272,12 +272,12 @@ def _greedy_support_drop(x: np.ndarray, p: np.ndarray, d: int, tol: float, bound
     too many (affinely independent support of maximal size).  Candidates are
     tried lightest-first, each with a short pairwise-FW polish restricted to
     the remaining atoms.  The first polish that certifies every arm, not just
-    the support, is accepted; if none does, the one of lowest max leverage.
+    the support, is accepted; if none does, the first that converged.
     """
     while int((p > 0).sum()) > bound:
         supp = np.flatnonzero(p > 0)
         order = supp[np.argsort(p[supp])]
-        polished = []  # (max leverage over every arm, design) of each converged polish
+        accepted = None
         for j in order:
             trial = p.copy()
             trial[j] = 0.0
@@ -287,16 +287,18 @@ def _greedy_support_drop(x: np.ndarray, p: np.ndarray, d: int, tol: float, bound
                 continue
             trial[sub], ok, _ = _pairwise_fw_from(x[sub], trial[sub], d, tol, 500)
             if ok:
-                polished.append((_certified_max_leverage(x, trial), trial))
-                if polished[-1][0] <= d * (1.0 + tol):
+                certified = _certified_max_leverage(x, trial) <= d * (1.0 + tol)
+                if certified or accepted is None:
+                    accepted = trial
+                if certified:
                     break
-        if not polished:
+        if accepted is None:
             raise ConvergenceError(
                 f"could not reduce support to {bound} while keeping the certificate",
                 policy=DesignPolicy(p),
                 certificate=_certified_max_leverage(x, p),
             )
-        p = _caratheodory_reduce(x, min(polished, key=lambda c: c[0])[1])
+        p = _caratheodory_reduce(x, accepted)
     return p
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,9 +25,9 @@ NOISE_KINDS = ("gaussian", "bounded_uniform", "none")
 _NOISE_CHUNK = 4096
 
 
-def _finite_real(value) -> bool:
-    """True for a finite real number; a bool is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+def finite_real(value) -> bool:
+    """True for a real number (not a bool) that a double holds finitely; an int past 1.8e308 is too large."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class ShiftSpec:
     def __post_init__(self):
         if self.kind not in SHIFT_KINDS:
             raise ValueError(f"unknown shift kind {self.kind!r}")
-        if not _finite_real(self.constant):
+        if not finite_real(self.constant):
             raise ValueError("shift constant must be a finite number")
         if not isinstance(self.clip_to_unit, bool):
             raise ValueError("clip_to_unit must be true or false")
@@ -97,7 +98,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not (_finite_real(self.scale) and self.scale >= 0):
+        if not (finite_real(self.scale) and self.scale >= 0):
             raise ValueError("noise scale must be a nonnegative finite number")
 
 
@@ -234,7 +235,7 @@ def make_gap_instance(d: int, K: int, gap: float, seed: int) -> Environment:
     Draws are rejected until the corrected feature stays inside the unit
     ball (at most 10^4 attempts).
     """
-    if not (_finite_real(gap) and 0.0 < gap < 2.0):
+    if not (finite_real(gap) and 0.0 < gap < 2.0):
         raise ValueError("gap must be a number in (0, 2)")
     if K < 2:
         raise ValueError("need at least two arms")

@@ -40,6 +40,7 @@ from .environment import (
     NoiseSpec,
     ShiftSpec,
     assumption_audit,
+    finite_real,
     make_gap_instance,
     make_mab_embedding,
 )
@@ -133,13 +134,9 @@ def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1) -> 
     )
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _check_positive(value, name: str):
     """``value`` if it is a positive finite number (not a bool); else ConfigError."""
-    if not (_is_number(value) and 0 < value < math.inf):
+    if not (finite_real(value) and value > 0):
         raise ConfigError(name, "must be a positive finite number")
     return value
 
@@ -265,7 +262,7 @@ class ExperimentConfig:
         if required not in alg:
             raise ConfigError(f"algorithm.{required}", f"required for mode {self.mode}")
         delta = alg.get("delta", 0.1)
-        if not _is_number(delta) or not 0 < delta < 1:
+        if not (finite_real(delta) and 0 < delta < 1):
             raise ConfigError("algorithm.delta", "must lie in (0, 1)")
         epsilon = alg.get("epsilon")
         if epsilon is not None:

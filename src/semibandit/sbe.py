@@ -21,7 +21,7 @@ import numpy as np
 
 from . import estimator as est
 from .design import DesignCertificate, DesignPolicy, FeatureSet, deo
-from .environment import Environment, rewards_for
+from .environment import Environment, finite_real, rewards_for
 from .errors import ScheduleOverflow
 
 _MAX_PHASE_LEN = 2**62
@@ -43,7 +43,7 @@ class SbeConfig:
             raise ValueError("horizon must be >= 1")
         for name in ("c2", "c3", "fw_tol"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+            if not (finite_real(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number")
         if self.schedule not in ("fixed", "adaptive"):
             raise ValueError("schedule must be 'fixed' or 'adaptive'")
@@ -60,9 +60,9 @@ class PhaseState:
     policy: DesignPolicy
     certificate: DesignCertificate
     anchor: int
+    theta_hat: np.ndarray
     taken: int = 0
     beta: float = math.nan
-    theta_hat: np.ndarray | None = None
     truncated: bool = False
 
 

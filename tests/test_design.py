@@ -233,7 +233,7 @@ class TestDeo:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(d=2, rank=2, k=19, copies=3, seed=444)  # a support drop whose polish certified only the support
-    @example(d=4, rank=2, k=21, copies=2, seed=262144)  # no polish certifies every arm; the least-bad one is kept
+    @example(d=4, rank=2, k=21, copies=2, seed=262144)  # no polish certifies every arm; the first converged is kept
     def test_certificate_bounds_property(self, d, rank, k, copies, seed):
         # features in the unit ball, confined to a random subspace, each row repeated up to
         # ``copies`` times, any anchor: the bounds hold at the rank d_eff of

@@ -9,6 +9,7 @@ from semibandit.environment import (
     NoiseStream,
     ShiftSpec,
     assumption_audit,
+    finite_real,
     make_gap_instance,
     make_mab_embedding,
     rewards_for,
@@ -20,6 +21,29 @@ from semibandit.errors import InvalidArm
 
 def shift_at(spec, t):
     return float(shift_values(spec, np.array([t]))[0])
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (2, True),
+        (-3.5, True),
+        (np.int64(2), True),
+        (np.float64(0.5), True),
+        (1.7e308, True),
+        (10**300, True),
+        (10**400, False),  # past the largest double
+        (True, False),
+        (np.bool_(True), False),
+        (math.nan, False),
+        (math.inf, False),
+        (-math.inf, False),
+        ("1", False),
+    ],
+)
+def test_finite_real(value, expected):
+    # the one rule for a config number: shift constant, noise scale, gap, c2, c3, fw_tol, epsilon, delta
+    assert finite_real(value) == expected
 
 
 class TestShiftSpec:

@@ -114,6 +114,7 @@ BAD_CONFIGS = {
     "string-clip-to-unit": {
         "environment": features_env(shift={"kind": "constant", "constant": 3.0, "clip_to_unit": "false"})
     },
+    "huge-int-shift-constant": {"environment": features_env(shift={"kind": "constant", "constant": 10**400})},
     "bool-shift-constant": {"environment": features_env(shift={"kind": "constant", "constant": True})},
     "bool-noise-scale": {"environment": features_env(noise={"scale": True})},
     "bool-gap": {"environment": {"kind": "gap_instance", "d": 3, "K": 5, "gap": True}},
@@ -121,6 +122,7 @@ BAD_CONFIGS = {
     "negative-pac-c2": {"mode": "pac", "algorithm": {"epsilon": 0.25, "c2": -1}},
     "bool-error-scaling-c2": {"mode": "error-scaling", "algorithm": {"budget": 300, "c2": True}},
     "zero-error-scaling-c2": {"mode": "error-scaling", "algorithm": {"budget": 300, "c2": 0}},
+    "huge-int-pac-c2": {"mode": "pac", "algorithm": {"epsilon": 0.25, "c2": 10**400}},
 }
 
 
@@ -594,7 +596,9 @@ class TestCli:
         assert main([command, "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
-    @pytest.mark.parametrize("case", ["bool-pac-c2", "negative-pac-c2", "bool-error-scaling-c2", "zero-error-scaling-c2"])
+    @pytest.mark.parametrize(
+        "case", ["bool-pac-c2", "negative-pac-c2", "bool-error-scaling-c2", "zero-error-scaling-c2", "huge-int-pac-c2"]
+    )
     def test_c2_errors_name_c2(self, tmp_path, capsys, case):
         # a PAC budget from a bad c2 must blame c2, not the budget it yields
         path = tmp_path / "cfg.json"

@@ -93,6 +93,7 @@ class TestWeightedInvNorm:
             coeff = rng.standard_normal(r)
             x = q[:, :r] @ coeff  # inside range(a)
             value = norm_of(a, x)
+            assert math.isfinite(value)
             lam = 1e-8
             shifted = math.sqrt(x @ np.linalg.solve(a + lam * np.eye(d), x))
             assert abs(shifted - value) <= 1e-4 * value
