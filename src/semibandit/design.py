@@ -14,6 +14,7 @@ All computations happen inside the span of the input vectors; ``d_eff``
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,6 +26,8 @@ from .linalg import weighted_inv_norm
 
 SPAN_RTOL = 1e-10
 WEIGHT_FLOOR = 1e-9
+FW_REFRESH_STEPS = 256  # pairwise steps between exact recomputations of the carried FW state
+_ADD_REMOVE = np.array([[1.0], [-1.0]])  # signs of the two rank-one terms of a pairwise FW step
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,11 @@ class FeatureSet:
     @property
     def d(self) -> int:
         return self.features.shape[1]
+
+    @functools.cached_property
+    def _span(self):
+        """``span_basis`` of the rows, computed once: ``deo``'s certificate reuses ``g_optimal``'s."""
+        return span_basis(self.features)
 
     @property
     def K(self) -> int:
@@ -143,6 +151,18 @@ def _leverages(x: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x @ m_inv, x)
 
 
+def _exact_state(x: np.ndarray, p: np.ndarray):
+    """M(p)^{-1}, built from the support rows only, and every row's leverage under it."""
+    supp = p > 0
+    xs = x[supp]
+    m_inv = np.linalg.inv((xs.T * p[supp]) @ xs)
+    return m_inv, _leverages(x, m_inv)
+
+
+def _certified_max_leverage(x: np.ndarray, p: np.ndarray) -> float:
+    return float(_exact_state(x, p)[1].max())
+
+
 def _pairwise_fw(x: np.ndarray, d: int, tol: float, max_iters: int):
     """Pairwise Frank-Wolfe on the log-det objective with exact line search.
 
@@ -208,17 +228,16 @@ def _caratheodory_reduce(x: np.ndarray, p: np.ndarray) -> np.ndarray:
         p /= total
 
 
-def _certified_max_leverage(x: np.ndarray, p: np.ndarray) -> float:
-    m = (x.T * p) @ x
-    return float(_leverages(x, np.linalg.inv(m)).max())
-
-
 def g_optimal(features: FeatureSet, fw_tol: float = 1e-3, max_iters: int | None = None) -> DesignPolicy:
     """Solve the G-optimal design over the feature span.
 
     Returns a policy with max_i ||x_i||^2_{M(p)^{-1}} <= d_eff (1 + fw_tol),
     where d_eff is the rank of the feature span, with support at most
     d_eff (d_eff + 1) / 2.
+
+    One case falls short of the tolerance: when the support has to lose an
+    atom and no re-polished design certifies every arm, the first converged
+    one is returned (see ``_greedy_support_drop``).
 
     The default iteration cap is max(2000, 10 d_eff^2); raises
     ``ConvergenceError`` (carrying the best iterate) if it is hit, and
@@ -234,7 +253,9 @@ def g_optimal(features: FeatureSet, fw_tol: float = 1e-3, max_iters: int | None 
     # dyadic normalization: dividing by a power of two is exact, so scaling
     # all features by 2^k leaves every branch of the solver unchanged
     x_full = x_full / math.ldexp(1.0, math.frexp(max_norm)[1])
-    basis, d_eff = span_basis(x_full)
+    # the SVD's vectors are bitwise unchanged by the power-of-two scaling, so the
+    # span of the unscaled rows, cached for deo's certificate, serves
+    basis, d_eff = features._span
     if d_eff == 0:
         raise DegenerateFeatures("all features are zero")
     x = x_full if d_eff == x_full.shape[1] else x_full @ basis
@@ -249,7 +270,7 @@ def g_optimal(features: FeatureSet, fw_tol: float = 1e-3, max_iters: int | None 
 
         bound = d_eff * (d_eff + 1) // 2
         if int((p > 0).sum()) > bound:
-            p = _greedy_support_drop(x, p, d_eff, fw_tol, bound)
+            p = _greedy_support_drop(x, p, d_eff, fw_tol, bound, max_iters)
         if not converged:
             raise ConvergenceError(
                 f"G-optimal solver did not reach tolerance {fw_tol} in {max_iters} iterations",
@@ -265,70 +286,137 @@ def g_optimal(features: FeatureSet, fw_tol: float = 1e-3, max_iters: int | None 
     return DesignPolicy(p)
 
 
-def _greedy_support_drop(x: np.ndarray, p: np.ndarray, d: int, tol: float, bound: int) -> np.ndarray:
-    """Drop support atoms one at a time, re-polishing after each removal.
+def _greedy_support_drop(
+    x: np.ndarray, p: np.ndarray, d: int, tol: float, bound: int, max_iters: int
+) -> np.ndarray:
+    """Bring a support one atom too large within the bound, keeping the certificate.
 
-    Fallback for the rare case where Caratheodory reduction leaves one atom
-    too many (affinely independent support of maximal size).  Candidates are
-    tried lightest-first, each with a short pairwise-FW polish restricted to
-    the remaining atoms.  The first polish that certifies every arm, not just
-    the support, is accepted; if none does, the first that converged.
+    Fallback for the case where Caratheodory reduction leaves an affinely
+    independent support of maximal size, d(d+1)/2 + 1 atoms.  The first
+    candidate of ``_support_candidates`` within the bound that certifies
+    every arm is accepted.  The last resort, when none does, is the first
+    within the bound whose polish converged: its certificate holds only on
+    the arms it was polished over.
     """
-    while int((p > 0).sum()) > bound:
-        supp = np.flatnonzero(p > 0)
-        order = supp[np.argsort(p[supp])]
-        accepted = None
-        for j in order:
-            trial = p.copy()
-            trial[j] = 0.0
-            trial /= trial.sum()
-            sub = np.flatnonzero(trial > 0)
-            if np.linalg.matrix_rank(x[sub]) < d:
-                continue
-            trial[sub], ok, _ = _pairwise_fw_from(x[sub], trial[sub], d, tol, 500)
-            if ok:
-                certified = _certified_max_leverage(x, trial) <= d * (1.0 + tol)
-                if certified or accepted is None:
-                    accepted = trial
-                if certified:
-                    break
-        if accepted is None:
-            raise ConvergenceError(
-                f"could not reduce support to {bound} while keeping the certificate",
-                policy=DesignPolicy(p),
-                certificate=_certified_max_leverage(x, p),
-            )
-        p = _caratheodory_reduce(x, accepted)
-    return p
+    limit = d * (1.0 + tol)
+    last_resort = None
+    for trial, converged in _support_candidates(x, p, d, tol, max_iters):
+        if int((trial > 0).sum()) > bound:
+            continue
+        if _certified_max_leverage(x, trial) <= limit:
+            return trial
+        if converged and last_resort is None:
+            last_resort = trial
+    if last_resort is None:
+        raise ConvergenceError(
+            f"could not reduce support to {bound} while keeping the certificate",
+            policy=DesignPolicy(p),
+            certificate=_certified_max_leverage(x, p),
+        )
+    return last_resort
+
+
+def _support_candidates(x: np.ndarray, p: np.ndarray, d: int, tol: float, max_iters: int):
+    """Candidates for ``_greedy_support_drop``: reduced designs, each with whether its polish converged.
+
+    First the whole design, polished by pairwise FW over every arm to
+    tol / 2 and reduced, then that design polished to tol / 4 and reduced:
+    weight leaves the atoms whose leverage stays below d, which on large
+    supports brings the reduced support within the bound.  Then, for each
+    atom, lightest first, the design without it, polished over every other
+    arm, and polished over the remaining atoms only, which always lands
+    within the bound.
+    """
+    trial = p
+    for shrink in (2.0, 4.0):
+        trial, converged, _ = _pairwise_fw_from(x, trial.copy(), d, tol / shrink, max_iters)
+        trial[trial < WEIGHT_FLOOR] = 0.0
+        trial = _caratheodory_reduce(x, trial / trial.sum())
+        yield trial, converged
+    supp = np.flatnonzero(p > 0)
+    for j in supp[np.argsort(p[supp])]:
+        start = p.copy()
+        start[j] = 0.0
+        start /= start.sum()
+        if np.linalg.matrix_rank(x[start > 0]) < d:
+            continue
+        for arms in (np.arange(len(p)) != j, start > 0):
+            trial = start.copy()
+            trial[arms], converged, _ = _pairwise_fw_from(x[arms], trial[arms], d, tol, 500)
+            yield _caratheodory_reduce(x, trial), converged
 
 
 def _pairwise_fw_from(x: np.ndarray, p: np.ndarray, d: int, tol: float, max_iters: int):
-    """Pairwise FW iteration from a given starting point."""
-    m = (x.T * p) @ x
+    """Pairwise FW iteration from a given starting point.
+
+    Returns ``(p, converged, iterations)``; ``p`` is updated in place.
+
+    Carried state: ``m_inv`` = M(p)^{-1} and ``g``, every row's leverage
+    under it.  A pairwise step changes M by the rank-two term
+    gamma (x_i x_i' - x_j x_j'), so both are updated by its 2x2 Woodbury
+    form, factored as two Sherman-Morrison steps, instead of recomputed:
+    M^{-1} times x_i and x_j, x times two vectors, a rank-two update of
+    ``m_inv`` and an O(K) update of ``g``.
+    Invariant: ``m_inv`` and ``g`` equal M(p)^{-1} and its leverages up to
+    the roundoff of the steps since they were last recomputed exactly, from
+    the support rows (``_exact_state``).  That happens every
+    ``FW_REFRESH_STEPS`` pairwise steps, after every plain FW vertex step,
+    and before the stopping test may pass, so ``converged`` is only ever
+    reported on exact leverages.
+    """
+    limit = d * (1.0 + tol)
+    xt = np.ascontiguousarray(x.T)  # bt @ xt has contiguous rows
+    m_inv, g = _exact_state(x, p)
+    stale = 0  # steps since the last exact state
+    supp = np.flatnonzero(p > 0)
     for it in range(max_iters):
-        m_inv = np.linalg.inv(m)
-        g = _leverages(x, m_inv)
-        if g.max() <= d * (1.0 + tol):
+        i = int(g.argmax())
+        if g[i] <= limit and stale:
+            m_inv, g = _exact_state(x, p)
+            stale = 0
+            i = int(g.argmax())
+        if g[i] <= limit:
             return p, True, it
-        i = int(np.argmax(g))
-        supp = np.flatnonzero(p > 0)
-        j = supp[int(np.argmin(g[supp]))]
-        a, b = g[i], g[j]
-        cross = float(x[i] @ m_inv @ x[j])
+        j = int(supp[g[supp].argmin()])
+        a, b = float(g[i]), float(g[j])
+        vt = x.take((i, j), axis=0) @ m_inv  # rows x_i' M^{-1}, x_j' M^{-1}
+        cross = float(vt[1] @ x[i])
         denom = 2.0 * (a * b - cross * cross)
-        gamma = (a - b) / denom if denom > 0 else np.inf
-        gamma = min(max(gamma, 0.0), p[j])
-        if gamma <= 0.0:
+        gamma = (a - b) / denom if denom > 0 else math.inf
+        gamma = min(max(gamma, 0.0), float(p[j]))
+        added = p[i] == 0.0
+        if gamma <= 0.0:  # a plain FW vertex step; its state is recomputed below
             gamma_fw = (a - d) / (d * (a - 1.0))
             p *= 1.0 - gamma_fw
             p[i] += gamma_fw
-            m = (x.T * p) @ x
-            continue
-        p[i] += gamma
-        p[j] -= gamma
-        if p[j] < 1e-15:
-            p[j] = 0.0
-        m += gamma * (np.outer(x[i], x[i]) - np.outer(x[j], x[j]))
+            stale = FW_REFRESH_STEPS
+        else:
+            p[i] += gamma
+            p[j] -= gamma
+            if p[j] < 1e-15:
+                p[j] = 0.0
+            # M' = M + gamma x_i x_i' - gamma x_j x_j' as two Sherman-Morrison
+            # steps: M'^{-1} = M^{-1} - s v_i v_i' + h u u' with v = M^{-1} x,
+            # u = v_j - s cross v_i, s = gamma / (1 + gamma a) and
+            # h = gamma (1 + gamma a) / f, where f = det M' / det M >= 1 on the
+            # line-search step, so s, h > 0.  The rows of ``bt`` are sqrt(s) v_i
+            # and sqrt(h) u, so M'^{-1} = M^{-1} - bt' diag(1, -1) bt.
+            f = 1.0 + gamma * (a - b) - gamma * gamma * (a * b - cross * cross)
+            s = gamma / (1.0 + gamma * a)
+            h = gamma * (1.0 + gamma * a) / f
+            rs, rh = math.sqrt(s), math.sqrt(h)
+            bt = np.array([[rs, 0.0], [-s * cross * rh, rh]]) @ vt
+            m_inv -= bt.T @ (bt * _ADD_REMOVE)
+            y = bt @ xt
+            y *= y
+            g -= y[0]
+            g += y[1]
+            stale += 1
+        if stale == FW_REFRESH_STEPS:
+            m_inv, g = _exact_state(x, p)
+            stale = 0
+        if added or p[j] == 0.0:
+            supp = np.flatnonzero(p > 0)
     return p, False, max_iters
 
 
@@ -363,7 +451,7 @@ def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = 1e-3, max_iters: 
 
     moments = policy_moments(features, policy)
     cov = moments.covariance
-    _, d_eff = span_basis(diffs)
+    d_eff = diff_set._span[1]  # g_optimal's SVD, cached
     cert = DesignCertificate(
         max_anchor_norm=float(weighted_inv_norm(cov, x - x[anchor]).max()),
         max_centered_norm=float(weighted_inv_norm(cov, x - moments.mean).max()),

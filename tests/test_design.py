@@ -1,13 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import semibandit.design as design
 from semibandit.design import FeatureSet, DesignPolicy, deo, g_optimal, policy_moments
-from semibandit.errors import DegenerateFeatures, DimError
+from semibandit.errors import ConvergenceError, DegenerateFeatures, DimError
 from semibandit.linalg import weighted_inv_norm
 
 
@@ -156,6 +157,84 @@ class TestGOptimal:
         assert calls == [4]
         assert policy.support.size <= 3
         assert max_leverage(fs, policy) <= 2 * (1 + 1e-3)
+
+    def test_support_drop_certifies_every_arm(self, monkeypatch):
+        # the anchored differences of TestDeo's property draw d=4, rank=2,
+        # k=21, copies=2, seed=262144: the reduced support is one atom too
+        # large, and a polish over the kept atoms alone certifies only those
+        # (max leverage 2.0117); a polish over every other arm certifies all
+        rng = np.random.default_rng(262144)
+        basis = np.linalg.qr(rng.standard_normal((4, 2)))[0]
+        x = random_unit_features(rng, 2, 21) * rng.uniform(0.2, 1.0, size=(21, 1)) @ basis.T
+        x = np.repeat(x, rng.integers(1, 3, size=21), axis=0)
+        anchor = int(rng.integers(x.shape[0]))
+        calls = []
+        drop = design._greedy_support_drop
+
+        def spy(*args):
+            calls.append(int((args[1] > 0).sum()))
+            return drop(*args)
+
+        monkeypatch.setattr(design, "_greedy_support_drop", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # differences may leave the unit ball
+            fs = FeatureSet(np.delete(x, anchor, axis=0) - x[anchor])
+        policy = g_optimal(fs)
+        assert calls == [4]
+        assert policy.support.size <= 3
+        assert max_leverage(fs, policy) <= 2 * (1 + 1e-3)
+
+    def test_convergence_error_certificate(self):
+        # five iterations are far too few for 200 arms in 20 dimensions; the
+        # error carries the iterate and its certificate, recomputed exactly
+        rng = np.random.default_rng(17)
+        fs = FeatureSet(random_unit_features(rng, 20, 200))
+        with pytest.raises(ConvergenceError) as info:
+            g_optimal(fs, max_iters=5)
+        x, p = fs.features, info.value.policy.probabilities
+        exact = np.einsum("ij,ij->i", x @ np.linalg.inv((x.T * p) @ x), x).max()
+        assert info.value.certificate == pytest.approx(exact, rel=1e-9)
+        assert info.value.certificate > 20 * (1 + 1e-3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 5),
+        k=st.integers(1, 12),
+        jitter=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]),
+        spread=st.sampled_from([0.0, 3.0, 6.0]),
+        tol=st.sampled_from([1e-3, 1e-5, 1e-7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_converged_on_exact_leverages(self, d, k, jitter, spread, tol, seed):
+        # pairs of near-duplicate rows with lengths over up to 10^spread, from
+        # a uniform start: whenever the solver reports convergence, the
+        # leverages of a fresh inverse of the returned design meet the
+        # tolerance, and that design is the one it last recomputed its state
+        # from, not one reached by rank-two updates alone
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-spread, 0.0, size=(k, 1))
+        x = np.repeat(x, 2, axis=0) + jitter * rng.standard_normal((2 * k, d))
+        x /= np.abs(x).max()
+        span, d_eff = design.span_basis(x)
+        x = x @ span
+        recomputed_at = []
+        exact_state = design._exact_state
+
+        def spy(x, p):
+            recomputed_at.append(p.copy())
+            return exact_state(x, p)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(design, "_exact_state", spy)
+            try:
+                p, converged, _ = design._pairwise_fw_from(x, np.full(2 * k, 0.5 / k), d_eff, tol, 2000)
+            except np.linalg.LinAlgError:
+                reject()  # g_optimal reports this as DegenerateFeatures
+        if converged:
+            supp = p > 0
+            m_inv = np.linalg.inv((x[supp].T * p[supp]) @ x[supp])
+            assert np.einsum("ij,ij->i", x @ m_inv, x).max() <= d_eff * (1 + tol)
+            assert np.array_equal(recomputed_at[-1], p)
 
     @settings(max_examples=60, deadline=None)
     @given(
