@@ -9,7 +9,7 @@ and solves ``deo`` with anchor 0 and the default tolerance, ``--repeats``
 times.  Prints one JSON object: per point the median and every run's wall
 seconds, the Frank-Wolfe iterations of the last solve, and its certificate.
 The iterations are counted here, by wrapping the solver's private loop
-``design._pairwise_fw_from``; they include the polishes of a support drop.
+``design._pairwise_fw_from``.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from .errors import ConvergenceError, DegenerateFeatures, DimError
 from .linalg import weighted_inv_norm
 
 SPAN_RTOL = 1e-10
+SPAN_EIG_RTOL = SPAN_RTOL**2  # span_basis's singular-value cutoff as a cutoff on the eigenvalues of a Gram matrix
 WEIGHT_FLOOR = 1e-9
 FW_REFRESH_STEPS = 256  # pairwise steps between exact recomputations of the carried FW state
 _ADD_REMOVE = np.array([[1.0], [-1.0]])  # signs of the two rank-one terms of a pairwise FW step
@@ -159,10 +160,6 @@ def _exact_state(x: np.ndarray, p: np.ndarray):
     return m_inv, _leverages(x, m_inv)
 
 
-def _certified_max_leverage(x: np.ndarray, p: np.ndarray) -> float:
-    return float(_exact_state(x, p)[1].max())
-
-
 def _pairwise_fw(x: np.ndarray, d: int, tol: float, max_iters: int):
     """Pairwise Frank-Wolfe on the log-det objective with exact line search.
 
@@ -188,44 +185,30 @@ def _pairwise_fw(x: np.ndarray, d: int, tol: float, max_iters: int):
 
 
 def _caratheodory_reduce(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Shrink the support of ``p`` without changing its second moment.
+    """Shrink the support of ``p`` to at most d(d+1)/2 atoms without raising a leverage.
 
-    Repeatedly removes an atom by moving along a null direction of the
-    affine system {sum p_i x_i x_i^T fixed, sum p_i = 1}; exact up to
-    floating point, so design certificates are preserved.  Stops when the
-    support atoms are affinely independent in outer-product space.
+    Repeatedly moves along a null direction c of the support's outer
+    products, sum c_i x_i x_i^T = 0, signed so that sum c >= 0, until an atom
+    leaves, then renormalizes.  The move leaves M(p) unchanged and the
+    renormalization divides it by sum p <= 1, so every leverage is multiplied
+    by sum p <= 1: a design certificate can only improve.  Stops when the
+    outer products are linearly independent, at most d(d+1)/2 of them.
     """
-    d = x.shape[1]
-    iu = np.triu_indices(d)
+    rows, cols = np.triu_indices(x.shape[1])
     while True:
         supp = np.flatnonzero(p > 0)
-        m = len(supp)
-        if m <= 1:
-            return p
-        a = np.empty((len(iu[0]) + 1, m))
-        for col, idx in enumerate(supp):
-            outer = np.outer(x[idx], x[idx])
-            a[:-1, col] = outer[iu]
-        a[-1, :] = 1.0
+        xs = x[supp]
+        a = (xs[:, rows] * xs[:, cols]).T  # column j: the upper triangle of x_j x_j^T
         _, s, vt = np.linalg.svd(a)
-        rank = int(np.count_nonzero(s > 1e-10 * s[0]))
-        if rank >= m:
+        if np.count_nonzero(s > 1e-10 * s[0]) == supp.size:
             return p
-        c = vt[-1]
-        pos = c > 1e-14
-        if not pos.any():
-            c = -c
-            pos = c > 1e-14
-            if not pos.any():
-                return p
+        c = vt[-1] if vt[-1].sum() >= 0 else -vt[-1]
+        pos = c > 1e-14  # a unit vector with a nonnegative sum has a positive entry
         tau = np.min(p[supp][pos] / c[pos])
         p = p.copy()
         p[supp] -= tau * c
         p[p < 1e-14] = 0.0
-        total = p.sum()
-        if total <= 0:
-            return p
-        p /= total
+        p /= p.sum()
 
 
 def g_optimal(features: FeatureSet, fw_tol: float = 1e-3, max_iters: int | None = None) -> DesignPolicy:
@@ -234,10 +217,6 @@ def g_optimal(features: FeatureSet, fw_tol: float = 1e-3, max_iters: int | None 
     Returns a policy with max_i ||x_i||^2_{M(p)^{-1}} <= d_eff (1 + fw_tol),
     where d_eff is the rank of the feature span, with support at most
     d_eff (d_eff + 1) / 2.
-
-    One case falls short of the tolerance: when the support has to lose an
-    atom and no re-polished design certifies every arm, the first converged
-    one is returned (see ``_greedy_support_drop``).
 
     The default iteration cap is max(2000, 10 d_eff^2); raises
     ``ConvergenceError`` (carrying the best iterate) if it is hit, and
@@ -267,15 +246,11 @@ def g_optimal(features: FeatureSet, fw_tol: float = 1e-3, max_iters: int | None 
         p[p < WEIGHT_FLOOR] = 0.0
         p /= p.sum()
         p = _caratheodory_reduce(x, p)
-
-        bound = d_eff * (d_eff + 1) // 2
-        if int((p > 0).sum()) > bound:
-            p = _greedy_support_drop(x, p, d_eff, fw_tol, bound, max_iters)
         if not converged:
             raise ConvergenceError(
                 f"G-optimal solver did not reach tolerance {fw_tol} in {max_iters} iterations",
                 policy=DesignPolicy(p),
-                certificate=_certified_max_leverage(x, p),
+                certificate=float(_exact_state(x, p)[1].max()),
             )
     except np.linalg.LinAlgError as exc:
         # span_basis keeps directions down to SPAN_RTOL of the largest singular
@@ -284,66 +259,6 @@ def g_optimal(features: FeatureSet, fw_tol: float = 1e-3, max_iters: int | None 
             f"the {d_eff}-dimensional feature span is too ill-conditioned to invert the design matrix ({exc})"
         ) from exc
     return DesignPolicy(p)
-
-
-def _greedy_support_drop(
-    x: np.ndarray, p: np.ndarray, d: int, tol: float, bound: int, max_iters: int
-) -> np.ndarray:
-    """Bring a support one atom too large within the bound, keeping the certificate.
-
-    Fallback for the case where Caratheodory reduction leaves an affinely
-    independent support of maximal size, d(d+1)/2 + 1 atoms.  The first
-    candidate of ``_support_candidates`` within the bound that certifies
-    every arm is accepted.  The last resort, when none does, is the first
-    within the bound whose polish converged: its certificate holds only on
-    the arms it was polished over.
-    """
-    limit = d * (1.0 + tol)
-    last_resort = None
-    for trial, converged in _support_candidates(x, p, d, tol, max_iters):
-        if int((trial > 0).sum()) > bound:
-            continue
-        if _certified_max_leverage(x, trial) <= limit:
-            return trial
-        if converged and last_resort is None:
-            last_resort = trial
-    if last_resort is None:
-        raise ConvergenceError(
-            f"could not reduce support to {bound} while keeping the certificate",
-            policy=DesignPolicy(p),
-            certificate=_certified_max_leverage(x, p),
-        )
-    return last_resort
-
-
-def _support_candidates(x: np.ndarray, p: np.ndarray, d: int, tol: float, max_iters: int):
-    """Candidates for ``_greedy_support_drop``: reduced designs, each with whether its polish converged.
-
-    First the whole design, polished by pairwise FW over every arm to
-    tol / 2 and reduced, then that design polished to tol / 4 and reduced:
-    weight leaves the atoms whose leverage stays below d, which on large
-    supports brings the reduced support within the bound.  Then, for each
-    atom, lightest first, the design without it, polished over every other
-    arm, and polished over the remaining atoms only, which always lands
-    within the bound.
-    """
-    trial = p
-    for shrink in (2.0, 4.0):
-        trial, converged, _ = _pairwise_fw_from(x, trial.copy(), d, tol / shrink, max_iters)
-        trial[trial < WEIGHT_FLOOR] = 0.0
-        trial = _caratheodory_reduce(x, trial / trial.sum())
-        yield trial, converged
-    supp = np.flatnonzero(p > 0)
-    for j in supp[np.argsort(p[supp])]:
-        start = p.copy()
-        start[j] = 0.0
-        start /= start.sum()
-        if np.linalg.matrix_rank(x[start > 0]) < d:
-            continue
-        for arms in (np.arange(len(p)) != j, start > 0):
-            trial = start.copy()
-            trial[arms], converged, _ = _pairwise_fw_from(x[arms], trial[arms], d, tol, 500)
-            yield _caratheodory_reduce(x, trial), converged
 
 
 def _pairwise_fw_from(x: np.ndarray, p: np.ndarray, d: int, tol: float, max_iters: int):
@@ -420,14 +335,17 @@ def _pairwise_fw_from(x: np.ndarray, p: np.ndarray, d: int, tol: float, max_iter
     return p, False, max_iters
 
 
-def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = 1e-3, max_iters: int | None = None):
+def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = 1e-3):
     """Anchored-difference design for orthogonalized regression.
 
     Computes the G-optimal design over {x_i - x_anchor : i != anchor},
     halves it, and assigns probability 1/2 to the anchor arm.  Returns
     ``(DesignPolicy, DesignCertificate)``; the certificate norms satisfy
     max_anchor_norm <= 2 sqrt(d_eff) and max_centered_norm <= 4 sqrt(d_eff)
-    up to the solver tolerance.
+    up to the solver tolerance.  Both norms are taken in the coordinates of
+    the differences' span basis, where the covariance has full rank: every
+    direction ``span_basis`` kept counts, down to ``SPAN_EIG_RTOL`` of the
+    top eigenvalue.
     """
     x = features.features
     k = features.K
@@ -443,18 +361,18 @@ def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = 1e-3, max_iters: 
         # differences may exceed unit norm; the unit-ball warning is for raw features
         warnings.simplefilter("ignore")
         diff_set = FeatureSet(diffs)
-    p_tilde = g_optimal(diff_set, fw_tol=fw_tol, max_iters=max_iters)
+    p_tilde = g_optimal(diff_set, fw_tol=fw_tol)
     probs = np.zeros(k)
     probs[others] = p_tilde.probabilities / 2.0
     probs[anchor] = 0.5
     policy = DesignPolicy(probs)
 
     moments = policy_moments(features, policy)
-    cov = moments.covariance
-    d_eff = diff_set._span[1]  # g_optimal's SVD, cached
+    basis, d_eff = diff_set._span  # g_optimal's SVD, cached
+    cov = basis.T @ moments.covariance @ basis
     cert = DesignCertificate(
-        max_anchor_norm=float(weighted_inv_norm(cov, x - x[anchor]).max()),
-        max_centered_norm=float(weighted_inv_norm(cov, x - moments.mean).max()),
+        max_anchor_norm=float(weighted_inv_norm(cov, (x - x[anchor]) @ basis, SPAN_EIG_RTOL).max()),
+        max_centered_norm=float(weighted_inv_norm(cov, (x - moments.mean) @ basis, SPAN_EIG_RTOL).max()),
         support_size=int(policy.support.size),
         dim=d_eff,
     )

@@ -36,6 +36,8 @@ import numpy as np
 from . import __version__
 from .design import FeatureSet, deo, span_basis
 from .environment import (
+    NOISE_KINDS,
+    SHIFT_KINDS,
     Environment,
     NoiseSpec,
     ShiftSpec,
@@ -48,6 +50,25 @@ from .errors import ConfigError, IoError, ScheduleOverflow
 from .sbe import RunRecord, SbeConfig, pac_budget, phase_length, run_pure_exploration, run_sbe
 
 MODES = ("regret", "pac", "design-cert", "error-scaling")
+
+# the keys each object of a config may hold, by mode or kind: exactly those the
+# program reads.  Any other key is a ConfigError, never a silent default
+_ALGORITHM_KEYS = {
+    "regret": ("horizon", "delta", "c2", "c3", "schedule", "fw_tol"),
+    "pac": ("epsilon", "budget", "delta", "c2"),
+    "error-scaling": ("epsilon", "budget", "delta", "c2"),
+    "design-cert": ("anchor", "fw_tol"),
+}
+_ENVIRONMENT_KEYS = {  # besides kind, seed, shift and noise
+    "gap_instance": ("d", "K", "gap"),
+    "mab": ("mu",),
+    "features": ("features", "path", "theta"),
+}
+_SHIFT_KEYS = {kind: ("kind", "clip_to_unit") for kind in SHIFT_KINDS}
+_SHIFT_KEYS["constant"] += ("constant",)
+_SHIFT_KEYS["custom"] += ("table",)
+_NOISE_KEYS = {kind: ("kind", "scale") for kind in NOISE_KINDS}
+_NOISE_KEYS["none"] = ("kind",)
 
 # CSV headers, each beside its line format; "%.17g" % x == f"{x:.17g}", nan, inf and -0 included
 TRAJECTORY_COLUMNS = (
@@ -141,6 +162,13 @@ def _check_positive(value, name: str):
     return value
 
 
+def _check_keys(obj: dict, known, prefix: str = "") -> None:
+    """ConfigError naming the first key of ``obj`` that is not in ``known``, if any."""
+    unknown = sorted(set(obj) - set(known), key=str)
+    if unknown:
+        raise ConfigError(f"{prefix}{unknown[0]}", "unknown field")
+
+
 def _check_int(value, name: str, minimum: int | None = None) -> int:
     """``value`` if it is an integer (not a bool) of at least ``minimum``; else ConfigError."""
     if isinstance(value, bool) or not isinstance(value, int) or (minimum is not None and value < minimum):
@@ -181,10 +209,7 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config", "must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(sorted(unknown)[0], "unknown field")
+        _check_keys(raw, [f.name for f in dataclasses.fields(cls)])
         for name in ("mode", "environment"):
             if name not in raw:
                 raise ConfigError(name, "missing field")
@@ -200,6 +225,7 @@ class ExperimentConfig:
             raise ConfigError("environment", "must be an object")
         if not isinstance(self.algorithm, dict):
             raise ConfigError("algorithm", "must be an object")
+        _check_keys(self.algorithm, _ALGORITHM_KEYS[self.mode], "algorithm.")
         if not isinstance(self.output, str):
             raise ConfigError("output", "must be a string")
         _check_int(self.replications, "replications", 1)
@@ -281,13 +307,18 @@ class ExperimentConfig:
 def build_environment(spec: dict) -> Environment:
     """Construct an Environment from its JSON description."""
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _ENVIRONMENT_KEYS:
+        raise ConfigError("environment.kind", "must be gap_instance, mab, or features")
+    _check_keys(spec, ("kind", "seed", "shift", "noise") + _ENVIRONMENT_KEYS[kind], "environment.")
+    if "path" in spec and "features" in spec:
+        raise ConfigError("environment.features", "cannot be given with environment.path")
     seed = _check_int(spec.get("seed", 0), "environment.seed")
     try:
         if kind == "gap_instance":
             env = make_gap_instance(spec["d"], spec["K"], spec["gap"], seed)
         elif kind == "mab":
             env = make_mab_embedding(spec["mu"], seed=seed)
-        elif kind == "features":
+        else:
             if "path" in spec:
                 feats = FeatureSet.from_file(spec["path"])
             else:
@@ -297,12 +328,8 @@ def build_environment(spec: dict) -> Environment:
                 theta_star=np.asarray(spec["theta"], dtype=float),
                 rng_seed=seed,
             )
-        else:
-            raise ConfigError("environment.kind", "must be gap_instance, mab, or features")
     except KeyError as exc:
         raise ConfigError(f"environment.{exc.args[0]}", "missing field")
-    except ConfigError:
-        raise
     except Exception as exc:
         raise ConfigError("environment", str(exc))
     if "shift" in spec:
@@ -316,12 +343,14 @@ def build_environment(spec: dict) -> Environment:
             )
         except (ValueError, TypeError) as exc:
             raise ConfigError("environment.shift", str(exc))
+        _check_keys(sh, _SHIFT_KEYS[env.shift.kind], "environment.shift.")
     if "noise" in spec:
         try:
             nz = dict(spec["noise"])
             env.noise = NoiseSpec(kind=nz.get("kind", "gaussian"), scale=nz.get("scale", 1.0))
         except (ValueError, TypeError) as exc:
             raise ConfigError("environment.noise", str(exc))
+        _check_keys(nz, _NOISE_KEYS[env.noise.kind], "environment.noise.")
     return env
 
 

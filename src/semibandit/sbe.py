@@ -216,10 +216,11 @@ def run_sbe(env: Environment, cfg: SbeConfig, run_seed: int = 0) -> RunRecord:
     )
 
 
-def run_pure_exploration(env: Environment, budget: int, delta: float, run_seed: int = 0, fw_tol: float = 1e-3):
+def run_pure_exploration(env: Environment, budget: int, delta: float, run_seed: int = 0):
     """Pure exploration: one phase over all arms with a fixed budget, then a greedy pick.
 
-    Returns ``(theta_hat, greedy_arm, RunRecord)``.  The estimate uses
+    Returns ``(theta_hat, greedy_arm, RunRecord)``.  The design is solved to
+    ``deo``'s default tolerance, 1e-3.  The estimate uses
     beta = log(budget / delta); the greedy arm maximizes x_i' theta_hat
     (equivalently (x_i - x_1)' theta_hat).
     """
@@ -228,7 +229,7 @@ def run_pure_exploration(env: Environment, budget: int, delta: float, run_seed: 
     beta = est.regularizer(budget, delta)
     rng, noise = env.action_rng(run_seed), env.noise_stream(run_seed)
     phase, arms, rewards = _run_phase(
-        env, list(range(env.K)), 1, math.nan, 1, budget, rng, noise, fw_tol, lambda cert: (budget, beta)
+        env, list(range(env.K)), 1, math.nan, 1, budget, rng, noise, 1e-3, lambda cert: (budget, beta)
     )
     record = RunRecord(arm=arms, reward=rewards, phases=[phase], kind="pure")
     return phase.theta_hat, int(np.argmax(env.features.features @ phase.theta_hat)), record

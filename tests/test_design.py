@@ -131,10 +131,10 @@ class TestGOptimal:
             policy = g_optimal(FeatureSet(3.7 * x))
         assert max_leverage(FeatureSet(3.7 * x), policy) <= 4 * 1.001 + 1e-9
 
-    def test_support_drop_fallback(self, monkeypatch):
-        # near-duplicate arms where the Caratheodory reduction leaves
-        # d(d+1)/2 + 1 = 4 affinely independent atoms, so the greedy
-        # support drop (and its restricted polish) has to run
+    def test_support_drop_fallback(self):
+        # near-duplicate arms whose FW support has d(d+1)/2 + 1 = 4 atoms with
+        # affinely independent outer products: the reduction drops the fourth
+        # along a null direction of the outer products alone
         x = np.array(
             [
                 [-2.03448491902141, 0.1444993513252039],
@@ -143,44 +143,26 @@ class TestGOptimal:
                 [-0.1972230457551113, -1.397678703123582],
             ]
         )
-        calls = []
-        drop = design._greedy_support_drop
-
-        def spy(*args, **kwargs):
-            calls.append(int((args[1] > 0).sum()))
-            return drop(*args, **kwargs)
-
-        monkeypatch.setattr(design, "_greedy_support_drop", spy)
         with pytest.warns(UserWarning, match="exceed 1"):
             fs = FeatureSet(x)
         policy = g_optimal(fs)
-        assert calls == [4]
         assert policy.support.size <= 3
         assert max_leverage(fs, policy) <= 2 * (1 + 1e-3)
 
-    def test_support_drop_certifies_every_arm(self, monkeypatch):
+    def test_support_drop_certifies_every_arm(self):
         # the anchored differences of TestDeo's property draw d=4, rank=2,
-        # k=21, copies=2, seed=262144: the reduced support is one atom too
-        # large, and a polish over the kept atoms alone certifies only those
-        # (max leverage 2.0117); a polish over every other arm certifies all
+        # k=21, copies=2, seed=262144: Frank-Wolfe ends on 4 atoms, one over
+        # the bound, and dropping one without raising a leverage elsewhere is
+        # what certifies every arm, not just the kept ones
         rng = np.random.default_rng(262144)
         basis = np.linalg.qr(rng.standard_normal((4, 2)))[0]
         x = random_unit_features(rng, 2, 21) * rng.uniform(0.2, 1.0, size=(21, 1)) @ basis.T
         x = np.repeat(x, rng.integers(1, 3, size=21), axis=0)
         anchor = int(rng.integers(x.shape[0]))
-        calls = []
-        drop = design._greedy_support_drop
-
-        def spy(*args):
-            calls.append(int((args[1] > 0).sum()))
-            return drop(*args)
-
-        monkeypatch.setattr(design, "_greedy_support_drop", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # differences may leave the unit ball
             fs = FeatureSet(np.delete(x, anchor, axis=0) - x[anchor])
         policy = g_optimal(fs)
-        assert calls == [4]
         assert policy.support.size <= 3
         assert max_leverage(fs, policy) <= 2 * (1 + 1e-3)
 
@@ -235,6 +217,26 @@ class TestGOptimal:
             m_inv = np.linalg.inv((x[supp].T * p[supp]) @ x[supp])
             assert np.einsum("ij,ij->i", x @ m_inv, x).max() <= d_eff * (1 + tol)
             assert np.array_equal(recomputed_at[-1], p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 6), extra=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    def test_caratheodory_reduce_property(self, d, extra, seed):
+        # a random design on d(d+1)/2 + extra atoms, with five arms off its
+        # support: the reduced support is within d(d+1)/2, and no arm's
+        # leverage rises
+        rng = np.random.default_rng(seed)
+        bound = d * (d + 1) // 2
+        x = rng.standard_normal((bound + extra + 5, d))
+        p = np.concatenate([rng.uniform(0.1, 1.0, bound + extra), np.zeros(5)])
+        p /= p.sum()
+
+        def leverages(p):
+            return np.einsum("ij,ij->i", x @ np.linalg.inv((x.T * p) @ x), x)
+
+        reduced = design._caratheodory_reduce(x, p)
+        assert np.count_nonzero(reduced) <= bound
+        assert reduced.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(leverages(reduced) <= leverages(p) * (1 + 1e-9))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -311,13 +313,19 @@ class TestDeo:
         copies=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(d=2, rank=2, k=19, copies=3, seed=444)  # a support drop whose polish certified only the support
-    @example(d=4, rank=2, k=21, copies=2, seed=262144)  # no polish certifies every arm; the first converged is kept
+    # Frank-Wolfe ends one atom over the support bound; on the third, max_anchor_norm ends 0.14% under its bound
+    @example(d=2, rank=2, k=19, copies=3, seed=444)
+    @example(d=4, rank=2, k=21, copies=2, seed=262144)
+    @example(d=2, rank=2, k=17, copies=2, seed=3960858878)
+    # a covariance eigenvalue of 4e-10 to 9e-9 times the top one, in a direction span_basis keeps
+    @example(d=6, rank=6, k=7, copies=2, seed=587146849)
+    @example(d=2, rank=2, k=3, copies=1, seed=2720728104)
     def test_certificate_bounds_property(self, d, rank, k, copies, seed):
         # features in the unit ball, confined to a random subspace, each row repeated up to
         # ``copies`` times, any anchor: the bounds hold at the rank d_eff of
         # the anchored differences, and the stacked certificate equals the
-        # largest per-arm norm
+        # largest per-arm norm, taken like the certificate in the span of the
+        # anchored differences
         rng = np.random.default_rng(seed)
         rank = min(rank, d)
         basis = np.linalg.qr(rng.standard_normal((d, rank)))[0]
@@ -331,8 +339,9 @@ class TestDeo:
         assert cert.max_anchor_norm <= 2.0 * math.sqrt(d_eff * (1 + tol))
         assert cert.max_centered_norm <= 4.0 * math.sqrt(d_eff * (1 + tol))
         assert cert.support_size <= d_eff * (d_eff + 1) // 2 + 1
-        cov = policy_moments(fs, policy).covariance
-        per_arm = max(weighted_inv_norm(cov, (xi - x[anchor])[None])[0] for xi in x)
+        span, _ = design.span_basis(np.delete(x, anchor, axis=0) - x[anchor])
+        cov = span.T @ policy_moments(fs, policy).covariance @ span
+        per_arm = max(weighted_inv_norm(cov, ((xi - x[anchor]) @ span)[None], design.SPAN_EIG_RTOL)[0] for xi in x)
         assert per_arm == pytest.approx(cert.max_anchor_norm, rel=1e-12)
 
     def test_anchor_weight_half(self):

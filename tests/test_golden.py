@@ -38,7 +38,7 @@ GOLDEN = {
         "trajectory_mean.csv": "a606f7732d7bd01841c944d99295a92403727532a07603c9d7c04d9f6bf71bd3",
     },
     "design-cert": {
-        "certificate.csv": "270662fae9b81b696f1a1de007d006ae1a99bdbb4ba66a07d6a3eeeadf548af0",
+        "certificate.csv": "2780fd80e5b730efdd9464344a9874180e3a53342023d72430ae4c38fa57884b",
         "policy.csv": "26dbdefbc10bc8f618b8be2afe330db52db8f3378ca20be47b97e20dfaf1305c",
     },
 }

@@ -123,6 +123,11 @@ BAD_CONFIGS = {
     "bool-error-scaling-c2": {"mode": "error-scaling", "algorithm": {"budget": 300, "c2": True}},
     "zero-error-scaling-c2": {"mode": "error-scaling", "algorithm": {"budget": 300, "c2": 0}},
     "huge-int-pac-c2": {"mode": "pac", "algorithm": {"epsilon": 0.25, "c2": 10**400}},
+    "misspelled-algorithm-key": {"algorithm": {"horizon": 200, "detla": 1e-9}},
+    "misspelled-environment-key": {"environment": features_env(sede=3)},
+    "misspelled-noise-key": {"environment": features_env(noise={"kind": "gaussian", "scael": 2.0})},
+    "misspelled-shift-key": {"environment": features_env(shift={"kind": "sine", "constnat": 3})},
+    "pac-fw-tol": {"mode": "pac", "algorithm": {"epsilon": 0.25, "fw_tol": -1}},
 }
 
 
@@ -605,6 +610,31 @@ class TestCli:
         path.write_text(json.dumps(base_config(tmp_path, **BAD_CONFIGS[case])))
         assert main(["validate", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: algorithm.c2: ")
+
+    @pytest.mark.parametrize(
+        "case, field",
+        [
+            ("misspelled-algorithm-key", "algorithm.detla"),
+            ("misspelled-environment-key", "environment.sede"),
+            ("misspelled-noise-key", "environment.noise.scael"),
+            ("misspelled-shift-key", "environment.shift.constnat"),
+            ("pac-fw-tol", "algorithm.fw_tol"),
+        ],
+    )
+    def test_unknown_keys_name_the_field(self, tmp_path, capsys, case, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path, **BAD_CONFIGS[case])))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: unknown field")
+
+    def test_path_and_features_exclusive(self, tmp_path, capsys):
+        # a features environment reads its rows from a file or from the config, never both
+        (tmp_path / "feats.txt").write_text("2 3\n0.5 0\n0 0.5\n-0.5 0\n")
+        env = features_env(path=str(tmp_path / "feats.txt"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path, environment=env)))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: environment.features: ")
 
     def test_custom_table_as_long_as_horizon(self, tmp_path):
         table = [0.5 * math.sin(t) for t in range(1, 201)]
