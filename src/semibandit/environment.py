@@ -107,18 +107,19 @@ class NoiseStream:
 
     Values are generated in fixed-size chunks, each chunk from its own
     deterministically derived generator, so the value at round t is
-    independent of how the stream is traversed.
+    independent of how the stream is traversed.  Runs read rounds in
+    increasing order, so only the chunk read last is kept; a chunk read again
+    later is generated again, with the same values.
     """
 
     def __init__(self, spec: NoiseSpec, seed: int):
         self.spec = spec
         self.seed = int(seed)
-        self._chunks: dict[int, np.ndarray] = {}
+        self._last: tuple[int, np.ndarray | None] = (-1, None)
 
     def _chunk(self, index: int) -> np.ndarray:
-        cached = self._chunks.get(index)
-        if cached is not None:
-            return cached
+        if self._last[0] == index:
+            return self._last[1]
         if self.spec.kind == "none":
             block = np.zeros(_NOISE_CHUNK)
         else:
@@ -129,7 +130,7 @@ class NoiseStream:
                 block = gen.standard_normal(_NOISE_CHUNK) * self.spec.scale
             else:
                 block = gen.uniform(-self.spec.scale, self.spec.scale, _NOISE_CHUNK)
-        self._chunks[index] = block
+        self._last = (index, block)
         return block
 
     def values(self, t0: int, n: int) -> np.ndarray:

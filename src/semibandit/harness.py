@@ -4,30 +4,39 @@ A single JSON config describes the environment, the algorithm, and the
 run bookkeeping.  Modes: ``regret`` (phase elimination; its summary also
 records the best-arm identification outcome), ``pac`` and ``error-scaling``
 (pure exploration), ``design-cert`` (the anchored design alone).
-Replications are seeded as ``base_seed + index`` and can execute in
-parallel; outputs are gathered and written in index order by a single
-writer, so files are byte-identical regardless of worker count.  A run
+Replications are seeded as ``base_seed + index`` and are consumed in index
+order, so that the parent holds one replication's table at a time.  Inline,
+each replication's rows are formatted straight into ``trajectory.csv`` and
+its table is dropped before the next starts; in a process pool, each worker
+formats its own rows and the parent writes the texts in index order.  Either
+way the files are byte-identical regardless of worker count, and
+``trajectory_mean.csv`` comes from running sums added in index order.  A run
 returns only its decisions; ``compute_metrics`` lays every per-step column
 (phase, regret, active-set size, e_t) out over the run's phase segments.
 
 Floats are serialized with 17 significant digits, which round-trips IEEE
-doubles exactly and keeps repeated runs byte-stable.  One writer formats NumPy
-columns ``_WRITE_BLOCK`` rows at a time with one ``%``-format per line, and
-formats each distinct bit pattern of a column once per block when the column
-repeats (regret and e_t cells do).  The per-step estimation error of pure
-exploration is computed ``_BLOCK`` steps at a time: running sums of the
-rank-one terms and one batched ridge solve per block, bit for bit equal to
-solving after every step.
+doubles exactly and keeps repeated runs byte-stable.  One formatter turns NumPy
+columns into text ``_WRITE_BLOCK`` rows at a time with one ``%``-format per
+line, and formats each distinct bit pattern of a column once per block when the
+column repeats (regret and e_t cells do).  Each CSV is written under a
+temporary name and renamed when complete, so a failed run leaves none.  The
+per-step estimation error of pure exploration is computed ``_BLOCK`` steps at
+a time: running sums of the rank-one terms and one batched ridge solve per
+block, bit for bit equal to solving after every step.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import dataclasses
+import functools
+import hashlib
+import itertools
 import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -355,9 +364,11 @@ def build_environment(spec: dict) -> Environment:
 
 
 def _replication_task(cfg: ExperimentConfig, env: Environment, rep: int):
-    """Run one replication; used both inline and from worker processes.
+    """Run one replication; used inline, and through ``_formatted_task`` in worker processes.
 
-    Returns its metric table and its ``summary.csv`` cells by column name.
+    Returns its ``trajectory.csv`` columns, its ``cum_regret``, ``e_t`` and
+    ``sqrt_t_e_t`` columns (those ``trajectory_mean.csv`` averages), and its
+    ``summary.csv`` cells by column name.
     """
     seed = cfg.base_seed + rep
     greedy = None
@@ -372,17 +383,27 @@ def _replication_task(cfg: ExperimentConfig, env: Environment, rep: int):
         _, greedy, record = run_pure_exploration(env, plan["budget"], delta, run_seed=seed)
         value_gap = float(env.values[env.best_arm] - env.values[greedy])
         success = value_gap <= plan["epsilon"] if plan["epsilon"] is not None else greedy == env.best_arm
-    table = compute_metrics(record, env, delta=delta)
+    tb = compute_metrics(record, env, delta=delta)
     summary = {
         "replication": rep,
         "seed": seed,
-        "final_regret": float(table.cum_regret[-1]),
+        "final_regret": float(tb.cum_regret[-1]),
         "declared_best": _nullable(record.declared_best),
         "declared_at": _nullable(record.declared_at),
         "greedy_arm": _nullable(greedy),
         "success": int(success),
     }
-    return table, summary
+    columns = (
+        tb.t, np.full(tb.t.shape[0], rep), tb.phase, tb.arm, tb.reward, tb.inst_regret, tb.cum_regret, tb.e_t,
+        tb.sqrt_t_e_t, tb.active_size,
+    )
+    return columns, (tb.cum_regret, tb.e_t, tb.sqrt_t_e_t), summary
+
+
+def _formatted_task(cfg: ExperimentConfig, env: Environment, rep: int):
+    """``_replication_task`` for a worker process: its trajectory rows come back as one text."""
+    columns, mean_columns, summary = _replication_task(cfg, env, rep)
+    return "".join(_format_rows(TRAJECTORY_LINE, columns)), mean_columns, summary
 
 
 def _nullable(value) -> str:
@@ -390,37 +411,144 @@ def _nullable(value) -> str:
     return "" if value is None else str(int(value))
 
 
-def _write_csv(path: Path, header, line_format: str, tables) -> None:
-    """Write ``header``, then every row of ``tables`` as ``line_format % row``.
+def _add_columns(sums: list, columns) -> None:
+    """Add ``columns`` into ``sums`` in place; empty ``sums`` start as copies of them.
 
-    ``tables`` yields sequences of equal-length NumPy columns.  Rows are
-    formatted and joined ``_WRITE_BLOCK`` at a time, so only one block of cells
-    is ever held as Python objects.  In each block, a numeric column with at most
-    half as many distinct bit patterns as rows has each pattern formatted once
-    with its column's spec, and the text is gathered back through the inverse
-    index.  Equal bits always print as equal text, so the bytes equal those of
-    formatting every cell; keying on values instead would merge ``-0.0`` into
-    ``0.0``.
+    Summing R replications in index order and dividing by R once gives the
+    bits of ``np.mean(stacked, axis=0)``, which also adds row after row.
+    """
+    if not sums:
+        sums.extend(np.array(column, dtype=float) for column in columns)
+        return
+    for total, column in zip(sums, columns):
+        total += column
+
+
+def _format_rows(line_format: str, columns):
+    """Yield the rows of ``columns`` as ``line_format % row``, ``_WRITE_BLOCK`` rows per string.
+
+    ``columns`` is a sequence of equal-length NumPy columns.  Only one block of
+    cells is ever held as Python objects.  In each block, a numeric column with
+    at most half as many distinct bit patterns as rows has each pattern
+    formatted once with its column's spec, and the text is gathered back
+    through the inverse index.  Equal bits always print as equal text, so the
+    bytes equal those of formatting every cell; keying on values instead would
+    merge ``-0.0`` into ``0.0``.
     """
     specs = line_format.rstrip("\n").split(",")
+    for s in range(0, len(columns[0]), _WRITE_BLOCK):
+        formats, cells = [], []
+        for spec, column in zip(specs, columns):
+            block = column[s : s + _WRITE_BLOCK]
+            if block.dtype != object:
+                keys, inverse = np.unique(block.view(f"i{block.itemsize}"), return_inverse=True)
+                if 2 * keys.size <= block.size:
+                    text = [spec % v for v in keys.view(block.dtype).tolist()]
+                    block, spec = np.array(text, dtype=object)[inverse], "%s"
+            formats.append(spec)
+            cells.append(block.tolist())
+        yield "".join(map((",".join(formats) + "\n").__mod__, zip(*cells)))
+
+
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Turn an OSError raised in the block into IoError naming ``path``."""
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for columns in tables:
-                for s in range(0, len(columns[0]), _WRITE_BLOCK):
-                    formats, cells = [], []
-                    for spec, column in zip(specs, columns):
-                        block = column[s : s + _WRITE_BLOCK]
-                        if block.dtype != object:
-                            keys, inverse = np.unique(block.view(f"i{block.itemsize}"), return_inverse=True)
-                            if 2 * keys.size <= block.size:
-                                text = [spec % v for v in keys.view(block.dtype).tolist()]
-                                block, spec = np.array(text, dtype=object)[inverse], "%s"
-                        formats.append(spec)
-                        cells.append(block.tolist())
-                    fh.write("".join(map((",".join(formats) + "\n").__mod__, zip(*cells))))
+        yield
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}")
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _csv_file(path: Path, header):
+    """A ``write(text)`` function for ``path``, with the ``header`` line written.
+
+    The text goes to a temporary name beside ``path``, renamed to ``path`` when
+    the block completes, so a run that fails part way leaves no partial file
+    (and an older file keeps its bytes).  An OSError from opening, writing,
+    closing or renaming the file becomes IoError; any other error of the block
+    passes through as raised.
+    """
+    part = path.with_name(path.name + ".part")
+    with _writing(path):
+        fh = open(part, "w", newline="")
+
+    def write(text: str) -> None:
+        with _writing(path):
+            fh.write(text)
+
+    try:
+        write(",".join(header) + "\n")
+        yield write
+        with _writing(path):
+            fh.close()
+            os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            fh.close()
+        with contextlib.suppress(OSError):
+            part.unlink()
+        raise
+
+
+def _write_csv(path: Path, header, line_format: str, columns) -> None:
+    """Write ``header``, then every row of the equal-length ``columns`` as ``line_format % row``."""
+    with _csv_file(path, header) as write:
+        for text in _format_rows(line_format, columns):
+            write(text)
+
+
+def _run_replications(cfg: ExperimentConfig, env: Environment, workers: int, write) -> tuple[list, list]:
+    """Run every replication, passing its trajectory rows to ``write`` in index order.
+
+    Returns the sums of the replications' mean columns, added in index order
+    (``_add_columns``), and their summaries.  Inline, a replication's rows are
+    formatted and written one block at a time, and its table is dropped before
+    the next replication starts.  In a pool, each worker formats its own rows,
+    and at most 2 x ``workers`` replications are submitted and not yet
+    written, so a slow replication holds back at most that many texts.
+    """
+    sums, summaries = [], []
+    if workers == 1:
+        for rep in range(cfg.replications):
+            columns, mean_columns, summary = _replication_task(cfg, env, rep)
+            for text in _format_rows(TRAJECTORY_LINE, columns):
+                write(text)
+            _add_columns(sums, mean_columns)
+            summaries.append(summary)
+            del columns, mean_columns  # the next replication runs without this one's table
+        return sums, summaries
+
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only a run with a pool needs it
+
+    reps = iter(range(cfg.replications))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        submit = functools.partial(pool.submit, _formatted_task, cfg, env)
+        pending = collections.deque(map(submit, itertools.islice(reps, 2 * workers)))
+        while pending:
+            text, mean_columns, summary = pending.popleft().result()
+            rep = next(reps, None)
+            if rep is not None:
+                pending.append(submit(rep))
+            write(text)
+            _add_columns(sums, mean_columns)
+            summaries.append(summary)
+            del text, mean_columns  # not held while the next result is awaited
+    return sums, summaries
+
+
+def _manifest_config(cfg: ExperimentConfig, env: Environment) -> dict:
+    """The config as written, except that an inline feature matrix is recorded as its shape and sha256.
+
+    The digest is of the float64 bytes of the matrix the run used.  Written out,
+    the entries would take json's pure-Python indenting encoder one line each.
+    """
+    config = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}  # shallow: no copy of features
+    if "features" in cfg.environment:
+        x = np.ascontiguousarray(env.features.features, dtype=np.float64)
+        digest = {"shape": list(x.shape), "sha256": hashlib.sha256(x).hexdigest()}
+        config["environment"] = {**cfg.environment, "features": digest}
+    return config
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -443,7 +571,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     manifest = {
         "version": __version__,
         "mode": cfg.mode,
-        "config": {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)},  # shallow: no copy of features
+        "config": _manifest_config(cfg, env),
         "seeds": seeds,
         "assumption_audit": assumption_audit(env, horizon=cfg.rounds(env)),
         "created_unix": time.time(),
@@ -457,35 +585,22 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             out / "certificate.csv",
             ("max_anchor_norm", "max_centered_norm", "support_size", "dim"),
             "%.17g,%.17g,%d,%d\n",
-            [[np.array([v]) for v in cert_row]],
+            [np.array([v]) for v in cert_row],
         )
         probs = policy.probabilities
-        _write_csv(out / "policy.csv", ("arm_index", "probability"), "%d,%.17g\n", [(np.arange(probs.size), probs)])
+        _write_csv(out / "policy.csv", ("arm_index", "probability"), "%d,%.17g\n", (np.arange(probs.size), probs))
         _write_manifest(out / "manifest.json", manifest)
         return {"certificate": cert, "policy": policy, "output": str(out)}
 
     cpus = os.cpu_count() or 1
     workers = min(cfg.workers or cpus, cpus, cfg.replications)
-    reps = range(cfg.replications)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_replication_task, [cfg] * len(reps), [env] * len(reps), reps))
-    else:
-        done = [_replication_task(cfg, env, rep) for rep in reps]
-    tables, summaries = zip(*done)
-
-    trajectory = (
-        (tb.t, np.full(tb.t.shape[0], rep), tb.phase, tb.arm, tb.reward, tb.inst_regret, tb.cum_regret, tb.e_t,
-         tb.sqrt_t_e_t, tb.active_size)
-        for rep, tb in enumerate(tables)
-    )
-    _write_csv(out / "trajectory.csv", TRAJECTORY_COLUMNS, TRAJECTORY_LINE, trajectory)
-
-    means = [np.mean([getattr(t, c) for t in tables], axis=0) for c in ("cum_regret", "e_t", "sqrt_t_e_t")]
-    _write_csv(out / "trajectory_mean.csv", MEAN_COLUMNS, MEAN_LINE, [[tables[0].t, *means]])
+    with _csv_file(out / "trajectory.csv", TRAJECTORY_COLUMNS) as write:
+        sums, summaries = _run_replications(cfg, env, workers, write)
+    means = [total / cfg.replications for total in sums]
+    _write_csv(out / "trajectory_mean.csv", MEAN_COLUMNS, MEAN_LINE, [np.arange(1, means[0].size + 1), *means])
 
     summary_columns = [np.array([s[c] for s in summaries], dtype=object) for c in SUMMARY_COLUMNS]
-    _write_csv(out / "summary.csv", SUMMARY_COLUMNS, SUMMARY_LINE, [summary_columns])
+    _write_csv(out / "summary.csv", SUMMARY_COLUMNS, SUMMARY_LINE, summary_columns)
     _write_manifest(out / "manifest.json", manifest)
     return {
         "output": str(out),

@@ -93,6 +93,15 @@ class TestNoise:
         fresh = NoiseStream(NoiseSpec(kind="gaussian", scale=1.0), seed=9)
         assert np.array_equal(fresh.values(4100, 10), block[10:])
 
+    def test_backward_reread_after_forward_read(self):
+        # only the chunk read last is kept; an earlier chunk read again is regenerated alike
+        stream = NoiseStream(NoiseSpec(kind="gaussian", scale=1.0), seed=3)
+        forward = stream.values(1, 3 * 4096)
+        assert stream._last[0] == 3
+        assert np.array_equal(stream.values(5, 4200), forward[4:4204])
+        assert stream._last[0] == 1
+        assert np.array_equal(stream.values(1, 3 * 4096), forward)
+
     def test_bounded_uniform_range(self):
         stream = NoiseStream(NoiseSpec(kind="bounded_uniform", scale=0.4), seed=1)
         vals = stream.values(1, 1000)

@@ -1,4 +1,6 @@
+import concurrent.futures
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -16,7 +18,7 @@ import semibandit.harness as harness
 from semibandit.cli import main
 from semibandit.design import DesignCertificate, DesignPolicy, deo
 from semibandit.environment import make_gap_instance
-from semibandit.errors import ConfigError
+from semibandit.errors import ConfigError, ConvergenceError, IoError
 from semibandit.harness import (
     MEAN_LINE,
     MODES,
@@ -52,6 +54,47 @@ def base_config(tmp_path, **overrides):
     }
     raw.update(overrides)
     return raw
+
+
+def spy_pool(monkeypatch) -> dict:
+    """Replace the process pool by one that runs each task in this process when submitted.
+
+    Returns what it records: the pool sizes asked for, the tasks submitted, and
+    the largest number of futures submitted and not yet asked for a result.
+    """
+    seen = {"sizes": [], "submitted": 0, "outstanding": 0, "peak": 0}
+
+    class SpyFuture:
+        def __init__(self, fn, args):
+            try:
+                self.value, self.error = fn(*args), None
+            except Exception as exc:
+                self.value, self.error = None, exc
+
+        def result(self):
+            seen["outstanding"] -= 1
+            if self.error is not None:
+                raise self.error
+            return self.value
+
+    class SpyPool:
+        def __init__(self, max_workers):
+            seen["sizes"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            seen["submitted"] += 1
+            seen["outstanding"] += 1
+            seen["peak"] = max(seen["peak"], seen["outstanding"])
+            return SpyFuture(fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    return seen
 
 
 def features_env(**extra):
@@ -362,7 +405,7 @@ class TestRunExperiment:
         raw2 = base_config(tmp_path, output=str(tmp_path / "w2"), workers=2)
         run_experiment(ExperimentConfig.from_dict(raw1))
         run_experiment(ExperimentConfig.from_dict(raw2))
-        for name in ("trajectory.csv", "summary.csv"):
+        for name in ("trajectory.csv", "trajectory_mean.csv", "summary.csv"):
             assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
 
     def test_schema(self, tmp_path):
@@ -392,41 +435,89 @@ class TestRunExperiment:
             assert float(final_regret) == sum(inst)  # both add left to right
 
     def test_manifest_config_block(self, tmp_path):
-        # the config is written as given, feature lists included, in the
-        # same text as a deep copy through dataclasses.asdict
+        # the config is written as given, except that an inline feature matrix
+        # is recorded as its shape and the sha256 of its float64 bytes
         raw = base_config(tmp_path, environment=features_env(), algorithm={"horizon": 50}, output=str(tmp_path / "m"))
         cfg = ExperimentConfig.from_dict(raw)
         run_experiment(cfg)
-        block = json.dumps({"config": dataclasses.asdict(cfg)}, indent=2)[2:-2]
-        assert block in (tmp_path / "m" / "manifest.json").read_text()
+        features = np.asarray(raw["environment"]["features"], dtype=np.float64)
+        digest = {"shape": [3, 2], "sha256": hashlib.sha256(features.tobytes()).hexdigest()}
+        expected = dataclasses.asdict(cfg)
+        expected["environment"] = {**raw["environment"], "features": digest}
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        assert manifest["config"] == expected
+        assert cfg.environment["features"] == raw["environment"]["features"]  # the config itself is untouched
+
+    def test_manifest_config_without_inline_features(self, tmp_path):
+        # a generated environment has no feature matrix in its config: written as given
+        raw = base_config(tmp_path, algorithm={"horizon": 50}, output=str(tmp_path / "g"))
+        cfg = ExperimentConfig.from_dict(raw)
+        run_experiment(cfg)
+        assert json.loads((tmp_path / "g" / "manifest.json").read_text())["config"] == dataclasses.asdict(cfg)
 
     @pytest.mark.parametrize(
         "workers, replications, cpus, pool_size",
         [(8, 4, 2, 2), (8, 3, 16, 3), (None, 4, 3, 3), (2, 4, 16, 2), (8, 4, None, None)],
     )
     def test_pool_capped_at_cpu_count(self, tmp_path, monkeypatch, workers, replications, cpus, pool_size):
-        # the stand-in pool records its size and maps in this process, so no worker starts;
         # pool_size None means the replications run inline
-        sizes = []
-
-        class SpyPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SpyPool)
+        pool = spy_pool(monkeypatch)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         raw = base_config(tmp_path, workers=workers, replications=replications, algorithm={"horizon": 50})
         result = run_experiment(ExperimentConfig.from_dict(raw))
-        assert sizes == ([] if pool_size is None else [pool_size])
+        assert pool["sizes"] == ([] if pool_size is None else [pool_size])
+        assert pool["submitted"] == (0 if pool_size is None else replications)
         assert result["replications"] == replications
+
+    def test_pool_keeps_two_per_worker_in_flight(self, tmp_path, monkeypatch):
+        # a future counts as outstanding from its submission until its result is taken
+        pool = spy_pool(monkeypatch)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 16)
+        raw = base_config(tmp_path, workers=2, replications=9, algorithm={"horizon": 50})
+        run_experiment(ExperimentConfig.from_dict(raw))
+        assert pool["sizes"] == [2] and pool["submitted"] == 9
+        assert pool["peak"] <= 2 * 2
+        rows = np.loadtxt(tmp_path / "out" / "trajectory.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(rows[::50, 1], np.arange(9))
+        # the running means equal numpy's mean over the replications, bit for bit
+        mean = np.loadtxt(tmp_path / "out" / "trajectory_mean.csv", delimiter=",", skiprows=1)
+        expected = rows[:, 6:9].reshape(9, 50, 3).mean(axis=0)
+        assert mean[:, 1:].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_replication_leaves_no_trajectory(self, tmp_path, monkeypatch, capsys, workers):
+        # replication 2 of 3 fails after replication 1's rows are written: the
+        # run exits 3 and leaves no trajectory.csv, complete or partial
+        run = harness.run_sbe
+
+        def fail_second(env, cfg, run_seed):
+            if run_seed == 101:
+                raise ConvergenceError("no convergence")
+            return run(env, cfg, run_seed=run_seed)
+
+        spy_pool(monkeypatch)  # two workers run in this process, so the patched run_sbe applies
+        monkeypatch.setattr(harness, "run_sbe", fail_second)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path, workers=workers, replications=3, algorithm={"horizon": 300})))
+        assert main(["run", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == "error: no convergence\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_replication_oserror_keeps_its_message(self, tmp_path, monkeypatch, capsys, workers):
+        # an OSError raised while a replication runs is not reported as a failed write of trajectory.csv
+        def fail(env, cfg, run_seed):
+            raise OSError("resource temporarily unavailable")
+
+        spy_pool(monkeypatch)
+        monkeypatch.setattr(harness, "run_sbe", fail)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path, workers=workers, replications=2, algorithm={"horizon": 50})))
+        assert main(["run", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == "error: resource temporarily unavailable\n"
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_pac_mode_summary(self, tmp_path):
         raw = base_config(
@@ -444,7 +535,7 @@ class TestRunExperiment:
     def test_seventeen_digit_roundtrip(self, tmp_path):
         values = [math.pi, 1 / 3, 1e-17, 123456.789012345678]
         path = tmp_path / "floats.csv"
-        harness._write_csv(path, ("x",), "%.17g\n", [(np.array(values),)])
+        harness._write_csv(path, ("x",), "%.17g\n", (np.array(values),))
         assert [float(v) for v in path.read_text().splitlines()[1:]] == values
 
 
@@ -497,18 +588,69 @@ class TestWriter:
                 columns.append(np.array([harness._nullable(v) for v in cells], dtype=object))
             else:
                 columns.append(np.array(cells, dtype=np.int64 if spec == "%d" else np.float64))
-        path = tmp_path / "rows.csv"
-        harness._write_csv(path, ("h",), line_format, [columns])
+        blocks = list(harness._format_rows(line_format, columns))
+        assert [len(b.splitlines()) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
         expected = "".join(",".join(cell_text(v) for v in row) + "\n" for row in rows)
-        assert path.read_text() == "h\n" + expected
+        assert "".join(blocks) == expected
 
     @pytest.mark.parametrize("block", [2, 5, 2048])
     def test_signed_zeros_print_apart(self, tmp_path, monkeypatch, block):
         # 0.0 == -0.0, so a block that formats each distinct cell once must key on bits, not values
         monkeypatch.setattr(harness, "_WRITE_BLOCK", block)
         path = tmp_path / "zeros.csv"
-        harness._write_csv(path, ("z", "n"), "%.17g,%d\n", [(np.array([0.0, -0.0] * 6), np.zeros(12, dtype=np.int64))])
+        harness._write_csv(path, ("z", "n"), "%.17g,%d\n", (np.array([0.0, -0.0] * 6), np.zeros(12, dtype=np.int64)))
         assert path.read_text() == "z,n\n" + "0,0\n-0,0\n" * 6
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        # the rows go to a temporary name and are renamed only when all are in
+        def rows():
+            yield "1\n"
+            raise RuntimeError("replication failed")
+
+        path = tmp_path / "t.csv"
+        with pytest.raises(RuntimeError):
+            with harness._csv_file(path, ("x",)) as write:
+                for text in rows():
+                    write(text)
+        assert list(tmp_path.iterdir()) == []
+        # a file of an earlier run keeps its bytes
+        path.write_text("x\n0\n")
+        with pytest.raises(RuntimeError):
+            with harness._csv_file(path, ("x",)) as write:
+                for text in rows():
+                    write(text)
+        assert list(tmp_path.iterdir()) == [path] and path.read_text() == "x\n0\n"
+
+    def test_only_file_errors_name_the_file(self, tmp_path):
+        # an OSError of the block's own work passes through as raised, not as a write error
+        path = tmp_path / "t.csv"
+        with pytest.raises(OSError, match="^too many open files$"):
+            with harness._csv_file(path, ("x",)):
+                raise OSError("too many open files")
+        assert list(tmp_path.iterdir()) == []
+        # an OSError of opening the file is an IoError that names it
+        with pytest.raises(IoError, match="cannot write .*missing.*t.csv"):
+            with harness._csv_file(tmp_path / "missing" / "t.csv", ("x",)):
+                pass
+
+
+class TestRunningMean:
+    @pytest.mark.parametrize("reps", range(1, 41))
+    def test_running_sums_equal_numpy_mean(self, reps):
+        # the trajectory_mean.csv columns, bit for bit, with NaN prefixes like regret e_t
+        rng = np.random.default_rng(reps)
+        for _ in range(5):
+            columns = []
+            for _ in range(reps):
+                col = rng.standard_normal(64) * 10.0 ** rng.uniform(-3, 3, 64)
+                col[: rng.integers(0, 20)] = math.nan
+                columns.append((col, np.cumsum(np.abs(col[::-1]))))
+            sums = []
+            for cols in columns:
+                harness._add_columns(sums, cols)
+            expected = [np.mean([cols[i] for cols in columns], axis=0) for i in range(2)]
+            assert [(total / reps).tobytes() for total in sums] == [e.tobytes() for e in expected]
+            assert not any(np.shares_memory(total, col) for total in sums for col in columns[0])
 
 
 class TestCli:
@@ -591,6 +733,13 @@ class TestCli:
         env = {**os.environ, "PYTHONPATH": str(Path(semibandit.__file__).resolve().parents[1])}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert out.stdout.strip() == "['numpy', 'semibandit']"
+
+    def test_import_loads_no_process_pool(self):
+        # multiprocessing is imported only by a run that starts a pool
+        code = "import sys; import semibandit.cli; print('multiprocessing' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(semibandit.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("overrides", BAD_CONFIGS.values(), ids=list(BAD_CONFIGS))
