@@ -8,18 +8,27 @@ Replications are seeded as ``base_seed + index`` and are consumed in index
 order, so that the parent holds one replication's table at a time.  Inline,
 each replication's rows are formatted straight into ``trajectory.csv`` and
 its table is dropped before the next starts; in a process pool, each worker
-formats its own rows and the parent writes the texts in index order.  Either
-way the files are byte-identical regardless of worker count, and
-``trajectory_mean.csv`` comes from running sums added in index order.  A run
-returns only its decisions; ``compute_metrics`` lays every per-step column
-(phase, regret, active-set size, e_t) out over the run's phase segments.
+writes its own rows to a part file, which the parent appends in index order
+and deletes.  Either way the files are byte-identical regardless of worker
+count, and ``trajectory_mean.csv`` comes from running sums added in index
+order.  A run returns only its decisions; ``compute_metrics`` lays every
+per-step column (phase, regret, active-set size, e_t) out over the run's phase
+segments.
 
-Floats are serialized with 17 significant digits, which round-trips IEEE
-doubles exactly and keeps repeated runs byte-stable.  One formatter turns NumPy
-columns into text ``_WRITE_BLOCK`` rows at a time with one ``%``-format per
-line, and formats each distinct bit pattern of a column once per block when the
-column repeats (regret and e_t cells do).  Each CSV is written under a
-temporary name and renamed when complete, so a failed run leaves none.  The
+Floats are serialized with 17 significant digits (``%.17g``), which round-trips
+IEEE doubles exactly and keeps repeated runs byte-stable.  One formatter turns
+NumPy columns into text ``_WRITE_BLOCK`` rows at a time, and its bytes are
+those of ``%`` on every cell.  It encodes cells by array operations into one
+reused buffer, with no Python object per cell, and a run of equal bit
+patterns once.  A ``%.17g`` cell with 1e-4 <= |x| < 1e16 takes its 17 digits
+from s = |x| 10^k, rounded once in a long double with a 64-bit significand
+(error at most 2^-64 s); rounding is monotone, so s and the exact product
+round to the same integer unless s is a half-integer.  A ``%d`` cell in
+[0, 1e8) takes its digits from a table, and zero, NaN and inf are fixed texts.
+``%`` formats every other cell: other magnitudes, an s on a half-integer,
+every float where long double is narrower, negative or larger integers, and
+other column types.  Each CSV and the manifest is written under a temporary
+name and renamed when complete, so a failed run leaves none.  The
 per-step estimation error of pure exploration is computed ``_BLOCK`` steps at
 a time: running sums of the rank-one terms and one batched ridge solve per
 block, bit for bit equal to solving after every step.
@@ -91,8 +100,47 @@ SUMMARY_LINE = "%d,%d,%.17g,%s,%s,%s,%d\n"  # the %s cells may be empty
 
 # steps per block of the batched e_t, which holds block x d x d floats at once
 _BLOCK = 512
-# rows per block of the CSV writer; bounds the cells held as Python objects at once
+# rows per block of the CSV writer
 _WRITE_BLOCK = 2048
+
+# Tables of the cell encoder (_encode_floats, _encode_ints).  Text is built as
+# bytes in uint64 words; each table is made as bytes and viewed as words, so
+# the byte order of the machine does not matter.  _EXACT_LONGDOUBLE: long
+# double is x87 extended (63 fraction bits) or IEEE binary128 (112), whose
+# products are correctly rounded, and x87 arithmetic runs at full precision
+_EXACT_LONGDOUBLE = bool(np.finfo(np.longdouble).nmant in (63, 112) and np.longdouble(1) + np.longdouble(2.0**-63) != 1)
+_POW10_LONG = (10.0 ** np.arange(21)).astype(np.longdouble)  # exact: 10^k = 2^k 5^k, 5^20 < 2^53
+_POW10_INT = 10 ** np.arange(1, 8)
+_digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # column c: the 4 digits of c < 10^4
+_ascii = np.ascontiguousarray(_digits.T) + ord("0")
+_ASCII4 = _ascii.view(np.uint32)[:, 0]
+_SPREAD4 = np.zeros((10_000, 8), np.uint8)
+_SPREAD4[:, ::2] = _ascii  # each digit followed by the slot of a point
+_SPREAD4 = _SPREAD4.view(np.uint64)[:, 0]
+_chunk = np.arange(10_000)
+_TRAILING4 = ((_chunk % 10 == 0) * 1 + (_chunk % 100 == 0) + (_chunk % 1000 == 0) + (_chunk == 0)).astype(np.uint8)
+_LEAD = np.zeros((10, 8), np.uint8)
+_LEAD[:, 6] = np.arange(ord("0"), ord("0") + 10)
+_LEAD = _LEAD.view(np.uint64)[:, 0]
+_LEADING = (np.arange(8) >= np.arange(7, -1, -1)[:, None]).astype(np.uint8) * 255  # row i: keep the last i + 1 bytes
+_LEADING = _LEADING.view(np.uint64)[:, 0]
+# A %.17g field is 5 words: bytes 0-5 hold the sign, "0." and up to three
+# zeros; then each of the 17 digits is followed by the slot of a point, the
+# last slot the separator's.  A layout, by (sign, exponent + 4, digits kept - 1),
+# is an AND mask over the digits and an OR pattern of the other bytes
+_sign = np.arange(2)[:, None, None, None]
+_exp = np.arange(-4, 17)[:, None, None]
+_kept = np.arange(1, 18)[:, None]
+_digit = np.arange(17)
+_FLOAT_LAYOUTS = np.zeros((2, 21, 17, 2, 40), np.uint8)
+_FLOAT_LAYOUTS[..., 0, 6::2] = (_digit < np.maximum(_kept, _exp + 1)) * 255
+_FLOAT_LAYOUTS[..., 1, :1] = _sign * ord("-")
+_FLOAT_LAYOUTS[..., 1, 1:3] = (_exp < 0) * np.array([ord("0"), ord(".")])
+_FLOAT_LAYOUTS[..., 1, 3:6] = (np.arange(3) < -_exp - 1) * ord("0")
+_FLOAT_LAYOUTS[..., 1, 7:38:2] = ((_digit[:16] == _exp) & (_kept > _exp + 1)) * ord(".")
+_FLOAT_LAYOUTS = _FLOAT_LAYOUTS.reshape(-1, 2, 40).view(np.uint64)
+_FLOAT_SPECIAL = np.array([b"0", b"-0", b"inf", b"-inf", b"nan"], "S40").view(np.uint64).reshape(5, 5)
+del _digits, _ascii, _chunk, _sign, _exp, _kept, _digit
 
 
 @dataclass
@@ -394,16 +442,29 @@ def _replication_task(cfg: ExperimentConfig, env: Environment, rep: int):
         "success": int(success),
     }
     columns = (
-        tb.t, np.full(tb.t.shape[0], rep), tb.phase, tb.arm, tb.reward, tb.inst_regret, tb.cum_regret, tb.e_t,
-        tb.sqrt_t_e_t, tb.active_size,
+        tb.t, np.broadcast_to(np.int64(rep), tb.t.shape), tb.phase, tb.arm, tb.reward, tb.inst_regret, tb.cum_regret,
+        tb.e_t, tb.sqrt_t_e_t, tb.active_size,
     )
     return columns, (tb.cum_regret, tb.e_t, tb.sqrt_t_e_t), summary
 
 
 def _formatted_task(cfg: ExperimentConfig, env: Environment, rep: int):
-    """``_replication_task`` for a worker process: its trajectory rows come back as one text."""
+    """``_replication_task`` for a worker process.
+
+    Its trajectory rows go to its own part file (``_trajectory_part``), one
+    block at a time; only the mean columns and the summary come back.
+    """
     columns, mean_columns, summary = _replication_task(cfg, env, rep)
-    return "".join(_format_rows(TRAJECTORY_LINE, columns)), mean_columns, summary
+    part = _trajectory_part(cfg, rep)
+    with _writing(part), open(part, "w", newline="") as fh:
+        for text in _format_rows(TRAJECTORY_LINE, columns):
+            fh.write(text)
+    return mean_columns, summary
+
+
+def _trajectory_part(cfg: ExperimentConfig, rep: int) -> Path:
+    """Where a worker writes the trajectory rows of replication ``rep``."""
+    return Path(cfg.output) / f"trajectory.csv.part.{rep}"
 
 
 def _nullable(value) -> str:
@@ -427,27 +488,130 @@ def _add_columns(sums: list, columns) -> None:
 def _format_rows(line_format: str, columns):
     """Yield the rows of ``columns`` as ``line_format % row``, ``_WRITE_BLOCK`` rows per string.
 
-    ``columns`` is a sequence of equal-length NumPy columns.  Only one block of
-    cells is ever held as Python objects.  In each block, a numeric column with
-    at most half as many distinct bit patterns as rows has each pattern
-    formatted once with its column's spec, and the text is gathered back
-    through the inverse index.  Equal bits always print as equal text, so the
-    bytes equal those of formatting every cell; keying on values instead would
-    merge ``-0.0`` into ``0.0``.
+    ``columns`` is a sequence of equal-length NumPy columns.  A block of rows
+    is laid out in one reused buffer of uint64 words, each cell in a field of
+    whole words: its text, NUL-padded, with its separator in the last byte.
+    ``%.17g`` of float64 and ``%d`` of int64 are encoded by array operations
+    (``_encoder``), any other column by ``%`` (``_percent``).  Deleting the
+    NULs gives the block's text.
     """
     specs = line_format.rstrip("\n").split(",")
+    seps = np.array([ord(",")] * (len(specs) - 1) + [ord("\n")], np.uint8)
+    buf = bytearray()
     for s in range(0, len(columns[0]), _WRITE_BLOCK):
-        formats, cells = [], []
-        for spec, column in zip(specs, columns):
-            block = column[s : s + _WRITE_BLOCK]
-            if block.dtype != object:
-                keys, inverse = np.unique(block.view(f"i{block.itemsize}"), return_inverse=True)
-                if 2 * keys.size <= block.size:
-                    text = [spec % v for v in keys.view(block.dtype).tolist()]
-                    block, spec = np.array(text, dtype=object)[inverse], "%s"
-            formats.append(spec)
-            cells.append(block.tolist())
-        yield "".join(map((",".join(formats) + "\n").__mod__, zip(*cells)))
+        cells = [column[s : s + _WRITE_BLOCK] for column in columns]
+        encoders = [_encoder(spec, c) for spec, c in zip(specs, cells)]
+        texts = [_percent(spec, c) if e is None else None for spec, c, e in zip(specs, cells, encoders)]
+        ends = np.cumsum([e[1] if t is None else t.shape[1] for e, t in zip(encoders, texts)])
+        rows = len(cells[0])
+        if len(buf) != 8 * rows * ends[-1]:
+            buf = bytearray(8 * rows * int(ends[-1]))
+        block = np.frombuffer(buf, np.uint64).reshape(rows, -1)
+        for c, e, t, start, end in zip(cells, encoders, texts, [0, *ends], ends):
+            if t is None:
+                _encode_runs(e[0], c, block[:, start:end])
+            else:
+                block[:, start:end] = t
+        block.view(np.uint8)[:, 8 * ends - 1] = seps
+        yield buf.translate(None, b"\0").decode("ascii")
+
+
+def _encoder(spec: str, cells: np.ndarray):
+    """The array encoder of ``spec`` for ``cells`` and the words of its fields, or None: ``%`` formats them."""
+    if spec == "%.17g" and cells.dtype == np.float64:
+        return _encode_floats, 5
+    if spec == "%d" and cells.dtype == np.int64:
+        return _encode_ints, 2 if 0 <= cells.min() and cells.max() < 10**8 else 3  # 3: room for % fields
+    return None
+
+
+def _encode_runs(encode, cells: np.ndarray, out: np.ndarray) -> None:
+    """``encode(cells, out)``, run by run when at most half the cells start a run of equal bits.
+
+    Equal bits always print as equal text; keying on values instead would
+    merge ``-0.0`` into ``0.0``.
+    """
+    bits = cells.view(np.int64)
+    heads = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    if 2 * heads.size > cells.size:
+        encode(cells, out)
+        return
+    fields = np.empty((heads.size, out.shape[1]), np.uint64)
+    encode(cells[heads], fields)
+    out[...] = np.repeat(fields, np.diff(heads, append=cells.size), axis=0)
+
+
+def _percent(spec: str, cells, words: int = 0) -> np.ndarray:
+    """``spec % cell`` of each cell as NUL-padded fields of ``words`` words (0: the fewest that fit)."""
+    text = np.array([spec % v for v in cells.tolist()], dtype=bytes)
+    words = words or text.itemsize // 8 + 1  # room for the separator
+    return text.astype(f"S{8 * words}").view(np.uint64).reshape(len(text), words)
+
+
+def _encode_floats(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the ``%.17g`` fields of float64 cells into ``out``, (n, 5) uint64.
+
+    %.17g prints |x| in [1e-4, 1e16) in fixed notation, from its 17-digit
+    rounding N = round(|x| 10^k), 10^16 <= N < 10^17, k = 16 - floor(log10 |x|).
+    Here s = |x| 10^k is taken in long double, where 10^k (k <= 20) is exact,
+    so s is the exact product rounded once, with error at most 2^-64 s.  As
+    rounding is monotone and s < 2^57 puts every half-integer on the long
+    double grid, s above (below) a half-integer means the product is above
+    (below) it too: s and the product round to the same N unless s is a
+    half-integer itself.  N's digits are laid out with the point after digit
+    16 - k, or after "0." and k - 17 zeros, trailing fraction zeros dropped,
+    and the sign.  Zero, NaN and inf are fixed texts.  Every other cell goes
+    to ``_percent``: other magnitudes, an s on a half-integer or outside
+    [1e16, 1e17) (log10 may be one off next to a power of ten), and every cell
+    where long double is not exact enough (``_EXACT_LONGDOUBLE``).
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16) & _EXACT_LONGDOUBLE
+    a[~fast] = 1.0
+    k = 16 - np.floor(np.log10(a)).astype(np.int64)
+    s = a.astype(np.longdouble) * _POW10_LONG[k]
+    n = s.astype(np.int64)
+    frac = (s - n).astype(np.float64)  # exact: s < 2^57 has at most 10 fraction bits
+    n += frac > 0.5
+    fast &= (s >= 1e16) & (n < 10**17) & (frac != 0.5)
+    del a, s, frac
+    n, c4 = np.divmod(n, 10_000)
+    n, c3 = np.divmod(n, 10_000)
+    n, c2 = np.divmod(n, 10_000)
+    lead, c1 = np.divmod(n, 10_000)
+    trailing = np.where(c2, _TRAILING4[c2], 4 + _TRAILING4[c1])
+    trailing = np.where(c4, _TRAILING4[c4], 4 + np.where(c3, _TRAILING4[c3], 4 + trailing))
+    layout = np.take(_FLOAT_LAYOUTS, (np.signbit(x) * 21 + 20 - k) * 17 + 16 - trailing, axis=0, mode="clip")
+    fields = layout[:, 0]
+    fields[:, 0] &= _LEAD[lead]
+    for i, chunk in enumerate((c1, c2, c3, c4), 1):
+        fields[:, i] &= _SPREAD4[chunk]
+    np.bitwise_or(fields, layout[:, 1], out=out)
+    special = (x == 0) | ~np.isfinite(x)
+    if special.any():
+        xs = x[special]
+        out[special] = _FLOAT_SPECIAL[np.where(np.isnan(xs), 4, 2 * np.isinf(xs) + np.signbit(xs))]
+    slow = ~(fast | special)
+    if slow.any():
+        out[slow] = _percent("%.17g", x[slow], 5)
+
+
+def _encode_ints(v: np.ndarray, out: np.ndarray) -> None:
+    """Write the ``%d`` fields of int64 cells into ``out``, (n, 2 or 3) uint64.
+
+    A cell in [0, 1e8) is its 8 digits from two 4-digit chunks, leading zeros
+    masked; a negative cell or one of 1e8 or more goes to ``_percent``, which
+    needs 3 words.
+    """
+    fast = (v >= 0) & (v < 10**8)
+    u = np.where(fast, v, 0)
+    digits = np.empty((v.size, 2), np.uint32)
+    digits[:, 0] = _ASCII4[u // 10_000]
+    digits[:, 1] = _ASCII4[u % 10_000]
+    out[:, 0] = digits.view(np.uint64)[:, 0] & _LEADING[np.searchsorted(_POW10_INT, u, side="right")]
+    out[:, 1:] = 0
+    if not fast.all():
+        out[~fast] = _percent("%d", v[~fast], out.shape[1])
 
 
 @contextlib.contextmanager
@@ -460,8 +624,8 @@ def _writing(path: Path):
 
 
 @contextlib.contextmanager
-def _csv_file(path: Path, header):
-    """A ``write(text)`` function for ``path``, with the ``header`` line written.
+def _replacing(path: Path):
+    """A ``write(text)`` function for ``path``.
 
     The text goes to a temporary name beside ``path``, renamed to ``path`` when
     the block completes, so a run that fails part way leaves no partial file
@@ -478,7 +642,6 @@ def _csv_file(path: Path, header):
             fh.write(text)
 
     try:
-        write(",".join(header) + "\n")
         yield write
         with _writing(path):
             fh.close()
@@ -489,6 +652,14 @@ def _csv_file(path: Path, header):
         with contextlib.suppress(OSError):
             part.unlink()
         raise
+
+
+@contextlib.contextmanager
+def _csv_file(path: Path, header):
+    """``_replacing(path)``, with the ``header`` line written."""
+    with _replacing(path) as write:
+        write(",".join(header) + "\n")
+        yield write
 
 
 def _write_csv(path: Path, header, line_format: str, columns) -> None:
@@ -504,9 +675,10 @@ def _run_replications(cfg: ExperimentConfig, env: Environment, workers: int, wri
     Returns the sums of the replications' mean columns, added in index order
     (``_add_columns``), and their summaries.  Inline, a replication's rows are
     formatted and written one block at a time, and its table is dropped before
-    the next replication starts.  In a pool, each worker formats its own rows,
-    and at most 2 x ``workers`` replications are submitted and not yet
-    written, so a slow replication holds back at most that many texts.
+    the next replication starts.  In a pool, each worker writes its rows to
+    its own part file, which is appended and deleted in index order; at most
+    2 x ``workers`` replications are submitted and not yet appended.  If the
+    run fails, every part file is deleted.
     """
     sums, summaries = [], []
     if workers == 1:
@@ -522,18 +694,29 @@ def _run_replications(cfg: ExperimentConfig, env: Environment, workers: int, wri
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only a run with a pool needs it
 
     reps = iter(range(cfg.replications))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        submit = functools.partial(pool.submit, _formatted_task, cfg, env)
-        pending = collections.deque(map(submit, itertools.islice(reps, 2 * workers)))
-        while pending:
-            text, mean_columns, summary = pending.popleft().result()
-            rep = next(reps, None)
-            if rep is not None:
-                pending.append(submit(rep))
-            write(text)
-            _add_columns(sums, mean_columns)
-            summaries.append(summary)
-            del text, mean_columns  # not held while the next result is awaited
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            submit = functools.partial(pool.submit, _formatted_task, cfg, env)
+            pending = collections.deque(map(submit, itertools.islice(reps, 2 * workers)))
+            for rep in range(cfg.replications):
+                mean_columns, summary = pending.popleft().result()
+                following = next(reps, None)
+                if following is not None:
+                    pending.append(submit(following))
+                part = _trajectory_part(cfg, rep)
+                with _writing(part), open(part, newline="") as fh:
+                    for text in iter(functools.partial(fh.read, 1 << 20), ""):
+                        write(text)
+                    part.unlink()
+                _add_columns(sums, mean_columns)
+                summaries.append(summary)
+                del mean_columns  # not held while the next result is awaited
+    except BaseException:
+        # a failed run leaves no part file: the pool has closed, so no worker is still writing one
+        for rep in range(cfg.replications):
+            with contextlib.suppress(OSError):
+                _trajectory_part(cfg, rep).unlink()
+        raise
     return sums, summaries
 
 
@@ -611,9 +794,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 
 def _write_manifest(path: Path, manifest: dict) -> None:
-    try:
-        with open(path, "w") as fh:
-            json.dump(manifest, fh, indent=2, default=str)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}")
+    """Write ``manifest`` as indented JSON, under a temporary name renamed when complete."""
+    with _replacing(path) as write:
+        write(json.dumps(manifest, indent=2, default=str) + "\n")

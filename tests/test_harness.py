@@ -502,6 +502,7 @@ class TestRunExperiment:
         path.write_text(json.dumps(base_config(tmp_path, workers=workers, replications=3, algorithm={"horizon": 300})))
         assert main(["run", "--config", str(path)]) == 3
         assert capsys.readouterr().err == "error: no convergence\n"
+        assert not list((tmp_path / "out").glob("*.part*"))  # neither trajectory.csv's nor a worker's part file
         assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -518,6 +519,24 @@ class TestRunExperiment:
         assert main(["run", "--config", str(path)]) == 3
         assert capsys.readouterr().err == "error: resource temporarily unavailable\n"
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_manifest_written_whole_or_not_at_all(self, tmp_path):
+        # the manifest goes to a temporary name renamed when complete: a manifest
+        # that fails to serialize leaves an older manifest.json as it was
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("no text")
+
+        path = tmp_path / "manifest.json"
+        path.write_text("{}\n")
+        with pytest.raises(RuntimeError, match="no text"):
+            harness._write_manifest(path, {"mode": "regret", "bad": Unprintable()})
+        assert list(tmp_path.iterdir()) == [path] and path.read_text() == "{}\n"
+        with pytest.raises(IoError, match="cannot write .*missing.*manifest.json"):
+            harness._write_manifest(tmp_path / "missing" / "manifest.json", {})
+        harness._write_manifest(path, {"mode": "regret", "seeds": [1]})
+        assert json.loads(path.read_text()) == {"mode": "regret", "seeds": [1]}
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_pac_mode_summary(self, tmp_path):
         raw = base_config(
@@ -575,6 +594,32 @@ def line_rows(data, line_format):
     return data.draw(st.lists(st.tuples(*cells), min_size=1, max_size=24))
 
 
+def boundary_floats() -> np.ndarray:
+    """Float cells at the edges of the encoder's fast path, with both signs.
+
+    Every double within 8 ulps of each power of ten from 1e-5 to 1e17: where
+    fixed notation starts and ends, and where a 17-digit rounding may carry
+    into the next power.  Exact half-way cases: x = t 2^-f with t odd and
+    10^E <= x < 10^(E+1) has f = 17 - E fraction digits, 18 significant
+    digits ending in 5.  Odd multiples of 2^-j with few digits.  Signed zeros,
+    NaN with either sign bit, infinities, subnormals, and random 64-bit
+    patterns.
+    """
+    rng = np.random.default_rng(2506)
+    powers = 10.0 ** np.arange(-5, 18)
+    near = (powers.view(np.int64)[:, None] + np.arange(-8, 9)).view(np.float64)
+    e = np.arange(-4, 16)
+    f = 17.0 - e
+    low = 10.0**e * 2.0**f
+    high = np.minimum(10.0 ** (e + 1) * 2.0**f, 2.0**53)
+    ties = ((low[:, None] + rng.random((e.size, 200)) * (high - low)[:, None]) // 2 * 2 + 1) * 2.0 ** -f[:, None]
+    short = (rng.integers(0, 2**19, (61, 20)) * 2 + 1) * 2.0 ** -np.arange(61)[:, None]
+    specials = [0.0, math.nan, math.inf, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-4, 1e16]
+    bits = rng.integers(-(2**63), 2**63 - 1, 20_000).view(np.float64)
+    cells = np.concatenate([near.ravel(), ties.ravel(), short.ravel(), specials, bits])
+    return np.concatenate([cells, -cells, [-math.nan]])
+
+
 class TestWriter:
     @pytest.mark.parametrize("line_format", [TRAJECTORY_LINE, MEAN_LINE, SUMMARY_LINE])
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -600,6 +645,59 @@ class TestWriter:
         path = tmp_path / "zeros.csv"
         harness._write_csv(path, ("z", "n"), "%.17g,%d\n", (np.array([0.0, -0.0] * 6), np.zeros(12, dtype=np.int64)))
         assert path.read_text() == "z,n\n" + "0,0\n-0,0\n" * 6
+
+    def test_float_boundaries(self):
+        cells = boundary_floats()
+        text = "".join(harness._format_rows("%.17g\n", (cells,)))
+        assert text == "".join("%.17g\n" % v for v in cells.tolist())
+
+    def test_int_boundaries(self):
+        edges = [0, 1, 9, 10, 10**7 - 1, 10**7, 10**8 - 1, 10**8, 2**63 - 1, -(2**63) + 1, -(2**63), -1]
+        rng = np.random.default_rng(2506)
+        cells = np.concatenate([edges, rng.integers(0, 10**9, 5000), rng.integers(-(2**63), 2**63 - 1, 5000)])
+        text = "".join(harness._format_rows("%d\n", (cells.astype(np.int64),)))
+        assert text == "".join("%d\n" % n for n in cells.tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40))
+    def test_any_bit_pattern(self, patterns):
+        cells = np.array(patterns, dtype=np.int64)
+        text = "".join(harness._format_rows("%.17g,%d\n", (cells.view(np.float64), cells)))
+        assert text == "".join("%.17g,%d\n" % (v, n) for v, n in zip(cells.view(np.float64).tolist(), patterns))
+
+    @pytest.mark.skipif(not harness._EXACT_LONGDOUBLE, reason="long double is not exact enough: every cell goes to %")
+    def test_fast_path_is_taken(self, monkeypatch):
+        # at most 2% of standard-normal cells are formatted by %, the tie guard's share
+        formatted = []
+        percent = harness._percent
+
+        def counting(spec, cells, words=0):
+            formatted.append(len(cells))
+            return percent(spec, cells, words)
+
+        monkeypatch.setattr(harness, "_percent", counting)
+        cells = np.random.default_rng(0).standard_normal(10_000)
+        text = "".join(harness._format_rows("%.17g\n", (cells,)))
+        assert text == "".join("%.17g\n" % v for v in cells.tolist())
+        assert 0 < sum(formatted) <= 0.02 * cells.size
+
+    def test_fallback_for_every_cell_gives_the_same_bytes(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig.from_dict(base_config(tmp_path, algorithm={"horizon": 5_000}))
+        columns, _, _ = harness._replication_task(cfg, cfg.validate(), 0)
+        encoded = "".join(harness._format_rows(TRAJECTORY_LINE, columns))
+        # no long double to rely on: every float cell but 0, NaN and inf goes to %
+        monkeypatch.setattr(harness, "_EXACT_LONGDOUBLE", False)
+        assert "".join(harness._format_rows(TRAJECTORY_LINE, columns)) == encoded
+        # and every cell of every column
+        def percent_only(spec):
+            def encode(cells, out):
+                out[...] = harness._percent(spec, cells, out.shape[1])
+
+            return encode
+
+        monkeypatch.setattr(harness, "_encode_floats", percent_only("%.17g"))
+        monkeypatch.setattr(harness, "_encode_ints", percent_only("%d"))
+        assert "".join(harness._format_rows(TRAJECTORY_LINE, columns)) == encoded
 
     def test_failed_write_leaves_no_file(self, tmp_path):
         # the rows go to a temporary name and are renamed only when all are in
