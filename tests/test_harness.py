@@ -647,16 +647,25 @@ class TestWriter:
         assert path.read_text() == "z,n\n" + "0,0\n-0,0\n" * 6
 
     def test_float_boundaries(self):
+        # two columns, so that a field's text and the separator before it are both checked
         cells = boundary_floats()
-        text = "".join(harness._format_rows("%.17g\n", (cells,)))
-        assert text == "".join("%.17g\n" % v for v in cells.tolist())
+        text = "".join(harness._format_rows("%.17g,%.17g\n", (cells, cells[::-1])))
+        assert text == "".join("%.17g,%.17g\n" % row for row in zip(cells.tolist(), cells[::-1].tolist()))
 
-    def test_int_boundaries(self):
-        edges = [0, 1, 9, 10, 10**7 - 1, 10**7, 10**8 - 1, 10**8, 2**63 - 1, -(2**63) + 1, -(2**63), -1]
+    @pytest.mark.parametrize(
+        "edges, high",
+        [
+            ([0, 1, 9, 10, 99, 10**7 - 1], 10**7),  # fields of one word
+            ([0, 10**7 - 1, 10**7, 10**8 - 1], 10**8),  # of two
+            ([10**8 - 1, 10**8, 2**63 - 1, -(2**63) + 1, -(2**63), -1], 2**63 - 1),  # of three, some formatted by %
+        ],
+    )
+    def test_int_boundaries(self, edges, high):
         rng = np.random.default_rng(2506)
-        cells = np.concatenate([edges, rng.integers(0, 10**9, 5000), rng.integers(-(2**63), 2**63 - 1, 5000)])
-        text = "".join(harness._format_rows("%d\n", (cells.astype(np.int64),)))
-        assert text == "".join("%d\n" % n for n in cells.tolist())
+        cells = np.concatenate([edges, rng.integers(0, high, 3000), rng.integers(-high, high, 3000 * (high > 10**8))])
+        cells = cells.astype(np.int64)
+        text = "".join(harness._format_rows("%d,%d\n", (cells, cells[::-1])))
+        assert text == "".join("%d,%d\n" % row for row in zip(cells.tolist(), cells[::-1].tolist()))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40))
