@@ -5,14 +5,14 @@ Run from the root of a checkout:
     PYTHONPATH=src python3 benchmarks/encode_cells.py --repeats 5
 
 Each column is turned into ``spec % cell`` lines twice: by the writer's
-formatter ``harness._format_rows`` (the array encoder, ``%`` only for the
-cells it hands to ``harness._percent``), and by ``%`` on every cell of
+formatter ``cells.rows`` (the array encoders, ``%`` only for the cells they
+hand to ``cells._percent``), and by ``%`` on every cell of
 ``column.tolist()``.  The two texts must be equal.  The columns are fixed
 draws (standard-normal and wide-range floats, small and large integers) and
 the float and integer columns of replication 0 of instance 0 of each perfbench
 workload at ``--seed``.  Prints one JSON object: per column, nanoseconds per
 cell for both (the best of ``--repeats``), and the share of cells the encoder
-handed to ``%``, counted by wrapping ``harness._percent``.
+handed to ``%``, counted by wrapping ``cells._percent``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+import semibandit.cells as cells
 import semibandit.harness as harness
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,21 +74,21 @@ def best_seconds(fn, repeats: int) -> float:
 
 def measure(spec: str, column: np.ndarray, repeats: int) -> dict:
     line = spec + "\n"
-    encoded = "".join(harness._format_rows(line, (column,)))
+    encoded = "".join(cells.rows(line, (column,), harness._WRITE_BLOCK))
     assert encoded == "".join([line % v for v in column.tolist()]), spec
     handed = []
-    percent = harness._percent
+    percent = cells._percent
 
-    def counted(spec, cells, words=0):
-        handed.append(len(cells))
-        return percent(spec, cells, words)
+    def counted(spec, values, words=0):
+        handed.append(len(values))
+        return percent(spec, values, words)
 
-    harness._percent = counted
+    cells._percent = counted
     try:
-        "".join(harness._format_rows(line, (column,)))
+        "".join(cells.rows(line, (column,), harness._WRITE_BLOCK))
     finally:
-        harness._percent = percent
-    encoder = best_seconds(lambda: "".join(harness._format_rows(line, (column,))), repeats)
+        cells._percent = percent
+    encoder = best_seconds(lambda: "".join(cells.rows(line, (column,), harness._WRITE_BLOCK)), repeats)
     per_cell = best_seconds(lambda: "".join([line % v for v in column.tolist()]), repeats)
     bits = column.view(np.int64)
     return {
@@ -108,7 +109,7 @@ def main() -> None:
     columns = {**fixed_draws(), **workload_columns(args.seed)}
     result = {
         "host": {"machine": platform.machine(), "python": platform.python_version(), "numpy": np.__version__},
-        "exact_long_double": harness._EXACT_LONGDOUBLE,
+        "exact_long_double": cells._EXACT_LONGDOUBLE,
         "columns": {name: measure(spec, column, args.repeats) for name, (spec, column) in columns.items()},
     }
     print(json.dumps(result, indent=1))

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import semibandit
+import semibandit.cells as cells
 import semibandit.harness as harness
 from semibandit.cli import main
 from semibandit.design import DesignCertificate, DesignPolicy, deo
@@ -648,9 +649,9 @@ class TestWriter:
 
     def test_float_boundaries(self):
         # two columns, so that a field's text and the separator before it are both checked
-        cells = boundary_floats()
-        text = "".join(harness._format_rows("%.17g,%.17g\n", (cells, cells[::-1])))
-        assert text == "".join("%.17g,%.17g\n" % row for row in zip(cells.tolist(), cells[::-1].tolist()))
+        values = boundary_floats()
+        text = "".join(harness._format_rows("%.17g,%.17g\n", (values, values[::-1])))
+        assert text == "".join("%.17g,%.17g\n" % row for row in zip(values.tolist(), values[::-1].tolist()))
 
     @pytest.mark.parametrize(
         "edges, high",
@@ -662,50 +663,50 @@ class TestWriter:
     )
     def test_int_boundaries(self, edges, high):
         rng = np.random.default_rng(2506)
-        cells = np.concatenate([edges, rng.integers(0, high, 3000), rng.integers(-high, high, 3000 * (high > 10**8))])
-        cells = cells.astype(np.int64)
-        text = "".join(harness._format_rows("%d,%d\n", (cells, cells[::-1])))
-        assert text == "".join("%d,%d\n" % row for row in zip(cells.tolist(), cells[::-1].tolist()))
+        values = np.concatenate([edges, rng.integers(0, high, 3000), rng.integers(-high, high, 3000 * (high > 10**8))])
+        values = values.astype(np.int64)
+        text = "".join(harness._format_rows("%d,%d\n", (values, values[::-1])))
+        assert text == "".join("%d,%d\n" % row for row in zip(values.tolist(), values[::-1].tolist()))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40))
     def test_any_bit_pattern(self, patterns):
-        cells = np.array(patterns, dtype=np.int64)
-        text = "".join(harness._format_rows("%.17g,%d\n", (cells.view(np.float64), cells)))
-        assert text == "".join("%.17g,%d\n" % (v, n) for v, n in zip(cells.view(np.float64).tolist(), patterns))
+        ints = np.array(patterns, dtype=np.int64)
+        text = "".join(harness._format_rows("%.17g,%d\n", (ints.view(np.float64), ints)))
+        assert text == "".join("%.17g,%d\n" % (v, n) for v, n in zip(ints.view(np.float64).tolist(), patterns))
 
-    @pytest.mark.skipif(not harness._EXACT_LONGDOUBLE, reason="long double is not exact enough: every cell goes to %")
+    @pytest.mark.skipif(not cells._EXACT_LONGDOUBLE, reason="long double is not exact enough: every cell goes to %")
     def test_fast_path_is_taken(self, monkeypatch):
-        # at most 2% of standard-normal cells are formatted by %, the tie guard's share
+        # at most 2% of standard-normal cells are formatted by %: those whose long double lands on a half-integer
         formatted = []
-        percent = harness._percent
+        percent = cells._percent
 
-        def counting(spec, cells, words=0):
-            formatted.append(len(cells))
-            return percent(spec, cells, words)
+        def counting(spec, values, words=0):
+            formatted.append(len(values))
+            return percent(spec, values, words)
 
-        monkeypatch.setattr(harness, "_percent", counting)
-        cells = np.random.default_rng(0).standard_normal(10_000)
-        text = "".join(harness._format_rows("%.17g\n", (cells,)))
-        assert text == "".join("%.17g\n" % v for v in cells.tolist())
-        assert 0 < sum(formatted) <= 0.02 * cells.size
+        monkeypatch.setattr(cells, "_percent", counting)
+        values = np.random.default_rng(0).standard_normal(10_000)
+        text = "".join(harness._format_rows("%.17g\n", (values,)))
+        assert text == "".join("%.17g\n" % v for v in values.tolist())
+        assert 0 < sum(formatted) <= 0.02 * values.size
 
     def test_fallback_for_every_cell_gives_the_same_bytes(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig.from_dict(base_config(tmp_path, algorithm={"horizon": 5_000}))
         columns, _, _ = harness._replication_task(cfg, cfg.validate(), 0)
         encoded = "".join(harness._format_rows(TRAJECTORY_LINE, columns))
         # no long double to rely on: every float cell but 0, NaN and inf goes to %
-        monkeypatch.setattr(harness, "_EXACT_LONGDOUBLE", False)
+        monkeypatch.setattr(cells, "_EXACT_LONGDOUBLE", False)
         assert "".join(harness._format_rows(TRAJECTORY_LINE, columns)) == encoded
         # and every cell of every column
         def percent_only(spec):
-            def encode(cells, out):
-                out[...] = harness._percent(spec, cells, out.shape[1])
+            def encode(values, out):
+                out[...] = cells._percent(spec, values, out.shape[1])
 
             return encode
 
-        monkeypatch.setattr(harness, "_encode_floats", percent_only("%.17g"))
-        monkeypatch.setattr(harness, "_encode_ints", percent_only("%d"))
+        monkeypatch.setattr(cells, "_encode_floats", percent_only("%.17g"))
+        monkeypatch.setattr(cells, "_encode_ints", percent_only("%d"))
         assert "".join(harness._format_rows(TRAJECTORY_LINE, columns)) == encoded
 
     def test_failed_write_leaves_no_file(self, tmp_path):
