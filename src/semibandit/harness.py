@@ -542,9 +542,10 @@ def _run_replications(cfg: ExperimentConfig, env: Environment, workers: int, wri
                 if following is not None:
                     pending.append(submit(following))
                 part = _trajectory_part(cfg, rep)
-                with _writing(part), open(part, newline="") as fh:
-                    for text in iter(functools.partial(fh.read, 1 << 20), ""):
-                        write(text)
+                with _writing(part):
+                    with open(part, newline="") as fh:
+                        for text in iter(functools.partial(fh.read, 1 << 20), ""):
+                            write(text)
                     part.unlink()
                 _add_columns(sums, mean_columns)
                 summaries.append(summary)
