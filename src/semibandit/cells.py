@@ -152,7 +152,9 @@ def _encode_floats(x: np.ndarray, out: np.ndarray) -> None:
     k = 16 - np.floor(np.log10(a)).astype(np.int64)
     s = a.astype(np.longdouble) * _POW10_LONG[k]
     n = s.astype(np.int64)
-    frac = (s - n).astype(np.float64)  # exact: s < 2^57 has at most 10 fraction bits
+    # exact in x87 extended, where s < 2^57 has at most 10 fraction bits; from
+    # binary128 the rounding is monotone, and a fraction rounded to 1/2 goes to %
+    frac = (s - n).astype(np.float64)
     n += frac > 0.5
     fast &= (s >= 1e16) & (n < 10**17) & (frac != 0.5)
     del a, s, frac
