@@ -668,13 +668,6 @@ class TestWriter:
         text = "".join(harness._format_rows("%d,%d\n", (values, values[::-1])))
         assert text == "".join("%d,%d\n" % row for row in zip(values.tolist(), values[::-1].tolist()))
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40))
-    def test_any_bit_pattern(self, patterns):
-        ints = np.array(patterns, dtype=np.int64)
-        text = "".join(harness._format_rows("%.17g,%d\n", (ints.view(np.float64), ints)))
-        assert text == "".join("%.17g,%d\n" % (v, n) for v, n in zip(ints.view(np.float64).tolist(), patterns))
-
     @pytest.mark.skipif(not cells._EXACT_LONGDOUBLE, reason="long double is not exact enough: every cell goes to %")
     def test_fast_path_is_taken(self, monkeypatch):
         # at most 2% of standard-normal cells are formatted by %: those whose long double lands on a half-integer
