@@ -29,6 +29,7 @@ SPAN_EIG_RTOL = SPAN_RTOL**2  # span_basis's singular-value cutoff as a cutoff o
 WEIGHT_FLOOR = 1e-9
 FW_REFRESH_STEPS = 256  # pairwise steps between exact recomputations of the carried FW state
 _ADD_REMOVE = np.array([[1.0], [-1.0]])  # signs of the two rank-one terms of a pairwise FW step
+_DRIFT_RTOL = 1e-12  # largest relative ||sum c_i x_i x_i^T|| of an eliminated null vector before a refactor
 
 
 @dataclass(frozen=True)
@@ -187,28 +188,63 @@ def _pairwise_fw(x: np.ndarray, d: int, tol: float, max_iters: int):
 def _caratheodory_reduce(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Shrink the support of ``p`` to at most d(d+1)/2 atoms without raising a leverage.
 
-    Repeatedly moves along a null direction c of the support's outer
-    products, sum c_i x_i x_i^T = 0, signed so that sum c >= 0, until an atom
-    leaves, then renormalizes.  The move leaves M(p) unchanged and the
-    renormalization divides it by sum p <= 1, so every leverage is multiplied
-    by sum p <= 1: a design certificate can only improve.  Stops when the
-    outer products are linearly independent, at most d(d+1)/2 of them.
+    Acts only while the support exceeds d(d+1)/2, the dimension of the
+    symmetric d x d matrices; at or within it ``p`` is returned as it is.
+    Above it the support's outer products are dependent.  Each step moves
+    along a null direction c of them, sum c_i x_i x_i^T = 0, signed so that
+    sum c >= 0, until an atom leaves, then renormalizes.  The move leaves
+    M(p) unchanged and the renormalization divides it by sum p <= 1, so every
+    leverage is multiplied by sum p <= 1: a design certificate can only
+    improve.
+
+    The null directions come from one factorization: the last n - m columns
+    of the complete QR of the transposed m x n system, m = d(d+1)/2, are
+    orthogonal to its row space whatever its rank.  When an atom leaves, its
+    coordinate is eliminated from the remaining null vectors by one pivoted
+    Gaussian step, at O(nk), and one vector is dropped, so there are always
+    at least as many vectors as atoms over the bound.  The eliminations'
+    roundoff is checked before a vector that went through them is used: if
+    ||sum c_i x_i x_i^T|| exceeds ``_DRIFT_RTOL`` times the system's norm,
+    the null space is factored again.
     """
-    rows, cols = np.triu_indices(x.shape[1])
-    while True:
-        supp = np.flatnonzero(p > 0)
-        xs = x[supp]
-        a = (xs[:, rows] * xs[:, cols]).T  # column j: the upper triangle of x_j x_j^T
-        _, s, vt = np.linalg.svd(a)
-        if np.count_nonzero(s > 1e-10 * s[0]) == supp.size:
-            return p
-        c = vt[-1] if vt[-1].sum() >= 0 else -vt[-1]
-        pos = c > 1e-14  # a unit vector with a nonnegative sum has a positive entry
-        tau = np.min(p[supp][pos] / c[pos])
-        p = p.copy()
-        p[supp] -= tau * c
-        p[p < 1e-14] = 0.0
-        p /= p.sum()
+    d = x.shape[1]
+    bound = d * (d + 1) // 2
+    supp = np.flatnonzero(p > 0)
+    if supp.size <= bound:
+        return p
+    rows, cols = np.triu_indices(d)
+    xs = x[supp]
+    a = (xs[:, rows] * xs[:, cols]).T  # column j: the upper triangle of x_j x_j^T
+    scale = np.linalg.norm(a)
+    w = p[supp]
+    null = None
+    while w.size > bound:
+        if null is None:
+            null = np.linalg.qr(a.T, mode="complete")[0][:, bound:].T  # rows span a's null space
+            fresh = True
+        c = null[0] / np.linalg.norm(null[0])
+        if not fresh and np.linalg.norm(a @ c) > _DRIFT_RTOL * scale:
+            null = None
+            continue
+        fresh = False
+        if c.sum() < 0:
+            c = -c
+        pos = np.flatnonzero(c > 1e-14)  # a unit vector with a nonnegative sum has a positive entry
+        j = pos[np.argmin(w[pos] / c[pos])]
+        w = w - w[j] / c[j] * c
+        w[j] = 0.0
+        w[w < 1e-14] = 0.0
+        w /= w.sum()
+        for gone in np.flatnonzero(w == 0.0):
+            col = null[:, gone]
+            r = int(np.abs(col).argmax())
+            if col[r] != 0.0:
+                null = np.delete(null - np.outer(col / col[r], null[r]), r, axis=0)
+        keep = w > 0.0
+        supp, w, a, null = supp[keep], w[keep], a[:, keep], null[:, keep]
+    reduced = np.zeros_like(p)
+    reduced[supp] = w
+    return reduced
 
 
 def g_optimal(features: FeatureSet, fw_tol: float = 1e-3, max_iters: int | None = None) -> DesignPolicy:
@@ -216,7 +252,10 @@ def g_optimal(features: FeatureSet, fw_tol: float = 1e-3, max_iters: int | None 
 
     Returns a policy with max_i ||x_i||^2_{M(p)^{-1}} <= d_eff (1 + fw_tol),
     where d_eff is the rank of the feature span, with support at most
-    d_eff (d_eff + 1) / 2.
+    d_eff (d_eff + 1) / 2.  The Frank-Wolfe design is reduced only while its
+    support exceeds that bound, along null vectors of the support's outer
+    products from one factorization, factored again only if the eliminations
+    drift (``_caratheodory_reduce``); within the bound it is returned as is.
 
     The default iteration cap is max(2000, 10 d_eff^2); raises
     ``ConvergenceError`` (carrying the best iterate) if it is hit, and

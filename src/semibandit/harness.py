@@ -39,7 +39,6 @@ import collections
 import contextlib
 import dataclasses
 import functools
-import hashlib
 import itertools
 import json
 import math
@@ -567,6 +566,8 @@ def _manifest_config(cfg: ExperimentConfig, env: Environment) -> dict:
     """
     config = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}  # shallow: no copy of features
     if "features" in cfg.environment:
+        import hashlib  # loads OpenSSL's _hashlib, about 3.5 MB: importing the CLI needs neither
+
         x = np.ascontiguousarray(env.features.features, dtype=np.float64)
         digest = {"shape": list(x.shape), "sha256": hashlib.sha256(x).hexdigest()}
         config["environment"] = {**cfg.environment, "features": digest}

@@ -1,0 +1,32 @@
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import semibandit.design as design
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_deo_grid_smoke(capsys):
+    # the script wraps the solver's private functions by name: a rename
+    # breaks this run, not just the numbers it prints
+    script = load_script("deo_grid")
+    loop, reduce = design._pairwise_fw_from, design._caratheodory_reduce
+    script.main(["--repeats", "1"])
+    assert (design._pairwise_fw_from, design._caratheodory_reduce) == (loop, reduce)
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert list(result) == [f"d={d},K={k}" for d, k in script.GRID]
+    for point in result.values():
+        d = point["dim"]
+        assert point["support_size"] <= d * (d + 1) // 2 + 1
+        assert point["max_anchor_norm"] <= 2 * math.sqrt(d) * (1 + 1e-3)
+        assert point["fw_iterations"] > 0
+        assert point["reduce_atoms_out"] <= min(point["reduce_atoms_in"], d * (d + 1) // 2)

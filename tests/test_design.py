@@ -1,3 +1,4 @@
+import contextlib
 import math
 import warnings
 
@@ -22,6 +23,22 @@ def max_leverage(features, policy):
     p = policy.probabilities
     m = (x.T * p) @ x
     return max(weighted_inv_norm(m, xi[None])[0] ** 2 for xi in x)
+
+
+@contextlib.contextmanager
+def count_factorizations():
+    """Count the calls to ``np.linalg.qr`` and ``np.linalg.svd`` made inside the block."""
+    calls = {"qr": 0, "svd": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            factor = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _factor=factor, **kwargs):
+                calls[_name] += 1
+                return _factor(*args, **kwargs)
+
+            mp.setattr(np.linalg, name, counted)
+        yield calls
 
 
 def covariance_pairwise(features, policy):
@@ -236,6 +253,91 @@ class TestGOptimal:
         reduced = design._caratheodory_reduce(x, p)
         assert np.count_nonzero(reduced) <= bound
         assert reduced.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(leverages(reduced) <= leverages(p) * (1 + 1e-9))
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 8), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_caratheodory_within_bound_untouched(self, d, data, seed):
+        # at or within d(d+1)/2 atoms nothing can be removed: the design comes
+        # back bit for bit, and no factorization is run to find that out
+        atoms = data.draw(st.integers(1, d * (d + 1) // 2))
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((atoms + 3, d))
+        p = np.concatenate([rng.uniform(0.1, 1.0, atoms), np.zeros(3)])
+        p /= p.sum()
+        before = p.copy()
+        with count_factorizations() as calls:
+            reduced = design._caratheodory_reduce(x, p)
+        assert calls == {"qr": 0, "svd": 0}
+        assert reduced.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("d, extra, seed", [(2, 4, 0), (5, 12, 1), (8, 30, 2), (20, 15, 3)])
+    def test_caratheodory_one_factorization(self, d, extra, seed):
+        # every atom over the bound leaves along null vectors of one QR
+        # factorization, from which each leaving atom is eliminated; on these
+        # draws the eliminations stay far inside the drift tolerance
+        rng = np.random.default_rng(seed)
+        bound = d * (d + 1) // 2
+        x = rng.standard_normal((bound + extra, d))
+        p = rng.uniform(0.1, 1.0, bound + extra)
+        p /= p.sum()
+        with count_factorizations() as calls:
+            reduced = design._caratheodory_reduce(x, p)
+        assert calls == {"qr": 1, "svd": 0}
+        assert np.count_nonzero(reduced) <= bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 6), extra=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    def test_caratheodory_badly_scaled(self, d, extra, seed):
+        # row norms spread over 1e-6..1, so the outer products span twelve
+        # decades: still within the bound, a probability vector, no leverage
+        # raised, and one factorization
+        rng = np.random.default_rng(seed)
+        bound = d * (d + 1) // 2
+        x = rng.standard_normal((bound + extra + 5, d)) * 10.0 ** rng.uniform(-6.0, 0.0, size=(bound + extra + 5, 1))
+        p = np.concatenate([rng.uniform(0.1, 1.0, bound + extra), np.zeros(5)])
+        p /= p.sum()
+
+        def leverages(p):
+            return np.einsum("ij,ij->i", x @ np.linalg.inv((x.T * p) @ x), x)
+
+        with count_factorizations() as calls:
+            reduced = design._caratheodory_reduce(x, p)
+        assert np.count_nonzero(reduced) <= bound
+        assert reduced.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(leverages(reduced) <= leverages(p) * (1 + 1e-9))
+        assert calls["qr"] == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_caratheodory_refactors_on_drift(self, seed):
+        # the first factorization hands out one exact null vector and others
+        # off the null space by 1e-6: the vectors left after the first
+        # elimination fail the drift check, the null space is factored once
+        # more, and no leverage rises
+        rng = np.random.default_rng(seed)
+        d, extra = 4, 6
+        bound = d * (d + 1) // 2
+        x = rng.standard_normal((bound + extra, d))
+        p = rng.uniform(0.1, 1.0, bound + extra)
+        p /= p.sum()
+        qr = np.linalg.qr
+        calls = []
+
+        def drifted_qr(a, mode):
+            q, r = qr(a, mode)
+            if not calls:
+                q[:, bound + 1 :] += 1e-6 * rng.standard_normal((q.shape[0], q.shape[1] - bound - 1))
+            calls.append(a.shape)
+            return q, r
+
+        def leverages(p):
+            return np.einsum("ij,ij->i", x @ np.linalg.inv((x.T * p) @ x), x)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "qr", drifted_qr)
+            reduced = design._caratheodory_reduce(x, p)
+        assert len(calls) == 2
+        assert np.count_nonzero(reduced) <= bound
         assert np.all(leverages(reduced) <= leverages(p) * (1 + 1e-9))
 
     @settings(max_examples=60, deadline=None)

@@ -842,6 +842,22 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_setup_loads_no_hashlib(self, tmp_path):
+        # hashlib (and OpenSSL's _hashlib) is imported only to digest inline
+        # features for the manifest: importing the CLI and reading a features
+        # config into an environment load neither
+        features = {"kind": "features", "features": [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], "theta": [1.0, 0.0]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path, environment=features)))
+        code = (
+            "import sys; import semibandit.cli; from semibandit.harness import ExperimentConfig, build_environment; "
+            f"build_environment(ExperimentConfig.from_file({str(path)!r}).environment); "
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(semibandit.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "[]"
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("overrides", BAD_CONFIGS.values(), ids=list(BAD_CONFIGS))
     def test_config_errors_exit_2(self, tmp_path, capsys, command, overrides):
