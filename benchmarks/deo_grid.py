@@ -7,7 +7,9 @@ Run from the root of a checkout:
 
 Each grid point draws K unit feature vectors in d dimensions from the seed
 and solves ``deo`` with anchor 0 and the default tolerance, ``--repeats``
-times.  Prints one JSON object: per point the median and every run's wall
+times, each on a fresh ``FeatureSet`` of the same rows: ``deo`` keeps its
+result on the object it is given, so a second call on one object would
+time a lookup.  Prints one JSON object: per point the median and every run's wall
 seconds, the median wall seconds of the Carathéodory reduction, the
 Frank-Wolfe iterations, the reduction's atoms in and out and its QR
 factorizations in the last solve, and the certificate.
@@ -78,9 +80,9 @@ def instrumented(fw_iterations: list, reductions: list):
         design._pairwise_fw_from, design._caratheodory_reduce = loop, reduce
 
 
-def unit_features(seed: int, d: int, k: int) -> FeatureSet:
+def unit_rows(seed: int, d: int, k: int) -> np.ndarray:
     x = np.random.default_rng((seed, d, k)).standard_normal((k, d))
-    return FeatureSet(x / np.linalg.norm(x, axis=1, keepdims=True))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 def grid(repeats: int, seed: int) -> dict:
@@ -88,11 +90,12 @@ def grid(repeats: int, seed: int) -> dict:
     iterations, reductions = [], []
     with instrumented(iterations, reductions):
         for d, k in GRID:
-            features = unit_features(seed, d, k)
+            rows = unit_rows(seed, d, k)
             runs, reduce_runs = [], []
             for _ in range(repeats):
                 iterations.clear()
                 reductions.clear()
+                features = FeatureSet(rows)
                 start = time.perf_counter()
                 _, cert = deo(features)
                 runs.append(time.perf_counter() - start)
@@ -123,7 +126,7 @@ def draws(n: int) -> dict:
     per_draw, reductions = [], []
     with instrumented([], reductions):
         for seed in range(n):
-            features = unit_features(seed, d, k)
+            features = FeatureSet(unit_rows(seed, d, k))
             reductions.clear()
             start = time.perf_counter()
             deo(features)

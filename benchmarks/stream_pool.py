@@ -4,10 +4,11 @@ Run from the root of a checkout:
 
     python3 benchmarks/stream_pool.py --repeats 3 --seed 1
 
-The instance is instance 0 of perfbench's ``regret-long`` workload at
-``--seed`` (d=5, K=20, gap 0.2, the sine shift), run at ``--horizon`` rounds
-(default 1e5) with ``--reps`` replications (default 8) on ``--workers``
-processes (default 2), where perfbench pins one worker.  Each repetition is
+The instance is instance 0 of perfbench's ``--workload`` (default
+``regret-long``: d=5, K=20, gap 0.2, the sine shift) at ``--seed``, run at
+``--horizon`` rounds (default 1e5; the budget of ``error-scaling``) with
+``--reps`` replications (default 8) on ``--workers`` processes (default 2),
+where perfbench pins one worker.  Each repetition is
 ``semibandit.cli.main(["run", ...])`` in a fresh interpreter, which reports
 its wall seconds, its own peak RSS (``RUSAGE_SELF``: the parent of the pool)
 and that of its largest child (``RUSAGE_CHILDREN``: a pool worker).
@@ -50,6 +51,7 @@ print(json.dumps({
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", default="regret-long", choices=sorted(instances.WORKLOADS))
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--horizon", type=int, default=100_000)
@@ -58,12 +60,12 @@ def main() -> None:
     parser.add_argument("--src", default=str(ROOT / "src"))
     args = parser.parse_args()
 
-    w = instances.WORKLOADS["regret-long"]
+    w = instances.WORKLOADS[args.workload]
     work = Path(tempfile.mkdtemp(prefix="stream_pool-"))
     try:
         config = work / "config.json"
         cfg = instances.write_config(config, w, instances.make_instance(w, args.seed, 0), args.seed, str(work / "out"))
-        cfg["algorithm"]["horizon"] = args.horizon
+        cfg["algorithm"][w.length_key] = args.horizon
         cfg["replications"] = args.reps
         cfg["workers"] = args.workers
         config.write_text(json.dumps(cfg))
@@ -82,7 +84,10 @@ def main() -> None:
     finally:
         shutil.rmtree(work, ignore_errors=True)
     result = {
-        "config": {"horizon": args.horizon, "replications": args.reps, "workers": args.workers, "seed": args.seed},
+        "config": {
+            "workload": args.workload, "horizon": args.horizon, "replications": args.reps, "workers": args.workers,
+            "seed": args.seed,
+        },
         "runs": runs,
         "median": {k: statistics.median(r[k] for r in runs) for k in ("run_s", "parent_peak_rss_mb", "children_peak_rss_mb")},
     }

@@ -44,6 +44,7 @@ _LEAD = _LEAD.view(np.uint64)[:, 0]
 _LEADING = (np.arange(8) >= np.arange(7, -1, -1)[:, None]).astype(np.uint8) * 255  # row i: keep the last i + 1 bytes
 _LEADING = _LEADING.view(np.uint64)[:, 0]
 _NEWLINE = np.array(b"\n", "S8").view(np.uint64)  # the word that ends a row
+_SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")  # turns _percent's pad spaces into field padding
 # A %.17g field is 4 words: the separator's slot; the sign, "0." and up to
 # three zeros; digits 0-8, each but the last followed by the slot of a point;
 # digits 9-16.  Layouts by (sign, exponent + 4, digits kept - 1): an AND mask
@@ -120,9 +121,17 @@ def _encode_runs(encode, cells: np.ndarray, out: np.ndarray) -> None:
 
 
 def _percent(spec: str, cells, words: int = 0) -> np.ndarray:
-    """``spec % cell`` of each cell, from byte 1 of a field of ``words`` words (0: the fewest that fit)."""
+    """``spec % cell`` of each cell, from byte 1 of a field of ``words`` words (0: the fewest that fit).
+
+    A numeric fallback names its width: then one ``%`` formats every field,
+    a NUL and the text left-justified in the rest, and the pad spaces become
+    NULs (a ``%d`` or ``%.17g`` text holds no space and fits the width).
+    """
+    if words:
+        fields = (("\0%-" + str(8 * words - 1) + spec[1:]) * len(cells)) % tuple(cells.tolist())
+        return np.frombuffer(fields.encode("ascii").translate(_SPACE_TO_NUL), np.uint64).reshape(len(cells), words)
     text = np.array([spec % v for v in cells.tolist()], dtype=bytes)
-    words = words or text.itemsize // 8 + 1
+    words = text.itemsize // 8 + 1
     fields = np.zeros((text.size, 8 * words), np.uint8)
     fields[:, 1 : 1 + text.itemsize] = text.view(np.uint8).reshape(text.size, text.itemsize)
     return fields.view(np.uint64)
@@ -191,6 +200,9 @@ def _encode_ints(v: np.ndarray, out: np.ndarray) -> None:
     ``_percent``, which needs 3 words.
     """
     fast = (v >= 0) & (v < 10**8)
+    if not fast.any():
+        out[...] = _percent("%d", v, out.shape[1])
+        return
     u = np.where(fast, v, 0)
     digits = np.empty((v.size, 2), np.uint32)
     digits[:, 0] = _ASCII4[u // 10_000]

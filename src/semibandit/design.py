@@ -34,7 +34,13 @@ _DRIFT_RTOL = 1e-12  # largest relative ||sum c_i x_i x_i^T|| of an eliminated n
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """K arm feature vectors as rows of a (K, d) array."""
+    """K arm feature vectors as rows of a (K, d) array.
+
+    An object also keeps what is solved from its rows, which are not to be
+    changed in place: their span basis (``_span``) and ``deo``'s results by
+    ``(anchor, fw_tol)`` (``_designs``).  Both live and die with the object,
+    so the callers that share one object share its solves.
+    """
 
     features: np.ndarray
 
@@ -60,6 +66,11 @@ class FeatureSet:
     def _span(self):
         """``span_basis`` of the rows, computed once: ``deo``'s certificate reuses ``g_optimal``'s."""
         return span_basis(self.features)
+
+    @functools.cached_property
+    def _designs(self) -> dict:
+        """``deo``'s ``(policy, certificate)`` by ``(anchor, fw_tol)``; ``deo`` is deterministic."""
+        return {}
 
     @property
     def K(self) -> int:
@@ -385,6 +396,10 @@ def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = 1e-3):
     the differences' span basis, where the covariance has full rank: every
     direction ``span_basis`` kept counts, down to ``SPAN_EIG_RTOL`` of the
     top eigenvalue.
+
+    Each ``(anchor, fw_tol)`` is solved once per ``features`` object: the
+    result is kept on it (``FeatureSet._designs``) and returned as the same
+    objects by every later call, its probabilities read-only.
     """
     x = features.features
     k = features.K
@@ -392,6 +407,9 @@ def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = 1e-3):
         raise DegenerateFeatures("anchored design needs at least two arms")
     if not 0 <= anchor < k:
         raise DimError(f"anchor {anchor} out of range for {k} arms")
+    stored = features._designs.get((anchor, fw_tol))
+    if stored is not None:
+        return stored
     others = [i for i in range(k) if i != anchor]
     diffs = x[others] - x[anchor]
     if not np.any(np.linalg.norm(diffs, axis=1) > SPAN_RTOL):
@@ -404,6 +422,7 @@ def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = 1e-3):
     probs = np.zeros(k)
     probs[others] = p_tilde.probabilities / 2.0
     probs[anchor] = 0.5
+    probs.setflags(write=False)  # shared by every later call: no caller may change another's design
     policy = DesignPolicy(probs)
 
     moments = policy_moments(features, policy)
@@ -415,4 +434,5 @@ def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = 1e-3):
         support_size=int(policy.support.size),
         dim=d_eff,
     )
+    features._designs[(anchor, fw_tol)] = policy, cert
     return policy, cert

@@ -13,7 +13,12 @@ and deletes.  Either way the files are byte-identical regardless of worker
 count, and ``trajectory_mean.csv`` comes from running sums added in index
 order.  A run returns only its decisions; ``compute_metrics`` lays every
 per-step column (phase, regret, active-set size, e_t) out over the run's phase
-segments.
+segments.  What replications compute alike is computed once per run and kept
+on the environment the run builds (``Environment.shared``): each phase's
+anchored design, once per active set, and the log(t/delta) regularizers of
+the pure-exploration e_t.  A pool worker gets the config and the environment
+once, at its start, so its replications share them too; nothing is kept
+beyond the run.
 
 Floats are serialized with 17 significant digits (``%.17g``), which round-trips
 IEEE doubles exactly and keeps repeated runs byte-stable.  One formatter
@@ -127,7 +132,9 @@ def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1) -> 
     pure-exploration records (anchored at arm 0 over all arms, with the
     log(t/delta) regularizer), and at phase ends for elimination records
     (anchored at the phase anchor over the surviving arms), each carried over
-    the next segment; steps before the first snapshot report NaN.
+    the next segment; steps before the first snapshot report NaN.  The
+    regularizers log(t/delta) come from a table kept on ``env`` by
+    (steps, delta), made by its first record (``_log_table``).
     """
     n = record.steps
     x = env.features.features
@@ -147,11 +154,12 @@ def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1) -> 
         gram = np.zeros((1, env.d, env.d))
         moment = np.zeros((1, env.d))
         eye = np.eye(env.d)
+        betas = env.shared(("log table", n, delta), lambda: _log_table(n, delta))
         for s in range(0, n, _BLOCK):
             b = slice(s, s + _BLOCK)
             gram = np.cumsum(np.concatenate([gram[-1:], xt[b, :, None] * xt[b, None, :]]), axis=0)[1:]
             moment = np.cumsum(np.concatenate([moment[-1:], xr[b]]), axis=0)[1:]
-            beta = np.array([math.log(t / delta) for t in range(s + 1, s + gram.shape[0] + 1)])
+            beta = betas[s : s + gram.shape[0]]
             theta_hat = np.linalg.solve(gram + beta[:, None, None] * eye, moment[:, :, None])
             e_t[b] = np.abs(np.matmul(z, theta_hat - env.theta_star[:, None])).max(axis=(1, 2))
     else:
@@ -169,6 +177,13 @@ def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1) -> 
         sqrt_t_e_t=np.sqrt(ts) * e_t,
         active_size=np.repeat([len(ph.active) for ph in phases] + [1], lengths),
     )
+
+
+def _log_table(n: int, delta: float) -> np.ndarray:
+    """log(t / delta) for t = 1..n by ``math.log``, read-only: ``np.log`` differs from it in some last bits."""
+    table = np.fromiter((math.log(t / delta) for t in range(1, n + 1)), float, count=n)
+    table.setflags(write=False)
+    return table
 
 
 def _check_positive(value, name: str):
@@ -371,7 +386,7 @@ def build_environment(spec: dict) -> Environment:
 
 
 def _replication_task(cfg: ExperimentConfig, env: Environment, rep: int):
-    """Run one replication; used inline, and through ``_formatted_task`` in worker processes.
+    """Run one replication; used inline, and through ``_pooled_task`` in worker processes.
 
     Returns its ``trajectory.csv`` columns, its ``cum_regret``, ``e_t`` and
     ``sqrt_t_e_t`` columns (those ``trajectory_mean.csv`` averages), and its
@@ -407,12 +422,29 @@ def _replication_task(cfg: ExperimentConfig, env: Environment, rep: int):
     return columns, (tb.cum_regret, tb.e_t, tb.sqrt_t_e_t), summary
 
 
-def _formatted_task(cfg: ExperimentConfig, env: Environment, rep: int):
-    """``_replication_task`` for a worker process.
+# in a pool worker process: the (config, environment) of the run it serves,
+# set once by ``_start_worker``; the process ends with the run's pool
+_worker_run = None
+
+
+def _start_worker(cfg: ExperimentConfig, env: Environment) -> None:
+    """Pool initializer: keep the run's config and environment for each replication this worker runs.
+
+    They reach the worker once, not with every task, and so does what the
+    environment keeps (``Environment.shared``): a worker's replications share
+    their designs, as inline replications do.
+    """
+    global _worker_run
+    _worker_run = cfg, env
+
+
+def _pooled_task(rep: int):
+    """``_replication_task`` of replication ``rep`` for a worker process.
 
     Its trajectory rows go to its own part file (``_trajectory_part``), one
     block at a time; only the mean columns and the summary come back.
     """
+    cfg, env = _worker_run
     columns, mean_columns, summary = _replication_task(cfg, env, rep)
     part = _trajectory_part(cfg, rep)
     with _writing(part), open(part, "w", newline="") as fh:
@@ -512,10 +544,12 @@ def _run_replications(cfg: ExperimentConfig, env: Environment, workers: int, wri
     Returns the sums of the replications' mean columns, added in index order
     (``_add_columns``), and their summaries.  Inline, a replication's rows are
     formatted and written one block at a time, and its table is dropped before
-    the next replication starts.  In a pool, each worker writes its rows to
-    its own part file, which is appended and deleted in index order; at most
-    2 x ``workers`` replications are submitted and not yet appended.  If the
-    run fails, every part file is deleted.
+    the next replication starts.  In a pool, each worker gets ``cfg`` and
+    ``env`` once (``_start_worker``) and a task is a replication index; each
+    worker writes its rows to its own part file, which is appended and
+    deleted in index order; at most 2 x ``workers`` replications are
+    submitted and not yet appended.  If the run fails, every part file is
+    deleted.
     """
     sums, summaries = [], []
     if workers == 1:
@@ -532,8 +566,8 @@ def _run_replications(cfg: ExperimentConfig, env: Environment, workers: int, wri
 
     reps = iter(range(cfg.replications))
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            submit = functools.partial(pool.submit, _formatted_task, cfg, env)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(cfg, env)) as pool:
+            submit = functools.partial(pool.submit, _pooled_task)
             pending = collections.deque(map(submit, itertools.islice(reps, 2 * workers)))
             for rep in range(cfg.replications):
                 mean_columns, summary = pending.popleft().result()

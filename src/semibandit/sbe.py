@@ -1,7 +1,11 @@
 """Phase elimination with anchored designs; pure exploration is its one-phase case.
 
-Each phase recomputes the anchored-difference design over the surviving
-arms (anchor = smallest surviving index), samples it for a schedule-driven
+Each phase uses the anchored-difference design over the surviving arms
+(anchor = smallest surviving index), solved once per active set for the
+life of the environment: the phase's ``FeatureSet`` is kept on the
+environment by its active arms (``Environment.shared``), and ``deo`` keeps
+its result on that object, so replications that reach the same survivors
+share one solve.  A phase samples the design for a schedule-driven
 number of rounds, and solves the orthogonalized ridge system.  Elimination
 then drops arms whose estimated reward trails the leader by more than
 eps_l = 2^-l; when one arm survives it is declared best and exploited to
@@ -140,13 +144,16 @@ def eliminate(features: FeatureSet, active, theta_hat: np.ndarray, epsilon: floa
 def _run_phase(env, active, index, epsilon, t0, max_rounds, rng, noise, fw_tol, schedule):
     """One phase, the step shared by elimination and pure exploration.
 
-    Computes the anchored design over ``active`` (anchor = its first arm) and
-    asks ``schedule(certificate)`` for the scheduled length and the ridge
+    Takes the anchored design over ``active`` (anchor = its first arm) from
+    ``deo`` on the environment's ``FeatureSet`` of those arms, one object per
+    active tuple, which ``deo`` solves once per tolerance; and asks
+    ``schedule(certificate)`` for the scheduled length and the ridge
     regularizer beta.  Samples the design for that length, capped at
     ``max_rounds``, from round ``t0`` on; and regresses the rewards on
     policy-centered features.  Returns ``(PhaseState, arms, rewards)``.
     """
-    feats = FeatureSet(env.features.features[active])
+    key = tuple(active)
+    feats = env.shared(("phase features", key), lambda: FeatureSet(env.features.features[active]))
     policy, cert = deo(feats, anchor=0, fw_tol=fw_tol)
     length, beta = schedule(cert)
     taken = min(length, max_rounds)
@@ -159,7 +166,7 @@ def _run_phase(env, active, index, epsilon, t0, max_rounds, rng, noise, fw_tol, 
     est.update_batch(state, feats.features[local] - xbar, rewards)
     phase = PhaseState(
         index=index,
-        active=tuple(active),
+        active=key,
         epsilon=epsilon,
         length=length,
         policy=policy,

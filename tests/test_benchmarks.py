@@ -20,7 +20,7 @@ def test_deo_grid_smoke(capsys):
     # breaks this run, not just the numbers it prints
     script = load_script("deo_grid")
     loop, reduce = design._pairwise_fw_from, design._caratheodory_reduce
-    script.main(["--repeats", "1"])
+    script.main(["--repeats", "2"])
     assert (design._pairwise_fw_from, design._caratheodory_reduce) == (loop, reduce)
     result = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert list(result) == [f"d={d},K={k}" for d, k in script.GRID]

@@ -452,6 +452,51 @@ class TestDeo:
         policy, _ = deo(fs, anchor=5)
         assert np.isclose(policy.probabilities[5], 0.5)
 
+    @staticmethod
+    def counting_solves(monkeypatch) -> list:
+        """Count the Frank-Wolfe solves ``deo`` starts, one per ``g_optimal`` it runs."""
+        calls = []
+        loop = design._pairwise_fw_from
+        monkeypatch.setattr(design, "_pairwise_fw_from", lambda *args: calls.append(1) or loop(*args))
+        return calls
+
+    def test_same_arguments_solved_once(self, monkeypatch):
+        # a second call on the same object with the same anchor and tolerance
+        # returns the same objects and starts no solve
+        fs = FeatureSet(random_unit_features(np.random.default_rng(16), 3, 9))
+        calls = self.counting_solves(monkeypatch)
+        first = deo(fs, anchor=2, fw_tol=1e-3)
+        assert len(calls) == 1
+        second = deo(fs, anchor=2, fw_tol=1e-3)
+        assert len(calls) == 1
+        assert second[0] is first[0] and second[1] is first[1]
+
+    @pytest.mark.parametrize(
+        "again",
+        [
+            lambda fs: deo(fs, anchor=1, fw_tol=1e-3),
+            lambda fs: deo(fs, anchor=2, fw_tol=1e-4),
+            lambda fs: deo(FeatureSet(fs.features.copy()), anchor=2, fw_tol=1e-3),
+        ],
+        ids=["anchor", "fw_tol", "fresh-featureset"],
+    )
+    def test_other_arguments_solved_again(self, monkeypatch, again):
+        # another anchor, another tolerance or another FeatureSet of the same rows solves again
+        fs = FeatureSet(random_unit_features(np.random.default_rng(17), 3, 9))
+        calls = self.counting_solves(monkeypatch)
+        first = deo(fs, anchor=2, fw_tol=1e-3)
+        second = again(fs)
+        assert len(calls) == 2
+        assert second[0] is not first[0]
+
+    def test_shared_probabilities_read_only(self):
+        # the design a later call returns is the stored one: no caller may write into it
+        fs = FeatureSet(random_unit_features(np.random.default_rng(18), 3, 9))
+        deo(fs)
+        policy, _ = deo(fs)
+        with pytest.raises(ValueError):
+            policy.probabilities[0] = 1.0
+
 
 class TestMoments:
     def test_point_mass(self):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 import semibandit
 import semibandit.cells as cells
+import semibandit.design as design
 import semibandit.harness as harness
+import semibandit.sbe as sbe
 from semibandit.cli import main
 from semibandit.design import DesignCertificate, DesignPolicy, deo
 from semibandit.environment import make_gap_instance
@@ -60,6 +63,10 @@ def base_config(tmp_path, **overrides):
 def spy_pool(monkeypatch) -> dict:
     """Replace the process pool by one that runs each task in this process when submitted.
 
+    The pool's initializer runs once, when the pool is made, as it would in a
+    single worker; what it sets in ``harness`` is restored after the test.
+    The initializer's and each task's arguments go through pickle, as they
+    would to a worker process.
     Returns what it records: the pool sizes asked for, the tasks submitted, and
     the largest number of futures submitted and not yet asked for a result.
     """
@@ -68,7 +75,7 @@ def spy_pool(monkeypatch) -> dict:
     class SpyFuture:
         def __init__(self, fn, args):
             try:
-                self.value, self.error = fn(*args), None
+                self.value, self.error = fn(*pickle.loads(pickle.dumps(args))), None
             except Exception as exc:
                 self.value, self.error = None, exc
 
@@ -79,8 +86,10 @@ def spy_pool(monkeypatch) -> dict:
             return self.value
 
     class SpyPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             seen["sizes"].append(max_workers)
+            if initializer is not None:
+                initializer(*pickle.loads(pickle.dumps(initargs)))
 
         def __enter__(self):
             return self
@@ -95,6 +104,7 @@ def spy_pool(monkeypatch) -> dict:
             return SpyFuture(fn, args)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(harness, "_worker_run", None)
     return seen
 
 
@@ -265,6 +275,21 @@ class TestComputeMetrics:
             expected.append(np.abs((x - x[0]) @ (theta_hat - env.theta_star)).max())
         assert table.e_t.tobytes() == np.array(expected).tobytes()
 
+    def test_log_table_made_once_and_read_only(self, monkeypatch):
+        # the regularizers log(t/delta) of every pure record on one environment come from one table
+        env = make_gap_instance(3, 6, 0.5, seed=5)
+        made = []
+        log_table = harness._log_table
+        monkeypatch.setattr(harness, "_log_table", lambda n, delta: made.append((n, delta)) or log_table(n, delta))
+        for seed in range(2):
+            compute_metrics(run_pure_exploration(env, 300, 0.1, run_seed=seed)[2], env, delta=0.1)
+        compute_metrics(run_pure_exploration(env, 300, 0.1, run_seed=0)[2], env, delta=0.2)
+        assert made == [(300, 0.1), (300, 0.2)]
+        table = log_table(300, 0.1)
+        assert table.tolist() == [math.log(t / 0.1) for t in range(1, 301)]
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
     @pytest.mark.parametrize(
         "make, tail",
         [
@@ -400,6 +425,60 @@ class TestRunExperiment:
         run_experiment(ExperimentConfig.from_dict(raw2))
         for name in ("trajectory.csv", "summary.csv", "trajectory_mean.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @staticmethod
+    def counting_designs(monkeypatch) -> dict:
+        """Count the calls to ``deo`` from phases and the ``g_optimal`` solves it starts."""
+        calls = {"deo": 0, "g_optimal": 0}
+        for module, name in ((sbe, "deo"), (design, "g_optimal")):
+            fn = getattr(module, name)
+
+            def counted(*args, _name=name, _fn=fn, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_pure_exploration_solves_one_design_per_run(self, tmp_path, monkeypatch):
+        # every replication asks deo for the design over all arms; the run solves it once
+        calls = self.counting_designs(monkeypatch)
+        raw = base_config(tmp_path, mode="error-scaling", algorithm={"budget": 200}, replications=3)
+        run_experiment(ExperimentConfig.from_dict(raw))
+        assert calls == {"deo": 3, "g_optimal": 1}
+
+    def test_regret_solves_once_per_active_set(self, tmp_path, monkeypatch):
+        calls = self.counting_designs(monkeypatch)
+        actives = []
+        run = harness.run_sbe
+
+        def recording(env, cfg, run_seed):
+            record = run(env, cfg, run_seed=run_seed)
+            actives.extend(ph.active for ph in record.phases)
+            return record
+
+        monkeypatch.setattr(harness, "run_sbe", recording)
+        run_experiment(ExperimentConfig.from_dict(base_config(tmp_path, replications=3)))
+        assert calls["deo"] == len(actives) > len(set(actives))  # some active set recurs
+        assert calls["g_optimal"] == len(set(actives))
+
+    def test_pool_worker_shares_designs(self, tmp_path, monkeypatch):
+        # a worker gets the environment once, so its replications share its designs
+        pool = spy_pool(monkeypatch)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        calls = self.counting_designs(monkeypatch)
+        raw = base_config(tmp_path, mode="error-scaling", algorithm={"budget": 200}, replications=3, workers=2)
+        run_experiment(ExperimentConfig.from_dict(raw))
+        assert pool["sizes"] == [2] and pool["submitted"] == 3
+        assert calls == {"deo": 3, "g_optimal": 1}
+
+    def test_no_design_outlives_a_run(self, tmp_path, monkeypatch):
+        # two runs of one config in one process: each solves its design
+        calls = self.counting_designs(monkeypatch)
+        raw = base_config(tmp_path, mode="error-scaling", algorithm={"budget": 200}, replications=2)
+        for out in ("a", "b"):
+            run_experiment(ExperimentConfig.from_dict({**raw, "output": str(tmp_path / out)}))
+        assert calls == {"deo": 4, "g_optimal": 2}
 
     def test_worker_count_independence(self, tmp_path):
         raw1 = base_config(tmp_path, output=str(tmp_path / "w1"), workers=1)
