@@ -200,9 +200,6 @@ def _encode_ints(v: np.ndarray, out: np.ndarray) -> None:
     ``_percent``, which needs 3 words.
     """
     fast = (v >= 0) & (v < 10**8)
-    if not fast.any():
-        out[...] = _percent("%d", v, out.shape[1])
-        return
     u = np.where(fast, v, 0)
     digits = np.empty((v.size, 2), np.uint32)
     digits[:, 0] = _ASCII4[u // 10_000]

@@ -151,12 +151,7 @@ class NoiseStream:
 
 @dataclass
 class Environment:
-    """Fixed feature set, hidden parameter, shift and noise specification.
-
-    It also keeps what every run on it computes alike (``shared``): the runs
-    of one harness experiment share one environment, so each such value is
-    made once per experiment.
-    """
+    """Fixed feature set, hidden parameter, shift and noise specification."""
 
     features: FeatureSet
     theta_star: np.ndarray
@@ -164,7 +159,6 @@ class Environment:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     rng_seed: int = 0
     info: dict = field(default_factory=dict)
-    _shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         theta = np.asarray(self.theta_star, dtype=float)
@@ -192,20 +186,6 @@ class Environment:
     @property
     def d(self) -> int:
         return self.features.d
-
-    def shared(self, key, make):
-        """``make()``, made on the first call with ``key`` and returned by every later one.
-
-        For values that depend only on the features and on ``key``, never on
-        the shift, the noise or a run seed: ``sbe`` keeps a phase's
-        ``FeatureSet`` by its active arms, and ``harness.compute_metrics`` its
-        log table by length and delta.
-        """
-        try:
-            return self._shared[key]
-        except KeyError:
-            value = self._shared[key] = make()
-            return value
 
     def noise_stream(self, run_seed: int | None = None) -> NoiseStream:
         """Noise stream for one run; distinct run seeds give independent streams."""

@@ -13,12 +13,13 @@ and deletes.  Either way the files are byte-identical regardless of worker
 count, and ``trajectory_mean.csv`` comes from running sums added in index
 order.  A run returns only its decisions; ``compute_metrics`` lays every
 per-step column (phase, regret, active-set size, e_t) out over the run's phase
-segments.  What replications compute alike is computed once per run and kept
-on the environment the run builds (``Environment.shared``): each phase's
-anchored design, once per active set, and the log(t/delta) regularizers of
-the pure-exploration e_t.  A pool worker gets the config and the environment
-once, at its start, so its replications share them too; nothing is kept
-beyond the run.
+segments.  What replications compute alike is computed once per run: the
+anchored design over all arms, which ``deo`` keeps on the ``FeatureSet`` of
+the environment the run builds, and the log(t/delta) regularizers of the
+pure-exploration e_t, which a ``functools.cache`` of ``_log_table`` held by
+the run keeps.  A pool worker gets the config and the environment once, at
+its start, and makes its own cache, so its replications share them too;
+nothing is kept beyond the run.
 
 Floats are serialized with 17 significant digits (``%.17g``), which round-trips
 IEEE doubles exactly and keeps repeated runs byte-stable.  One formatter
@@ -122,7 +123,7 @@ class MetricTable:
     active_size: np.ndarray
 
 
-def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1) -> MetricTable:
+def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1, log_table=None) -> MetricTable:
     """Per-step columns of one record, each laid out over its phase segments.
 
     The segments are the phases' ``taken`` rounds, then the declared arm's
@@ -133,8 +134,9 @@ def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1) -> 
     log(t/delta) regularizer), and at phase ends for elimination records
     (anchored at the phase anchor over the surviving arms), each carried over
     the next segment; steps before the first snapshot report NaN.  The
-    regularizers log(t/delta) come from a table kept on ``env`` by
-    (steps, delta), made by its first record (``_log_table``).
+    regularizers log(t/delta) come from ``log_table(steps, delta)``, by
+    default ``_log_table``; a run passes one that keeps its tables, so its
+    replications share them.
     """
     n = record.steps
     x = env.features.features
@@ -154,7 +156,7 @@ def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1) -> 
         gram = np.zeros((1, env.d, env.d))
         moment = np.zeros((1, env.d))
         eye = np.eye(env.d)
-        betas = env.shared(("log table", n, delta), lambda: _log_table(n, delta))
+        betas = (log_table or _log_table)(n, delta)
         for s in range(0, n, _BLOCK):
             b = slice(s, s + _BLOCK)
             gram = np.cumsum(np.concatenate([gram[-1:], xt[b, :, None] * xt[b, None, :]]), axis=0)[1:]
@@ -385,8 +387,10 @@ def build_environment(spec: dict) -> Environment:
     return env
 
 
-def _replication_task(cfg: ExperimentConfig, env: Environment, rep: int):
+def _replication_task(cfg: ExperimentConfig, env: Environment, rep: int, log_table=None):
     """Run one replication; used inline, and through ``_pooled_task`` in worker processes.
+
+    ``log_table`` is the run's table maker for ``compute_metrics``.
 
     Returns its ``trajectory.csv`` columns, its ``cum_regret``, ``e_t`` and
     ``sqrt_t_e_t`` columns (those ``trajectory_mean.csv`` averages), and its
@@ -405,7 +409,7 @@ def _replication_task(cfg: ExperimentConfig, env: Environment, rep: int):
         _, greedy, record = run_pure_exploration(env, plan["budget"], delta, run_seed=seed)
         value_gap = float(env.values[env.best_arm] - env.values[greedy])
         success = value_gap <= plan["epsilon"] if plan["epsilon"] is not None else greedy == env.best_arm
-    tb = compute_metrics(record, env, delta=delta)
+    tb = compute_metrics(record, env, delta=delta, log_table=log_table)
     summary = {
         "replication": rep,
         "seed": seed,
@@ -422,20 +426,21 @@ def _replication_task(cfg: ExperimentConfig, env: Environment, rep: int):
     return columns, (tb.cum_regret, tb.e_t, tb.sqrt_t_e_t), summary
 
 
-# in a pool worker process: the (config, environment) of the run it serves,
-# set once by ``_start_worker``; the process ends with the run's pool
+# in a pool worker process: the (config, environment, log table maker) of the
+# run it serves, set once by ``_start_worker``; the process ends with the run's pool
 _worker_run = None
 
 
 def _start_worker(cfg: ExperimentConfig, env: Environment) -> None:
     """Pool initializer: keep the run's config and environment for each replication this worker runs.
 
-    They reach the worker once, not with every task, and so does what the
-    environment keeps (``Environment.shared``): a worker's replications share
-    their designs, as inline replications do.
+    They reach the worker once, not with every task, and so does the design
+    ``deo`` keeps on the environment's features; with the worker's own log
+    table maker, its replications share their design and tables, as inline
+    replications do.
     """
     global _worker_run
-    _worker_run = cfg, env
+    _worker_run = cfg, env, functools.cache(_log_table)
 
 
 def _pooled_task(rep: int):
@@ -444,8 +449,8 @@ def _pooled_task(rep: int):
     Its trajectory rows go to its own part file (``_trajectory_part``), one
     block at a time; only the mean columns and the summary come back.
     """
-    cfg, env = _worker_run
-    columns, mean_columns, summary = _replication_task(cfg, env, rep)
+    cfg, env, log_table = _worker_run
+    columns, mean_columns, summary = _replication_task(cfg, env, rep, log_table)
     part = _trajectory_part(cfg, rep)
     with _writing(part), open(part, "w", newline="") as fh:
         for text in _format_rows(TRAJECTORY_LINE, columns):
@@ -553,8 +558,9 @@ def _run_replications(cfg: ExperimentConfig, env: Environment, workers: int, wri
     """
     sums, summaries = [], []
     if workers == 1:
+        log_table = functools.cache(_log_table)  # one table per (steps, delta), for this run only
         for rep in range(cfg.replications):
-            columns, mean_columns, summary = _replication_task(cfg, env, rep)
+            columns, mean_columns, summary = _replication_task(cfg, env, rep, log_table)
             for text in _format_rows(TRAJECTORY_LINE, columns):
                 write(text)
             _add_columns(sums, mean_columns)

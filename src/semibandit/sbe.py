@@ -1,16 +1,16 @@
 """Phase elimination with anchored designs; pure exploration is its one-phase case.
 
-Each phase uses the anchored-difference design over the surviving arms
-(anchor = smallest surviving index), solved once per active set for the
-life of the environment: the phase's ``FeatureSet`` is kept on the
-environment by its active arms (``Environment.shared``), and ``deo`` keeps
-its result on that object, so replications that reach the same survivors
-share one solve.  A phase samples the design for a schedule-driven
-number of rounds, and solves the orthogonalized ridge system.  Elimination
-then drops arms whose estimated reward trails the leader by more than
-eps_l = 2^-l; when one arm survives it is declared best and exploited to
-the horizon.  Pure exploration (PAC, error scaling) runs a single phase
-over all arms for a fixed budget and picks the greedy arm.
+Each phase computes the anchored-difference design over the surviving
+arms (anchor = smallest surviving index), except that a phase over every
+arm takes it from ``deo`` on the environment's own ``FeatureSet``, which
+keeps it: the first phase of every run on an environment, and the one
+phase of pure exploration, share one solve.  A phase samples the design
+for a schedule-driven number of rounds, and solves the orthogonalized
+ridge system.  Elimination then drops arms whose estimated reward trails
+the leader by more than eps_l = 2^-l; when one arm survives it is
+declared best and exploited to the horizon.  Pure exploration (PAC, error
+scaling) runs a single phase over all arms for a fixed budget and picks
+the greedy arm.
 
 A run records only what it decided (arms, rewards, phases, declaration);
 ``harness.compute_metrics`` derives every per-step column from its phases.
@@ -144,16 +144,17 @@ def eliminate(features: FeatureSet, active, theta_hat: np.ndarray, epsilon: floa
 def _run_phase(env, active, index, epsilon, t0, max_rounds, rng, noise, fw_tol, schedule):
     """One phase, the step shared by elimination and pure exploration.
 
-    Takes the anchored design over ``active`` (anchor = its first arm) from
-    ``deo`` on the environment's ``FeatureSet`` of those arms, one object per
-    active tuple, which ``deo`` solves once per tolerance; and asks
-    ``schedule(certificate)`` for the scheduled length and the ridge
-    regularizer beta.  Samples the design for that length, capped at
-    ``max_rounds``, from round ``t0`` on; and regresses the rewards on
-    policy-centered features.  Returns ``(PhaseState, arms, rewards)``.
+    Computes the anchored design over ``active`` (anchor = its first arm):
+    over every arm, on ``env.features``, where ``deo`` keeps it for every
+    later run on ``env``; over fewer, on a new ``FeatureSet`` of those arms,
+    dropped with the phase.  Asks ``schedule(certificate)`` for the
+    scheduled length and the ridge regularizer beta.  Samples the design for
+    that length, capped at ``max_rounds``, from round ``t0`` on; and
+    regresses the rewards on policy-centered features.  Returns
+    ``(PhaseState, arms, rewards)``.
     """
-    key = tuple(active)
-    feats = env.shared(("phase features", key), lambda: FeatureSet(env.features.features[active]))
+    # active sets keep index order, so K arms are arms 0..K-1 and env.features itself
+    feats = env.features if len(active) == env.K else FeatureSet(env.features.features[active])
     policy, cert = deo(feats, anchor=0, fw_tol=fw_tol)
     length, beta = schedule(cert)
     taken = min(length, max_rounds)
@@ -166,7 +167,7 @@ def _run_phase(env, active, index, epsilon, t0, max_rounds, rng, noise, fw_tol, 
     est.update_batch(state, feats.features[local] - xbar, rewards)
     phase = PhaseState(
         index=index,
-        active=key,
+        active=tuple(active),
         epsilon=epsilon,
         length=length,
         policy=policy,

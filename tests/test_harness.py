@@ -275,15 +275,16 @@ class TestComputeMetrics:
             expected.append(np.abs((x - x[0]) @ (theta_hat - env.theta_star)).max())
         assert table.e_t.tobytes() == np.array(expected).tobytes()
 
-    def test_log_table_made_once_and_read_only(self, monkeypatch):
-        # the regularizers log(t/delta) of every pure record on one environment come from one table
-        env = make_gap_instance(3, 6, 0.5, seed=5)
+    def test_log_table_made_once_and_read_only(self, tmp_path, monkeypatch):
+        # the pure records of one run share one log(t/delta) table; a call on its own makes one
         made = []
         log_table = harness._log_table
         monkeypatch.setattr(harness, "_log_table", lambda n, delta: made.append((n, delta)) or log_table(n, delta))
-        for seed in range(2):
-            compute_metrics(run_pure_exploration(env, 300, 0.1, run_seed=seed)[2], env, delta=0.1)
-        compute_metrics(run_pure_exploration(env, 300, 0.1, run_seed=0)[2], env, delta=0.2)
+        raw = base_config(tmp_path, mode="error-scaling", algorithm={"budget": 300, "delta": 0.1}, replications=3)
+        run_experiment(ExperimentConfig.from_dict(raw))
+        assert made == [(300, 0.1)]
+        env = make_gap_instance(3, 6, 0.5, seed=5)
+        compute_metrics(run_pure_exploration(env, 300, 0.2, run_seed=0)[2], env, delta=0.2)
         assert made == [(300, 0.1), (300, 0.2)]
         table = log_table(300, 0.1)
         assert table.tolist() == [math.log(t / 0.1) for t in range(1, 301)]
@@ -447,7 +448,9 @@ class TestRunExperiment:
         run_experiment(ExperimentConfig.from_dict(raw))
         assert calls == {"deo": 3, "g_optimal": 1}
 
-    def test_regret_solves_once_per_active_set(self, tmp_path, monkeypatch):
+    def test_regret_solves_all_arms_once(self, tmp_path, monkeypatch):
+        # every phase over all arms (each replication's first, and any that
+        # eliminates nothing) shares the run's design; one over fewer solves its own
         calls = self.counting_designs(monkeypatch)
         actives = []
         run = harness.run_sbe
@@ -459,8 +462,10 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "run_sbe", recording)
         run_experiment(ExperimentConfig.from_dict(base_config(tmp_path, replications=3)))
-        assert calls["deo"] == len(actives) > len(set(actives))  # some active set recurs
-        assert calls["g_optimal"] == len(set(actives))
+        fewer = [a for a in actives if len(a) < 5]
+        assert calls["deo"] == len(actives)
+        assert fewer and len(actives) - len(fewer) > 3  # an all-arms phase past some replication's first
+        assert calls["g_optimal"] == 1 + len(fewer)
 
     def test_pool_worker_shares_designs(self, tmp_path, monkeypatch):
         # a worker gets the environment once, so its replications share its designs
