@@ -56,7 +56,7 @@ def workload_columns(seed: int) -> dict:
             path = Path(work) / "config.json"
             instances.write_config(path, w, instances.make_instance(w, seed, 0), seed, str(Path(work) / "out"))
             cfg = harness.ExperimentConfig.from_file(path)
-            table, _, _ = harness._replication_task(cfg, cfg.validate(), 0)
+            table, _, _ = harness._replication_task(cfg, 0)
             specs = harness.TRAJECTORY_LINE.rstrip("\n").split(",")
             for title, spec, column in zip(harness.TRAJECTORY_COLUMNS, specs, table):
                 columns[f"{name}: {title}"] = (spec, np.ascontiguousarray(column))
@@ -101,11 +101,11 @@ def measure(spec: str, column: np.ndarray, repeats: int) -> dict:
     }
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     columns = {**fixed_draws(), **workload_columns(args.seed)}
     result = {
         "host": {"machine": platform.machine(), "python": platform.python_version(), "numpy": np.__version__},

@@ -11,17 +11,15 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .design import FeatureSet, deo
 from .errors import ConfigError, SemibanditError
-from .harness import ExperimentConfig, check_anchor, run_experiment
+from .harness import ExperimentConfig, check_anchor, check_positive, run_experiment
 
 
 def _cmd_design(args) -> int:
-    if not 0 < args.fw_tol < math.inf:
-        raise ConfigError("--fw-tol", "must be a positive finite number")
+    check_positive(args.fw_tol, "--fw-tol")
     feats = FeatureSet.from_file(args.features_file)
     check_anchor(args.anchor, feats.K, "--anchor")
     policy, cert = deo(feats, anchor=args.anchor, fw_tol=args.fw_tol)
@@ -37,17 +35,9 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
-    if args.mode is not None:
-        cfg.mode = args.mode
-    if args.seed is not None:
-        cfg.base_seed = args.seed
-    if args.reps is not None:
-        cfg.replications = args.reps
-    if args.out is not None:
-        cfg.output = args.out
-    if args.workers is not None:
-        cfg.workers = args.workers
+    cfg = ExperimentConfig.from_file(
+        args.config, mode=args.mode, base_seed=args.seed, replications=args.reps, output=args.out, workers=args.workers
+    )
     result = run_experiment(cfg)
     for key, value in result.items():
         if key not in ("certificate", "policy"):
@@ -94,10 +84,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except SemibanditError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (SemibanditError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -100,6 +100,8 @@ class NoiseSpec:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not (finite_real(self.scale) and self.scale >= 0):
             raise ValueError("noise scale must be a nonnegative finite number")
+        if self.kind == "bounded_uniform" and not math.isfinite(2.0 * self.scale):  # the width of its draws
+            raise ValueError("bounded_uniform noise scale must be at most half the largest double")
 
 
 class NoiseStream:

@@ -1,9 +1,15 @@
-"""Experiment orchestration: config parsing, replication runs, CSV output.
+"""Experiment orchestration: config resolution, replication runs, CSV output.
 
 A single JSON config describes the environment, the algorithm, and the
 run bookkeeping.  Modes: ``regret`` (phase elimination; its summary also
 records the best-arm identification outcome), ``pac`` and ``error-scaling``
 (pure exploration), ``design-cert`` (the anchored design alone).
+``ExperimentConfig.from_dict`` resolves a config in one step: it checks
+every field against one table of key -> (default, check) per object, gives
+each algorithm key the mode reads its default, computes a PAC budget, and
+builds the environment.  The result is frozen, and everything after it
+(``run_experiment``, each replication, each pool worker) reads only it.
+
 Replications are seeded as ``base_seed + index`` and are consumed in index
 order, so that the parent holds one replication's table at a time.  Inline,
 each replication's rows are formatted straight into ``trajectory.csv`` and
@@ -15,42 +21,32 @@ order.  A run returns only its decisions; ``compute_metrics`` lays every
 per-step column (phase, regret, active-set size, e_t) out over the run's phase
 segments.  What replications compute alike is computed once per run: the
 anchored design over all arms, which ``deo`` keeps on the ``FeatureSet`` of
-the environment the run builds, and the log(t/delta) regularizers of the
+the config's environment, and the log(t/delta) regularizers of the
 pure-exploration e_t, which a ``functools.cache`` of ``_log_table`` held by
-the run keeps.  A pool worker gets the config and the environment once, at
-its start, and makes its own cache, so its replications share them too;
-nothing is kept beyond the run.
+the run keeps.  A pool worker gets the config once, at its start, and makes
+its own cache, so its replications share them too; nothing is kept beyond
+the run.
 
 Floats are serialized with 17 significant digits (``%.17g``), which round-trips
-IEEE doubles exactly and keeps repeated runs byte-stable.  One formatter
-(``cells.rows``) turns NumPy columns into text ``_WRITE_BLOCK`` rows at a
-time, byte for byte the text of ``%`` on every cell, by array operations with
-no Python object per cell.  A ``%.17g`` cell with 1e-4 <= |x| < 1e8 takes its
-digits from |x| 10^k rounded once in long double, within 2^-64 of the exact
-product and so rounded to the same integer unless the long double is a
-half-integer; a ``%d`` cell in [0, 1e8) takes them from a table; zero, NaN
-and inf are fixed texts.  ``%`` formats every other cell: other magnitudes,
-those half-integers, every float where long double is not exact enough,
-negative or larger integers, and columns of other types.  Each CSV and the
-manifest is written under a temporary name and renamed when complete, so a
-failed run leaves none.  The per-step estimation error of pure exploration is
-computed ``_BLOCK`` steps at a time: running sums of the rank-one terms and
-one batched ridge solve per block, bit for bit equal to solving after every
-step.
+IEEE doubles exactly and keeps repeated runs byte-stable; ``cells.rows`` writes
+the text of ``%`` on every cell by array operations.  Each CSV and the manifest
+is written under a temporary name and renamed when complete, so a failed run
+leaves none.  The per-step estimation error of pure exploration is computed
+``_BLOCK`` steps at a time: running sums of the rank-one terms and one batched
+ridge solve per block, bit for bit equal to solving after every step.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
-import dataclasses
 import functools
 import itertools
 import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,14 +69,8 @@ from .sbe import RunRecord, SbeConfig, pac_budget, phase_length, run_pure_explor
 
 MODES = ("regret", "pac", "design-cert", "error-scaling")
 
-# the keys each object of a config may hold, by mode or kind: exactly those the
-# program reads.  Any other key is a ConfigError, never a silent default
-_ALGORITHM_KEYS = {
-    "regret": ("horizon", "delta", "c2", "c3", "schedule", "fw_tol"),
-    "pac": ("epsilon", "budget", "delta", "c2"),
-    "error-scaling": ("epsilon", "budget", "delta", "c2"),
-    "design-cert": ("anchor", "fw_tol"),
-}
+# the keys the environment's objects may hold, by kind (the algorithm's are in
+# _ALGORITHM): exactly those the program reads.  Any other key is a ConfigError
 _ENVIRONMENT_KEYS = {  # besides kind, seed, shift and noise
     "gap_instance": ("d", "K", "gap"),
     "mab": ("mu",),
@@ -188,10 +178,17 @@ def _log_table(n: int, delta: float) -> np.ndarray:
     return table
 
 
-def _check_positive(value, name: str):
+def check_positive(value, name: str):
     """``value`` if it is a positive finite number (not a bool); else ConfigError."""
     if not (finite_real(value) and value > 0):
         raise ConfigError(name, "must be a positive finite number")
+    return value
+
+
+def _check_probability(value, name: str):
+    """``value`` if it is a number (not a bool) in (0, 1); else ConfigError."""
+    if not (finite_real(value) and 0 < value < 1):
+        raise ConfigError(name, "must lie in (0, 1)")
     return value
 
 
@@ -209,6 +206,24 @@ def _check_int(value, name: str, minimum: int | None = None) -> int:
     return value
 
 
+def _check_type(value, name: str, kind: type, what: str):
+    """``value`` if it is a ``kind``; else ConfigError saying it must be ``what``."""
+    if not isinstance(value, kind):
+        raise ConfigError(name, f"must be {what}")
+    return value
+
+
+def _check_member(value, name: str, choices: tuple):
+    """``value`` if it is one of the strings ``choices``; else ConfigError."""
+    if not (isinstance(value, str) and value in choices):
+        raise ConfigError(name, f"must be one of {choices}")
+    return value
+
+
+_check_count = functools.partial(_check_int, minimum=1)
+_check_object = functools.partial(_check_type, kind=dict, what="an object")
+
+
 def check_anchor(anchor, k: int, name: str) -> int:
     """``anchor`` if it is an arm index for ``k`` arms; else ConfigError naming ``name``."""
     _check_int(anchor, name, 0)
@@ -217,18 +232,76 @@ def check_anchor(anchor, k: int, name: str) -> int:
     return anchor
 
 
-@dataclass
+# key -> (default, check) of the config's top level, and of ``algorithm`` by
+# mode.  _REQUIRED marks a key that must be given; a key whose default is None
+# may be absent or null.  The design-cert anchor is checked against the arms
+_REQUIRED = object()
+_FIELDS = {
+    "mode": (_REQUIRED, functools.partial(_check_member, choices=MODES)),
+    "environment": (_REQUIRED, _check_object),
+    "algorithm": ({}, _check_object),
+    "output": ("out", functools.partial(_check_type, kind=str, what="a string")),
+    "replications": (1, _check_count),
+    "base_seed": (0, _check_int),
+    "workers": (None, _check_count),
+}
+_EXPLORATION = {"delta": (0.1, _check_probability), "c2": (4.0, check_positive)}
+_ALGORITHM = {
+    "regret": {
+        "horizon": (_REQUIRED, _check_count),
+        "delta": (0.05, _check_probability),
+        "c2": (1.0, check_positive),
+        "c3": (1.0, check_positive),
+        "schedule": ("fixed", functools.partial(_check_member, choices=("fixed", "adaptive"))),
+        "fw_tol": (1e-3, check_positive),
+    },
+    "pac": {"epsilon": (_REQUIRED, check_positive), "budget": (None, _check_count), **_EXPLORATION},
+    "error-scaling": {"epsilon": (None, check_positive), "budget": (_REQUIRED, _check_count), **_EXPLORATION},
+    "design-cert": {"anchor": (0, functools.partial(_check_int, minimum=0)), "fw_tol": (1e-3, check_positive)},
+}
+
+
+def _resolve(obj: dict, table: dict, prefix: str = "") -> dict:
+    """Each key of ``table`` with its value in ``obj`` checked, or its default; ConfigError on a bad key."""
+    _check_keys(obj, table, prefix)
+    resolved = {}
+    for key, (default, check) in table.items():
+        if key in obj and not (obj[key] is None and default is None):
+            resolved[key] = check(obj[key], prefix + key)
+        elif default is _REQUIRED:
+            raise ConfigError(prefix + key, "missing field")
+        else:
+            resolved[key] = default
+    return resolved
+
+
+def _rounds(algorithm: dict) -> int:
+    """Rounds one replication draws: the horizon, the budget, or 0 for design-cert."""
+    return algorithm.get("horizon", algorithm.get("budget", 0))
+
+
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
+    """A config resolved: every field checked, defaults applied, the environment built.
+
+    ``environment`` is the environment's object as written, ``written`` the
+    whole config as written, and ``env`` the ``Environment`` they describe.
+    ``algorithm`` holds every key the mode reads, a PAC budget included.
+    """
+
     mode: str
     environment: dict
-    algorithm: dict = field(default_factory=dict)
-    replications: int = 1
-    base_seed: int = 0
-    output: str = "out"
-    workers: int | None = None
+    algorithm: dict
+    replications: int
+    base_seed: int
+    output: str
+    workers: int | None
+    env: Environment
+    written: dict
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
+    def from_file(cls, path, **overrides) -> "ExperimentConfig":
+        """``from_dict`` of the JSON object in the file at ``path``."""
         try:
             with open(path) as fh:
                 raw = json.load(fh)
@@ -236,105 +309,42 @@ class ExperimentConfig:
             raise ConfigError("config", f"file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError("config", f"invalid JSON: {exc}")
-        return cls.from_dict(raw)
+        return cls.from_dict(raw, **overrides)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+    def from_dict(cls, raw: dict, **overrides) -> "ExperimentConfig":
+        """Resolve ``raw``, each of its top-level fields replaced by an override that is not None."""
         if not isinstance(raw, dict):
             raise ConfigError("config", "must be a JSON object")
-        _check_keys(raw, [f.name for f in dataclasses.fields(cls)])
-        for name in ("mode", "environment"):
-            if name not in raw:
-                raise ConfigError(name, "missing field")
-        cfg = cls(**raw)
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> Environment:
-        """Check every field; returns the environment the config describes."""
-        if self.mode not in MODES:
-            raise ConfigError("mode", f"must be one of {MODES}")
-        if not isinstance(self.environment, dict):
-            raise ConfigError("environment", "must be an object")
-        if not isinstance(self.algorithm, dict):
-            raise ConfigError("algorithm", "must be an object")
-        _check_keys(self.algorithm, _ALGORITHM_KEYS[self.mode], "algorithm.")
-        if not isinstance(self.output, str):
-            raise ConfigError("output", "must be a string")
-        _check_int(self.replications, "replications", 1)
-        _check_int(self.base_seed, "base_seed")
-        if self.workers is not None:
-            _check_int(self.workers, "workers", 1)
-        env = build_environment(self.environment)  # raises ConfigError on bad spec
+        written = {**raw, **{name: value for name, value in overrides.items() if value is not None}}
+        fields = _resolve(written, _FIELDS)
+        mode = fields["mode"]
+        alg = _resolve(fields["algorithm"], _ALGORITHM[mode], "algorithm.")
+        env = build_environment(fields["environment"])  # raises ConfigError on bad spec
         if env.K < 2:
             raise ConfigError("environment", "needs at least two arms")
-        if self.mode == "design-cert":
-            self.design_params(env)
-        if self.mode == "regret":
+        if mode == "design-cert":
+            check_anchor(alg["anchor"], env.K, "algorithm.anchor")
+        elif mode == "regret":
             x = env.features.features
             d_eff = span_basis(x[1:] - x[0])[1]  # the dim of phase 1's certificate
             if d_eff:  # 0 when all arms are identical, which deo reports when the run starts
                 try:
-                    phase_length(1, d_eff, env.K, self.sbe_config())
+                    phase_length(1, d_eff, env.K, SbeConfig(**alg))
                 except ScheduleOverflow as exc:
                     raise ConfigError("algorithm", str(exc))
-        rounds = self.rounds(env)
+        elif alg["budget"] is None:  # pac, with no budget given
+            try:
+                budget = pac_budget(env.d, env.K, alg["epsilon"], alg["delta"], c2=alg["c2"])
+            except (ValueError, OverflowError, ZeroDivisionError) as exc:  # epsilon**2 may underflow to 0
+                raise ConfigError("algorithm", f"no PAC budget: {exc}")
+            alg["budget"] = _check_count(budget, "algorithm.budget")
+        rounds = _rounds(alg)
         if env.shift.kind == "custom" and env.shift.table.shape[0] < rounds:
             raise ConfigError(
                 "environment.shift.table", f"has {env.shift.table.shape[0]} entries for a run of {rounds} rounds"
             )
-        return env
-
-    def rounds(self, env: Environment) -> int:
-        """Rounds one replication draws: the horizon, the budget, or 0 for design-cert."""
-        if self.mode == "regret":
-            return self.sbe_config().horizon
-        if self.mode == "design-cert":
-            return 0
-        return self.exploration_plan(env)["budget"]
-
-    def sbe_config(self) -> SbeConfig:
-        alg = self.algorithm
-        if "horizon" not in alg:
-            raise ConfigError("algorithm.horizon", f"required for mode {self.mode}")
-        try:
-            return SbeConfig(
-                delta=alg.get("delta", 0.05),
-                horizon=_check_int(alg["horizon"], "algorithm.horizon", 1),
-                c2=alg.get("c2", 1.0),
-                c3=alg.get("c3", 1.0),
-                schedule=alg.get("schedule", "fixed"),
-                fw_tol=alg.get("fw_tol", 1e-3),
-            )
-        except (ValueError, TypeError) as exc:
-            raise ConfigError("algorithm", str(exc))
-
-    def design_params(self, env: Environment) -> tuple[int, float]:
-        """Anchor arm and Frank-Wolfe tolerance for design-cert."""
-        anchor = check_anchor(self.algorithm.get("anchor", 0), env.K, "algorithm.anchor")
-        return anchor, _check_positive(self.algorithm.get("fw_tol", 1e-3), "algorithm.fw_tol")
-
-    def exploration_plan(self, env: Environment) -> dict:
-        """Budget, delta, epsilon for pure-exploration modes."""
-        alg = self.algorithm
-        required = "epsilon" if self.mode == "pac" else "budget"
-        if required not in alg:
-            raise ConfigError(f"algorithm.{required}", f"required for mode {self.mode}")
-        delta = alg.get("delta", 0.1)
-        if not (finite_real(delta) and 0 < delta < 1):
-            raise ConfigError("algorithm.delta", "must lie in (0, 1)")
-        epsilon = alg.get("epsilon")
-        if epsilon is not None:
-            _check_positive(epsilon, "algorithm.epsilon")
-        c2 = _check_positive(alg.get("c2", 4.0), "algorithm.c2")
-        budget = alg.get("budget")
-        if budget is None:
-            try:
-                budget = pac_budget(env.d, env.K, epsilon, delta, c2=c2)
-            except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:  # epsilon**2 may underflow to 0
-                raise ConfigError("algorithm", f"no PAC budget: {exc}")
-        _check_int(budget, "algorithm.budget", 1)
-        return {"budget": budget, "delta": delta, "epsilon": epsilon}
+        return cls(**{**fields, "algorithm": alg}, env=env, written=written)
 
 
 def build_environment(spec: dict) -> Environment:
@@ -345,6 +355,8 @@ def build_environment(spec: dict) -> Environment:
     _check_keys(spec, ("kind", "seed", "shift", "noise") + _ENVIRONMENT_KEYS[kind], "environment.")
     if "path" in spec and "features" in spec:
         raise ConfigError("environment.features", "cannot be given with environment.path")
+    if "path" in spec and not isinstance(spec["path"], str):  # open() reads an int as a file descriptor
+        raise ConfigError("environment.path", "must be a string")
     seed = _check_int(spec.get("seed", 0), "environment.seed")
     try:
         if kind == "gap_instance":
@@ -387,7 +399,7 @@ def build_environment(spec: dict) -> Environment:
     return env
 
 
-def _replication_task(cfg: ExperimentConfig, env: Environment, rep: int, log_table=None):
+def _replication_task(cfg: ExperimentConfig, rep: int, log_table=None):
     """Run one replication; used inline, and through ``_pooled_task`` in worker processes.
 
     ``log_table`` is the run's table maker for ``compute_metrics``.
@@ -396,20 +408,17 @@ def _replication_task(cfg: ExperimentConfig, env: Environment, rep: int, log_tab
     ``sqrt_t_e_t`` columns (those ``trajectory_mean.csv`` averages), and its
     ``summary.csv`` cells by column name.
     """
+    env, alg = cfg.env, cfg.algorithm
     seed = cfg.base_seed + rep
     greedy = None
     if cfg.mode == "regret":
-        sbe_cfg = cfg.sbe_config()
-        record = run_sbe(env, sbe_cfg, run_seed=seed)
-        delta = sbe_cfg.delta
+        record = run_sbe(env, SbeConfig(**alg), run_seed=seed)
         success = record.declared_best == env.best_arm
     else:
-        plan = cfg.exploration_plan(env)
-        delta = plan["delta"]
-        _, greedy, record = run_pure_exploration(env, plan["budget"], delta, run_seed=seed)
+        _, greedy, record = run_pure_exploration(env, alg["budget"], alg["delta"], run_seed=seed)
         value_gap = float(env.values[env.best_arm] - env.values[greedy])
-        success = value_gap <= plan["epsilon"] if plan["epsilon"] is not None else greedy == env.best_arm
-    tb = compute_metrics(record, env, delta=delta, log_table=log_table)
+        success = value_gap <= alg["epsilon"] if alg["epsilon"] is not None else greedy == env.best_arm
+    tb = compute_metrics(record, env, delta=alg["delta"], log_table=log_table)
     summary = {
         "replication": rep,
         "seed": seed,
@@ -426,21 +435,21 @@ def _replication_task(cfg: ExperimentConfig, env: Environment, rep: int, log_tab
     return columns, (tb.cum_regret, tb.e_t, tb.sqrt_t_e_t), summary
 
 
-# in a pool worker process: the (config, environment, log table maker) of the
-# run it serves, set once by ``_start_worker``; the process ends with the run's pool
+# in a pool worker process: the (config, log table maker) of the run it
+# serves, set once by ``_start_worker``; the process ends with the run's pool
 _worker_run = None
 
 
-def _start_worker(cfg: ExperimentConfig, env: Environment) -> None:
-    """Pool initializer: keep the run's config and environment for each replication this worker runs.
+def _start_worker(cfg: ExperimentConfig) -> None:
+    """Pool initializer: keep the run's config for each replication this worker runs.
 
-    They reach the worker once, not with every task, and so does the design
-    ``deo`` keeps on the environment's features; with the worker's own log
-    table maker, its replications share their design and tables, as inline
-    replications do.
+    It reaches the worker once, not with every task, and so do its
+    environment and the design ``deo`` keeps on the environment's features;
+    with the worker's own log table maker, its replications share their
+    design and tables, as inline replications do.
     """
     global _worker_run
-    _worker_run = cfg, env, functools.cache(_log_table)
+    _worker_run = cfg, functools.cache(_log_table)
 
 
 def _pooled_task(rep: int):
@@ -449,8 +458,8 @@ def _pooled_task(rep: int):
     Its trajectory rows go to its own part file (``_trajectory_part``), one
     block at a time; only the mean columns and the summary come back.
     """
-    cfg, env, log_table = _worker_run
-    columns, mean_columns, summary = _replication_task(cfg, env, rep, log_table)
+    cfg, log_table = _worker_run
+    columns, mean_columns, summary = _replication_task(cfg, rep, log_table)
     part = _trajectory_part(cfg, rep)
     with _writing(part), open(part, "w", newline="") as fh:
         for text in _format_rows(TRAJECTORY_LINE, columns):
@@ -543,14 +552,14 @@ def _write_csv(path: Path, header, line_format: str, columns) -> None:
             write(text)
 
 
-def _run_replications(cfg: ExperimentConfig, env: Environment, workers: int, write) -> tuple[list, list]:
+def _run_replications(cfg: ExperimentConfig, workers: int, write) -> tuple[list, list]:
     """Run every replication, passing its trajectory rows to ``write`` in index order.
 
     Returns the sums of the replications' mean columns, added in index order
     (``_add_columns``), and their summaries.  Inline, a replication's rows are
     formatted and written one block at a time, and its table is dropped before
-    the next replication starts.  In a pool, each worker gets ``cfg`` and
-    ``env`` once (``_start_worker``) and a task is a replication index; each
+    the next replication starts.  In a pool, each worker gets ``cfg`` once
+    (``_start_worker``) and a task is a replication index; each
     worker writes its rows to its own part file, which is appended and
     deleted in index order; at most 2 x ``workers`` replications are
     submitted and not yet appended.  If the run fails, every part file is
@@ -560,7 +569,7 @@ def _run_replications(cfg: ExperimentConfig, env: Environment, workers: int, wri
     if workers == 1:
         log_table = functools.cache(_log_table)  # one table per (steps, delta), for this run only
         for rep in range(cfg.replications):
-            columns, mean_columns, summary = _replication_task(cfg, env, rep, log_table)
+            columns, mean_columns, summary = _replication_task(cfg, rep, log_table)
             for text in _format_rows(TRAJECTORY_LINE, columns):
                 write(text)
             _add_columns(sums, mean_columns)
@@ -572,7 +581,7 @@ def _run_replications(cfg: ExperimentConfig, env: Environment, workers: int, wri
 
     reps = iter(range(cfg.replications))
     try:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(cfg, env)) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(cfg,)) as pool:
             submit = functools.partial(pool.submit, _pooled_task)
             pending = collections.deque(map(submit, itertools.islice(reps, 2 * workers)))
             for rep in range(cfg.replications):
@@ -598,20 +607,19 @@ def _run_replications(cfg: ExperimentConfig, env: Environment, workers: int, wri
     return sums, summaries
 
 
-def _manifest_config(cfg: ExperimentConfig, env: Environment) -> dict:
+def _manifest_config(cfg: ExperimentConfig) -> dict:
     """The config as written, except that an inline feature matrix is recorded as its shape and sha256.
 
     The digest is of the float64 bytes of the matrix the run used.  Written out,
     the entries would take json's pure-Python indenting encoder one line each.
     """
-    config = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}  # shallow: no copy of features
-    if "features" in cfg.environment:
-        import hashlib  # loads OpenSSL's _hashlib, about 3.5 MB: importing the CLI needs neither
+    if "features" not in cfg.environment:
+        return cfg.written
+    import hashlib  # loads OpenSSL's _hashlib, about 3.5 MB: importing the CLI needs neither
 
-        x = np.ascontiguousarray(env.features.features, dtype=np.float64)
-        digest = {"shape": list(x.shape), "sha256": hashlib.sha256(x).hexdigest()}
-        config["environment"] = {**cfg.environment, "features": digest}
-    return config
+    x = np.ascontiguousarray(cfg.env.features.features, dtype=np.float64)
+    digest = {"shape": list(x.shape), "sha256": hashlib.sha256(x).hexdigest()}
+    return {**cfg.written, "environment": {**cfg.environment, "features": digest}}
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -623,7 +631,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     Mode ``design-cert`` instead writes ``certificate.csv``.
     Returns a small dict of paths and aggregate results.
     """
-    env = cfg.validate()
+    env, alg = cfg.env, cfg.algorithm
     out = Path(cfg.output)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -634,15 +642,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     manifest = {
         "version": __version__,
         "mode": cfg.mode,
-        "config": _manifest_config(cfg, env),
+        "algorithm": alg,
+        "config": _manifest_config(cfg),
         "seeds": seeds,
-        "assumption_audit": assumption_audit(env, horizon=cfg.rounds(env)),
+        "assumption_audit": assumption_audit(env, horizon=_rounds(alg)),
         "created_unix": time.time(),
     }
 
     if cfg.mode == "design-cert":
-        anchor, fw_tol = cfg.design_params(env)
-        policy, cert = deo(env.features, anchor=anchor, fw_tol=fw_tol)
+        policy, cert = deo(env.features, anchor=alg["anchor"], fw_tol=alg["fw_tol"])
         cert_row = (cert.max_anchor_norm, cert.max_centered_norm, cert.support_size, cert.dim)
         _write_csv(
             out / "certificate.csv",
@@ -658,7 +666,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     cpus = os.cpu_count() or 1
     workers = min(cfg.workers or cpus, cpus, cfg.replications)
     with _csv_file(out / "trajectory.csv", TRAJECTORY_COLUMNS) as write:
-        sums, summaries = _run_replications(cfg, env, workers, write)
+        sums, summaries = _run_replications(cfg, workers, write)
     means = [total / cfg.replications for total in sums]
     _write_csv(out / "trajectory_mean.csv", MEAN_COLUMNS, MEAN_LINE, [np.arange(1, means[0].size + 1), *means])
 

@@ -30,3 +30,15 @@ def test_deo_grid_smoke(capsys):
         assert point["max_anchor_norm"] <= 2 * math.sqrt(d) * (1 + 1e-3)
         assert point["fw_iterations"] > 0
         assert point["reduce_atoms_out"] <= min(point["reduce_atoms_in"], d * (d + 1) // 2)
+
+
+def test_encode_cells_smoke(capsys):
+    # the script runs a replication of each perfbench workload through the
+    # harness's private task and asserts the encoder's text equals %'s
+    script = load_script("encode_cells")
+    script.main(["--repeats", "1"])
+    result = json.loads(capsys.readouterr().out)
+    workloads = {name.split(": ")[0] for name in result["columns"] if ": " in name}
+    assert workloads == set(script.instances.WORKLOADS)
+    for column in result["columns"].values():
+        assert column["cells"] > 0 and 0 <= column["fallback_share"] <= 1

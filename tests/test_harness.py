@@ -163,6 +163,7 @@ BAD_CONFIGS = {
     },
     "nan-noise-scale": {"environment": features_env(noise={"scale": math.nan})},
     "infinite-noise-scale": {"environment": features_env(noise={"scale": math.inf})},
+    "overflowing-uniform-noise-scale": {"environment": features_env(noise={"kind": "bounded_uniform", "scale": 1e308})},
     "nan-theta": {"environment": features_env(theta=[math.nan, 0.0])},
     "nan-mu": {"environment": {"kind": "mab", "mu": [0.5, math.nan, 0.1]}},
     "string-clip-to-unit": {
@@ -527,18 +528,53 @@ class TestRunExperiment:
         run_experiment(cfg)
         features = np.asarray(raw["environment"]["features"], dtype=np.float64)
         digest = {"shape": [3, 2], "sha256": hashlib.sha256(features.tobytes()).hexdigest()}
-        expected = dataclasses.asdict(cfg)
-        expected["environment"] = {**raw["environment"], "features": digest}
         manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
-        assert manifest["config"] == expected
+        assert manifest["config"] == {**raw, "environment": {**raw["environment"], "features": digest}}
+        assert manifest["algorithm"] == cfg.algorithm
         assert cfg.environment["features"] == raw["environment"]["features"]  # the config itself is untouched
 
     def test_manifest_config_without_inline_features(self, tmp_path):
         # a generated environment has no feature matrix in its config: written as given
         raw = base_config(tmp_path, algorithm={"horizon": 50}, output=str(tmp_path / "g"))
+        run_experiment(ExperimentConfig.from_dict(raw))
+        assert json.loads((tmp_path / "g" / "manifest.json").read_text())["config"] == raw
+
+    @pytest.mark.parametrize(
+        "mode, algorithm, resolved",
+        [
+            (
+                "regret",
+                {"horizon": 60},
+                {"horizon": 60, "delta": 0.05, "c2": 1.0, "c3": 1.0, "schedule": "fixed", "fw_tol": 1e-3},
+            ),
+            ("error-scaling", {"budget": 70}, {"epsilon": None, "budget": 70, "delta": 0.1, "c2": 4.0}),
+            ("design-cert", {}, {"anchor": 0, "fw_tol": 1e-3}),
+        ],
+    )
+    def test_manifest_records_resolved_algorithm(self, tmp_path, mode, algorithm, resolved):
+        # beside the config as written, the manifest holds every algorithm key the mode read, defaults applied
+        raw = base_config(tmp_path, mode=mode, algorithm=algorithm)
+        run_experiment(ExperimentConfig.from_dict(raw))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["algorithm"] == resolved
+        assert manifest["config"]["algorithm"] == algorithm
+
+    def test_pac_budget_worked_out_from_epsilon(self, tmp_path):
+        # a pac config with only epsilon runs pac_budget's rounds at c2 = 4 and delta = 0.1
+        raw = base_config(tmp_path, mode="pac", algorithm={"epsilon": 0.5}, replications=1)
         cfg = ExperimentConfig.from_dict(raw)
+        budget = sbe.pac_budget(3, 5, 0.5, 0.1, c2=4.0)
+        assert cfg.algorithm == {"epsilon": 0.5, "budget": budget, "delta": 0.1, "c2": 4.0}
         run_experiment(cfg)
-        assert json.loads((tmp_path / "g" / "manifest.json").read_text())["config"] == dataclasses.asdict(cfg)
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["algorithm"]["budget"] == budget
+        assert len((tmp_path / "out" / "trajectory.csv").read_text().splitlines()) == 1 + budget
+
+    def test_resolved_config_is_frozen(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(base_config(tmp_path))
+        for name, value in (("mode", "pac"), ("algorithm", {}), ("replications", 5), ("env", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, value)
+        assert cfg.mode == "regret" and cfg.replications == 2
 
     @pytest.mark.parametrize(
         "workers, replications, cpus, pool_size",
@@ -770,7 +806,7 @@ class TestWriter:
 
     def test_fallback_for_every_cell_gives_the_same_bytes(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig.from_dict(base_config(tmp_path, algorithm={"horizon": 5_000}))
-        columns, _, _ = harness._replication_task(cfg, cfg.validate(), 0)
+        columns, _, _ = harness._replication_task(cfg, 0)
         encoded = "".join(harness._format_rows(TRAJECTORY_LINE, columns))
         # no long double to rely on: every float cell but 0, NaN and inf goes to %
         monkeypatch.setattr(cells, "_EXACT_LONGDOUBLE", False)
@@ -1002,7 +1038,7 @@ class TestCli:
         assert manifest["assumption_audit"] == []
 
     def test_environment_built_per_validation_only(self, tmp_path, monkeypatch):
-        # once when the file is read, once when run_experiment validates;
+        # once, when the config is resolved; run_experiment and the
         # replications reuse that environment
         calls = []
         build = harness.build_environment
@@ -1010,7 +1046,63 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(base_config(tmp_path, replications=3, algorithm={"horizon": 300})))
         assert main(["run", "--config", str(path)]) == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "option, value, field",
+        [
+            ("--seed", 7, "base_seed"),
+            ("--reps", 3, "replications"),
+            ("--out", "elsewhere", "output"),
+            ("--mode", "pac", "mode"),
+            ("--workers", 1, "workers"),
+        ],
+    )
+    def test_run_options_replace_config_fields(self, tmp_path, monkeypatch, option, value, field):
+        # each option replaces its field of the file before the config is resolved
+        pool = spy_pool(monkeypatch)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        raw = base_config(tmp_path, mode="error-scaling", algorithm={"budget": 40, "epsilon": 0.25}, workers=2)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        if option == "--out":
+            value = str(tmp_path / value)
+        assert main(["run", "--config", str(path), option, str(value)]) == 0
+        written = {**raw, field: value}
+        out = Path(written["output"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == written and manifest["mode"] == written["mode"]
+        seeds = list(range(written["base_seed"], written["base_seed"] + written["replications"]))
+        assert manifest["seeds"] == seeds
+        assert [int(line.split(",")[1]) for line in (out / "summary.csv").read_text().splitlines()[1:]] == seeds
+        assert pool["sizes"] == ([] if written["workers"] == 1 else [2])
+        assert (tmp_path / "out").exists() == (option != "--out")
+
+    @pytest.mark.parametrize(
+        "options, field",
+        [(["--reps", "0"], "replications"), (["--workers", "0"], "workers"), (["--mode", "bai"], "mode")],
+    )
+    def test_bad_run_options_exit_2(self, tmp_path, capsys, options, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path)))
+        assert main(["run", "--config", str(path), *options]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("value", [0, 2])
+    def test_environment_path_must_be_a_string(self, tmp_path, command, value):
+        # open() would take an int as a file descriptor: 0 reads standard input,
+        # 2 closes standard error.  In a fresh interpreter, so no fd of this one is at stake
+        path = tmp_path / "cfg.json"
+        environment = {"kind": "features", "path": value, "theta": [1.0]}
+        path.write_text(json.dumps(base_config(tmp_path, environment=environment)))
+        code = f"import sys; from semibandit.cli import main; sys.exit(main([{command!r}, '--config', {str(path)!r}]))"
+        env = {**os.environ, "PYTHONPATH": str(Path(semibandit.__file__).resolve().parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, stdin=subprocess.DEVNULL, timeout=60
+        )
+        assert (out.returncode, out.stderr) == (2, "config error: environment.path: must be a string\n")
 
     def test_unwritable_output(self, tmp_path):
         blocker = tmp_path / "blocker"
