@@ -5,7 +5,9 @@ Subcommands:
   run --config FILE [--mode M] [--seed S] [--reps N] [--out DIR] [--workers W]
   validate --config FILE
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error.
+Exit codes: 0 success; 2 configuration error, a missing or malformed feature
+file included (given to ``design`` or as ``environment.path``); 3 runtime
+error, running out of memory included.  An error prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -14,13 +16,16 @@ import argparse
 import sys
 
 from .design import FeatureSet, deo
-from .errors import ConfigError, SemibanditError
-from .harness import ExperimentConfig, check_anchor, check_positive, run_experiment
+from .errors import ConfigError, DimError, SemibanditError, check_positive
+from .harness import ExperimentConfig, check_anchor, run_experiment
 
 
 def _cmd_design(args) -> int:
     check_positive(args.fw_tol, "--fw-tol")
-    feats = FeatureSet.from_file(args.features_file)
+    try:
+        feats = FeatureSet.from_file(args.features_file)
+    except (OSError, DimError) as exc:
+        raise ConfigError("features_file", str(exc)) from None
     check_anchor(args.anchor, feats.K, "--anchor")
     policy, cert = deo(feats, anchor=args.anchor, fw_tol=args.fw_tol)
     print("arm_index,probability")
@@ -84,8 +89,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SemibanditError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SemibanditError, OSError, MemoryError) as exc:  # MemoryError: more rounds than memory holds
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

@@ -9,25 +9,18 @@ many other random draws they consume.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .design import FeatureSet
-from .errors import DimError, GenerationError, InvalidArm
+from .errors import DimError, GenerationError, InvalidArm, finite_real
 
 SHIFT_KINDS = ("none", "sine", "log_alternating", "log_alternating_min", "constant", "custom")
 NOISE_KINDS = ("gaussian", "bounded_uniform", "none")
 
 _NOISE_CHUNK = 4096
-
-
-def finite_real(value) -> bool:
-    """True for a real number (not a bool) that a double holds finitely; an int past 1.8e308 is too large."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the scalar checks that raise ``ConfigError``."""
+
+import numbers
+import sys
 
 
 class SemibanditError(Exception):
@@ -46,10 +49,6 @@ class GenerationError(SemibanditError):
     """Random instance generator exhausted its attempt budget."""
 
 
-class ScheduleOverflow(SemibanditError):
-    """Phase length exceeds the representable integer range."""
-
-
 class ConfigError(SemibanditError):
     """Experiment configuration is invalid; names the offending field."""
 
@@ -58,5 +57,42 @@ class ConfigError(SemibanditError):
         self.field = field
 
 
+class ScheduleOverflow(ConfigError):
+    """A round count is not finite or exceeds the most a run may hold; names the count."""
+
+
 class IoError(SemibanditError):
     """Output location cannot be written."""
+
+
+def finite_real(value) -> bool:
+    """True for a real number (not a bool) that a double holds finitely; an int past 1.8e308 is too large."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def check_positive(value, name: str):
+    """``value`` if it is a positive finite number (not a bool); else ConfigError."""
+    if not (finite_real(value) and value > 0):
+        raise ConfigError(name, "must be a positive finite number")
+    return value
+
+
+def check_probability(value, name: str):
+    """``value`` if it is a number (not a bool) in (0, 1); else ConfigError."""
+    if not (finite_real(value) and 0 < value < 1):
+        raise ConfigError(name, "must lie in (0, 1)")
+    return value
+
+
+def check_int(value, name: str, minimum: int | None = None) -> int:
+    """``value`` if it is an integer (not a bool) of at least ``minimum``; else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int) or (minimum is not None and value < minimum):
+        raise ConfigError(name, "must be an integer" + ("" if minimum is None else f" >= {minimum}"))
+    return value
+
+
+def check_member(value, name: str, choices: tuple):
+    """``value`` if it is one of the strings ``choices``; else ConfigError."""
+    if not (isinstance(value, str) and value in choices):
+        raise ConfigError(name, f"must be one of {choices}")
+    return value

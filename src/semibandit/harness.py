@@ -40,13 +40,13 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import dataclasses
 import functools
 import itertools
 import json
 import math
 import os
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,12 +60,11 @@ from .environment import (
     NoiseSpec,
     ShiftSpec,
     assumption_audit,
-    finite_real,
     make_gap_instance,
     make_mab_embedding,
 )
-from .errors import ConfigError, IoError, ScheduleOverflow
-from .sbe import RunRecord, SbeConfig, pac_budget, phase_length, run_pure_exploration, run_sbe
+from .errors import ConfigError, IoError, ScheduleOverflow, check_int, check_member, check_positive, check_probability
+from .sbe import RunRecord, SbeConfig, check_rounds, pac_budget, phase_length, run_pure_exploration, run_sbe
 
 MODES = ("regret", "pac", "design-cert", "error-scaling")
 
@@ -98,7 +97,7 @@ _BLOCK = 512
 _WRITE_BLOCK = 2048
 
 
-@dataclass
+@dataclasses.dataclass
 class MetricTable:
     """Column-oriented per-step metrics for one replication."""
 
@@ -178,32 +177,11 @@ def _log_table(n: int, delta: float) -> np.ndarray:
     return table
 
 
-def check_positive(value, name: str):
-    """``value`` if it is a positive finite number (not a bool); else ConfigError."""
-    if not (finite_real(value) and value > 0):
-        raise ConfigError(name, "must be a positive finite number")
-    return value
-
-
-def _check_probability(value, name: str):
-    """``value`` if it is a number (not a bool) in (0, 1); else ConfigError."""
-    if not (finite_real(value) and 0 < value < 1):
-        raise ConfigError(name, "must lie in (0, 1)")
-    return value
-
-
 def _check_keys(obj: dict, known, prefix: str = "") -> None:
     """ConfigError naming the first key of ``obj`` that is not in ``known``, if any."""
     unknown = sorted(set(obj) - set(known), key=str)
     if unknown:
         raise ConfigError(f"{prefix}{unknown[0]}", "unknown field")
-
-
-def _check_int(value, name: str, minimum: int | None = None) -> int:
-    """``value`` if it is an integer (not a bool) of at least ``minimum``; else ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, int) or (minimum is not None and value < minimum):
-        raise ConfigError(name, "must be an integer" + ("" if minimum is None else f" >= {minimum}"))
-    return value
 
 
 def _check_type(value, name: str, kind: type, what: str):
@@ -213,51 +191,40 @@ def _check_type(value, name: str, kind: type, what: str):
     return value
 
 
-def _check_member(value, name: str, choices: tuple):
-    """``value`` if it is one of the strings ``choices``; else ConfigError."""
-    if not (isinstance(value, str) and value in choices):
-        raise ConfigError(name, f"must be one of {choices}")
-    return value
-
-
-_check_count = functools.partial(_check_int, minimum=1)
+_check_count = functools.partial(check_int, minimum=1)
 _check_object = functools.partial(_check_type, kind=dict, what="an object")
 
 
 def check_anchor(anchor, k: int, name: str) -> int:
     """``anchor`` if it is an arm index for ``k`` arms; else ConfigError naming ``name``."""
-    _check_int(anchor, name, 0)
+    check_int(anchor, name, 0)
     if anchor >= k:
         raise ConfigError(name, f"must be an arm index below {k}")
     return anchor
 
 
-# key -> (default, check) of the config's top level, and of ``algorithm`` by
-# mode.  _REQUIRED marks a key that must be given; a key whose default is None
-# may be absent or null.  The design-cert anchor is checked against the arms
+# key -> (default, check) of the config's top level, and of ``algorithm`` by mode,
+# regret's read from SbeConfig's fields.  _REQUIRED marks a key that must be given;
+# a key whose default is None may be absent or null.  The design-cert anchor is checked against the arms
 _REQUIRED = object()
 _FIELDS = {
-    "mode": (_REQUIRED, functools.partial(_check_member, choices=MODES)),
+    "mode": (_REQUIRED, functools.partial(check_member, choices=MODES)),
     "environment": (_REQUIRED, _check_object),
     "algorithm": ({}, _check_object),
     "output": ("out", functools.partial(_check_type, kind=str, what="a string")),
     "replications": (1, _check_count),
-    "base_seed": (0, _check_int),
+    "base_seed": (0, check_int),
     "workers": (None, _check_count),
 }
-_EXPLORATION = {"delta": (0.1, _check_probability), "c2": (4.0, check_positive)}
+_EXPLORATION = {"delta": (0.1, check_probability), "c2": (4.0, check_positive)}
 _ALGORITHM = {
     "regret": {
-        "horizon": (_REQUIRED, _check_count),
-        "delta": (0.05, _check_probability),
-        "c2": (1.0, check_positive),
-        "c3": (1.0, check_positive),
-        "schedule": ("fixed", functools.partial(_check_member, choices=("fixed", "adaptive"))),
-        "fw_tol": (1e-3, check_positive),
+        f.name: (_REQUIRED if f.default is dataclasses.MISSING else f.default, f.metadata["check"])
+        for f in dataclasses.fields(SbeConfig)
     },
-    "pac": {"epsilon": (_REQUIRED, check_positive), "budget": (None, _check_count), **_EXPLORATION},
-    "error-scaling": {"epsilon": (None, check_positive), "budget": (_REQUIRED, _check_count), **_EXPLORATION},
-    "design-cert": {"anchor": (0, functools.partial(_check_int, minimum=0)), "fw_tol": (1e-3, check_positive)},
+    "pac": {"epsilon": (_REQUIRED, check_positive), "budget": (None, check_rounds), **_EXPLORATION},
+    "error-scaling": {"epsilon": (None, check_positive), "budget": (_REQUIRED, check_rounds), **_EXPLORATION},
+    "design-cert": {"anchor": (0, functools.partial(check_int, minimum=0)), "fw_tol": (1e-3, check_positive)},
 }
 
 
@@ -280,7 +247,7 @@ def _rounds(algorithm: dict) -> int:
     return algorithm.get("horizon", algorithm.get("budget", 0))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """A config resolved: every field checked, defaults applied, the environment built.
 
@@ -323,22 +290,18 @@ class ExperimentConfig:
         env = build_environment(fields["environment"])  # raises ConfigError on bad spec
         if env.K < 2:
             raise ConfigError("environment", "needs at least two arms")
-        if mode == "design-cert":
-            check_anchor(alg["anchor"], env.K, "algorithm.anchor")
-        elif mode == "regret":
-            x = env.features.features
-            d_eff = span_basis(x[1:] - x[0])[1]  # the dim of phase 1's certificate
-            if d_eff:  # 0 when all arms are identical, which deo reports when the run starts
-                try:
-                    phase_length(1, d_eff, env.K, SbeConfig(**alg))
-                except ScheduleOverflow as exc:
-                    raise ConfigError("algorithm", str(exc))
-        elif alg["budget"] is None:  # pac, with no budget given
-            try:
-                budget = pac_budget(env.d, env.K, alg["epsilon"], alg["delta"], c2=alg["c2"])
-            except (ValueError, OverflowError, ZeroDivisionError) as exc:  # epsilon**2 may underflow to 0
-                raise ConfigError("algorithm", f"no PAC budget: {exc}")
-            alg["budget"] = _check_count(budget, "algorithm.budget")
+        try:  # ScheduleOverflow: a round count worked out from the algorithm is past the cap
+            if mode == "design-cert":
+                check_anchor(alg["anchor"], env.K, "algorithm.anchor")
+            elif mode == "regret":
+                x = env.features.features
+                d_eff = span_basis(x[1:] - x[0])[1]  # the dim of phase 1's certificate
+                if d_eff:  # 0 when all arms are identical, which deo reports when the run starts
+                    phase_length(1, d_eff, env.K, alg["delta"], alg["c2"], alg["c3"], alg["schedule"])
+            elif alg["budget"] is None:  # pac, with no budget given
+                alg["budget"] = pac_budget(env.d, env.K, alg["epsilon"], alg["delta"], c2=alg["c2"])
+        except ScheduleOverflow as exc:
+            raise ConfigError("algorithm", str(exc)) from None
         rounds = _rounds(alg)
         if env.shift.kind == "custom" and env.shift.table.shape[0] < rounds:
             raise ConfigError(
@@ -357,7 +320,7 @@ def build_environment(spec: dict) -> Environment:
         raise ConfigError("environment.features", "cannot be given with environment.path")
     if "path" in spec and not isinstance(spec["path"], str):  # open() reads an int as a file descriptor
         raise ConfigError("environment.path", "must be a string")
-    seed = _check_int(spec.get("seed", 0), "environment.seed")
+    seed = check_int(spec.get("seed", 0), "environment.seed")
     try:
         if kind == "gap_instance":
             env = make_gap_instance(spec["d"], spec["K"], spec["gap"], seed)
@@ -377,25 +340,15 @@ def build_environment(spec: dict) -> Environment:
         raise ConfigError(f"environment.{exc.args[0]}", "missing field")
     except Exception as exc:
         raise ConfigError("environment", str(exc))
-    if "shift" in spec:
-        try:
-            sh = dict(spec["shift"])
-            env.shift = ShiftSpec(
-                kind=sh.get("kind", "none"),
-                constant=sh.get("constant", 0.0),
-                table=sh.get("table"),
-                clip_to_unit=sh.get("clip_to_unit", False),
-            )
-        except (ValueError, TypeError) as exc:
-            raise ConfigError("environment.shift", str(exc))
-        _check_keys(sh, _SHIFT_KEYS[env.shift.kind], "environment.shift.")
-    if "noise" in spec:
-        try:
-            nz = dict(spec["noise"])
-            env.noise = NoiseSpec(kind=nz.get("kind", "gaussian"), scale=nz.get("scale", 1.0))
-        except (ValueError, TypeError) as exc:
-            raise ConfigError("environment.noise", str(exc))
-        _check_keys(nz, _NOISE_KEYS[env.noise.kind], "environment.noise.")
+    for name, make, keys in (("shift", ShiftSpec, _SHIFT_KEYS), ("noise", NoiseSpec, _NOISE_KEYS)):
+        if name in spec:
+            obj = _check_object(spec[name], f"environment.{name}")
+            _check_keys(obj, [f.name for f in dataclasses.fields(make)], f"environment.{name}.")
+            try:
+                setattr(env, name, make(**obj))  # a key left out takes the dataclass's default
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"environment.{name}", str(exc))
+            _check_keys(obj, keys[getattr(env, name).kind], f"environment.{name}.")
     return env
 
 

@@ -18,39 +18,45 @@ A run records only what it decided (arms, rewards, phases, declaration);
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import estimator as est
 from .design import DesignCertificate, DesignPolicy, FeatureSet, deo
-from .environment import Environment, finite_real, rewards_for
-from .errors import ScheduleOverflow
+from .environment import Environment, rewards_for
+from .errors import ScheduleOverflow, check_int, check_member, check_positive, check_probability
 
-_MAX_PHASE_LEN = 2**62
+_SCHEDULES = ("fixed", "adaptive")
+# the most rounds a horizon, budget or phase may hold.  A run allocates 8 bytes a
+# round (np.arange(1, n + 1), for one); numpy 2.4 refuses 2**60 rounds with
+# ValueError, but 2**59 can fail only with MemoryError, which the CLI reports
+_MAX_ROUNDS = 2**59
+
+
+def check_rounds(value, name: str) -> int:
+    """``value`` if it is an integer from 1 to ``_MAX_ROUNDS``; else ConfigError (ScheduleOverflow past it)."""
+    if check_int(value, name, 1) > _MAX_ROUNDS:
+        raise ScheduleOverflow(name, f"must be at most {_MAX_ROUNDS} rounds")
+    return value
 
 
 @dataclass
 class SbeConfig:
-    delta: float = 0.05
-    horizon: int = 100_000
-    c2: float = 1.0
-    c3: float = 1.0
-    schedule: str = "fixed"  # "fixed" | "adaptive"
-    fw_tol: float = 1e-3
+    """Phase elimination's parameters; each field's metadata holds the check that harness's regret table shares."""
+
+    horizon: int = field(metadata={"check": check_rounds})
+    delta: float = field(default=0.05, metadata={"check": check_probability})
+    c2: float = field(default=1.0, metadata={"check": check_positive})
+    c3: float = field(default=1.0, metadata={"check": check_positive})
+    schedule: str = field(default="fixed", metadata={"check": functools.partial(check_member, choices=_SCHEDULES)})
+    fw_tol: float = field(default=1e-3, metadata={"check": check_positive})
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        for name in ("c2", "c3", "fw_tol"):
-            value = getattr(self, name)
-            if not (finite_real(value) and value > 0):
-                raise ValueError(f"{name} must be a positive finite number")
-        if self.schedule not in ("fixed", "adaptive"):
-            raise ValueError("schedule must be 'fixed' or 'adaptive'")
+        for f in fields(self):
+            f.metadata["check"](getattr(self, f.name), f.name)
 
 
 @dataclass
@@ -92,7 +98,20 @@ class RunRecord:
         return self.arm.shape[0]
 
 
-def phase_length(ell: int, d_eff: int, k_active: int, cfg: SbeConfig) -> int:
+def sample_size(d: int, m: float, epsilon: float, delta: float, size, name: str) -> int:
+    """n = d/eps^2 log(m / (delta eps)) + d^{3/2}/eps log(m / delta), the paper's sample size, as a round count.
+
+    That is ``size(n)``, the caller's rounding, rounded up to at least 1 and checked by ``check_rounds``.
+    """
+    try:
+        n = (d / epsilon**2) * math.log(m / (delta * epsilon)) + (d**1.5 / epsilon) * math.log(m / delta)
+        rounds = max(1, math.ceil(size(n)))
+    except (OverflowError, ZeroDivisionError, ValueError):  # epsilon**2 underflows to 0, or ceil(inf) or ceil(nan)
+        rounds = _MAX_ROUNDS + 1
+    return check_rounds(rounds, name)
+
+
+def phase_length(ell: int, d_eff: int, k_active: int, delta: float, c2: float, c3: float, schedule: str) -> int:
     """Scheduled number of samples for phase ``ell``.
 
     Fixed schedule: 4 c2 ceil( d/eps^2 log(d K l(l+1) / (delta eps))
@@ -104,29 +123,23 @@ def phase_length(ell: int, d_eff: int, k_active: int, cfg: SbeConfig) -> int:
         raise ValueError("phase index starts at 1")
     if k_active < 2:
         raise ValueError("schedule needs at least two active arms")
-    d = d_eff
-    eps = 2.0 ** (-ell)
-    try:
-        poly = d * k_active * ell * (ell + 1)
-        inner = (d / eps**2) * math.log(poly / (cfg.delta * eps)) + (d**1.5 / eps) * math.log(poly / cfg.delta)
-        n = 4.0 * cfg.c2 * math.ceil(inner)
-        if cfg.schedule == "adaptive":
-            alt_inner = (d * d / eps**2) * math.log(d * ell * (ell + 1) / (cfg.delta * eps))
-            n = min(n, 4.0 * cfg.c3 * math.ceil(alt_inner))
-        n = math.ceil(n)
-    except (OverflowError, ZeroDivisionError, ValueError) as exc:
-        raise ScheduleOverflow(f"phase length overflow at ell={ell}") from exc
-    if n > _MAX_PHASE_LEN:
-        raise ScheduleOverflow(f"phase length {n} exceeds the integer range")
-    return max(1, int(n))
+    d, eps = d_eff, 2.0 ** (-ell)
+
+    def size(n):
+        length = 4.0 * c2 * math.ceil(n)
+        if schedule == "adaptive":
+            alt = (d * d / eps**2) * math.log(d * ell * (ell + 1) / (delta * eps))
+            length = min(length, 4.0 * c3 * math.ceil(alt))
+        return length
+
+    return sample_size(d, d * k_active * ell * (ell + 1), eps, delta, size, f"phase {ell} length")
 
 
 def pac_budget(d: int, k: int, epsilon: float, delta: float, c2: float = 4.0) -> int:
-    """Pure-exploration budget for an (epsilon, delta)-PAC guarantee."""
-    if epsilon <= 0 or not 0.0 < delta < 1.0:
-        raise ValueError("need epsilon > 0 and delta in (0, 1)")
-    inner = (d / epsilon**2) * math.log(d * k / (epsilon * delta)) + (d**1.5 / epsilon) * math.log(d * k / delta)
-    return int(math.ceil(c2 * inner))
+    """Pure-exploration budget for an (epsilon, delta)-PAC guarantee: ceil(c2 n), the sample size n at m = dK."""
+    check_positive(epsilon, "epsilon")
+    check_probability(delta, "delta")
+    return sample_size(d, d * k, epsilon, delta, lambda n: c2 * n, "budget")
 
 
 def eliminate(features: FeatureSet, active, theta_hat: np.ndarray, epsilon: float) -> list:
@@ -196,7 +209,7 @@ def run_sbe(env: Environment, cfg: SbeConfig, run_seed: int = 0) -> RunRecord:
         ell = len(phases) + 1
 
         def schedule(cert):
-            n_ell = phase_length(ell, cert.dim, len(active), cfg)
+            n_ell = phase_length(ell, cert.dim, len(active), cfg.delta, cfg.c2, cfg.c3, cfg.schedule)
             return n_ell, math.log(n_ell * ell * (ell + 1) / cfg.delta)
 
         phase, phase_arms, phase_rewards = _run_phase(
@@ -232,8 +245,7 @@ def run_pure_exploration(env: Environment, budget: int, delta: float, run_seed: 
     beta = log(budget / delta); the greedy arm maximizes x_i' theta_hat
     (equivalently (x_i - x_1)' theta_hat).
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    check_rounds(budget, "budget")
     beta = est.regularizer(budget, delta)
     rng, noise = env.action_rng(run_seed), env.noise_stream(run_seed)
     phase, arms, rewards = _run_phase(

@@ -4,9 +4,12 @@ The strategies come from the tables the harness checks a config against:
 ``_ALGORITHM`` by mode, ``_ENVIRONMENT_KEYS``, ``_SHIFT_KEYS`` and
 ``_NOISE_KEYS``.  Each key usually gets a valid value; otherwise it is left
 out or gets a wrong one (a wrong type, a bool, NaN, +-inf, an int past the
-largest double), and an object sometimes gains an unknown key.  Every
-example stays small: one worker, at most 3 replications, d <= 4, K <= 8,
-at most 500 rounds, and no file read but one feature file.
+largest double), and an object sometimes gains an unknown key.  A horizon or
+budget is sometimes past the most rounds a run may hold, which ``validate``
+must reject, and epsilon reaches down to 1e-300, whose PAC budget is past it
+too.  Every example that runs stays small: one worker, at most 3
+replications, d <= 4, K <= 8, at most 500 rounds, and no file read but one
+feature file.
 """
 
 import contextlib
@@ -30,15 +33,25 @@ WRONG = st.one_of(
     st.integers(min_value=2**1024, max_value=2**1100),  # too large for a double
     st.floats(),
 )
+OVER_CAP = (2**59 + 1, 10**30)  # round counts past sbe._MAX_ROUNDS, which validate must reject
+
+
+def rarely(usual, other):
+    """``usual``, or one time in eight ``other``; shrinks to ``usual``."""
+    return st.integers(0, 7).flatmap(lambda i: other if i == 7 else usual)
+
+
+ROUNDS = rarely(st.integers(1, 500), st.sampled_from(OVER_CAP))
 VALID_ALGORITHM = {
-    "horizon": st.integers(1, 500),
-    "budget": st.integers(1, 500),
+    "horizon": ROUNDS,
+    "budget": ROUNDS,
     "delta": st.one_of(st.floats(1e-6, 0.999), st.just(1e-320)),
     "c2": st.floats(1e-3, 10.0),
     "c3": st.floats(1e-3, 10.0),
     "schedule": st.sampled_from(["fixed", "adaptive"]),
     "fw_tol": st.floats(1e-6, 1.0),
-    "epsilon": st.floats(1e-2, 10.0),
+    # down to 1e-300, whose worked-out PAC budget is past the cap
+    "epsilon": rarely(st.floats(1e-2, 10.0), st.floats(-300.0, -2.0).map(lambda e: 10.0**e)),
     "anchor": st.integers(0, 9),
 }
 FEATURE_FILE = "2 3\n0.5 0\n0 0.5\n-0.5 0\n"  # d = 2, K = 3
@@ -142,6 +155,9 @@ def test_validate_and_run_exit_0_2_or_3(data):
         path.write_text(json.dumps(raw))
         checked = exit_code("validate", path)
         assert checked in (0, 2)
+        algorithm = raw.get("algorithm")
+        if isinstance(algorithm, dict) and any(algorithm.get(key) in OVER_CAP for key in ("horizon", "budget")):
+            assert checked == 2
         if checked == 0 and harness._rounds(harness.ExperimentConfig.from_dict(raw).algorithm) > 500:
             return  # a PAC budget worked out from epsilon; the run would be too long for this test
         assert exit_code("run", path) in ((0, 3) if checked == 0 else (2,))

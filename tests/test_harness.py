@@ -183,6 +183,15 @@ BAD_CONFIGS = {
     "misspelled-noise-key": {"environment": features_env(noise={"kind": "gaussian", "scael": 2.0})},
     "misspelled-shift-key": {"environment": features_env(shift={"kind": "sine", "constnat": 3})},
     "pac-fw-tol": {"mode": "pac", "algorithm": {"epsilon": 0.25, "fw_tol": -1}},
+    # round counts past sbe._MAX_ROUNDS, given or worked out
+    "huge-horizon": {"algorithm": {"horizon": 10**30}},
+    "horizon-past-cap": {"algorithm": {"horizon": 2**59 + 1}},
+    "huge-error-scaling-budget": {"mode": "error-scaling", "algorithm": {"budget": 10**30}},
+    "huge-pac-budget": {"mode": "pac", "algorithm": {"epsilon": 0.25, "budget": 10**30}},
+    "tiny-epsilon": {"mode": "pac", "algorithm": {"epsilon": 1e-150}},
+    "phase-1-past-cap": {"algorithm": {"horizon": 2000, "c2": 1e15}},
+    "shift-pair-list": {"environment": features_env(shift=[["kind", "constant"], ["constant", 0.5]])},
+    "noise-pair-list": {"environment": features_env(noise=[["kind", "none"]])},
 }
 
 
@@ -383,6 +392,23 @@ class TestConfig:
             {"kind": "features", "features": [[1.0, 0.0], [0.0, 0.5]], "theta": [0.8, 0.1]}
         )
         assert env.K == 2 and env.best_arm == 0
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("horizon", True), ("horizon", 1.5), ("horizon", 0), ("horizon", 2**59 + 1), ("horizon", 10**30),
+            ("delta", 0), ("delta", 1), ("delta", 2), ("delta", math.nan), ("c2", 0), ("c2", math.inf),
+            ("c3", 0), ("c3", math.inf), ("fw_tol", 0), ("fw_tol", math.inf), ("schedule", "greedy"),
+        ],
+    )
+    def test_library_and_config_reject_alike(self, tmp_path, key, value):
+        # one check per regret key: SbeConfig and a config's algorithm block each name the key, with one message
+        with pytest.raises(ConfigError) as library:
+            SbeConfig(**{"horizon": 10, key: value})
+        with pytest.raises(ConfigError) as config:
+            ExperimentConfig.from_dict(base_config(tmp_path, algorithm={"horizon": 10, key: value}))
+        assert library.value.field == key and config.value.field == f"algorithm.{key}"
+        assert str(config.value) == f"algorithm.{library.value}"
 
     def test_bai_mode_folded_into_regret(self, tmp_path):
         # the regret summary already records declared_best, declared_at and success
@@ -904,35 +930,50 @@ class TestCli:
         assert (tmp_path / "cli_out" / "trajectory.csv").exists()
 
     @pytest.mark.parametrize(
-        "options, contents, code",
+        "options, contents, blame",
         [
-            (["--fw-tol", "0"], b"2 3\n0 0\n1 0\n0 1\n", 2),
-            (["--fw-tol", "-1"], b"2 3\n0 0\n1 0\n0 1\n", 2),
-            (["--fw-tol", "inf"], b"2 3\n0 0\n1 0\n0 1\n", 2),
-            (["--fw-tol", "nan"], b"2 3\n0 0\n1 0\n0 1\n", 2),
-            ([], b"2 3\n0 0\n1 x\n0 1\n", 3),
-            ([], b"2 3.5\n0 0\n1 0\n0 1\n", 3),
-            ([], b"d K\n0 0\n1 0\n0 1\n", 3),
-            ([], b"2 3\n0 0\n1 0 1\n0 1\n", 3),
-            ([], b"2 3\n0 0\n\xff\xfe\n0 1\n", 3),
-            (["--anchor", "3"], b"2 3\n0 0\n1 0\n0 1\n", 2),
-            (["--anchor", "-1"], b"2 3\n0 0\n1 0\n0 1\n", 2),
-            ([], b"2 3\n0 0\n0.1 0.1\n0.1 0.100000001\n", 3),
+            (["--fw-tol", "0"], b"2 3\n0 0\n1 0\n0 1\n", "--fw-tol"),
+            (["--fw-tol", "-1"], b"2 3\n0 0\n1 0\n0 1\n", "--fw-tol"),
+            (["--fw-tol", "inf"], b"2 3\n0 0\n1 0\n0 1\n", "--fw-tol"),
+            (["--fw-tol", "nan"], b"2 3\n0 0\n1 0\n0 1\n", "--fw-tol"),
+            ([], None, "features_file"),
+            ([], b"2 3\n0 0\n1 x\n0 1\n", "features_file"),
+            ([], b"2 3\n0 0\nnan 0\n0 1\n", "features_file"),
+            ([], b"2 3.5\n0 0\n1 0\n0 1\n", "features_file"),
+            ([], b"d K\n0 0\n1 0\n0 1\n", "features_file"),
+            ([], b"2 3\n0 0\n1 0 1\n0 1\n", "features_file"),
+            ([], b"2 3\n0 0\n\xff\xfe\n0 1\n", "features_file"),
+            (["--anchor", "3"], b"2 3\n0 0\n1 0\n0 1\n", "--anchor"),
+            (["--anchor", "-1"], b"2 3\n0 0\n1 0\n0 1\n", "--anchor"),
+            ([], b"2 3\n0 0\n0.1 0.1\n0.1 0.100000001\n", None),
         ],
         ids=[
-            "zero-fw-tol", "negative-fw-tol", "infinite-fw-tol", "nan-fw-tol", "non-numeric-cell",
-            "non-integer-header", "non-numeric-header", "ragged-row", "not-utf8", "anchor-out-of-range",
+            "zero-fw-tol", "negative-fw-tol", "infinite-fw-tol", "nan-fw-tol", "missing-file", "non-numeric-cell",
+            "nan-cell", "non-integer-header", "non-numeric-header", "ragged-row", "not-utf8", "anchor-out-of-range",
             "negative-anchor", "near-duplicate-arms",
         ],
     )
-    def test_design_errors(self, tmp_path, capsys, options, contents, code):
-        # a bad option exits 2 and a malformed or unusable feature file exits 3, each with one message line
+    def test_design_errors(self, tmp_path, capsys, options, contents, blame):
+        # a bad option or a missing or malformed feature file is a config error (exit 2) that
+        # names it; a file of arms no design can be solved for exits 3; each prints one line
         feats = tmp_path / "feats.txt"
-        feats.write_bytes(contents)
-        assert main(["design", str(feats), *options]) == code
+        if contents is not None:
+            feats.write_bytes(contents)
+        assert main(["design", str(feats), *options]) == (3 if blame is None else 2)
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {options[0]}" if code == 2 else "error:")
+        assert err.startswith("error:" if blame is None else f"config error: {blame}: ")
         assert len(err.splitlines()) == 1
+
+    def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a round count within the cap can still be more than memory holds; the run's allocation fails
+        def rewards_for(env, arms, t0, noise):
+            raise MemoryError()
+
+        monkeypatch.setattr(sbe, "rewards_for", rewards_for)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path)))
+        assert main(["run", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == "error: MemoryError\n"
 
     def test_near_duplicate_arms_run_error(self, tmp_path, capsys):
         # the design matrix of these arms cannot be inverted in double precision

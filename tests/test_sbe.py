@@ -9,6 +9,7 @@ from semibandit.errors import DegenerateFeatures, ScheduleOverflow
 from semibandit.harness import compute_metrics
 from semibandit.sbe import (
     SbeConfig,
+    check_rounds,
     eliminate,
     pac_budget,
     phase_length,
@@ -23,37 +24,52 @@ def cfg(**kw):
     return SbeConfig(**base)
 
 
+def length(ell, d, k, **kw):
+    """``phase_length`` under ``cfg(**kw)``'s schedule."""
+    c = cfg(**kw)
+    return phase_length(ell, d, k, c.delta, c.c2, c.c3, c.schedule)
+
+
 class TestPhaseLength:
     def test_worked_example(self):
         # ell=1, d=2, K=3, delta=0.1, c2=1:
         # 4 * ceil(8 ln 240 + 2^1.5 * 2 * ln 120) = 4 * ceil(43.85 + 27.08) = 284
-        assert phase_length(1, 2, 3, cfg()) == 284
+        assert length(1, 2, 3) == 284
 
     def test_quadrupling(self):
-        c = cfg(horizon=1)
         for ell in (12, 15, 18):
-            ratio = phase_length(ell + 1, 4, 10, c) / phase_length(ell, 4, 10, c)
+            ratio = length(ell + 1, 4, 10) / length(ell, 4, 10)
             assert 3.5 <= ratio <= 4.5
 
     def test_adaptive_beats_fixed_for_huge_k(self):
-        fixed = cfg(schedule="fixed")
-        adaptive = cfg(schedule="adaptive")
         k = 2**20
         for ell in range(1, 8):
-            assert phase_length(ell, 3, k, adaptive) <= phase_length(ell, 3, k, fixed)
+            assert length(ell, 3, k, schedule="adaptive") <= length(ell, 3, k, schedule="fixed")
 
     def test_monotone_in_ell(self):
         for schedule in ("fixed", "adaptive"):
-            c = cfg(schedule=schedule)
-            lengths = [phase_length(ell, 5, 10, c) for ell in range(1, 20)]
+            lengths = [length(ell, 5, 10, schedule=schedule) for ell in range(1, 20)]
             assert all(b >= a for a, b in zip(lengths, lengths[1:]))
 
     def test_overflow(self):
         with pytest.raises(ScheduleOverflow):
-            phase_length(600, 5, 10, cfg())
+            length(600, 5, 10)
+
+    def test_round_cap(self):
+        # every round count, given or worked out, is at most 2**59, past which np.arange raises ValueError
+        assert check_rounds(2**59, "n") == 2**59
+        for n in (2**59 + 1, 10**30):
+            with pytest.raises(ScheduleOverflow):
+                check_rounds(n, "n")
+        with pytest.raises(ScheduleOverflow):
+            length(1, 5, 20, c2=1e15)  # about 2**60 rounds
+        with pytest.raises(ScheduleOverflow):
+            pac_budget(3, 8, 1e-150, 0.1)
+        with pytest.raises(ScheduleOverflow):
+            run_pure_exploration(make_gap_instance(3, 5, 0.5, seed=0), 2**59 + 1, 0.1)
 
     def test_positive(self):
-        assert phase_length(1, 2, 2, cfg(c2=1e-9)) >= 1
+        assert length(1, 2, 2, c2=1e-9) >= 1
 
 
 class TestEliminate:
@@ -171,7 +187,7 @@ class TestRunSbe:
 
         env = make_gap_instance(3, 6, 0.41, seed=60 + seed)
         policy, cert = deo(env.features)
-        n1 = phase_length(1, cert.dim, env.K, cfg())
+        n1 = length(1, cert.dim, env.K)
         rng = env.action_rng(seed)
         noise = env.noise_stream(seed)
         arms = rng.choice(env.K, size=n1, p=policy.probabilities)
