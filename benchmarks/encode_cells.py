@@ -1,4 +1,4 @@
-"""Time the CSV cell encoder against per-cell ``%`` formatting, by column kind.
+"""Time the CSV cell encoder against per-cell ``%`` formatting, by column kind and by whole table.
 
 Run from the root of a checkout:
 
@@ -10,9 +10,13 @@ hand to ``cells._percent``), and by ``%`` on every cell of
 ``column.tolist()``.  The two texts must be equal.  The columns are fixed
 draws (standard-normal and wide-range floats, small and large integers) and
 the float and integer columns of replication 0 of instance 0 of each perfbench
-workload at ``--seed``.  Prints one JSON object: per column, nanoseconds per
-cell for both (the best of ``--repeats``), and the share of cells the encoder
-handed to ``%``, counted by wrapping ``cells._percent``.
+workload at ``--seed``.  A column on its own cannot show what ``cells.rows``
+spends once per block, such as a call of an encoder, so each of those
+trajectory tables is also written whole, with all ten columns, and compared
+with ``TRAJECTORY_LINE % row`` on every row.  Prints one JSON object: per
+column, nanoseconds per cell for both (the best of ``--repeats``), and the
+share of cells the encoder handed to ``%``, counted by wrapping
+``cells._percent``; per table, microseconds per row for both.
 """
 
 from __future__ import annotations
@@ -48,19 +52,26 @@ def fixed_draws() -> dict:
     }
 
 
-def workload_columns(seed: int) -> dict:
-    """The trajectory columns of replication 0 of each workload, by "workload: column"."""
-    columns = {}
+def workload_tables(seed: int) -> dict:
+    """The trajectory columns of replication 0 of each workload, by workload."""
+    tables = {}
     with tempfile.TemporaryDirectory() as work:
         for name, w in instances.WORKLOADS.items():
             path = Path(work) / "config.json"
             instances.write_config(path, w, instances.make_instance(w, seed, 0), seed, str(Path(work) / "out"))
             cfg = harness.ExperimentConfig.from_file(path)
-            table, _, _ = harness._replication_task(cfg, 0)
-            specs = harness.TRAJECTORY_LINE.rstrip("\n").split(",")
-            for title, spec, column in zip(harness.TRAJECTORY_COLUMNS, specs, table):
-                columns[f"{name}: {title}"] = (spec, np.ascontiguousarray(column))
-    return columns
+            tables[name] = harness._replication_task(cfg, 0)[0]
+    return tables
+
+
+def workload_columns(tables: dict) -> dict:
+    """Each column of ``tables``, by "workload: column"."""
+    specs = harness.TRAJECTORY_LINE.rstrip("\n").split(",")
+    return {
+        f"{name}: {title}": (spec, np.ascontiguousarray(column))
+        for name, table in tables.items()
+        for title, spec, column in zip(harness.TRAJECTORY_COLUMNS, specs, table)
+    }
 
 
 def best_seconds(fn, repeats: int) -> float:
@@ -101,16 +112,36 @@ def measure(spec: str, column: np.ndarray, repeats: int) -> dict:
     }
 
 
+def measure_table(table, repeats: int) -> dict:
+    line = harness.TRAJECTORY_LINE
+
+    def encoded():
+        return "".join(cells.rows(line, table, harness._WRITE_BLOCK))
+
+    def per_row():
+        return "".join([line % row for row in zip(*(column.tolist() for column in table))])
+
+    assert encoded() == per_row()
+    rows = len(table[0])
+    return {
+        "rows": rows,
+        "encoder_us_per_row": round(best_seconds(encoded, repeats) / rows * 1e6, 3),
+        "percent_us_per_row": round(best_seconds(per_row, repeats) / rows * 1e6, 3),
+    }
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    columns = {**fixed_draws(), **workload_columns(args.seed)}
+    tables = workload_tables(args.seed)
+    columns = {**fixed_draws(), **workload_columns(tables)}
     result = {
         "host": {"machine": platform.machine(), "python": platform.python_version(), "numpy": np.__version__},
         "exact_long_double": cells._EXACT_LONGDOUBLE,
         "columns": {name: measure(spec, column, args.repeats) for name, (spec, column) in columns.items()},
+        "tables": {name: measure_table(table, args.repeats) for name, table in tables.items()},
     }
     print(json.dumps(result, indent=1))
 

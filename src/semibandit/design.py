@@ -50,6 +50,11 @@ class FeatureSet:
             raise DimError(f"features must be a (K, d) array, got shape {feats.shape}")
         if not np.isfinite(feats).all():
             raise DimError("features contain non-finite entries")
+        # the design squares differences of rows, whose norms are at most 2 sqrt(d) times the largest entry
+        largest = max(feats.max(initial=0.0), -feats.min(initial=0.0))  # no temporary array
+        bound = math.sqrt(np.finfo(float).max / (4 * max(feats.shape[1], 1)))
+        if largest > bound:
+            raise DimError(f"features have an entry of {largest:.3g}; past {bound:.3g}, squared distances overflow")
         object.__setattr__(self, "features", feats)
         norms = np.linalg.norm(feats, axis=1)
         if norms.size and norms.max() > 1.0 + 1e-12:

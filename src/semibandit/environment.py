@@ -21,6 +21,9 @@ SHIFT_KINDS = ("none", "sine", "log_alternating", "log_alternating_min", "consta
 NOISE_KINDS = ("gaussian", "bounded_uniform", "none")
 
 _NOISE_CHUNK = 4096
+# numpy's ziggurat normal draws stay below r + sqrt(2 * 53 ln 2) = 3.65 + 8.57 in magnitude: its tail
+# takes x = -ln(1 - U1) / r and accepts it when x^2 < -2 ln(1 - U2), and a 53-bit U2 puts that below 73.5
+_NORMAL_MAX = 12.25
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,8 @@ class NoiseSpec:
             raise ValueError("noise scale must be a nonnegative finite number")
         if self.kind == "bounded_uniform" and not math.isfinite(2.0 * self.scale):  # the width of its draws
             raise ValueError("bounded_uniform noise scale must be at most half the largest double")
+        if self.kind == "gaussian" and not math.isfinite(_NORMAL_MAX * self.scale):  # its largest draw
+            raise ValueError(f"gaussian noise scale must be at most the largest double / {_NORMAL_MAX}")
 
 
 class NoiseStream:

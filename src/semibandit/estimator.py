@@ -63,11 +63,16 @@ def solve(state: EstimatorState, beta: float) -> np.ndarray:
     """Ridge solution (gram + beta I)^{-1} moment by one ``np.linalg.solve``.
 
     The same routine solves every ridge system in the package, the per-step
-    e_t of ``harness.compute_metrics`` included.
+    e_t of ``harness.compute_metrics`` included.  Raises ``InvalidSample``
+    when the solution is not finite, as when finite samples sum past the
+    largest double.
     """
     if beta <= 0:
         raise InvalidRegularizer(f"beta must be positive, got {beta}")
-    return np.linalg.solve(state.gram + beta * np.eye(state.dim), state.moment)
+    theta = np.linalg.solve(state.gram + beta * np.eye(state.dim), state.moment)
+    if not np.isfinite(theta).all():
+        raise InvalidSample("the ridge estimate is not finite: the rewards or features are too large to sum")
+    return theta
 
 
 def error_bound_diagnostic(cert: DesignCertificate, t: int, delta: float, c1: float = 10.0) -> float:

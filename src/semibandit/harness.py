@@ -63,7 +63,16 @@ from .environment import (
     make_gap_instance,
     make_mab_embedding,
 )
-from .errors import ConfigError, IoError, ScheduleOverflow, check_int, check_member, check_positive, check_probability
+from .errors import (
+    ConfigError,
+    DimError,
+    IoError,
+    ScheduleOverflow,
+    check_int,
+    check_member,
+    check_positive,
+    check_probability,
+)
 from .sbe import RunRecord, SbeConfig, check_rounds, pac_budget, phase_length, run_pure_exploration, run_sbe
 
 MODES = ("regret", "pac", "design-cert", "error-scaling")
@@ -303,6 +312,11 @@ class ExperimentConfig:
         except ScheduleOverflow as exc:
             raise ConfigError("algorithm", str(exc)) from None
         rounds = _rounds(alg)
+        each = max(rounds, 1)  # a design-cert run still counts as one round per replication
+        try:
+            check_rounds(fields["replications"] * each, "rounds in all")
+        except ScheduleOverflow as exc:
+            raise ConfigError("replications", f"{fields['replications']} of {each} rounds each: {exc}") from None
         if env.shift.kind == "custom" and env.shift.table.shape[0] < rounds:
             raise ConfigError(
                 "environment.shift.table", f"has {env.shift.table.shape[0]} entries for a run of {rounds} rounds"
@@ -327,10 +341,14 @@ def build_environment(spec: dict) -> Environment:
         elif kind == "mab":
             env = make_mab_embedding(spec["mu"], seed=seed)
         else:
-            if "path" in spec:
-                feats = FeatureSet.from_file(spec["path"])
-            else:
-                feats = FeatureSet(np.asarray(spec["features"], dtype=float))
+            where = "path" if "path" in spec else "features"
+            try:
+                if where == "path":
+                    feats = FeatureSet.from_file(spec["path"])
+                else:
+                    feats = FeatureSet(np.asarray(spec["features"], dtype=float))
+            except (OSError, DimError) as exc:
+                raise ConfigError(f"environment.{where}", str(exc)) from None
             env = Environment(
                 features=feats,
                 theta_star=np.asarray(spec["theta"], dtype=float),
@@ -338,6 +356,8 @@ def build_environment(spec: dict) -> Environment:
             )
     except KeyError as exc:
         raise ConfigError(f"environment.{exc.args[0]}", "missing field")
+    except ConfigError:
+        raise
     except Exception as exc:
         raise ConfigError("environment", str(exc))
     for name, make, keys in (("shift", ShiftSpec, _SHIFT_KEYS), ("noise", NoiseSpec, _NOISE_KEYS)):
@@ -591,13 +611,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     except OSError as exc:
         raise IoError(f"cannot create output directory {out}: {exc}")
 
-    seeds = [cfg.base_seed + r for r in range(cfg.replications)]
     manifest = {
         "version": __version__,
         "mode": cfg.mode,
         "algorithm": alg,
         "config": _manifest_config(cfg),
-        "seeds": seeds,
+        "seeds": [],  # each replication's, read from its summary when all have run
         "assumption_audit": assumption_audit(env, horizon=_rounds(alg)),
         "created_unix": time.time(),
     }
@@ -625,6 +644,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     summary_columns = [np.array([s[c] for s in summaries], dtype=object) for c in SUMMARY_COLUMNS]
     _write_csv(out / "summary.csv", SUMMARY_COLUMNS, SUMMARY_LINE, summary_columns)
+    manifest["seeds"] = [s["seed"] for s in summaries]
     _write_manifest(out / "manifest.json", manifest)
     return {
         "output": str(out),

@@ -42,3 +42,7 @@ def test_encode_cells_smoke(capsys):
     assert workloads == set(script.instances.WORKLOADS)
     for column in result["columns"].values():
         assert column["cells"] > 0 and 0 <= column["fallback_share"] <= 1
+    # and each workload's table written whole, its bytes compared with % on every row
+    assert set(result["tables"]) == set(script.instances.WORKLOADS)
+    for table in result["tables"].values():
+        assert table["rows"] > 0 and table["encoder_us_per_row"] > 0 and table["percent_us_per_row"] > 0

@@ -192,6 +192,13 @@ BAD_CONFIGS = {
     "phase-1-past-cap": {"algorithm": {"horizon": 2000, "c2": 1e15}},
     "shift-pair-list": {"environment": features_env(shift=[["kind", "constant"], ["constant", 0.5]])},
     "noise-pair-list": {"environment": features_env(noise=[["kind", "none"]])},
+    # found only at run time before: a gaussian draw, or the design's squared distances, past the largest double
+    "overflowing-gaussian-noise-scale": {"environment": features_env(noise={"kind": "gaussian", "scale": 1e308})},
+    "huge-feature-entries": {"environment": features_env(features=[[1e308, 0.0], [0.0, 1e308], [-1e308, 0.0]])},
+    # replications x rounds past sbe._MAX_ROUNDS: the run would hold more rounds than any one may
+    "huge-replications": {"replications": 10**24},
+    "replications-times-horizon-past-cap": {"replications": 2**40, "algorithm": {"horizon": 2**20}},
+    "design-cert-huge-replications": {"mode": "design-cert", "algorithm": {}, "replications": 2**59 + 1},
 }
 
 
@@ -741,6 +748,38 @@ def line_rows(data, line_format):
     return data.draw(st.lists(st.tuples(*cells), min_size=1, max_size=24))
 
 
+@st.composite
+def run_tables(draw, block):
+    """A line format and its columns, each constant, all distinct, or runs of 1 to ``block`` equal cells."""
+    n = draw(st.integers(1, 3 * block))
+    specs = draw(st.lists(st.sampled_from(["%d", "%.17g"]), min_size=1, max_size=6))
+    columns = []
+    for spec in specs:
+        cells_of = FLOATS if spec == "%.17g" else INTS
+        pooled = st.sampled_from(FLOAT_POOL if spec == "%.17g" else INT_POOL) | cells_of
+        shape = draw(st.sampled_from(["constant", "runs", "distinct"]))
+        if shape == "distinct":
+            column = draw(st.lists(cells_of, min_size=n, max_size=n))
+        elif shape == "constant":
+            column = [draw(pooled)] * n
+        else:
+            column = []
+            while len(column) < n:
+                column += [draw(pooled)] * draw(st.integers(1, block))
+        columns.append(np.array(column[:n], dtype=np.float64 if spec == "%.17g" else np.int64))
+    return ",".join(specs) + "\n", columns
+
+
+def written_lines(line, columns, block):
+    """The lines ``cells.rows`` writes, newlines kept: a list, which pytest compares quickly when long."""
+    return "".join(cells.rows(line, columns, block)).splitlines(keepends=True)
+
+
+def per_cell_lines(line, columns):
+    """``line % row`` of each row: the oracle for ``written_lines``."""
+    return [line % row for row in zip(*(c.tolist() for c in columns))]
+
+
 def boundary_floats() -> np.ndarray:
     """Float cells at the edges of the encoder's fast path, with both signs.
 
@@ -804,7 +843,7 @@ class TestWriter:
         [
             ([0, 1, 9, 10, 99, 10**7 - 1], 10**7),  # fields of one word
             ([0, 10**7 - 1, 10**7, 10**8 - 1], 10**8),  # of two
-            ([10**8 - 1, 10**8, 2**63 - 1, -(2**63) + 1, -(2**63), -1], 2**63 - 1),  # of three, some formatted by %
+            ([10**8 - 1, 10**8, 2**63 - 1, -(2**63) + 1, -(2**63), -1], 2**63 - 1),  # of three, a sign and 19 digits
         ],
     )
     def test_int_boundaries(self, edges, high):
@@ -847,6 +886,53 @@ class TestWriter:
         monkeypatch.setattr(cells, "_encode_floats", percent_only("%.17g"))
         monkeypatch.setattr(cells, "_encode_ints", percent_only("%d"))
         assert "".join(harness._format_rows(TRAJECTORY_LINE, columns)) == encoded
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), block=st.integers(1, 40))
+    def test_tables_of_runs_match_per_cell_format(self, data, block):
+        # constant columns, runs of any length up to a block, NaN and signed-zero runs, all-distinct columns
+        line, columns = data.draw(run_tables(block))
+        assert written_lines(line, columns, block) == per_cell_lines(line, columns)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 64])
+    def test_runs_of_every_length_up_to_the_block(self, block):
+        lengths = np.arange(1, block + 1).repeat(2)
+        runs = np.arange(lengths.size)
+        columns = (
+            np.repeat(np.where(runs % 2, 0.0, -0.0), lengths),  # signed zeros, in one grouped call with the next two
+            np.repeat(np.where(runs % 3, -0.0, math.nan), lengths),
+            np.repeat(runs * 0.1, lengths),
+            np.repeat(runs, lengths),
+            np.repeat(runs % 2 - 2**62, lengths),  # negative: a field of three words, with a sign
+        )
+        line = "%.17g,%.17g,%.17g,%d,%d\n"
+        assert written_lines(line, columns, block) == per_cell_lines(line, columns)
+
+    def test_one_grouped_call_per_encoder_per_block(self, monkeypatch):
+        # the run heads of a block's run columns go to each encoder in one call; a column of distinct cells has its own
+        calls = {"_encode_floats": [], "_encode_ints": []}
+        for name, sizes in calls.items():
+
+            def counting(values, out, encode=getattr(cells, name), sizes=sizes):
+                sizes.append(len(values))
+                encode(values, out)
+
+            monkeypatch.setattr(cells, name, counting)
+        n, block = 5000, 2048
+        columns = (
+            np.repeat([0.5, -0.0, 0.0, math.nan], [1000, 1500, 1500, 1000]),
+            np.full(n, 0.0),
+            np.repeat([0.25, 1e-9], [4000, 1000]),
+            np.random.default_rng(0).standard_normal(n),
+            np.arange(n) // 1000,
+            np.full(n, 3, dtype=np.int64),
+        )
+        line = "%.17g,%.17g,%.17g,%.17g,%d,%d\n"
+        assert written_lines(line, columns, block) == per_cell_lines(line, columns)
+        blocks = -(-n // block)
+        assert calls["_encode_ints"] == [3 + 1, 3 + 1, 1 + 1]  # the run heads of both int columns, by block
+        grouped = [size for size in calls["_encode_floats"] if size < 20]
+        assert grouped == [2 + 1 + 1, 3 + 1 + 2, 1 + 1 + 1] and len(calls["_encode_floats"]) == 2 * blocks
 
     def test_failed_write_leaves_no_file(self, tmp_path):
         # the rows go to a temporary name and are renamed only when all are in
@@ -1053,6 +1139,43 @@ class TestCli:
         path.write_text(json.dumps(base_config(tmp_path, **BAD_CONFIGS[case])))
         assert main(["validate", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}: unknown field")
+
+    @pytest.mark.parametrize(
+        "case, field",
+        [
+            ("overflowing-gaussian-noise-scale", "environment.noise"),
+            ("huge-feature-entries", "environment.features"),
+            ("huge-replications", "replications"),
+            ("replications-times-horizon-past-cap", "replications"),
+        ],
+    )
+    def test_overflow_errors_name_the_field(self, tmp_path, capsys, case, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path, **BAD_CONFIGS[case])))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+    def test_huge_feature_file_names_the_path(self, tmp_path, capsys):
+        (tmp_path / "feats.txt").write_text("2 3\n1e308 0\n0 1e308\n-1e308 0\n")
+        path = tmp_path / "cfg.json"
+        env = {"kind": "features", "path": str(tmp_path / "feats.txt"), "theta": [1.0, 0.0]}
+        path.write_text(json.dumps(base_config(tmp_path, environment=env)))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: environment.path: ")
+
+    @pytest.mark.parametrize(
+        "env",
+        [features_env(noise={"kind": "gaussian", "scale": 1.4e307}), features_env(theta=[1e308, 0.0])],
+        ids=["noise", "theta"],
+    )
+    def test_overflowing_sums_exit_3(self, tmp_path, capsys, env):
+        # each draw is finite, but the estimator's sums of them are not: one error line, no traceback
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path, environment=env, base_seed=0, workers=1)))
+        assert main(["validate", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: the ridge estimate is not finite") and err.count("\n") == 1
 
     def test_path_and_features_exclusive(self, tmp_path, capsys):
         # a features environment reads its rows from a file or from the config, never both
