@@ -16,12 +16,15 @@ trajectory tables is also written whole, with all ten columns, and compared
 with ``TRAJECTORY_LINE % row`` on every row.  Prints one JSON object: per
 column, nanoseconds per cell for both (the best of ``--repeats``), and the
 share of cells the encoder handed to ``%``, counted by wrapping
-``cells._percent``; per table, microseconds per row for both.
+``cells._percent``; per table, microseconds per row for both, the encoder
+calls per block of ``harness._WRITE_BLOCK`` rows and the calls of
+``cells._percent``, counted by wrapping the encoders and ``_percent``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import platform
 import sys
@@ -83,22 +86,33 @@ def best_seconds(fn, repeats: int) -> float:
     return best
 
 
+@contextlib.contextmanager
+def calls_of(*names):
+    """The arguments of each call of the ``cells`` functions ``names`` while in the block, by name."""
+    calls = {name: [] for name in names}
+    saved = {name: getattr(cells, name) for name in names}
+
+    def counted(name):
+        def call(*args):
+            calls[name].append(args)
+            return saved[name](*args)
+
+        return call
+
+    for name in names:
+        setattr(cells, name, counted(name))
+    try:
+        yield calls
+    finally:
+        for name, fn in saved.items():
+            setattr(cells, name, fn)
+
+
 def measure(spec: str, column: np.ndarray, repeats: int) -> dict:
     line = spec + "\n"
-    encoded = "".join(cells.rows(line, (column,), harness._WRITE_BLOCK))
+    with calls_of("_percent") as calls:
+        encoded = "".join(cells.rows(line, (column,), harness._WRITE_BLOCK))
     assert encoded == "".join([line % v for v in column.tolist()]), spec
-    handed = []
-    percent = cells._percent
-
-    def counted(spec, values, words=0):
-        handed.append(len(values))
-        return percent(spec, values, words)
-
-    cells._percent = counted
-    try:
-        "".join(cells.rows(line, (column,), harness._WRITE_BLOCK))
-    finally:
-        cells._percent = percent
     encoder = best_seconds(lambda: "".join(cells.rows(line, (column,), harness._WRITE_BLOCK)), repeats)
     per_cell = best_seconds(lambda: "".join([line % v for v in column.tolist()]), repeats)
     bits = column.view(np.int64)
@@ -108,7 +122,7 @@ def measure(spec: str, column: np.ndarray, repeats: int) -> dict:
         "runs": int(np.count_nonzero(bits[1:] != bits[:-1]) + 1),
         "encoder_ns_per_cell": round(encoder / column.size * 1e9, 1),
         "percent_ns_per_cell": round(per_cell / column.size * 1e9, 1),
-        "fallback_share": round(sum(handed) / column.size, 5),
+        "fallback_share": round(sum(len(args[1]) for args in calls["_percent"]) / column.size, 5),
     }
 
 
@@ -121,10 +135,15 @@ def measure_table(table, repeats: int) -> dict:
     def per_row():
         return "".join([line % row for row in zip(*(column.tolist() for column in table))])
 
-    assert encoded() == per_row()
+    with calls_of("_encode_floats", "_encode_ints", "_percent") as calls:
+        text = encoded()
+    assert text == per_row()
     rows = len(table[0])
+    blocks = -(-rows // harness._WRITE_BLOCK)
     return {
         "rows": rows,
+        "encoder_calls_per_block": round((len(calls["_encode_floats"]) + len(calls["_encode_ints"])) / blocks, 2),
+        "percent_calls": len(calls["_percent"]),
         "encoder_us_per_row": round(best_seconds(encoded, repeats) / rows * 1e6, 3),
         "percent_us_per_row": round(best_seconds(per_row, repeats) / rows * 1e6, 3),
     }
@@ -139,7 +158,6 @@ def main(argv=None) -> None:
     columns = {**fixed_draws(), **workload_columns(tables)}
     result = {
         "host": {"machine": platform.machine(), "python": platform.python_version(), "numpy": np.__version__},
-        "exact_long_double": cells._EXACT_LONGDOUBLE,
         "columns": {name: measure(spec, column, args.repeats) for name, (spec, column) in columns.items()},
         "tables": {name: measure_table(table, args.repeats) for name, table in tables.items()},
     }

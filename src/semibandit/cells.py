@@ -4,22 +4,21 @@
 Python object per cell: each cell in a field of whole words, its text
 NUL-padded after the slot of the separator before it, and a newline word at
 the end of each row.  Deleting the NULs gives the block's text.  An
-encoder call costs tens of microseconds however few its cells, so a block's
-columns of few runs (equal bit patterns) share calls: the first cell of each
-run, from every such column, goes to one call per encoder and field width,
-and each field is then laid out over its run as one item of whole words, a
-broadcast for a column of one run and a gather by run index otherwise.  A
-column in which more than half the cells start a run is encoded cell by cell.
+encoder call costs tens of microseconds however few its cells, so each block
+makes one call per encoder and field width, for all of its numeric columns: a
+column of few runs (equal bit patterns) sends only the first cell of each
+run, and each of its fields is then laid out over its run as one item of
+whole words, a broadcast for a column of one run and a gather by run index
+otherwise; a column in which more than half the cells start a run sends
+every cell, and its fields are copied as they come.
 
-A ``%.17g`` cell with 1e-4 <= |x| < 1e8 takes its 17 digits from s = |x| 10^k,
-rounded once in long double (error at most 2^-64 s); rounding is monotone, so
-s and the exact product round to the same integer unless s is a
-half-integer (``_encode_floats``).  A ``%d`` cell takes its digits from a
-table of 4-digit chunks: up to 8 in one word for a cell in [0, 1e8), else a
-sign and up to 19 in three (``_encode_ints``).  Zero, NaN and inf are fixed
-texts.  ``%`` formats every other cell (``_percent``): other magnitudes, an s
-on a half-integer, every float where long double is not exact enough, and
-columns of other types.
+A ``%.17g`` cell with 1e-4 <= |x| < 1e8 takes its 17 digits from the exact
+product |x| 10^k, held as its binary64 rounding p and p's error e, which
+Dekker's two-product gives exactly (``_encode_floats``).  A ``%d`` cell takes
+its digits from a table of 4-digit chunks: up to 8 in one word for a cell in
+[0, 1e8), else a sign and up to 19 in three (``_encode_ints``).  Zero, NaN and
+inf are fixed texts.  ``%`` formats every other cell (``_percent``): other
+magnitudes, a product just outside [1e16, 1e17), and columns of other types.
 """
 
 from __future__ import annotations
@@ -30,11 +29,13 @@ import numpy as np
 # whole uint64 words of text bytes, NUL where it holds no character, and its
 # byte 0 is the slot of the separator before the cell.  Each table is made as
 # bytes and viewed as words, so the byte order of the machine does not matter.
-# _EXACT_LONGDOUBLE: long double is x87 extended (63 fraction bits) or IEEE
-# binary128 (112), whose products are correctly rounded, and x87 arithmetic
-# runs at full precision
-_EXACT_LONGDOUBLE = bool(np.finfo(np.longdouble).nmant in (63, 112) and np.longdouble(1) + np.longdouble(2.0**-63) != 1)
-_POW10_LONG = (10.0 ** np.arange(22)).astype(np.longdouble)  # exact: 10^k = 2^k 5^k, 5^21 < 2^53
+# Veltkamp's split of a double into two halves of at most 26 bits, whose
+# products are exact: high = c - (c - x), c = x (2^27 + 1); low = x - high
+_SPLIT = 2.0**27 + 1
+_POW10 = np.array([float(10**k) for k in range(22)])  # exact: 10^k = 2^k 5^k, 5^21 < 2^53
+_POW10_HIGH = _POW10 * _SPLIT
+_POW10_HIGH -= _POW10_HIGH - _POW10
+_POW10_LOW = _POW10 - _POW10_HIGH
 _POW10_INT = 10 ** np.arange(1, 8)
 _digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # column c: the 4 digits of c < 10^4
 _ascii = np.ascontiguousarray(_digits.T) + ord("0")
@@ -86,11 +87,10 @@ def rows(line_format: str, columns, block: int):
 
     ``columns`` is a sequence of equal-length NumPy columns.  ``%.17g`` of
     float64 and ``%d`` of int64 are encoded by array operations
-    (``_encoder``), any other column by ``%`` (``_percent``).  In each block,
-    a column in which more than half the cells start a run of equal bits is
-    encoded cell by cell; the run heads of the other columns are encoded
-    together, in one call per (encoder, field width), and laid out over their
-    runs (``_encode_runs``).
+    (``_encoder``), any other column by ``%`` (``_percent``).  Each block
+    sends its numeric columns to one call per (encoder, field width)
+    (``_encode_runs``): every cell of a column in which more than half the
+    cells start a run of equal bits, and only the run heads of the others.
     """
     specs = line_format.rstrip("\n").split(",")
     encoders = [_encoder(spec, column) for spec, column in zip(specs, columns)]
@@ -103,7 +103,7 @@ def rows(line_format: str, columns, block: int):
         if len(buf) != 8 * n * width:
             buf = bytearray(8 * n * width)
         words = np.frombuffer(buf, np.uint64).reshape(n, width)
-        runs = {}  # (encoder, field words) -> [(cells, where a run starts after cell 0, fields)]
+        calls = {}  # (encoder, field words) -> [(cells, where a run starts after cell 0, or None: all, fields)]
         for c, e, t, start, end in zip(cells, encoders, texts, [0, *ends], ends):
             if t is not None:
                 words[:, start:end] = t
@@ -111,10 +111,9 @@ def rows(line_format: str, columns, block: int):
             bits = c.view(np.int64)  # equal bits print as equal text; equal values need not (0.0, -0.0)
             starts = bits[1:] != bits[:-1]
             if 2 * (np.count_nonzero(starts) + 1) > n:
-                e[0](c, words[:, start:end])
-            else:
-                runs.setdefault(e, []).append((c, starts, words[:, start:end]))
-        for (encode, field_words), group in runs.items():
+                starts = None
+            calls.setdefault(e, []).append((c, starts, words[:, start:end]))
+        for (encode, field_words), group in calls.items():
             _encode_runs(encode, field_words, group)
         words.view(np.uint8)[:, 8 * ends[:-1]] = ord(",")
         words[:, -1] = _NEWLINE
@@ -132,31 +131,33 @@ def _encoder(spec: str, cells: np.ndarray):
 
 
 def _encode_runs(encode, words: int, group) -> None:
-    """Encode the run heads of every column of ``group`` in one ``encode`` call, and lay each out over its runs.
+    """Encode the columns of ``group`` in one ``encode`` call, and lay out each column's fields.
 
     ``group`` holds ``(cells, starts, out)`` per column: ``starts[i]`` says
-    whether cell i + 1 starts a run, and ``out`` takes the column's fields of
-    ``words`` words.  Each field is handled as one item of ``8 * words``
-    bytes: a column of one run is its head's field broadcast, and one of more
-    runs is a gather of the heads' fields by run index.
+    whether cell i + 1 starts a run, or ``starts`` is None for a column sent
+    cell by cell; ``out`` takes the column's fields of ``words`` words.  A
+    column sent cell by cell has its fields copied; of the others, only the
+    run heads are encoded, and each field is handled as one item of
+    ``8 * words`` bytes: a column of one run is its head's field broadcast,
+    and one of more runs is a gather of the heads' fields by run index.
     """
-    heads = [np.flatnonzero(starts) + 1 for _, starts, _ in group]
-    fields = np.empty((len(group) + sum(h.size for h in heads), words), np.uint64)
-    encode(np.concatenate([np.concatenate((c[:1], c[h])) for (c, _, _), h in zip(group, heads)]), fields)
+    sent = [c if starts is None else np.concatenate((c[:1], c[1:][starts])) for c, starts, _ in group]
+    fields = np.empty((sum(map(len, sent)), words), np.uint64)
+    encode(np.concatenate(sent), fields)
     item = np.dtype((np.void, 8 * words))
     fields = fields.view(item)[:, 0]
     first = 0
-    for (_, starts, out), h in zip(group, heads):
+    for (_, starts, out), own in zip(group, sent):
         out = out.view(item)[:, 0]
-        if h.size:
-            index = np.empty(out.size, np.intp)
-            index[0] = first
-            np.cumsum(starts, out=index[1:])
-            index[1:] += first
-            out[...] = fields[index]
+        own_fields = fields[first : first + len(own)]
+        if starts is None or len(own) == 1:
+            out[...] = own_fields
         else:
-            out[...] = fields[first]
-        first += 1 + h.size
+            index = np.empty(out.size, np.intp)
+            index[0] = 0
+            np.cumsum(starts, out=index[1:])
+            out[...] = own_fields[index]
+        first += len(own)
 
 
 def _percent(spec: str, cells, words: int = 0) -> np.ndarray:
@@ -181,31 +182,39 @@ def _encode_floats(x: np.ndarray, out: np.ndarray) -> None:
 
     %.17g prints |x| in [1e-4, 1e17) in fixed notation, from its 17-digit
     rounding N = round(|x| 10^k), 10^16 <= N < 10^17, k = 16 - floor(log10 |x|).
-    For |x| in [1e-4, 1e8), s = |x| 10^k is taken in long double, where 10^k
-    (k <= 21) is exact, so s is the exact product rounded once, with error at
-    most 2^-64 s.  As rounding is monotone and s < 2^57 puts every
-    half-integer on the long double grid, s above (below) a half-integer means
-    the product is above (below) it too: s and the product round to the same
-    N unless s is a half-integer itself.  N's digits are laid out with the
+    For |x| in [1e-4, 1e8), 10^k (k <= 21) is a double, and the exact
+    product |x| 10^k is p + e: p its binary64 rounding, and e its error,
+    which Dekker's two-product gives exactly from |x| and 10^k each split
+    into two halves of 26 bits (Veltkamp), so that every partial product is
+    exact.  A p in [1e16, 1e17) is an even integer, so N = p + rint(e), and
+    rint's ties to even are the ties of %.  N's digits are laid out with the
     point after digit 16 - k, or after "0." and k - 17 zeros, trailing
     fraction zeros dropped, and the sign.  Zero, NaN and inf are fixed texts.
-    Every other cell goes to ``_percent``: other magnitudes, an s on a
-    half-integer or outside [1e16, 1e17) (log10 may be one off next to a power
-    of ten), and every cell where long double is not exact enough
-    (``_EXACT_LONGDOUBLE``).
+    Every other cell goes to ``_percent``: other magnitudes, and a product
+    outside [1e16, 1e17), where log10 is one off next to a power of ten.
     """
     a = np.abs(x)
-    fast = (a >= 1e-4) & (a < 1e8) & _EXACT_LONGDOUBLE
+    fast = (a >= 1e-4) & (a < 1e8)
     a[~fast] = 1.0
     k = 16 - np.floor(np.log10(a)).astype(np.int64)
-    s = a.astype(np.longdouble) * _POW10_LONG[k]
-    n = s.astype(np.int64)
-    # exact in x87 extended, where s < 2^57 has at most 10 fraction bits; from
-    # binary128 the rounding is monotone, and a fraction rounded to 1/2 goes to %
-    frac = (s - n).astype(np.float64)
-    n += frac > 0.5
-    fast &= (s >= 1e16) & (n < 10**17) & (frac != 0.5)
-    del a, s, frac
+    p = a * _POW10[k]
+    high = a * _SPLIT
+    high -= high - a
+    a -= high  # the low half
+    ten_high, ten_low = _POW10_HIGH[k], _POW10_LOW[k]
+    # e = ((x_high t_high - p) + x_high t_low + x_low t_high) + x_low t_low, 10^k = t_high + t_low; each step exact
+    e = high * ten_high
+    e -= p
+    high *= ten_low
+    ten_high *= a
+    a *= ten_low
+    e += high
+    e += ten_high
+    e += a
+    fast &= (p < 1e17) & ((p - 1e16) + e >= 0)  # p - 1e16 is exact, so the sum has the sign of the product - 1e16
+    n = p.astype(np.int64)
+    n += np.rint(e).astype(np.int64)
+    del a, p, e, high, ten_high, ten_low
     lead = n // 10**16  # digit 0; then the four 4-digit chunks, by // and a multiply-subtract
     high = n // 10**8 - lead * 10**8
     low = n % 10**8

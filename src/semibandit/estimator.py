@@ -62,10 +62,10 @@ def regularizer(t: int, delta: float) -> float:
 def solve(state: EstimatorState, beta: float) -> np.ndarray:
     """Ridge solution (gram + beta I)^{-1} moment by one ``np.linalg.solve``.
 
-    The same routine solves every ridge system in the package, the per-step
-    e_t of ``harness.compute_metrics`` included.  Raises ``InvalidSample``
-    when the solution is not finite, as when finite samples sum past the
-    largest double.
+    Raises ``InvalidSample`` when the solution is not finite, as when finite
+    samples sum past the largest double.  ``harness.compute_metrics`` solves
+    its per-step systems in batches by its own ``np.linalg.solve`` and checks
+    them the same way.
     """
     if beta <= 0:
         raise InvalidRegularizer(f"beta must be positive, got {beta}")

@@ -66,6 +66,7 @@ from .environment import (
 from .errors import (
     ConfigError,
     DimError,
+    InvalidSample,
     IoError,
     ScheduleOverflow,
     check_int,
@@ -131,9 +132,11 @@ def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1, log
     pure-exploration records (anchored at arm 0 over all arms, with the
     log(t/delta) regularizer), and at phase ends for elimination records
     (anchored at the phase anchor over the surviving arms), each carried over
-    the next segment; steps before the first snapshot report NaN.  The
-    regularizers log(t/delta) come from ``log_table(steps, delta)``, by
-    default ``_log_table``; a run passes one that keeps its tables, so its
+    the next segment; steps before the first snapshot report NaN.  A
+    per-step e_t that is not finite, as when finite rewards sum past the
+    largest double, raises ``InvalidSample``.  The regularizers
+    log(t/delta) come from ``log_table(steps, delta)``, by default
+    ``_log_table``; a run passes one that keeps its tables, so its
     replications share them.
     """
     n = record.steps
@@ -162,6 +165,8 @@ def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1, log
             beta = betas[s : s + gram.shape[0]]
             theta_hat = np.linalg.solve(gram + beta[:, None, None] * eye, moment[:, :, None])
             e_t[b] = np.abs(np.matmul(z, theta_hat - env.theta_star[:, None])).max(axis=(1, 2))
+            if not np.isfinite(e_t[b]).all():
+                raise InvalidSample("the ridge estimate is not finite: the rewards or features are too large to sum")
     else:
         errors = [np.abs((x[list(ph.active)] - x[ph.anchor]) @ (ph.theta_hat - env.theta_star)) for ph in phases]
         e_t = np.repeat([math.nan] + [float(err.max()) for err in errors], lengths)

@@ -46,3 +46,6 @@ def test_encode_cells_smoke(capsys):
     assert set(result["tables"]) == set(script.instances.WORKLOADS)
     for table in result["tables"].values():
         assert table["rows"] > 0 and table["encoder_us_per_row"] > 0 and table["percent_us_per_row"] > 0
+        # one call per encoder a block: every trajectory float has 4-word fields, every int here 1-word ones
+        assert table["encoder_calls_per_block"] == 2 and table["percent_calls"] >= 0
+    assert "exact_long_double" not in result

@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import semibandit.sbe as sbe
 from semibandit.cli import main
 from semibandit.design import DesignCertificate, DesignPolicy, deo
 from semibandit.environment import make_gap_instance
-from semibandit.errors import ConfigError, ConvergenceError, IoError
+from semibandit.errors import ConfigError, ConvergenceError, InvalidSample, IoError
 from semibandit.harness import (
     MEAN_LINE,
     MODES,
@@ -247,6 +248,21 @@ class TestComputeMetrics:
         table = compute_metrics(record, env)
         assert np.all(np.isnan(table.e_t[:4]))  # before the first snapshot
         assert np.all(table.e_t[4:] == 0.0)
+
+    @pytest.mark.parametrize("block", [3, 512])
+    def test_pure_error_past_the_largest_double_raises(self, monkeypatch, block):
+        # each reward is finite, but the batched ridge sums of x~ r overflow:
+        # e_t is reported as an InvalidSample, not written as inf or NaN
+        env = make_gap_instance(3, 5, 0.5, seed=2)
+        policy, cert = deo(env.features)
+        arms = np.arange(8) % env.K
+        phase = PhaseState(1, tuple(range(env.K)), math.nan, 8, policy, cert, 0, np.zeros(env.d), taken=8)
+        monkeypatch.setattr(harness, "_BLOCK", block)
+        finite = RunRecord(arm=arms, reward=env.values[arms], phases=[phase], kind="pure")
+        assert np.isfinite(compute_metrics(finite, env).e_t).all()
+        huge = RunRecord(arm=arms, reward=np.full(8, 1e308), phases=[phase], kind="pure")
+        with np.errstate(all="ignore"), pytest.raises(InvalidSample, match="^the ridge estimate is not finite"):
+            compute_metrics(huge, env)
 
     def test_sqrt_column_identity(self):
         env = make_gap_instance(3, 6, 0.4, seed=3)
@@ -806,6 +822,23 @@ def boundary_floats() -> np.ndarray:
     return np.concatenate([cells, -cells, [-math.nan]])
 
 
+def _ties(e: int):
+    """Odd t 2^-f with 10^e <= t 2^-f < 10^(e + 1), f = 17 - e: 18 significant digits ending in 5."""
+    f = 17 - e
+    low, high = Fraction(10) ** e * 2**f, Fraction(10) ** (e + 1) * 2**f
+    return st.integers(math.ceil((low - 1) / 2), math.ceil((high - 1) / 2) - 1).map(lambda m: (2 * m + 1) * 2.0**-f)
+
+
+def _next_to_power_of_ten(e: int) -> np.ndarray:
+    """The doubles within 40 steps of the double nearest 10^e."""
+    return (np.array([10.0**e]).view(np.int64) + np.arange(-40, 41)).view(np.float64)
+
+
+# exact ties of the 17-digit rounding, which % breaks to even, over the
+# encoder's range [1e-4, 1e8), with either sign
+TIES = st.integers(-4, 7).flatmap(_ties).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
 class TestWriter:
     @pytest.mark.parametrize("line_format", [TRAJECTORY_LINE, MEAN_LINE, SUMMARY_LINE])
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -853,30 +886,36 @@ class TestWriter:
         text = "".join(harness._format_rows("%d,%d\n", (values, values[::-1])))
         assert text == "".join("%d,%d\n" % row for row in zip(values.tolist(), values[::-1].tolist()))
 
-    @pytest.mark.skipif(not cells._EXACT_LONGDOUBLE, reason="long double is not exact enough: every cell goes to %")
     def test_fast_path_is_taken(self, monkeypatch):
-        # at most 2% of standard-normal cells are formatted by %: those whose long double lands on a half-integer
+        # of standard-normal cells, % formats only those below 1e-4 in magnitude
         formatted = []
         percent = cells._percent
 
         def counting(spec, values, words=0):
-            formatted.append(len(values))
+            formatted.extend(values.tolist())
             return percent(spec, values, words)
 
         monkeypatch.setattr(cells, "_percent", counting)
         values = np.random.default_rng(0).standard_normal(10_000)
         text = "".join(harness._format_rows("%.17g\n", (values,)))
         assert text == "".join("%.17g\n" % v for v in values.tolist())
-        assert sum(formatted) <= 0.02 * values.size
+        assert formatted == values[np.abs(values) < 1e-4].tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(ties=st.lists(TIES), power=st.integers(-5, 9))
+    def test_exact_ties_and_powers_of_ten(self, ties, power):
+        # and the doubles next to a power of ten from 1e-5 to 1e9, where log10
+        # may be one off and the rounding may carry into the next power
+        near = _next_to_power_of_ten(power)
+        column = np.concatenate([ties, near, -near])
+        assert written_lines("%.17g\n", (column,), 2048) == per_cell_lines("%.17g\n", (column,))
 
     def test_fallback_for_every_cell_gives_the_same_bytes(self, tmp_path, monkeypatch):
+        # % on every cell of every column, through the encoders' field layout
         cfg = ExperimentConfig.from_dict(base_config(tmp_path, algorithm={"horizon": 5_000}))
         columns, _, _ = harness._replication_task(cfg, 0)
         encoded = "".join(harness._format_rows(TRAJECTORY_LINE, columns))
-        # no long double to rely on: every float cell but 0, NaN and inf goes to %
-        monkeypatch.setattr(cells, "_EXACT_LONGDOUBLE", False)
-        assert "".join(harness._format_rows(TRAJECTORY_LINE, columns)) == encoded
-        # and every cell of every column
+
         def percent_only(spec):
             def encode(values, out):
                 out[...] = cells._percent(spec, values, out.shape[1])
@@ -909,12 +948,13 @@ class TestWriter:
         assert written_lines(line, columns, block) == per_cell_lines(line, columns)
 
     def test_one_grouped_call_per_encoder_per_block(self, monkeypatch):
-        # the run heads of a block's run columns go to each encoder in one call; a column of distinct cells has its own
+        # each block makes one call per (encoder, field width): the run heads
+        # of its run columns and every cell of its columns of distinct cells
         calls = {"_encode_floats": [], "_encode_ints": []}
         for name, sizes in calls.items():
 
             def counting(values, out, encode=getattr(cells, name), sizes=sizes):
-                sizes.append(len(values))
+                sizes.append((len(values), out.shape[1]))
                 encode(values, out)
 
             monkeypatch.setattr(cells, name, counting)
@@ -926,13 +966,14 @@ class TestWriter:
             np.random.default_rng(0).standard_normal(n),
             np.arange(n) // 1000,
             np.full(n, 3, dtype=np.int64),
+            np.arange(n) * 10**9,  # distinct and past 1e8: fields of three words
         )
-        line = "%.17g,%.17g,%.17g,%.17g,%d,%d\n"
+        line = "%.17g,%.17g,%.17g,%.17g,%d,%d,%d\n"
         assert written_lines(line, columns, block) == per_cell_lines(line, columns)
-        blocks = -(-n // block)
-        assert calls["_encode_ints"] == [3 + 1, 3 + 1, 1 + 1]  # the run heads of both int columns, by block
-        grouped = [size for size in calls["_encode_floats"] if size < 20]
-        assert grouped == [2 + 1 + 1, 3 + 1 + 2, 1 + 1 + 1] and len(calls["_encode_floats"]) == 2 * blocks
+        # by block: the heads of the three float run columns, then the normal column's cells
+        assert calls["_encode_floats"] == [(2 + 1 + 1 + 2048, 4), (3 + 1 + 2 + 2048, 4), (1 + 1 + 1 + 904, 4)]
+        # the heads of both narrow int columns; the wide column's cells, in a call of their own
+        assert calls["_encode_ints"] == [(3 + 1, 1), (2048, 3), (3 + 1, 1), (2048, 3), (1 + 1, 1), (904, 3)]
 
     def test_failed_write_leaves_no_file(self, tmp_path):
         # the rows go to a temporary name and are renamed only when all are in
