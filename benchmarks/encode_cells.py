@@ -18,7 +18,11 @@ column, nanoseconds per cell for both (the best of ``--repeats``), and the
 share of cells the encoder handed to ``%``, counted by wrapping
 ``cells._percent``; per table, microseconds per row for both, the encoder
 calls per block of ``harness._WRITE_BLOCK`` rows and the calls of
-``cells._percent``, counted by wrapping the encoders and ``_percent``.
+``cells._percent``, counted by wrapping the encoders and ``_percent``, and
+the words of a laid-out row, the bytes that ``translate`` scans over 8, as
+``cells._lay_out`` returns them: ``words_per_row`` is their mean over the
+rows, and ``unfolded_words_per_row`` the width of a row in which every cell
+has a field (each column's field words, and the newline's word).
 """
 
 from __future__ import annotations
@@ -88,14 +92,15 @@ def best_seconds(fn, repeats: int) -> float:
 
 @contextlib.contextmanager
 def calls_of(*names):
-    """The arguments of each call of the ``cells`` functions ``names`` while in the block, by name."""
+    """The arguments and result of each call of the ``cells`` functions ``names`` while in the block, by name."""
     calls = {name: [] for name in names}
     saved = {name: getattr(cells, name) for name in names}
 
     def counted(name):
         def call(*args):
-            calls[name].append(args)
-            return saved[name](*args)
+            result = saved[name](*args)
+            calls[name].append((args, result))
+            return result
 
         return call
 
@@ -122,7 +127,7 @@ def measure(spec: str, column: np.ndarray, repeats: int) -> dict:
         "runs": int(np.count_nonzero(bits[1:] != bits[:-1]) + 1),
         "encoder_ns_per_cell": round(encoder / column.size * 1e9, 1),
         "percent_ns_per_cell": round(per_cell / column.size * 1e9, 1),
-        "fallback_share": round(sum(len(args[1]) for args in calls["_percent"]) / column.size, 5),
+        "fallback_share": round(sum(len(args[1]) for args, _ in calls["_percent"]) / column.size, 5),
     }
 
 
@@ -135,15 +140,18 @@ def measure_table(table, repeats: int) -> dict:
     def per_row():
         return "".join([line % row for row in zip(*(column.tolist() for column in table))])
 
-    with calls_of("_encode_floats", "_encode_ints", "_percent") as calls:
+    with calls_of("_encode_floats", "_encode_ints", "_percent", "_lay_out") as calls:
         text = encoded()
     assert text == per_row()
     rows = len(table[0])
     blocks = -(-rows // harness._WRITE_BLOCK)
+    specs = line.rstrip("\n").split(",")
     return {
         "rows": rows,
         "encoder_calls_per_block": round((len(calls["_encode_floats"]) + len(calls["_encode_ints"])) / blocks, 2),
         "percent_calls": len(calls["_percent"]),
+        "words_per_row": round(sum(len(args[3][0]) * words for args, words in calls["_lay_out"]) / rows, 2),
+        "unfolded_words_per_row": sum(cells._encoder(spec, column)[1] for spec, column in zip(specs, table)) + 1,
         "encoder_us_per_row": round(best_seconds(encoded, repeats) / rows * 1e6, 3),
         "percent_us_per_row": round(best_seconds(per_row, repeats) / rows * 1e6, 3),
     }

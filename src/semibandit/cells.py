@@ -1,16 +1,20 @@
 """CSV text of NumPy columns: the bytes of ``%`` on every cell, made by array operations.
 
 ``rows`` lays out a block of rows in one reused buffer of uint64 words, with no
-Python object per cell: each cell in a field of whole words, its text
-NUL-padded after the slot of the separator before it, and a newline word at
-the end of each row.  Deleting the NULs gives the block's text.  An
+Python object per cell, and deleting the NULs gives the block's text.  An
 encoder call costs tens of microseconds however few its cells, so each block
 makes one call per encoder and field width, for all of its numeric columns: a
 column of few runs (equal bit patterns) sends only the first cell of each
-run, and each of its fields is then laid out over its run as one item of
-whole words, a broadcast for a column of one run and a gather by run index
-otherwise; a column in which more than half the cells start a run sends
-every cell, and its fields are copied as they come.
+run, and a column in which more than half the cells start a run sends every
+cell.  A row is then laid out in pieces of whole words.  Each maximal run of
+adjacent numeric columns that hold one bit pattern in the block is one
+literal: their texts, joined by their commas, with the newline if they end
+the row, NUL-padded and broadcast into every row.  Every other column has a
+field per cell, its text NUL-padded after the slot of the comma before it,
+copied from its call's output or gathered by run index as one item of whole
+words.  A row that ends in such a field ends in a newline word.  Late in an
+elimination run, where one arm is played to the horizon, most columns are
+constant over a block, so the rows that ``translate`` scans are shorter.
 
 A ``%.17g`` cell with 1e-4 <= |x| < 1e8 takes its 17 digits from the exact
 product |x| 10^k, held as its binary64 rounding p and p's error e, which
@@ -22,6 +26,8 @@ magnitudes, a product just outside [1e16, 1e17), and columns of other types.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -57,7 +63,6 @@ _WIDE_KEEP = _WIDE_KEEP.view(np.uint64)
 _WIDE_MINUS = np.zeros((19, 24), np.uint8)
 _WIDE_MINUS[np.arange(19), np.arange(22, 3, -1)] = ord("-")
 _WIDE_MINUS = _WIDE_MINUS.view(np.uint64)
-_NEWLINE = np.array(b"\n", "S8").view(np.uint64)  # the word that ends a row
 _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")  # turns _percent's pad spaces into field padding
 # A %.17g field is 4 words: the separator's slot; the sign, "0." and up to
 # three zeros; digits 0-8, each but the last followed by the slot of a point;
@@ -87,37 +92,91 @@ def rows(line_format: str, columns, block: int):
 
     ``columns`` is a sequence of equal-length NumPy columns.  ``%.17g`` of
     float64 and ``%d`` of int64 are encoded by array operations
-    (``_encoder``), any other column by ``%`` (``_percent``).  Each block
-    sends its numeric columns to one call per (encoder, field width)
-    (``_encode_runs``): every cell of a column in which more than half the
-    cells start a run of equal bits, and only the run heads of the others.
+    (``_encoder``), any other column by ``%`` (``_percent``).  Each block is
+    laid out in one buffer (``_lay_out``), which is resized in place from
+    block to block, and its NULs are deleted.
     """
     specs = line_format.rstrip("\n").split(",")
     encoders = [_encoder(spec, column) for spec, column in zip(specs, columns)]
     buf = bytearray()
     for s in range(0, len(columns[0]), block):
-        cells = [column[s : s + block] for column in columns]
-        texts = [_percent(spec, c) if e is None else None for spec, c, e in zip(specs, cells, encoders)]
-        ends = np.cumsum([e[1] if t is None else t.shape[1] for e, t in zip(encoders, texts)])
-        n, width = len(cells[0]), int(ends[-1]) + 1
-        if len(buf) != 8 * n * width:
-            buf = bytearray(8 * n * width)
-        words = np.frombuffer(buf, np.uint64).reshape(n, width)
-        calls = {}  # (encoder, field words) -> [(cells, where a run starts after cell 0, or None: all, fields)]
-        for c, e, t, start, end in zip(cells, encoders, texts, [0, *ends], ends):
-            if t is not None:
-                words[:, start:end] = t
-                continue
-            bits = c.view(np.int64)  # equal bits print as equal text; equal values need not (0.0, -0.0)
-            starts = bits[1:] != bits[:-1]
-            if 2 * (np.count_nonzero(starts) + 1) > n:
-                starts = None
-            calls.setdefault(e, []).append((c, starts, words[:, start:end]))
-        for (encode, field_words), group in calls.items():
-            _encode_runs(encode, field_words, group)
-        words.view(np.uint8)[:, 8 * ends[:-1]] = ord(",")
-        words[:, -1] = _NEWLINE
+        _lay_out(buf, specs, encoders, [column[s : s + block] for column in columns])
         yield buf.translate(None, b"\0").decode("ascii")
+
+
+def _lay_out(buf: bytearray, specs, encoders, cells) -> int:
+    """Lay out the rows of one block of ``cells`` in ``buf``, resized to hold them; return the words of a row.
+
+    The numeric columns go to one call per (encoder, field width)
+    (``_encode_runs``): every cell of a column in which more than half the
+    cells start a run of equal bits, and only the run heads of the others.
+    Each maximal run of adjacent numeric columns of one run each is one
+    literal: their heads' texts, each after its comma, and the newline if
+    they end the row, NUL-padded to whole words and broadcast into every
+    row.  The newline is a literal of its own after any other last column.
+    Every other column has a field per cell, with the comma in byte 0 unless
+    it is the first column: copied from its call's output, gathered from its
+    heads' fields by run index, or made by ``_percent``.  No view of ``buf``
+    outlives the call, so that the next block can resize it.
+    """
+    n = len(cells[0])
+    calls = {}  # (encoder, field words) -> [column index]
+    sent, starts = {}, {}  # by numeric column: its cells sent, and where a run starts after cell 0 (None: all sent)
+    for i, (c, e) in enumerate(zip(cells, encoders)):
+        if e is not None:
+            bits = c.view(np.int64)  # equal bits print as equal text; equal values need not (0.0, -0.0)
+            starts[i] = bits[1:] != bits[:-1]
+            runs = np.count_nonzero(starts[i]) + 1
+            if runs > 1 and 2 * runs > n:
+                sent[i], starts[i] = c, None
+            else:
+                sent[i] = np.concatenate((c[:1], c[1:][starts[i]]))
+            calls.setdefault(e, []).append(i)
+    fields = {}  # by column: its fields, each one item of the field's bytes (of the cells sent, if numeric)
+    for (encode, words), group in calls.items():
+        fields.update(zip(group, _encode_runs(encode, words, [sent[i] for i in group])))
+    pieces, literal = [], b""  # in row order: a column's index, or a literal's bytes
+    for i, (spec, c) in enumerate(zip(specs, cells)):
+        if i not in sent:
+            fields[i] = _item(_percent(spec, c))
+        elif len(sent[i]) == 1:  # one run
+            literal += b"," * (i > 0) + fields[i][0].tobytes().replace(b"\0", b"")
+            continue
+        if literal:
+            pieces.append(literal)
+            literal = b""
+        pieces.append(i)
+    pieces.append(literal + b"\n")
+    widths = [-(-len(p) // 8) if isinstance(p, bytes) else fields[p].itemsize // 8 for p in pieces]
+    width = sum(widths)
+    size = 8 * n * width
+    if len(buf) > size:
+        del buf[size:]
+    else:
+        buf.extend(bytes(size - len(buf)))
+    words = np.frombuffer(buf, np.uint64).reshape(n, width)
+    commas, start = [], 0
+    for piece, w in zip(pieces, widths):
+        out = _item(words[:, start : start + w])
+        if isinstance(piece, bytes):
+            out[...] = _item(np.frombuffer(piece.ljust(8 * w, b"\0"), np.uint64)[None])
+        elif starts.get(piece) is None:
+            out[...] = fields[piece]
+        else:
+            index = np.empty(n, np.intp)
+            index[0] = 0
+            np.cumsum(starts[piece], out=index[1:])
+            out[...] = fields[piece][index]
+        if start and not isinstance(piece, bytes):
+            commas.append(8 * start)
+        start += w
+    words.view(np.uint8)[:, commas] = ord(",")
+    return width
+
+
+def _item(fields: np.ndarray) -> np.ndarray:
+    """(n, w) uint64 fields viewed as n items of 8 w bytes, so that moving a field moves one item."""
+    return fields.view(f"V{8 * fields.shape[1]}")[:, 0]
 
 
 def _encoder(spec: str, cells: np.ndarray):
@@ -130,34 +189,13 @@ def _encoder(spec: str, cells: np.ndarray):
     return None
 
 
-def _encode_runs(encode, words: int, group) -> None:
-    """Encode the columns of ``group`` in one ``encode`` call, and lay out each column's fields.
-
-    ``group`` holds ``(cells, starts, out)`` per column: ``starts[i]`` says
-    whether cell i + 1 starts a run, or ``starts`` is None for a column sent
-    cell by cell; ``out`` takes the column's fields of ``words`` words.  A
-    column sent cell by cell has its fields copied; of the others, only the
-    run heads are encoded, and each field is handled as one item of
-    ``8 * words`` bytes: a column of one run is its head's field broadcast,
-    and one of more runs is a gather of the heads' fields by run index.
-    """
-    sent = [c if starts is None else np.concatenate((c[:1], c[1:][starts])) for c, starts, _ in group]
+def _encode_runs(encode, words: int, sent) -> list:
+    """Encode the cells of every array in ``sent`` in one ``encode`` call; return each array's fields (``_item``)."""
     fields = np.empty((sum(map(len, sent)), words), np.uint64)
     encode(np.concatenate(sent), fields)
-    item = np.dtype((np.void, 8 * words))
-    fields = fields.view(item)[:, 0]
-    first = 0
-    for (_, starts, out), own in zip(group, sent):
-        out = out.view(item)[:, 0]
-        own_fields = fields[first : first + len(own)]
-        if starts is None or len(own) == 1:
-            out[...] = own_fields
-        else:
-            index = np.empty(out.size, np.intp)
-            index[0] = 0
-            np.cumsum(starts, out=index[1:])
-            out[...] = own_fields[index]
-        first += len(own)
+    fields = _item(fields)
+    ends = list(itertools.accumulate(map(len, sent)))
+    return [fields[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def _percent(spec: str, cells, words: int = 0) -> np.ndarray:

@@ -84,6 +84,19 @@ def shift_values(spec: ShiftSpec, ts: np.ndarray) -> np.ndarray:
     return out
 
 
+def shift_bound(spec: ShiftSpec, rounds: int) -> float:
+    """An upper bound on |nu_t| over t = 1..``rounds``, from the shift's definition."""
+    if spec.kind == "custom":
+        bound = float(np.abs(spec.table[:rounds]).max(initial=0.0))
+    elif spec.kind == "constant":
+        bound = abs(spec.constant)
+    elif spec.kind == "log_alternating":
+        bound = max(math.log(rounds + 1) / 5, 2.0)
+    else:  # none, and sine and log_alternating_min: at most 2
+        bound = 0.0 if spec.kind == "none" else 2.0
+    return min(bound, 1.0) if spec.clip_to_unit else bound
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Reward noise: gaussian(sigma), uniform on [-scale, scale], or none."""
@@ -98,8 +111,13 @@ class NoiseSpec:
             raise ValueError("noise scale must be a nonnegative finite number")
         if self.kind == "bounded_uniform" and not math.isfinite(2.0 * self.scale):  # the width of its draws
             raise ValueError("bounded_uniform noise scale must be at most half the largest double")
-        if self.kind == "gaussian" and not math.isfinite(_NORMAL_MAX * self.scale):  # its largest draw
+        if self.kind == "gaussian" and not math.isfinite(self.largest):
             raise ValueError(f"gaussian noise scale must be at most the largest double / {_NORMAL_MAX}")
+
+    @property
+    def largest(self) -> float:
+        """The largest magnitude of a draw: ``_NORMAL_MAX`` scale, the scale of uniform noise, or 0."""
+        return {"gaussian": _NORMAL_MAX * self.scale, "bounded_uniform": self.scale}.get(self.kind, 0.0)
 
 
 class NoiseStream:

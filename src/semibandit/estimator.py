@@ -62,14 +62,17 @@ def regularizer(t: int, delta: float) -> float:
 def solve(state: EstimatorState, beta: float) -> np.ndarray:
     """Ridge solution (gram + beta I)^{-1} moment by one ``np.linalg.solve``.
 
-    Raises ``InvalidSample`` when the solution is not finite, as when finite
-    samples sum past the largest double.  ``harness.compute_metrics`` solves
-    its per-step systems in batches by its own ``np.linalg.solve`` and checks
-    them the same way.
+    Raises ``InvalidSample`` when the system is singular in double precision,
+    or its solution is not finite, as when finite samples sum past the largest
+    double.  ``harness.compute_metrics`` solves its per-step systems in
+    batches by its own ``np.linalg.solve`` and checks them the same way.
     """
     if beta <= 0:
         raise InvalidRegularizer(f"beta must be positive, got {beta}")
-    theta = np.linalg.solve(state.gram + beta * np.eye(state.dim), state.moment)
+    try:
+        theta = np.linalg.solve(state.gram + beta * np.eye(state.dim), state.moment)
+    except np.linalg.LinAlgError:
+        raise InvalidSample("the ridge system is singular: the features are too large for its regularizer") from None
     if not np.isfinite(theta).all():
         raise InvalidSample("the ridge estimate is not finite: the rewards or features are too large to sum")
     return theta

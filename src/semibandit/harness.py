@@ -62,6 +62,7 @@ from .environment import (
     assumption_audit,
     make_gap_instance,
     make_mab_embedding,
+    shift_bound,
 )
 from .errors import (
     ConfigError,
@@ -134,7 +135,9 @@ def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1, log
     (anchored at the phase anchor over the surviving arms), each carried over
     the next segment; steps before the first snapshot report NaN.  A
     per-step e_t that is not finite, as when finite rewards sum past the
-    largest double, raises ``InvalidSample``.  The regularizers
+    largest double, raises ``InvalidSample``, as does a ridge system that is
+    singular in double precision, as when features of norm 1e9 make the
+    regularizer vanish beside their Gram matrix.  The regularizers
     log(t/delta) come from ``log_table(steps, delta)``, by default
     ``_log_table``; a run passes one that keeps its tables, so its
     replications share them.
@@ -163,7 +166,12 @@ def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1, log
             gram = np.cumsum(np.concatenate([gram[-1:], xt[b, :, None] * xt[b, None, :]]), axis=0)[1:]
             moment = np.cumsum(np.concatenate([moment[-1:], xr[b]]), axis=0)[1:]
             beta = betas[s : s + gram.shape[0]]
-            theta_hat = np.linalg.solve(gram + beta[:, None, None] * eye, moment[:, :, None])
+            try:
+                theta_hat = np.linalg.solve(gram + beta[:, None, None] * eye, moment[:, :, None])
+            except np.linalg.LinAlgError:
+                raise InvalidSample(
+                    "the ridge system is singular: the features are too large for its regularizer"
+                ) from None
             e_t[b] = np.abs(np.matmul(z, theta_hat - env.theta_star[:, None])).max(axis=(1, 2))
             if not np.isfinite(e_t[b]).all():
                 raise InvalidSample("the ridge estimate is not finite: the rewards or features are too large to sum")
@@ -326,7 +334,37 @@ class ExperimentConfig:
             raise ConfigError(
                 "environment.shift.table", f"has {env.shift.table.shape[0]} entries for a run of {rounds} rounds"
             )
+        _check_sums(env, fields["environment"], fields["replications"], rounds)
         return cls(**{**fields, "algorithm": alg}, env=env, written=written)
+
+
+def _check_sums(env: Environment, spec: dict, replications: int, rounds: int) -> None:
+    """ConfigError naming the field of the largest term when a sum that a run forms may overflow.
+
+    ``spec`` is the environment's object, ``rounds`` the rounds of one of the
+    ``replications`` (0: design-cert, which sums nothing).  No sum adds more terms than the rounds of all
+    replications: a phase's sums of x~x~' and x~r, whose centered features
+    have norm at most 2 max |x_i|, ``compute_metrics``' running sums of the
+    same, cum_regret, whose terms are at most 2 max |x_i theta|, and the sums
+    of the mean columns over replications.  A reward is at most
+    max |x_i theta| + max |nu_t| + the noise's largest draw.
+    """
+    x = env.features.features
+    terms = {
+        "environment.path" if "path" in spec else "environment.features": (
+            2 * math.sqrt(np.einsum("ij,ij->i", x, x).max())  # no K x d temporary
+        ),
+        "environment.mu" if spec["kind"] == "mab" else "environment.theta": (
+            float(np.nan_to_num(np.abs(env.values), nan=math.inf, posinf=math.inf).max())  # x theta: inf - inf is NaN
+        ),
+        "environment.shift": shift_bound(env.shift, rounds),
+        "environment.noise": env.noise.largest,
+    }
+    spread, value, shift, noise = terms.values()
+    total = replications * rounds
+    if total and not math.isfinite(total * (spread * spread + spread * (value + shift + noise) + 2 * value)):
+        name = max(terms, key=terms.get)
+        raise ConfigError(name, f"gives terms up to {terms[name]:.3g}: sums over {total} rounds may overflow")
 
 
 def build_environment(spec: dict) -> Environment:

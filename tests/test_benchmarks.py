@@ -48,4 +48,23 @@ def test_encode_cells_smoke(capsys):
         assert table["rows"] > 0 and table["encoder_us_per_row"] > 0 and table["percent_us_per_row"] > 0
         # one call per encoder a block: every trajectory float has 4-word fields, every int here 1-word ones
         assert table["encoder_calls_per_block"] == 2 and table["percent_calls"] >= 0
+        # a row whose constant columns are laid out as literals is no wider than one of a field per cell
+        assert 0 < table["words_per_row"] <= table["unfolded_words_per_row"]
+    # where one arm is played to the horizon, most columns are constant over a block
+    assert result["tables"]["regret-long"]["words_per_row"] < result["tables"]["regret-long"]["unfolded_words_per_row"]
     assert "exact_long_double" not in result
+
+
+def test_bench_digests_smoke(capsys):
+    # one line per CSV of every instance and worker count; the files do not depend on the worker count
+    script = load_script("bench_digests")
+    script.main(["--smoke", "--seeds", "1", "--workers", "1", "2"])
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    runs = sum(w.n_instances for w in script.instances.WORKLOADS.values())
+    assert len(lines) == runs * 2 * len(script.CSVS)
+    by_workers = {}
+    for workload, instance, seed, workers, file, digest in lines:
+        assert workload in script.instances.WORKLOADS and seed == "1" and file in script.CSVS
+        assert len(digest) == 64 and int(digest, 16) >= 0
+        by_workers.setdefault(workers, []).append((workload, instance, file, digest))
+    assert set(by_workers) == {"1", "2"} and by_workers["1"] == by_workers["2"]

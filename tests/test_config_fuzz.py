@@ -161,3 +161,68 @@ def test_validate_and_run_exit_0_2_or_3(data):
         if checked == 0 and harness._rounds(harness.ExperimentConfig.from_dict(raw).algorithm) > 500:
             return  # a PAC budget worked out from epsilon; the run would be too long for this test
         assert exit_code("run", path) in ((0, 3) if checked == 0 else (2,))
+
+
+def large(low: float, high: float, usual: float):
+    """``usual``, or 10^e for e drawn from [``low``, ``high``]."""
+    return st.one_of(st.just(usual), st.floats(low, high).map(lambda e: 10.0**e))
+
+
+@st.composite
+def near_the_sum_bound(draw, work: Path):
+    """A config on three arms in the plane whose features, theta, shift or noise is near the bound on a run's sums.
+
+    Entries of the features reach the largest that squared distances allow
+    (4.7e153 in the plane), and theta, the shift constant and the noise scale
+    reach the largest double.
+    """
+    s = draw(large(140.0, 153.7, 0.5))
+    t = draw(large(290.0, 308.2, 1.0))
+    angle = draw(st.floats(0.0, 2 * math.pi))
+    shift = draw(
+        st.one_of(
+            st.just({"kind": "sine"}),
+            st.builds(
+                lambda c, sign, clip: {"kind": "constant", "constant": sign * c, "clip_to_unit": clip},
+                large(290.0, 308.2, 0.5),
+                st.sampled_from([1.0, -1.0]),
+                st.booleans(),
+            ),
+        )
+    )
+    noise = {"kind": draw(st.sampled_from(NOISE_KINDS))}
+    if noise["kind"] != "none":
+        noise["scale"] = draw(large(290.0, 308.2, 1.0))
+    mode = draw(st.sampled_from(["regret", "error-scaling"]))
+    return {
+        "mode": mode,
+        "environment": {
+            "kind": "features",
+            "features": [[s, 0.0], [0.0, s], [-s, 0.0]],
+            "theta": [t * math.cos(angle), t * math.sin(angle)],
+            "shift": shift,
+            "noise": noise,
+        },
+        "algorithm": {"horizon" if mode == "regret" else "budget": draw(st.integers(10, 500))},
+        "replications": draw(st.integers(1, 3)),
+        "output": str(work / "out"),
+        "workers": 1,
+    }
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_accepted_configs_near_the_sum_bound_run(data):
+    # validate bounds every sum a run forms; a config it accepts runs to the end
+    with tempfile.TemporaryDirectory() as work, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # x theta may overflow while validate builds the environment
+        raw = data.draw(near_the_sum_bound(Path(work)))
+        path = Path(work) / "cfg.json"
+        path.write_text(json.dumps(raw))
+        checked = exit_code("validate", path)
+        assert checked in (0, 2)
+        if checked == 0:
+            # features far past unit norm can make the regularizer vanish beside the Gram
+            # matrix, and a ridge system singular: such a run exits 3 with one line
+            unit = raw["environment"]["features"][0][0] == 0.5
+            assert exit_code("run", path) in ((0,) if unit else (0, 3))

@@ -13,6 +13,7 @@ from semibandit.environment import (
     make_gap_instance,
     make_mab_embedding,
     rewards_for,
+    shift_bound,
     shift_values,
 )
 from semibandit.design import FeatureSet
@@ -81,6 +82,26 @@ class TestShiftSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ShiftSpec(kind="sawtooth")
+
+    @pytest.mark.parametrize("clip", [False, True])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "none"},
+            {"kind": "sine"},
+            {"kind": "log_alternating"},
+            {"kind": "log_alternating_min"},
+            {"kind": "constant", "constant": -3.5},
+            {"kind": "custom", "table": [0.1] * 9 + [-7.0] + [50.0] * 29_990},
+        ],
+        ids=lambda spec: spec["kind"],
+    )
+    @pytest.mark.parametrize("rounds", [1, 10, 30_000])  # past e^10, ln(t + 1) / 5 > 2
+    def test_bound_covers_every_round(self, spec, clip, rounds):
+        # the bound on |nu_t| that validate builds its sum bound from; a custom table past the run is not read
+        shift = ShiftSpec(**spec, clip_to_unit=clip)
+        largest = np.abs(shift_values(shift, np.arange(1, rounds + 1))).max()
+        assert largest <= shift_bound(shift, rounds) <= max(largest, 2.0)
 
 
 class TestNoise:

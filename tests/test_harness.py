@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -200,6 +201,9 @@ BAD_CONFIGS = {
     "huge-replications": {"replications": 10**24},
     "replications-times-horizon-past-cap": {"replications": 2**40, "algorithm": {"horizon": 2**20}},
     "design-cert-huge-replications": {"mode": "design-cert", "algorithm": {}, "replications": 2**59 + 1},
+    # finite draws whose sums over the run's rounds overflow: found only at run time (exit 3) before
+    "overflowing-noise-sums": {"environment": features_env(noise={"kind": "gaussian", "scale": 1.4e307})},
+    "overflowing-theta-sums": {"environment": features_env(theta=[1e308, 0.0])},
 }
 
 
@@ -796,6 +800,19 @@ def per_cell_lines(line, columns):
     return [line % row for row in zip(*(c.tolist() for c in columns))]
 
 
+def spy_widths(monkeypatch) -> list:
+    """The words of a row of each block ``cells.rows`` lays out from now on, in order."""
+    widths = []
+    lay_out = cells._lay_out
+
+    def spy(*args):
+        widths.append(lay_out(*args))
+        return widths[-1]
+
+    monkeypatch.setattr(cells, "_lay_out", spy)
+    return widths
+
+
 def boundary_floats() -> np.ndarray:
     """Float cells at the edges of the encoder's fast path, with both signs.
 
@@ -946,6 +963,52 @@ class TestWriter:
         )
         line = "%.17g,%.17g,%.17g,%d,%d\n"
         assert written_lines(line, columns, block) == per_cell_lines(line, columns)
+
+    @pytest.mark.parametrize(
+        "line, columns",
+        [
+            ("%d,%.17g,%d\n", (np.full(10, 7), np.full(10, 0.1), np.full(10, -(2**63)))),  # one literal, newline in
+            ("%d,%.17g,%d,%.17g\n", (np.full(10, 3), np.full(10, 1.5), np.arange(10), np.full(10, 2.0))),
+            ("%.17g,%d,%d,%.17g\n", (np.arange(10.0), np.full(10, 4), np.arange(10), np.full(10, 1e-9))),
+            ("%d,%.17g,%.17g,%d\n", (np.arange(10), np.full(10, math.nan), np.full(10, -0.0), np.arange(10))),
+            ("%.17g,%.17g,%.17g\n", (np.full(10, math.inf), np.full(10, -math.inf), np.full(10, 0.0))),
+        ],
+        ids=["all-constant", "constant-first-and-last", "two-literals-split", "nan-and-signed-zero", "infinities"],
+    )
+    @pytest.mark.parametrize("block", [1, 4, 10])
+    def test_constant_columns_are_literals(self, monkeypatch, line, columns, block):
+        # adjacent columns of one bit pattern in a block are one literal, its commas and any newline in it
+        widths = spy_widths(monkeypatch)
+        assert written_lines(line, columns, block) == per_cell_lines(line, columns)
+        constant = [np.all(c.view(np.int64) == c.view(np.int64)[0]) for c in columns]
+        if all(constant):  # the row is one literal: its text, padded to whole words
+            assert widths == [-(-len(per_cell_lines(line, columns)[0]) // 8)] * -(-10 // block)
+
+    def test_constant_number_beside_text_columns(self, monkeypatch):
+        # the summary's %s cells keep their fields; its constant numeric columns fold around them
+        n = 9
+        columns = (
+            np.arange(n),
+            np.full(n, 100),
+            np.full(n, 2.5),
+            np.array(["", "3", ""] * 3, dtype=object),
+            np.array(["17"] * n, dtype=object),
+            np.array([str(i) for i in range(n)], dtype=object),
+            np.full(n, 1),
+        )
+        widths = spy_widths(monkeypatch)
+        assert written_lines(SUMMARY_LINE, columns, 4) == per_cell_lines(SUMMARY_LINE, columns)
+        # the first column's field, the literal ",100,2.5", three %s fields, the literal ",1\n": a word each
+        assert widths == [1 + 1 + 3 + 1] * 3
+
+    def test_row_width_follows_each_block(self, monkeypatch):
+        # a column constant in one block and varying in the next: each block has its own width
+        column = np.concatenate([np.full(4, 1.5), np.arange(4) / 3, np.full(4, 2.5), [0.25]])
+        columns = (np.arange(13), column, np.full(13, 8))
+        widths = spy_widths(monkeypatch)
+        line = "%d,%.17g,%d\n"
+        assert written_lines(line, columns, 4) == per_cell_lines(line, columns)
+        assert widths == [1 + 1, 1 + 4 + 1, 1 + 1, 1 + 1]
 
     def test_one_grouped_call_per_encoder_per_block(self, monkeypatch):
         # each block makes one call per (encoder, field width): the run heads
@@ -1204,19 +1267,30 @@ class TestCli:
         assert main(["validate", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: environment.path: ")
 
-    @pytest.mark.parametrize(
-        "env",
-        [features_env(noise={"kind": "gaussian", "scale": 1.4e307}), features_env(theta=[1e308, 0.0])],
-        ids=["noise", "theta"],
-    )
-    def test_overflowing_sums_exit_3(self, tmp_path, capsys, env):
-        # each draw is finite, but the estimator's sums of them are not: one error line, no traceback
+    @pytest.mark.parametrize("case", ["noise", "theta"])
+    def test_overflowing_sums_exit_3(self, tmp_path, capsys, case):
+        # each draw is finite, but the estimator's sums of them are not.  The bound on
+        # every sum a run forms finds them at validate: exit 2 from validate and run,
+        # one line naming the field (the name is from when only the run found them)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(base_config(tmp_path, environment=env, base_seed=0, workers=1)))
-        assert main(["validate", "--config", str(path)]) == 0
-        assert main(["run", "--config", str(path)]) == 3
+        path.write_text(json.dumps(base_config(tmp_path, **BAD_CONFIGS[f"overflowing-{case}-sums"], base_seed=0)))
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: environment.{case}: ") and err.count("\n") == 1
+
+    def test_singular_ridge_system_exits_3(self, tmp_path, capsys):
+        # features of norm 1e9: beside their Gram matrix the regularizer vanishes, and
+        # compute_metrics' batched solve meets an exactly singular system
+        env = features_env(features=[[1e9, 0.0], [0.0, 1e9], [-1e9, 0.0]], seed=0)
+        raw = base_config(tmp_path, mode="error-scaling", environment=env, algorithm={"budget": 200}, base_seed=0)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the features break the unit-norm assumption
+            assert main(["run", "--config", str(path)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: the ridge estimate is not finite") and err.count("\n") == 1
+        assert err.startswith("error: the ridge system is singular") and err.count("\n") == 1
 
     def test_path_and_features_exclusive(self, tmp_path, capsys):
         # a features environment reads its rows from a file or from the config, never both
