@@ -150,7 +150,7 @@ def measure_table(table, repeats: int) -> dict:
         "rows": rows,
         "encoder_calls_per_block": round((len(calls["_encode_floats"]) + len(calls["_encode_ints"])) / blocks, 2),
         "percent_calls": len(calls["_percent"]),
-        "words_per_row": round(sum(len(args[3][0]) * words for args, words in calls["_lay_out"]) / rows, 2),
+        "words_per_row": round(sum(len(args[2][0]) * words for args, words in calls["_lay_out"]) / rows, 2),
         "unfolded_words_per_row": sum(cells._encoder(spec, column)[1] for spec, column in zip(specs, table)) + 1,
         "encoder_us_per_row": round(best_seconds(encoded, repeats) / rows * 1e6, 3),
         "percent_us_per_row": round(best_seconds(per_row, repeats) / rows * 1e6, 3),

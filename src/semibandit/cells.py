@@ -1,20 +1,20 @@
-"""CSV text of NumPy columns: the bytes of ``%`` on every cell, made by array operations.
+"""CSV text of numeric NumPy columns: the bytes of ``%`` on every cell, made by array operations.
 
 ``rows`` lays out a block of rows in one reused buffer of uint64 words, with no
 Python object per cell, and deleting the NULs gives the block's text.  An
 encoder call costs tens of microseconds however few its cells, so each block
-makes one call per encoder and field width, for all of its numeric columns: a
-column of few runs (equal bit patterns) sends only the first cell of each
-run, and a column in which more than half the cells start a run sends every
-cell.  A row is then laid out in pieces of whole words.  Each maximal run of
-adjacent numeric columns that hold one bit pattern in the block is one
-literal: their texts, joined by their commas, with the newline if they end
-the row, NUL-padded and broadcast into every row.  Every other column has a
-field per cell, its text NUL-padded after the slot of the comma before it,
-copied from its call's output or gathered by run index as one item of whole
-words.  A row that ends in such a field ends in a newline word.  Late in an
-elimination run, where one arm is played to the horizon, most columns are
-constant over a block, so the rows that ``translate`` scans are shorter.
+makes one call per encoder and field width, for all of its columns: a column
+of few runs (equal bit patterns) sends only the first cell of each run, and a
+column in which more than half the cells start a run sends every cell.  A row
+is then laid out in pieces of whole words.  Each maximal run of adjacent
+columns that hold one bit pattern in the block is one literal: their texts,
+joined by their commas, with the newline if they end the row, NUL-padded and
+broadcast into every row.  Every other column has a field per cell, its text
+NUL-padded after the slot of the comma before it, copied from its call's
+output or gathered by run index as one item of whole words.  A row that ends
+in such a field ends in a newline word.  Late in an elimination run, where one
+arm is played to the horizon, most columns are constant over a block, so the
+rows that ``translate`` scans are shorter.
 
 A ``%.17g`` cell with 1e-4 <= |x| < 1e8 takes its 17 digits from the exact
 product |x| 10^k, held as its binary64 rounding p and p's error e, which
@@ -22,7 +22,8 @@ Dekker's two-product gives exactly (``_encode_floats``).  A ``%d`` cell takes
 its digits from a table of 4-digit chunks: up to 8 in one word for a cell in
 [0, 1e8), else a sign and up to 19 in three (``_encode_ints``).  Zero, NaN and
 inf are fixed texts.  ``%`` formats every other cell (``_percent``): other
-magnitudes, a product just outside [1e16, 1e17), and columns of other types.
+magnitudes, and a product just outside [1e16, 1e17).  A column of any other
+spec or dtype is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -90,56 +91,52 @@ del _digits, _ascii, _chunk, _sign, _exp, _kept, _digit
 def rows(line_format: str, columns, block: int):
     """Yield the rows of ``columns`` as ``line_format % row``, ``block`` rows per string.
 
-    ``columns`` is a sequence of equal-length NumPy columns.  ``%.17g`` of
-    float64 and ``%d`` of int64 are encoded by array operations
-    (``_encoder``), any other column by ``%`` (``_percent``).  Each block is
-    laid out in one buffer (``_lay_out``), which is resized in place from
-    block to block, and its NULs are deleted.
+    ``columns`` is a sequence of equal-length NumPy columns, each float64
+    under ``%.17g`` or int64 under ``%d``, encoded by array operations
+    (``_encoder``); any other column is a ``TypeError``.  Each block is laid
+    out in one buffer (``_lay_out``), which is resized in place from block to
+    block, and its NULs are deleted.
     """
     specs = line_format.rstrip("\n").split(",")
     encoders = [_encoder(spec, column) for spec, column in zip(specs, columns)]
     buf = bytearray()
     for s in range(0, len(columns[0]), block):
-        _lay_out(buf, specs, encoders, [column[s : s + block] for column in columns])
+        _lay_out(buf, encoders, [column[s : s + block] for column in columns])
         yield buf.translate(None, b"\0").decode("ascii")
 
 
-def _lay_out(buf: bytearray, specs, encoders, cells) -> int:
+def _lay_out(buf: bytearray, encoders, cells) -> int:
     """Lay out the rows of one block of ``cells`` in ``buf``, resized to hold them; return the words of a row.
 
-    The numeric columns go to one call per (encoder, field width)
-    (``_encode_runs``): every cell of a column in which more than half the
-    cells start a run of equal bits, and only the run heads of the others.
-    Each maximal run of adjacent numeric columns of one run each is one
-    literal: their heads' texts, each after its comma, and the newline if
-    they end the row, NUL-padded to whole words and broadcast into every
-    row.  The newline is a literal of its own after any other last column.
-    Every other column has a field per cell, with the comma in byte 0 unless
-    it is the first column: copied from its call's output, gathered from its
-    heads' fields by run index, or made by ``_percent``.  No view of ``buf``
-    outlives the call, so that the next block can resize it.
+    The columns go to one call per (encoder, field width) (``_encode_runs``):
+    every cell of a column in which more than half the cells start a run of
+    equal bits, and only the run heads of the others.  Each maximal run of
+    adjacent columns of one run each is one literal: their heads' texts, each
+    after its comma, and the newline if they end the row, NUL-padded to whole
+    words and broadcast into every row.  The newline is a literal of its own
+    after any other last column.  Every other column has a field per cell,
+    with the comma in byte 0 unless it is the first column: copied from its
+    call's output, or gathered from its heads' fields by run index.  No view
+    of ``buf`` outlives the call, so that the next block can resize it.
     """
     n = len(cells[0])
     calls = {}  # (encoder, field words) -> [column index]
-    sent, starts = {}, {}  # by numeric column: its cells sent, and where a run starts after cell 0 (None: all sent)
+    sent, starts = {}, {}  # by column: its cells sent, and where a run starts after cell 0 (None: all sent)
     for i, (c, e) in enumerate(zip(cells, encoders)):
-        if e is not None:
-            bits = c.view(np.int64)  # equal bits print as equal text; equal values need not (0.0, -0.0)
-            starts[i] = bits[1:] != bits[:-1]
-            runs = np.count_nonzero(starts[i]) + 1
-            if runs > 1 and 2 * runs > n:
-                sent[i], starts[i] = c, None
-            else:
-                sent[i] = np.concatenate((c[:1], c[1:][starts[i]]))
-            calls.setdefault(e, []).append(i)
-    fields = {}  # by column: its fields, each one item of the field's bytes (of the cells sent, if numeric)
+        bits = c.view(np.int64)  # equal bits print as equal text; equal values need not (0.0, -0.0)
+        starts[i] = bits[1:] != bits[:-1]
+        runs = np.count_nonzero(starts[i]) + 1
+        if runs > 1 and 2 * runs > n:
+            sent[i], starts[i] = c, None
+        else:
+            sent[i] = np.concatenate((c[:1], c[1:][starts[i]]))
+        calls.setdefault(e, []).append(i)
+    fields = {}  # by column: the fields of its cells sent, each one item of the field's bytes
     for (encode, words), group in calls.items():
         fields.update(zip(group, _encode_runs(encode, words, [sent[i] for i in group])))
     pieces, literal = [], b""  # in row order: a column's index, or a literal's bytes
-    for i, (spec, c) in enumerate(zip(specs, cells)):
-        if i not in sent:
-            fields[i] = _item(_percent(spec, c))
-        elif len(sent[i]) == 1:  # one run
+    for i in range(len(cells)):
+        if len(sent[i]) == 1:  # one run
             literal += b"," * (i > 0) + fields[i][0].tobytes().replace(b"\0", b"")
             continue
         if literal:
@@ -160,7 +157,7 @@ def _lay_out(buf: bytearray, specs, encoders, cells) -> int:
         out = _item(words[:, start : start + w])
         if isinstance(piece, bytes):
             out[...] = _item(np.frombuffer(piece.ljust(8 * w, b"\0"), np.uint64)[None])
-        elif starts.get(piece) is None:
+        elif starts[piece] is None:
             out[...] = fields[piece]
         else:
             index = np.empty(n, np.intp)
@@ -180,13 +177,13 @@ def _item(fields: np.ndarray) -> np.ndarray:
 
 
 def _encoder(spec: str, cells: np.ndarray):
-    """The array encoder of ``spec`` for ``cells`` and the words of its fields, or None: ``%`` formats them."""
+    """The array encoder of ``spec`` for ``cells`` and the words of its fields; TypeError if there is none."""
     if spec == "%.17g" and cells.dtype == np.float64:
         return _encode_floats, 4
     if spec == "%d" and cells.dtype == np.int64:
         low, high = cells.min(initial=0), cells.max(initial=0)
         return _encode_ints, 3 if low < 0 or high >= 10**8 else 2 if high >= 10**7 else 1
-    return None
+    raise TypeError(f"no array encoder for {spec!r} of {cells.dtype} cells")
 
 
 def _encode_runs(encode, words: int, sent) -> list:
@@ -198,21 +195,15 @@ def _encode_runs(encode, words: int, sent) -> list:
     return [fields[start:end] for start, end in zip([0, *ends], ends)]
 
 
-def _percent(spec: str, cells, words: int = 0) -> np.ndarray:
-    """``spec % cell`` of each cell, from byte 1 of a field of ``words`` words (0: the fewest that fit).
+def _percent(spec: str, cells, words: int) -> np.ndarray:
+    """``spec % cell`` of each cell, from byte 1 of a field of ``words`` words.
 
-    A numeric fallback names its width: then one ``%`` formats every field,
-    a NUL and the text left-justified in the rest, and the pad spaces become
-    NULs (a ``%d`` or ``%.17g`` text holds no space and fits the width).
+    One ``%`` formats every field, a NUL and the text left-justified in the
+    rest, and the pad spaces become NULs (a ``%d`` or ``%.17g`` text holds no
+    space and fits the width).
     """
-    if words:
-        fields = (("\0%-" + str(8 * words - 1) + spec[1:]) * len(cells)) % tuple(cells.tolist())
-        return np.frombuffer(fields.encode("ascii").translate(_SPACE_TO_NUL), np.uint64).reshape(len(cells), words)
-    text = np.array([spec % v for v in cells.tolist()], dtype=bytes)
-    words = text.itemsize // 8 + 1
-    fields = np.zeros((text.size, 8 * words), np.uint8)
-    fields[:, 1 : 1 + text.itemsize] = text.view(np.uint8).reshape(text.size, text.itemsize)
-    return fields.view(np.uint64)
+    fields = (("\0%-" + str(8 * words - 1) + spec[1:]) * len(cells)) % tuple(cells.tolist())
+    return np.frombuffer(fields.encode("ascii").translate(_SPACE_TO_NUL), np.uint64).reshape(len(cells), words)
 
 
 def _encode_floats(x: np.ndarray, out: np.ndarray) -> None:

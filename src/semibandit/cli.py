@@ -7,7 +7,9 @@ Subcommands:
 
 Exit codes: 0 success; 2 configuration error, a missing or malformed feature
 file included (given to ``design`` or as ``environment.path``); 3 runtime
-error, running out of memory included.  An error prints one line to stderr.
+error, running out of memory included.  An error prints one line to stderr,
+and a success prints nothing there: a run reports where its inputs break the
+model's assumptions in its manifest (``assumption_audit``), not as warnings.
 """
 
 from __future__ import annotations

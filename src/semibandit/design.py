@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +35,10 @@ _DRIFT_RTOL = 1e-12  # largest relative ||sum c_i x_i x_i^T|| of an eliminated n
 class FeatureSet:
     """K arm feature vectors as rows of a (K, d) array.
 
-    An object also keeps what is solved from its rows, which are not to be
-    changed in place: their span basis (``_span``) and ``deo``'s results by
+    Rows need not lie in the unit ball that the paper's bounds assume;
+    ``environment.assumption_audit`` reports those that do not.  An object
+    also keeps what is solved from its rows, which are not to be changed in
+    place: their span basis (``_span``) and ``deo``'s results by
     ``(anchor, fw_tol)`` (``_designs``).  Both live and die with the object,
     so the callers that share one object share its solves.
     """
@@ -56,12 +57,6 @@ class FeatureSet:
         if largest > bound:
             raise DimError(f"features have an entry of {largest:.3g}; past {bound:.3g}, squared distances overflow")
         object.__setattr__(self, "features", feats)
-        norms = np.linalg.norm(feats, axis=1)
-        if norms.size and norms.max() > 1.0 + 1e-12:
-            warnings.warn(
-                f"feature norms exceed 1 (max {norms.max():.6g}); bounds assume unit features",
-                stacklevel=2,
-            )
 
     @property
     def d(self) -> int:
@@ -419,10 +414,7 @@ def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = 1e-3):
     diffs = x[others] - x[anchor]
     if not np.any(np.linalg.norm(diffs, axis=1) > SPAN_RTOL):
         raise DegenerateFeatures("all arms identical: anchored differences span nothing")
-    with warnings.catch_warnings():
-        # differences may exceed unit norm; the unit-ball warning is for raw features
-        warnings.simplefilter("ignore")
-        diff_set = FeatureSet(diffs)
+    diff_set = FeatureSet(diffs)
     p_tilde = g_optimal(diff_set, fw_tol=fw_tol)
     probs = np.zeros(k)
     probs[others] = p_tilde.probabilities / 2.0

@@ -9,7 +9,6 @@ many other random draws they consume.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,7 +168,13 @@ class NoiseStream:
 
 @dataclass
 class Environment:
-    """Fixed feature set, hidden parameter, shift and noise specification."""
+    """Fixed feature set, hidden parameter, shift and noise specification.
+
+    theta* and the features need not lie in the unit ball, nor the best arm
+    be unique: ``assumption_audit`` reports each.  An x_i'theta* past the
+    largest double is inf, and the gap then may be NaN (``harness._check_sums``
+    rejects such a config).
+    """
 
     features: FeatureSet
     theta_star: np.ndarray
@@ -185,17 +190,11 @@ class Environment:
         if not np.isfinite(theta).all():
             raise ValueError("theta contains non-finite entries")
         self.theta_star = theta
-        if np.linalg.norm(theta) > 1.0 + 1e-12:
-            warnings.warn(
-                f"||theta*|| = {np.linalg.norm(theta):.6g} exceeds 1; bounds assume a unit ball",
-                stacklevel=2,
-            )
-        self.values = self.features.features @ theta
-        self.best_arm = int(np.argmax(self.values))
-        others = np.delete(self.values, self.best_arm)
-        self.gap = float(self.values[self.best_arm] - others.max()) if others.size else math.inf
-        if others.size and self.gap == 0.0:
-            warnings.warn("best arm is not unique; gap-dependent results are undefined", stacklevel=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.values = self.features.features @ theta
+            self.best_arm = int(np.argmax(self.values))
+            others = np.delete(self.values, self.best_arm)
+            self.gap = float(self.values[self.best_arm] - others.max()) if others.size else math.inf
 
     @property
     def K(self) -> int:
@@ -226,13 +225,14 @@ def rewards_for(env: Environment, arms: np.ndarray, t0: int, noise_stream: Noise
 
 
 def assumption_audit(env: Environment, horizon: int = 0) -> list[str]:
-    """Report violations of the unit-norm boundedness assumptions.
+    """Report violations of the model's assumptions: the one report of them, in a run's manifest.
 
-    Checks ||theta*|| <= 1, ||x_i|| <= 1, and (over the given horizon)
-    |nu_t| <= 1.  Violations are reported, not raised; runs proceed.
+    Checks ||theta*|| <= 1, ||x_i|| <= 1, (over the given horizon)
+    |nu_t| <= 1, and that the best arm is unique.  Violations are reported,
+    not raised or warned of; runs proceed.
     """
     findings = []
-    tn = float(np.linalg.norm(env.theta_star))
+    tn = math.hypot(*env.theta_star)  # no overflow: theta* may be up to the largest double
     if tn > 1.0 + 1e-12:
         findings.append(f"||theta*|| = {tn:.6g} > 1")
     norms = np.linalg.norm(env.features.features, axis=1)
@@ -243,6 +243,8 @@ def assumption_audit(env: Environment, horizon: int = 0) -> list[str]:
         nu = shift_values(env.shift, np.arange(1, horizon + 1))
         if np.abs(nu).max() > 1.0 + 1e-12:
             findings.append(f"shift magnitude reaches {np.abs(nu).max():.6g} > 1 within t <= {horizon}")
+    if env.gap == 0.0:
+        findings.append("best arm is not unique: gap-dependent results are undefined")
     return findings
 
 

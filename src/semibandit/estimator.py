@@ -30,7 +30,7 @@ class EstimatorState:
 
     @property
     def dim(self) -> int:
-        return self.moment.shape[0]
+        return self.moment.shape[-1]
 
 
 def update_batch(state: EstimatorState, centered: np.ndarray, rewards: np.ndarray) -> EstimatorState:
@@ -59,18 +59,20 @@ def regularizer(t: int, delta: float) -> float:
     return math.log(t / delta)
 
 
-def solve(state: EstimatorState, beta: float) -> np.ndarray:
+def solve(state: EstimatorState, beta) -> np.ndarray:
     """Ridge solution (gram + beta I)^{-1} moment by one ``np.linalg.solve``.
 
-    Raises ``InvalidSample`` when the system is singular in double precision,
-    or its solution is not finite, as when finite samples sum past the largest
-    double.  ``harness.compute_metrics`` solves its per-step systems in
-    batches by its own ``np.linalg.solve`` and checks them the same way.
+    ``state`` may hold a stack of systems, gram (..., d, d) and moment
+    (..., d), with one ``beta`` per system; each is solved as on its own, bit
+    for bit.  Raises ``InvalidRegularizer`` when a beta is not positive, and
+    ``InvalidSample`` when a system is singular in double precision, or a
+    solution is not finite, as when finite samples sum past the largest double.
     """
-    if beta <= 0:
-        raise InvalidRegularizer(f"beta must be positive, got {beta}")
+    beta = np.asarray(beta, dtype=float)
+    if (beta <= 0).any():
+        raise InvalidRegularizer(f"beta must be positive, got {beta.min()}")
     try:
-        theta = np.linalg.solve(state.gram + beta * np.eye(state.dim), state.moment)
+        theta = np.linalg.solve(state.gram + beta[..., None, None] * np.eye(state.dim), state.moment[..., None])[..., 0]
     except np.linalg.LinAlgError:
         raise InvalidSample("the ridge system is singular: the features are too large for its regularizer") from None
     if not np.isfinite(theta).all():

@@ -19,21 +19,23 @@ and deletes.  Either way the files are byte-identical regardless of worker
 count, and ``trajectory_mean.csv`` comes from running sums added in index
 order.  A run returns only its decisions; ``compute_metrics`` lays every
 per-step column (phase, regret, active-set size, e_t) out over the run's phase
-segments.  What replications compute alike is computed once per run: the
-anchored design over all arms, which ``deo`` keeps on the ``FeatureSet`` of
-the config's environment, and the log(t/delta) regularizers of the
-pure-exploration e_t, which a ``functools.cache`` of ``_log_table`` held by
-the run keeps.  A pool worker gets the config once, at its start, and makes
-its own cache, so its replications share them too; nothing is kept beyond
-the run.
+segments.  What replications compute alike is computed once per run and
+kept on the config's objects: the anchored design over all arms, which
+``deo`` keeps on the ``FeatureSet`` of the config's environment, and the
+log(t/delta) regularizers of the pure-exploration e_t,
+``ExperimentConfig.betas``.  A pool worker gets the config once, at its
+start, and makes them once from its copy, so its replications share them
+too; nothing is kept beyond the run.
 
 Floats are serialized with 17 significant digits (``%.17g``), which round-trips
 IEEE doubles exactly and keeps repeated runs byte-stable; ``cells.rows`` writes
-the text of ``%`` on every cell by array operations.  Each CSV and the manifest
-is written under a temporary name and renamed when complete, so a failed run
-leaves none.  The per-step estimation error of pure exploration is computed
-``_BLOCK`` steps at a time: running sums of the rank-one terms and one batched
-ridge solve per block, bit for bit equal to solving after every step.
+the text of ``%`` on every cell of numeric columns by array operations, and
+``summary.csv``, a row per replication, is ``SUMMARY_LINE % row``.  Each CSV
+and the manifest is written under a temporary name and renamed when complete,
+so a failed run leaves none.  The per-step estimation error of pure
+exploration is computed ``_BLOCK`` steps at a time: running sums of the
+rank-one terms and one batched ridge solve per block (``estimator.solve``),
+bit for bit equal to solving after every step.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ from .errors import (
     check_positive,
     check_probability,
 )
+from .estimator import EstimatorState, solve
 from .sbe import RunRecord, SbeConfig, check_rounds, pac_budget, phase_length, run_pure_exploration, run_sbe
 
 MODES = ("regret", "pac", "design-cert", "error-scaling")
@@ -100,7 +103,7 @@ TRAJECTORY_LINE = "%d,%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
 MEAN_COLUMNS = ("t", "mean_cum_regret", "mean_e_t", "mean_sqrt_t_e_t")
 MEAN_LINE = "%d,%.17g,%.17g,%.17g\n"
 SUMMARY_COLUMNS = ("replication", "seed", "final_regret", "declared_best", "declared_at", "greedy_arm", "success")
-SUMMARY_LINE = "%d,%d,%.17g,%s,%s,%s,%d\n"  # the %s cells may be empty
+SUMMARY_LINE = "%d,%d,%.17g,%s,%s,%s,%d\n"  # one row per replication, by %; the %s cells may be empty
 
 # steps per block of the batched e_t, which holds block x d x d floats at once
 _BLOCK = 512
@@ -123,7 +126,7 @@ class MetricTable:
     active_size: np.ndarray
 
 
-def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1, log_table=None) -> MetricTable:
+def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1, betas=None) -> MetricTable:
     """Per-step columns of one record, each laid out over its phase segments.
 
     The segments are the phases' ``taken`` rounds, then the declared arm's
@@ -133,14 +136,12 @@ def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1, log
     pure-exploration records (anchored at arm 0 over all arms, with the
     log(t/delta) regularizer), and at phase ends for elimination records
     (anchored at the phase anchor over the surviving arms), each carried over
-    the next segment; steps before the first snapshot report NaN.  A
-    per-step e_t that is not finite, as when finite rewards sum past the
-    largest double, raises ``InvalidSample``, as does a ridge system that is
-    singular in double precision, as when features of norm 1e9 make the
-    regularizer vanish beside their Gram matrix.  The regularizers
-    log(t/delta) come from ``log_table(steps, delta)``, by default
-    ``_log_table``; a run passes one that keeps its tables, so its
-    replications share them.
+    the next segment; steps before the first snapshot report NaN.  The
+    per-step systems are solved ``_BLOCK`` at a time by ``estimator.solve``,
+    whose ``InvalidSample`` passes through, as does one for an e_t that is not
+    finite.  ``betas`` holds log(t/delta) for t = 1.. at least the record's
+    steps (a run passes ``ExperimentConfig.betas``); by default it is made
+    here by ``_log_table``.
     """
     n = record.steps
     x = env.features.features
@@ -159,20 +160,13 @@ def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1, log
         z = x - x[0]
         gram = np.zeros((1, env.d, env.d))
         moment = np.zeros((1, env.d))
-        eye = np.eye(env.d)
-        betas = (log_table or _log_table)(n, delta)
+        betas = _log_table(n, delta) if betas is None else betas
         for s in range(0, n, _BLOCK):
             b = slice(s, s + _BLOCK)
             gram = np.cumsum(np.concatenate([gram[-1:], xt[b, :, None] * xt[b, None, :]]), axis=0)[1:]
             moment = np.cumsum(np.concatenate([moment[-1:], xr[b]]), axis=0)[1:]
-            beta = betas[s : s + gram.shape[0]]
-            try:
-                theta_hat = np.linalg.solve(gram + beta[:, None, None] * eye, moment[:, :, None])
-            except np.linalg.LinAlgError:
-                raise InvalidSample(
-                    "the ridge system is singular: the features are too large for its regularizer"
-                ) from None
-            e_t[b] = np.abs(np.matmul(z, theta_hat - env.theta_star[:, None])).max(axis=(1, 2))
+            theta_hat = solve(EstimatorState(gram, moment), betas[s : s + gram.shape[0]])
+            e_t[b] = np.abs(np.matmul(z, (theta_hat - env.theta_star)[:, :, None])).max(axis=(1, 2))
             if not np.isfinite(e_t[b]).all():
                 raise InvalidSample("the ridge estimate is not finite: the rewards or features are too large to sum")
     else:
@@ -276,6 +270,7 @@ class ExperimentConfig:
     ``environment`` is the environment's object as written, ``written`` the
     whole config as written, and ``env`` the ``Environment`` they describe.
     ``algorithm`` holds every key the mode reads, a PAC budget included.
+    ``betas``, made on first use, is what the replications of a pure mode share.
     """
 
     mode: str
@@ -324,6 +319,8 @@ class ExperimentConfig:
                 alg["budget"] = pac_budget(env.d, env.K, alg["epsilon"], alg["delta"], c2=alg["c2"])
         except ScheduleOverflow as exc:
             raise ConfigError("algorithm", str(exc)) from None
+        if mode in ("pac", "error-scaling") and not math.isfinite(alg["budget"] / alg["delta"]):
+            raise ConfigError("algorithm.delta", "is too small: the regularizer log(budget/delta) overflows")
         rounds = _rounds(alg)
         each = max(rounds, 1)  # a design-cert run still counts as one round per replication
         try:
@@ -334,11 +331,16 @@ class ExperimentConfig:
             raise ConfigError(
                 "environment.shift.table", f"has {env.shift.table.shape[0]} entries for a run of {rounds} rounds"
             )
-        _check_sums(env, fields["environment"], fields["replications"], rounds)
+        _check_sums(env, fields["environment"], fields["replications"], rounds, alg.get("delta"))
         return cls(**{**fields, "algorithm": alg}, env=env, written=written)
 
+    @functools.cached_property
+    def betas(self) -> np.ndarray:
+        """log(t/delta) for t = 1..budget, the regularizers of a pure mode's per-step e_t (``_log_table``)."""
+        return _log_table(self.algorithm["budget"], self.algorithm["delta"])
 
-def _check_sums(env: Environment, spec: dict, replications: int, rounds: int) -> None:
+
+def _check_sums(env: Environment, spec: dict, replications: int, rounds: int, delta: float | None) -> None:
     """ConfigError naming the field of the largest term when a sum that a run forms may overflow.
 
     ``spec`` is the environment's object, ``rounds`` the rounds of one of the
@@ -347,13 +349,15 @@ def _check_sums(env: Environment, spec: dict, replications: int, rounds: int) ->
     have norm at most 2 max |x_i|, ``compute_metrics``' running sums of the
     same, cum_regret, whose terms are at most 2 max |x_i theta|, and the sums
     of the mean columns over replications.  A reward is at most
-    max |x_i theta| + max |nu_t| + the noise's largest draw.
+    max |x_i theta| + max |nu_t| + the noise's largest draw.  The features
+    are also too large when the smallest regularizer of a run, log(1/delta),
+    is below the rounding unit 2^-52 of the largest Gram entry one replication
+    can form, rounds (2 max |x_i|)^2: its ridge systems may be singular.
     """
     x = env.features.features
+    features = "environment.path" if "path" in spec else "environment.features"
     terms = {
-        "environment.path" if "path" in spec else "environment.features": (
-            2 * math.sqrt(np.einsum("ij,ij->i", x, x).max())  # no K x d temporary
-        ),
+        features: 2 * math.sqrt(np.einsum("ij,ij->i", x, x).max()),  # no K x d temporary
         "environment.mu" if spec["kind"] == "mab" else "environment.theta": (
             float(np.nan_to_num(np.abs(env.values), nan=math.inf, posinf=math.inf).max())  # x theta: inf - inf is NaN
         ),
@@ -365,6 +369,12 @@ def _check_sums(env: Environment, spec: dict, replications: int, rounds: int) ->
     if total and not math.isfinite(total * (spread * spread + spread * (value + shift + noise) + 2 * value)):
         name = max(terms, key=terms.get)
         raise ConfigError(name, f"gives terms up to {terms[name]:.3g}: sums over {total} rounds may overflow")
+    if rounds and rounds * spread * spread * 2.0**-52 >= -math.log(delta):
+        raise ConfigError(
+            features,
+            f"has norms up to {spread / 2:.3g}: over {rounds} rounds the Gram matrix outgrows the regularizer "
+            f"log(1/delta) = {-math.log(delta):.3g} in double precision",
+        )
 
 
 def build_environment(spec: dict) -> Environment:
@@ -415,10 +425,8 @@ def build_environment(spec: dict) -> Environment:
     return env
 
 
-def _replication_task(cfg: ExperimentConfig, rep: int, log_table=None):
+def _replication_task(cfg: ExperimentConfig, rep: int):
     """Run one replication; used inline, and through ``_pooled_task`` in worker processes.
-
-    ``log_table`` is the run's table maker for ``compute_metrics``.
 
     Returns its ``trajectory.csv`` columns, its ``cum_regret``, ``e_t`` and
     ``sqrt_t_e_t`` columns (those ``trajectory_mean.csv`` averages), and its
@@ -434,7 +442,7 @@ def _replication_task(cfg: ExperimentConfig, rep: int, log_table=None):
         _, greedy, record = run_pure_exploration(env, alg["budget"], alg["delta"], run_seed=seed)
         value_gap = float(env.values[env.best_arm] - env.values[greedy])
         success = value_gap <= alg["epsilon"] if alg["epsilon"] is not None else greedy == env.best_arm
-    tb = compute_metrics(record, env, delta=alg["delta"], log_table=log_table)
+    tb = compute_metrics(record, env, delta=alg["delta"], betas=cfg.betas if record.kind == "pure" else None)
     summary = {
         "replication": rep,
         "seed": seed,
@@ -451,8 +459,8 @@ def _replication_task(cfg: ExperimentConfig, rep: int, log_table=None):
     return columns, (tb.cum_regret, tb.e_t, tb.sqrt_t_e_t), summary
 
 
-# in a pool worker process: the (config, log table maker) of the run it
-# serves, set once by ``_start_worker``; the process ends with the run's pool
+# in a pool worker process: the config of the run it serves, set once by
+# ``_start_worker``; the process ends with the run's pool
 _worker_run = None
 
 
@@ -461,11 +469,11 @@ def _start_worker(cfg: ExperimentConfig) -> None:
 
     It reaches the worker once, not with every task, and so do its
     environment and the design ``deo`` keeps on the environment's features;
-    with the worker's own log table maker, its replications share their
-    design and tables, as inline replications do.
+    the worker's replications share that design and the config's ``betas``,
+    as inline replications do.
     """
     global _worker_run
-    _worker_run = cfg, functools.cache(_log_table)
+    _worker_run = cfg
 
 
 def _pooled_task(rep: int):
@@ -474,8 +482,8 @@ def _pooled_task(rep: int):
     Its trajectory rows go to its own part file (``_trajectory_part``), one
     block at a time; only the mean columns and the summary come back.
     """
-    cfg, log_table = _worker_run
-    columns, mean_columns, summary = _replication_task(cfg, rep, log_table)
+    cfg = _worker_run
+    columns, mean_columns, summary = _replication_task(cfg, rep)
     part = _trajectory_part(cfg, rep)
     with _writing(part), open(part, "w", newline="") as fh:
         for text in _format_rows(TRAJECTORY_LINE, columns):
@@ -583,9 +591,8 @@ def _run_replications(cfg: ExperimentConfig, workers: int, write) -> tuple[list,
     """
     sums, summaries = [], []
     if workers == 1:
-        log_table = functools.cache(_log_table)  # one table per (steps, delta), for this run only
         for rep in range(cfg.replications):
-            columns, mean_columns, summary = _replication_task(cfg, rep, log_table)
+            columns, mean_columns, summary = _replication_task(cfg, rep)
             for text in _format_rows(TRAJECTORY_LINE, columns):
                 write(text)
             _add_columns(sums, mean_columns)
@@ -685,8 +692,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     means = [total / cfg.replications for total in sums]
     _write_csv(out / "trajectory_mean.csv", MEAN_COLUMNS, MEAN_LINE, [np.arange(1, means[0].size + 1), *means])
 
-    summary_columns = [np.array([s[c] for s in summaries], dtype=object) for c in SUMMARY_COLUMNS]
-    _write_csv(out / "summary.csv", SUMMARY_COLUMNS, SUMMARY_LINE, summary_columns)
+    with _csv_file(out / "summary.csv", SUMMARY_COLUMNS) as write:
+        write("".join(SUMMARY_LINE % tuple(s[c] for c in SUMMARY_COLUMNS) for s in summaries))
     manifest["seeds"] = [s["seed"] for s in summaries]
     _write_manifest(out / "manifest.json", manifest)
     return {

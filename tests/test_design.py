@@ -1,6 +1,5 @@
 import contextlib
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -59,10 +58,6 @@ def covariance_pairwise(features, policy):
 
 
 class TestFeatureSet:
-    def test_norm_warning(self):
-        with pytest.warns(UserWarning, match="exceed 1"):
-            FeatureSet(np.array([[2.0, 0.0]]))
-
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "feats.txt"
         path.write_text("2 3\n0 0\n1 0\n0 1\n")
@@ -84,8 +79,7 @@ class TestGOptimal:
         assert np.isclose(max_leverage(FeatureSet(np.eye(3)), policy), 3.0, atol=1e-6)
 
     def test_collinear_prefers_longer(self):
-        with pytest.warns(UserWarning, match="exceed 1"):
-            fs = FeatureSet(np.array([[1.0, 0.0], [2.0, 0.0]]))
+        fs = FeatureSet(np.array([[1.0, 0.0], [2.0, 0.0]]))
         policy = g_optimal(fs)
         assert np.allclose(policy.probabilities, [0.0, 1.0])
         assert np.isclose(max_leverage(fs, policy), 1.0)  # d_eff = 1
@@ -133,8 +127,7 @@ class TestGOptimal:
         x = random_unit_features(rng, 4, 15)
         p1 = g_optimal(FeatureSet(x)).probabilities
         p_small = g_optimal(FeatureSet(0.25 * x)).probabilities
-        with pytest.warns(UserWarning):
-            p_big = g_optimal(FeatureSet(4.0 * x)).probabilities
+        p_big = g_optimal(FeatureSet(4.0 * x)).probabilities
         assert np.abs(p1 - p_small).max() <= 1e-9
         assert np.abs(p1 - p_big).max() <= 1e-9
 
@@ -144,8 +137,7 @@ class TestGOptimal:
         # the scaled problem is unchanged
         rng = np.random.default_rng(12)
         x = random_unit_features(rng, 4, 15)
-        with pytest.warns(UserWarning):
-            policy = g_optimal(FeatureSet(3.7 * x))
+        policy = g_optimal(FeatureSet(3.7 * x))
         assert max_leverage(FeatureSet(3.7 * x), policy) <= 4 * 1.001 + 1e-9
 
     def test_support_drop_fallback(self):
@@ -160,8 +152,7 @@ class TestGOptimal:
                 [-0.1972230457551113, -1.397678703123582],
             ]
         )
-        with pytest.warns(UserWarning, match="exceed 1"):
-            fs = FeatureSet(x)
+        fs = FeatureSet(x)
         policy = g_optimal(fs)
         assert policy.support.size <= 3
         assert max_leverage(fs, policy) <= 2 * (1 + 1e-3)
@@ -176,9 +167,7 @@ class TestGOptimal:
         x = random_unit_features(rng, 2, 21) * rng.uniform(0.2, 1.0, size=(21, 1)) @ basis.T
         x = np.repeat(x, rng.integers(1, 3, size=21), axis=0)
         anchor = int(rng.integers(x.shape[0]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # differences may leave the unit ball
-            fs = FeatureSet(np.delete(x, anchor, axis=0) - x[anchor])
+        fs = FeatureSet(np.delete(x, anchor, axis=0) - x[anchor])
         policy = g_optimal(fs)
         assert policy.support.size <= 3
         assert max_leverage(fs, policy) <= 2 * (1 + 1e-3)

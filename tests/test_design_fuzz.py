@@ -11,7 +11,6 @@ import contextlib
 import io
 import math
 import tempfile
-import warnings
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -57,8 +56,7 @@ def feature_files(draw):
 )
 def test_design_exits_0_2_or_3(file, fw_tol, anchor):
     text, k = file
-    with tempfile.TemporaryDirectory() as work, warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # drawn arms may break the unit-norm assumptions
+    with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "features.txt"
         if text is not None:
             path.write_text(text)

@@ -186,11 +186,6 @@ class TestEnvironment:
         with pytest.raises(InvalidArm):
             rewards_for(env, [-1], 1, env.noise_stream(0))
 
-    def test_theta_norm_warning(self):
-        fs = FeatureSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        with pytest.warns(UserWarning, match="theta"):
-            Environment(features=fs, theta_star=np.array([2.0, 0.0]))
-
 
 class TestGapInstance:
     def test_exact_gap(self):
@@ -242,3 +237,21 @@ class TestAudit:
         )
         findings = assumption_audit(env, horizon=50)
         assert any("shift" in f for f in findings)
+
+    def test_reports_feature_norm(self):
+        env = Environment(features=FeatureSet(np.array([[2.0, 0.0], [0.0, 0.5], [0.6, 0.8]])), theta_star=[1.0, 0.0])
+        assert assumption_audit(env) == ["1 feature(s) with norm > 1 (max 2)"]
+
+    def test_reports_theta_norm(self):
+        fs = FeatureSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert assumption_audit(Environment(features=fs, theta_star=np.array([2.0, 0.0]))) == ["||theta*|| = 2 > 1"]
+        # past the square root of the largest double, where the sum of squares overflows
+        env = Environment(features=FeatureSet(np.array([[0.5, 0.0], [0.0, 0.5]])), theta_star=[3e300, -4e300])
+        assert assumption_audit(env) == ["||theta*|| = 5e+300 > 1"]
+
+    def test_reports_non_unique_best_arm(self):
+        fs = FeatureSet(np.array([[0.6, 0.0], [0.0, 0.6], [-0.6, 0.0]]))
+        tie = Environment(features=fs, theta_star=np.array([0.6, 0.6]))
+        assert (tie.gap, tie.best_arm) == (0.0, 0)
+        assert assumption_audit(tie) == ["best arm is not unique: gap-dependent results are undefined"]
+        assert assumption_audit(Environment(features=fs, theta_star=np.array([0.6, 0.5]))) == []

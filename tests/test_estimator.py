@@ -139,6 +139,37 @@ class TestSolve:
         with pytest.raises(InvalidRegularizer):
             solve(EstimatorState.zeros(2), 0.0)
 
+    @staticmethod
+    def stacked_systems(d=3, systems=6, rows=40):
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((systems, rows, d))
+        gram = np.matmul(x.transpose(0, 2, 1), x)
+        moment = np.matmul(x.transpose(0, 2, 1), rng.standard_normal((systems, rows, 1)))[..., 0]
+        return gram, moment, np.log(np.arange(1, systems + 1) / 0.1)
+
+    def test_stacked_equals_each_system(self):
+        # a stack of systems, one beta each, is solved bit for bit as each system on its own
+        gram, moment, beta = self.stacked_systems()
+        stacked = solve(EstimatorState(gram, moment), beta)
+        assert stacked.shape == moment.shape and EstimatorState(gram, moment).dim == 3
+        each = [solve(EstimatorState(g, m), float(b)) for g, m, b in zip(gram, moment, beta)]
+        direct = [np.linalg.solve(g + b * np.eye(3), m) for g, m, b in zip(gram, moment, beta)]
+        assert stacked.tobytes() == np.array(each).tobytes() == np.array(direct).tobytes()
+
+    def test_stacked_singular_member_raises(self):
+        # beside a Gram matrix of 1e18, a regularizer of 3 is lost in rounding: the member is singular
+        gram, moment, beta = self.stacked_systems(d=2, systems=4)
+        gram[2] = 1e18
+        with pytest.raises(InvalidSample, match="^the ridge system is singular"):
+            solve(EstimatorState(gram, moment), beta)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_stacked_beta_must_be_positive(self, bad):
+        gram, moment, beta = self.stacked_systems()
+        beta[4] = bad
+        with pytest.raises(InvalidRegularizer):
+            solve(EstimatorState(gram, moment), beta)
+
     def test_noiseless_bias_small(self):
         # zero shift, zero noise: remaining error is ridge shrinkage plus
         # the finite-sample mean of the centered features

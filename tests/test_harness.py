@@ -7,7 +7,6 @@ import os
 import pickle
 import subprocess
 import sys
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -204,6 +203,10 @@ BAD_CONFIGS = {
     # finite draws whose sums over the run's rounds overflow: found only at run time (exit 3) before
     "overflowing-noise-sums": {"environment": features_env(noise={"kind": "gaussian", "scale": 1.4e307})},
     "overflowing-theta-sums": {"environment": features_env(theta=[1e308, 0.0])},
+    # a Gram matrix that outgrows the regularizer: a ridge system singular at run time (exit 3) before
+    "singular-ridge-features": {"environment": features_env(features=[[1e9, 0.0], [0.0, 1e9], [-1e9, 0.0]])},
+    # a delta so small that log(budget/delta) is infinite: a run exited 3 before, after numpy warnings
+    "infinite-regularizer": {"mode": "error-scaling", "algorithm": {"budget": 300, "delta": 1e-320}},
 }
 
 
@@ -758,13 +761,13 @@ def cell_text(value) -> str:
 
 
 def line_rows(data, line_format):
-    """Rows of cell values for ``line_format``; ``%s`` cells are absent ints (None) or ints.
+    """Rows of cell values for ``line_format``.
 
-    Each numeric column draws its cells either from the full range or from a
-    few pooled values.
+    Each column draws its cells either from the full range or from a few
+    pooled values.
     """
     specs = line_format.rstrip("\n").split(",")
-    cells = [data.draw(CELLS[spec]) if spec in CELLS else st.none() | INTS for spec in specs]
+    cells = [data.draw(CELLS[spec]) for spec in specs]
     return data.draw(st.lists(st.tuples(*cells), min_size=1, max_size=24))
 
 
@@ -857,18 +860,16 @@ TIES = st.integers(-4, 7).flatmap(_ties).flatmap(lambda x: st.sampled_from([x, -
 
 
 class TestWriter:
-    @pytest.mark.parametrize("line_format", [TRAJECTORY_LINE, MEAN_LINE, SUMMARY_LINE])
+    @pytest.mark.parametrize("line_format", [TRAJECTORY_LINE, MEAN_LINE])
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), block=st.integers(1, 8))
     def test_lines_match_per_cell_format(self, tmp_path, monkeypatch, line_format, data, block):
         rows = line_rows(data, line_format)
         monkeypatch.setattr(harness, "_WRITE_BLOCK", block)
-        columns = []
-        for spec, cells in zip(line_format.rstrip("\n").split(","), zip(*rows)):
-            if spec == "%s":  # absent-or-integer cells are turned into text before writing
-                columns.append(np.array([harness._nullable(v) for v in cells], dtype=object))
-            else:
-                columns.append(np.array(cells, dtype=np.int64 if spec == "%d" else np.float64))
+        columns = [
+            np.array(cells, dtype=np.int64 if spec == "%d" else np.float64)
+            for spec, cells in zip(line_format.rstrip("\n").split(","), zip(*rows))
+        ]
         blocks = list(harness._format_rows(line_format, columns))
         assert [len(b.splitlines()) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
         expected = "".join(",".join(cell_text(v) for v in row) + "\n" for row in rows)
@@ -984,22 +985,40 @@ class TestWriter:
         if all(constant):  # the row is one literal: its text, padded to whole words
             assert widths == [-(-len(per_cell_lines(line, columns)[0]) // 8)] * -(-10 // block)
 
-    def test_constant_number_beside_text_columns(self, monkeypatch):
-        # the summary's %s cells keep their fields; its constant numeric columns fold around them
-        n = 9
-        columns = (
-            np.arange(n),
-            np.full(n, 100),
-            np.full(n, 2.5),
-            np.array(["", "3", ""] * 3, dtype=object),
-            np.array(["17"] * n, dtype=object),
-            np.array([str(i) for i in range(n)], dtype=object),
-            np.full(n, 1),
-        )
-        widths = spy_widths(monkeypatch)
-        assert written_lines(SUMMARY_LINE, columns, 4) == per_cell_lines(SUMMARY_LINE, columns)
-        # the first column's field, the literal ",100,2.5", three %s fields, the literal ",1\n": a word each
-        assert widths == [1 + 1 + 3 + 1] * 3
+    def test_summary_csv_is_percent_of_each_row(self, tmp_path):
+        # summary.csv, a row per replication, is SUMMARY_LINE % row: a %s cell is empty where a
+        # replication declared no arm, and greedy_arm is empty in regret mode
+        rows = []
+        for mode, algorithm in [
+            ("regret", {"delta": 0.05, "horizon": 300, "c2": 1.0}),
+            ("regret", {"delta": 0.05, "horizon": 2_000, "c2": 1.0}),
+            ("pac", {"epsilon": 0.5, "budget": 300}),
+        ]:
+            cfg = ExperimentConfig.from_dict(base_config(tmp_path, mode=mode, algorithm=algorithm, replications=3))
+            run_experiment(cfg)
+            summaries = [harness._replication_task(cfg, rep)[2] for rep in range(3)]
+            texts = [[s[c] if isinstance(s[c], str) else cell_text(s[c]) for c in SUMMARY_COLUMNS] for s in summaries]
+            text = "".join(",".join(row) + "\n" for row in texts)
+            assert text == "".join(SUMMARY_LINE % tuple(s[c] for c in SUMMARY_COLUMNS) for s in summaries)
+            assert (tmp_path / "out" / "summary.csv").read_text() == ",".join(SUMMARY_COLUMNS) + "\n" + text
+            rows += texts
+        assert {row[3] == "" for row in rows} == {row[5] == "" for row in rows} == {True, False}
+
+    @pytest.mark.parametrize(
+        "spec, column",
+        [
+            ("%s", np.array(["", "3"], dtype=object)),
+            ("%d", np.array([1, 2], dtype=object)),
+            ("%.17g", np.array([0.5, 1.5], dtype=np.float32)),
+            ("%d", np.array([1, 2], dtype=np.int32)),
+            ("%.17g", np.array([1, 2])),
+        ],
+        ids=["text", "object-ints", "float32", "int32", "int64-as-float"],
+    )
+    def test_rows_reject_columns_without_an_encoder(self, spec, column):
+        # the writer takes float64 under %.17g and int64 under %d, and nothing else
+        with pytest.raises(TypeError, match="^no array encoder"):
+            next(cells.rows(f"%d,{spec}\n", (np.arange(2), column), 4))
 
     def test_row_width_follows_each_block(self, monkeypatch):
         # a column constant in one block and varying in the next: each block has its own width
@@ -1251,6 +1270,7 @@ class TestCli:
             ("huge-feature-entries", "environment.features"),
             ("huge-replications", "replications"),
             ("replications-times-horizon-past-cap", "replications"),
+            ("singular-ridge-features", "environment.features"),
         ],
     )
     def test_overflow_errors_name_the_field(self, tmp_path, capsys, case, field):
@@ -1280,17 +1300,46 @@ class TestCli:
             assert err.startswith(f"config error: environment.{case}: ") and err.count("\n") == 1
 
     def test_singular_ridge_system_exits_3(self, tmp_path, capsys):
-        # features of norm 1e9: beside their Gram matrix the regularizer vanishes, and
-        # compute_metrics' batched solve meets an exactly singular system
+        # features of norm 1e9: beside their Gram matrix the regularizer vanishes, and a
+        # ridge system is singular.  The bound on the Gram matrix finds them at validate:
+        # exit 2 from validate and run, one line naming the features (the name is from
+        # when only the run found them, with exit 3)
         env = features_env(features=[[1e9, 0.0], [0.0, 1e9], [-1e9, 0.0]], seed=0)
         raw = base_config(tmp_path, mode="error-scaling", environment=env, algorithm={"budget": 200}, base_seed=0)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the features break the unit-norm assumption
-            assert main(["run", "--config", str(path)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: the ridge system is singular") and err.count("\n") == 1
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: environment.features: has norms up to 1e+09") and err.count("\n") == 1
+
+    @staticmethod
+    def cli_process(*argv):
+        """The CLI in a fresh interpreter, with Python's default warning filters: its whole stderr."""
+        env = {**os.environ, "PYTHONPATH": str(Path(semibandit.__file__).resolve().parents[1])}
+        env.pop("PYTHONWARNINGS", None)
+        return subprocess.run([sys.executable, "-m", "semibandit.cli", *argv], capture_output=True, text=True, env=env)
+
+    def test_assumptions_are_reported_in_the_manifest_only(self, tmp_path):
+        # features of norm 2 and ||theta*|| = 1.5 break the unit-ball assumptions: validate and
+        # run succeed with nothing on stderr, and the manifest's audit lists both findings
+        env = features_env(features=[[2.0, 0.0], [0.0, 0.5], [-0.5, 0.0]], theta=[1.5, 0.0])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path, environment=env, algorithm={"horizon": 300})))
+        for command in ("validate", "run"):
+            done = self.cli_process(command, "--config", str(path))
+            assert (done.returncode, done.stderr) == (0, "")
+        audit = json.loads((tmp_path / "out" / "manifest.json").read_text())["assumption_audit"]
+        assert audit == ["||theta*|| = 1.5 > 1", "1 feature(s) with norm > 1 (max 2)"]
+
+    def test_overflowing_values_print_one_line(self, tmp_path):
+        # x theta past the largest double: validate prints its one config error line, no numpy warning
+        env = features_env(features=[[1e150, 0.0], [0.0, 1e150], [-1e150, 0.0]], theta=[1e300, 1e300])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path, environment=env)))
+        done = self.cli_process("validate", "--config", str(path))
+        assert done.returncode == 2
+        assert done.stderr.startswith("config error: environment.theta: ") and done.stderr.count("\n") == 1
 
     def test_path_and_features_exclusive(self, tmp_path, capsys):
         # a features environment reads its rows from a file or from the config, never both
