@@ -5,11 +5,12 @@ Subcommands:
   run --config FILE [--mode M] [--seed S] [--reps N] [--out DIR] [--workers W]
   validate --config FILE
 
-Exit codes: 0 success; 2 configuration error, a missing or malformed feature
-file included (given to ``design`` or as ``environment.path``); 3 runtime
-error, running out of memory included.  An error prints one line to stderr,
-and a success prints nothing there: a run reports where its inputs break the
-model's assumptions in its manifest (``assumption_audit``), not as warnings.
+Exit codes: 0 success; 2 configuration error, among them a missing or
+malformed feature file (given to ``design`` or as ``environment.path``), a
+config's arms fewer than two or all identical, and an environment too large
+to allocate; 3 runtime error, running out of memory in a run included.  An
+error prints one line to stderr, and a success prints nothing there: a run
+reports its breaks of the model's assumptions in its manifest (the audit).
 """
 
 from __future__ import annotations
@@ -18,16 +19,14 @@ import argparse
 import sys
 
 from .design import FeatureSet, deo
-from .errors import ConfigError, DimError, SemibanditError, check_positive
-from .harness import ExperimentConfig, check_anchor, run_experiment
+from .errors import ConfigError, SemibanditError, check_positive
+from .harness import ExperimentConfig, check_anchor, naming, run_experiment
 
 
 def _cmd_design(args) -> int:
     check_positive(args.fw_tol, "--fw-tol")
-    try:
+    with naming("features_file"):
         feats = FeatureSet.from_file(args.features_file)
-    except (OSError, DimError) as exc:
-        raise ConfigError("features_file", str(exc)) from None
     check_anchor(args.anchor, feats.K, "--anchor")
     policy, cert = deo(feats, anchor=args.anchor, fw_tol=args.fw_tol)
     print("arm_index,probability")

@@ -159,6 +159,11 @@ def span_basis(x: np.ndarray):
     return vt[:rank].T, rank
 
 
+def all_equal(x: np.ndarray) -> bool:
+    """True when no two rows of ``x`` differ: the one rule for identical arms (span rank 0 of x_i - x_0)."""
+    return bool((x == x[:1]).all())
+
+
 def _leverages(x: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
     """x_i' M^{-1} x_i for every row; x @ M^{-1} is one BLAS product."""
     return np.einsum("ij,ij->i", x @ m_inv, x)
@@ -270,23 +275,21 @@ def g_optimal(features: FeatureSet, fw_tol: float = 1e-3, max_iters: int | None 
 
     The default iteration cap is max(2000, 10 d_eff^2); raises
     ``ConvergenceError`` (carrying the best iterate) if it is hit, and
-    ``DegenerateFeatures`` if the design matrix over the span cannot be
-    inverted in double precision.
+    ``DegenerateFeatures`` if every feature is zero (the one degenerate input)
+    or the design matrix over the span cannot be inverted in double precision.
     """
     if fw_tol <= 0:
         raise ValueError("fw_tol must be positive")
     x_full = features.features
-    max_norm = float(np.linalg.norm(x_full, axis=1).max()) if x_full.size else 0.0
-    if max_norm <= 0.0:
+    largest = max(x_full.max(initial=0.0), -x_full.min(initial=0.0))  # a norm of tiny rows would underflow to 0
+    if largest == 0.0:
         raise DegenerateFeatures("all features are zero")
     # dyadic normalization: dividing by a power of two is exact, so scaling
     # all features by 2^k leaves every branch of the solver unchanged
-    x_full = x_full / math.ldexp(1.0, math.frexp(max_norm)[1])
+    x_full = x_full / math.ldexp(1.0, math.frexp(largest)[1])
     # the SVD's vectors are bitwise unchanged by the power-of-two scaling, so the
     # span of the unscaled rows, cached for deo's certificate, serves
     basis, d_eff = features._span
-    if d_eff == 0:
-        raise DegenerateFeatures("all features are zero")
     x = x_full if d_eff == x_full.shape[1] else x_full @ basis
     if max_iters is None:
         max_iters = max(2000, 10 * d_eff * d_eff)
@@ -395,7 +398,8 @@ def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = 1e-3):
     up to the solver tolerance.  Both norms are taken in the coordinates of
     the differences' span basis, where the covariance has full rank: every
     direction ``span_basis`` kept counts, down to ``SPAN_EIG_RTOL`` of the
-    top eigenvalue.
+    top eigenvalue.  Raises ``DegenerateFeatures`` if all arms are identical
+    (``all_equal``): any other arms span a direction, however close they are.
 
     Each ``(anchor, fw_tol)`` is solved once per ``features`` object: the
     result is kept on it (``FeatureSet._designs``) and returned as the same
@@ -410,11 +414,10 @@ def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = 1e-3):
     stored = features._designs.get((anchor, fw_tol))
     if stored is not None:
         return stored
-    others = [i for i in range(k) if i != anchor]
-    diffs = x[others] - x[anchor]
-    if not np.any(np.linalg.norm(diffs, axis=1) > SPAN_RTOL):
+    if all_equal(x):
         raise DegenerateFeatures("all arms identical: anchored differences span nothing")
-    diff_set = FeatureSet(diffs)
+    others = [i for i in range(k) if i != anchor]
+    diff_set = FeatureSet(x[others] - x[anchor])
     p_tilde = g_optimal(diff_set, fw_tol=fw_tol)
     probs = np.zeros(k)
     probs[others] = p_tilde.probabilities / 2.0

@@ -170,10 +170,10 @@ class NoiseStream:
 class Environment:
     """Fixed feature set, hidden parameter, shift and noise specification.
 
-    theta* and the features need not lie in the unit ball, nor the best arm
-    be unique: ``assumption_audit`` reports each.  An x_i'theta* past the
-    largest double is inf, and the gap then may be NaN (``harness._check_sums``
-    rejects such a config).
+    theta* and the features need not lie in the unit ball, the best arm be
+    unique, nor the noise of unit scale: ``assumption_audit`` reports each, and
+    nothing else checks them.  An x_i'theta* past the largest double is inf,
+    and the gap then may be NaN (``harness._check_sums`` rejects such a config).
     """
 
     features: FeatureSet
@@ -181,7 +181,6 @@ class Environment:
     shift: ShiftSpec = field(default_factory=ShiftSpec)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     rng_seed: int = 0
-    info: dict = field(default_factory=dict)
 
     def __post_init__(self):
         theta = np.asarray(self.theta_star, dtype=float)
@@ -228,8 +227,9 @@ def assumption_audit(env: Environment, horizon: int = 0) -> list[str]:
     """Report violations of the model's assumptions: the one report of them, in a run's manifest.
 
     Checks ||theta*|| <= 1, ||x_i|| <= 1, (over the given horizon)
-    |nu_t| <= 1, and that the best arm is unique.  Violations are reported,
-    not raised or warned of; runs proceed.
+    |nu_t| <= 1, that the best arm is unique, and a noise scale (gaussian, or
+    bounded_uniform's sub-Gaussian proxy) of at most 1.  Violations are
+    reported, not raised or warned of; runs proceed.
     """
     findings = []
     tn = math.hypot(*env.theta_star)  # no overflow: theta* may be up to the largest double
@@ -245,6 +245,9 @@ def assumption_audit(env: Environment, horizon: int = 0) -> list[str]:
             findings.append(f"shift magnitude reaches {np.abs(nu).max():.6g} > 1 within t <= {horizon}")
     if env.gap == 0.0:
         findings.append("best arm is not unique: gap-dependent results are undefined")
+    if env.noise.kind != "none" and env.noise.scale > 1.0:
+        why = "phase lengths, the PAC budget and beta assume unit-scale noise"
+        findings.append(f"{env.noise.kind} noise scale {env.noise.scale:.6g} > 1: {why}")
     return findings
 
 
@@ -272,38 +275,20 @@ def make_gap_instance(d: int, K: int, gap: float, seed: int) -> Environment:
         x[best] = x[best] + (gap - (vals[best] - runner_up)) * theta
         if np.linalg.norm(x[best]) > 1.0:
             continue
-        env = Environment(
-            features=FeatureSet(x),
-            theta_star=theta,
-            rng_seed=seed,
-            info={"generator": "gap_instance", "requested_gap": gap, "seed": seed},
-        )
+        env = Environment(features=FeatureSet(x), theta_star=theta, rng_seed=seed)
         if abs(env.gap - gap) <= 1e-9:
             return env
     raise GenerationError(f"could not realize gap {gap} with d={d}, K={K} in 10^4 attempts")
 
 
 def make_mab_embedding(mu, seed: int = 0) -> Environment:
-    """Embed a K-armed bandit with means ``mu`` as standard-basis features.
+    """Embed a K-armed bandit with means ``mu`` as standard-basis features: theta* = mu.
 
-    theta* = mu, rescaled onto the unit ball when needed; the applied scale
-    is recorded in ``info['scale']`` so arm means reproduce mu up to that
-    factor.
+    ``mu`` is neither rescaled nor checked for ties: ``assumption_audit``
+    reports a ||mu|| past 1 and a best mean that is not unique, and
+    ``Environment`` rejects non-finite means.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or mu.shape[0] < 2:
         raise ValueError("mu must be a vector of at least two means")
-    if not np.isfinite(mu).all():
-        raise ValueError("mu contains non-finite entries")
-    top = np.sort(mu)[-2:]
-    if top[0] == top[1]:
-        raise ValueError("mab embedding requires a unique best arm")
-    norm = float(np.linalg.norm(mu))
-    scale = 1.0 if norm <= 1.0 else 1.0 / norm
-    k = mu.shape[0]
-    return Environment(
-        features=FeatureSet(np.eye(k)),
-        theta_star=mu * scale,
-        rng_seed=seed,
-        info={"generator": "mab_embedding", "scale": scale, "mu": mu.tolist()},
-    )
+    return Environment(features=FeatureSet(np.eye(mu.shape[0])), theta_star=mu, rng_seed=seed)

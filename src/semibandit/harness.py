@@ -4,10 +4,10 @@ A single JSON config describes the environment, the algorithm, and the
 run bookkeeping.  Modes: ``regret`` (phase elimination; its summary also
 records the best-arm identification outcome), ``pac`` and ``error-scaling``
 (pure exploration), ``design-cert`` (the anchored design alone).
-``ExperimentConfig.from_dict`` resolves a config in one step: it checks
-every field against one table of key -> (default, check) per object, gives
-each algorithm key the mode reads its default, computes a PAC budget, and
-builds the environment.  The result is frozen, and everything after it
+``ExperimentConfig.from_dict`` resolves a config in one step: it checks each
+field by one table of key -> (default, check) per object (the algorithm's by
+mode, the environment's by kind), works out a PAC budget, and builds the
+environment.  The result is frozen, and everything after it
 (``run_experiment``, each replication, each pool worker) reads only it.
 
 Replications are seeded as ``base_seed + index`` and are consumed in index
@@ -54,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .design import FeatureSet, deo, span_basis
+from .design import FeatureSet, all_equal, deo, span_basis
 from .environment import (
     NOISE_KINDS,
     SHIFT_KINDS,
@@ -68,10 +68,10 @@ from .environment import (
 )
 from .errors import (
     ConfigError,
-    DimError,
     InvalidSample,
     IoError,
     ScheduleOverflow,
+    SemibanditError,
     check_int,
     check_member,
     check_positive,
@@ -82,13 +82,8 @@ from .sbe import RunRecord, SbeConfig, check_rounds, pac_budget, phase_length, r
 
 MODES = ("regret", "pac", "design-cert", "error-scaling")
 
-# the keys the environment's objects may hold, by kind (the algorithm's are in
-# _ALGORITHM): exactly those the program reads.  Any other key is a ConfigError
-_ENVIRONMENT_KEYS = {  # besides kind, seed, shift and noise
-    "gap_instance": ("d", "K", "gap"),
-    "mab": ("mu",),
-    "features": ("features", "path", "theta"),
-}
+# the keys the shift and noise objects may hold, by kind (the environment's are in
+# _ENVIRONMENT): exactly those the program reads.  Any other key is a ConfigError
 _SHIFT_KEYS = {kind: ("kind", "clip_to_unit") for kind in SHIFT_KINDS}
 _SHIFT_KEYS["constant"] += ("constant",)
 _SHIFT_KEYS["custom"] += ("table",)
@@ -207,8 +202,21 @@ def _check_type(value, name: str, kind: type, what: str):
     return value
 
 
+@contextlib.contextmanager
+def naming(name: str):
+    """Turn what a bad value makes a constructor raise, running out of memory included, into ConfigError(name)."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, ArithmeticError, OSError, MemoryError, SemibanditError) as exc:
+        raise ConfigError(name, str(exc) or type(exc).__name__) from None
+
+
 _check_count = functools.partial(check_int, minimum=1)
+_check_arms = functools.partial(check_int, minimum=2)
 _check_object = functools.partial(_check_type, kind=dict, what="an object")
+_check_string = functools.partial(_check_type, kind=str, what="a string")
 
 
 def check_anchor(anchor, k: int, name: str) -> int:
@@ -219,28 +227,42 @@ def check_anchor(anchor, k: int, name: str) -> int:
     return anchor
 
 
-# key -> (default, check) of the config's top level, and of ``algorithm`` by mode,
-# regret's read from SbeConfig's fields.  _REQUIRED marks a key that must be given;
-# a key whose default is None may be absent or null.  The design-cert anchor is checked against the arms
+# key -> (default, check) of the config's top level, of ``algorithm`` by mode,
+# regret's read from SbeConfig's fields, and of ``environment`` by kind.  _REQUIRED
+# marks a key that must be given; a key whose default is None may be absent or null.
+# A check of None leaves the value to the constructor that build_environment runs
+# under ``naming``.  The design-cert anchor is checked against the arms
 _REQUIRED = object()
 _FIELDS = {
     "mode": (_REQUIRED, functools.partial(check_member, choices=MODES)),
     "environment": (_REQUIRED, _check_object),
     "algorithm": ({}, _check_object),
-    "output": ("out", functools.partial(_check_type, kind=str, what="a string")),
+    "output": ("out", _check_string),
     "replications": (1, _check_count),
     "base_seed": (0, check_int),
     "workers": (None, _check_count),
 }
-_EXPLORATION = {"delta": (0.1, check_probability), "c2": (4.0, check_positive)}
+_DELTA = (0.1, check_probability)
+_C2 = (4.0, check_positive)  # scales only a PAC budget worked out from epsilon
 _ALGORITHM = {
     "regret": {
         f.name: (_REQUIRED if f.default is dataclasses.MISSING else f.default, f.metadata["check"])
         for f in dataclasses.fields(SbeConfig)
     },
-    "pac": {"epsilon": (_REQUIRED, check_positive), "budget": (None, check_rounds), **_EXPLORATION},
-    "error-scaling": {"epsilon": (None, check_positive), "budget": (_REQUIRED, check_rounds), **_EXPLORATION},
+    "pac": {"epsilon": (_REQUIRED, check_positive), "budget": (None, check_rounds), "delta": _DELTA, "c2": _C2},
+    "error-scaling": {"epsilon": (None, check_positive), "budget": (_REQUIRED, check_rounds), "delta": _DELTA},
     "design-cert": {"anchor": (0, functools.partial(check_int, minimum=0)), "fw_tol": (1e-3, check_positive)},
+}
+_OBJECT = ({}, _check_object)
+_ENV_SHARED = {"kind": (_REQUIRED, None), "seed": (0, check_int), "shift": _OBJECT, "noise": _OBJECT}
+_ENVIRONMENT = {
+    kind: {**_ENV_SHARED, **table}
+    for kind, table in {
+        "gap_instance": {"d": (_REQUIRED, _check_count), "K": (_REQUIRED, _check_arms), "gap": (_REQUIRED, None)},
+        "mab": {"mu": (_REQUIRED, None)},
+        # open() reads an int path as a file descriptor
+        "features": {"features": (None, None), "path": (None, _check_string), "theta": (_REQUIRED, None)},
+    }.items()
 }
 
 
@@ -250,7 +272,7 @@ def _resolve(obj: dict, table: dict, prefix: str = "") -> dict:
     resolved = {}
     for key, (default, check) in table.items():
         if key in obj and not (obj[key] is None and default is None):
-            resolved[key] = check(obj[key], prefix + key)
+            resolved[key] = obj[key] if check is None else check(obj[key], prefix + key)
         elif default is _REQUIRED:
             raise ConfigError(prefix + key, "missing field")
         else:
@@ -305,16 +327,13 @@ class ExperimentConfig:
         mode = fields["mode"]
         alg = _resolve(fields["algorithm"], _ALGORITHM[mode], "algorithm.")
         env = build_environment(fields["environment"])  # raises ConfigError on bad spec
-        if env.K < 2:
-            raise ConfigError("environment", "needs at least two arms")
         try:  # ScheduleOverflow: a round count worked out from the algorithm is past the cap
             if mode == "design-cert":
                 check_anchor(alg["anchor"], env.K, "algorithm.anchor")
             elif mode == "regret":
                 x = env.features.features
                 d_eff = span_basis(x[1:] - x[0])[1]  # the dim of phase 1's certificate
-                if d_eff:  # 0 when all arms are identical, which deo reports when the run starts
-                    phase_length(1, d_eff, env.K, alg["delta"], alg["c2"], alg["c3"], alg["schedule"])
+                phase_length(1, d_eff, env.K, alg["delta"], alg["c2"], alg["c3"], alg["schedule"])
             elif alg["budget"] is None:  # pac, with no budget given
                 alg["budget"] = pac_budget(env.d, env.K, alg["epsilon"], alg["delta"], c2=alg["c2"])
         except ScheduleOverflow as exc:
@@ -355,7 +374,7 @@ def _check_sums(env: Environment, spec: dict, replications: int, rounds: int, de
     can form, rounds (2 max |x_i|)^2: its ridge systems may be singular.
     """
     x = env.features.features
-    features = "environment.path" if "path" in spec else "environment.features"
+    features = "environment.features" if spec.get("path") is None else "environment.path"
     terms = {
         features: 2 * math.sqrt(np.einsum("ij,ij->i", x, x).max()),  # no K x d temporary
         "environment.mu" if spec["kind"] == "mab" else "environment.theta": (
@@ -378,50 +397,36 @@ def _check_sums(env: Environment, spec: dict, replications: int, rounds: int, de
 
 
 def build_environment(spec: dict) -> Environment:
-    """Construct an Environment from its JSON description."""
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _ENVIRONMENT_KEYS:
-        raise ConfigError("environment.kind", "must be gap_instance, mab, or features")
-    _check_keys(spec, ("kind", "seed", "shift", "noise") + _ENVIRONMENT_KEYS[kind], "environment.")
-    if "path" in spec and "features" in spec:
-        raise ConfigError("environment.features", "cannot be given with environment.path")
-    if "path" in spec and not isinstance(spec["path"], str):  # open() reads an int as a file descriptor
-        raise ConfigError("environment.path", "must be a string")
-    seed = check_int(spec.get("seed", 0), "environment.seed")
-    try:
-        if kind == "gap_instance":
-            env = make_gap_instance(spec["d"], spec["K"], spec["gap"], seed)
-        elif kind == "mab":
-            env = make_mab_embedding(spec["mu"], seed=seed)
-        else:
-            where = "path" if "path" in spec else "features"
-            try:
-                if where == "path":
-                    feats = FeatureSet.from_file(spec["path"])
-                else:
-                    feats = FeatureSet(np.asarray(spec["features"], dtype=float))
-            except (OSError, DimError) as exc:
-                raise ConfigError(f"environment.{where}", str(exc)) from None
-            env = Environment(
-                features=feats,
-                theta_star=np.asarray(spec["theta"], dtype=float),
-                rng_seed=seed,
-            )
-    except KeyError as exc:
-        raise ConfigError(f"environment.{exc.args[0]}", "missing field")
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError("environment", str(exc))
+    """The Environment of ``spec``, resolved by ``_ENVIRONMENT``'s table for its kind.
+
+    Each constructor runs under ``naming`` the field it reads: ``gap``, ``mu``,
+    ``features`` or ``path``, ``theta``, ``shift`` or ``noise``.
+    """
+    kind = check_member(spec.get("kind"), "environment.kind", tuple(_ENVIRONMENT))  # it picks the table
+    given = _resolve(spec, _ENVIRONMENT[kind], "environment.")
+    if kind == "gap_instance":
+        with naming("environment.gap"):
+            env = make_gap_instance(given["d"], given["K"], given["gap"], given["seed"])
+    elif kind == "mab":
+        with naming("environment.mu"):
+            env = make_mab_embedding(given["mu"], given["seed"])
+    else:
+        path, rows = given["path"], given["features"]
+        if (path is None) == (rows is None):
+            problem = "missing field" if path is None else "cannot be given with environment.path"
+            raise ConfigError("environment.features", problem)
+        arms = "environment.features" if path is None else "environment.path"
+        with naming(arms):
+            feats = FeatureSet(rows) if path is None else FeatureSet.from_file(path)
+        if all_equal(feats.features):  # fewer than two arms, or all identical
+            raise ConfigError(arms, "needs at least two arms that are not all identical")
+        with naming("environment.theta"):
+            env = Environment(features=feats, theta_star=given["theta"], rng_seed=given["seed"])
     for name, make, keys in (("shift", ShiftSpec, _SHIFT_KEYS), ("noise", NoiseSpec, _NOISE_KEYS)):
-        if name in spec:
-            obj = _check_object(spec[name], f"environment.{name}")
-            _check_keys(obj, [f.name for f in dataclasses.fields(make)], f"environment.{name}.")
-            try:
-                setattr(env, name, make(**obj))  # a key left out takes the dataclass's default
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"environment.{name}", str(exc))
-            _check_keys(obj, keys[getattr(env, name).kind], f"environment.{name}.")
+        _check_keys(given[name], [f.name for f in dataclasses.fields(make)], f"environment.{name}.")
+        with naming(f"environment.{name}"):
+            setattr(env, name, make(**given[name]))  # a key left out takes the dataclass's default
+        _check_keys(given[name], keys[getattr(env, name).kind], f"environment.{name}.")
     return env
 
 
@@ -650,10 +655,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     Writes ``trajectory.csv`` (per-step rows, all replications),
     ``trajectory_mean.csv`` (per-t means across replications),
-    ``summary.csv`` (one row per replication), and ``manifest.json``.
-    Mode ``design-cert`` instead writes ``certificate.csv``.
-    Returns a small dict of paths and aggregate results.
+    ``summary.csv`` (one row per replication), and ``manifest.json``, which
+    records the Python and numpy versions and the worker count picked.  Mode
+    ``design-cert`` instead writes ``certificate.csv``.  Returns a small dict
+    of paths and aggregate results.
     """
+    import sys  # loaded with the interpreter: only the name is bound here
     env, alg = cfg.env, cfg.algorithm
     out = Path(cfg.output)
     try:
@@ -663,6 +670,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     manifest = {
         "version": __version__,
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "numpy": np.__version__,
         "mode": cfg.mode,
         "algorithm": alg,
         "config": _manifest_config(cfg),
@@ -686,7 +695,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         return {"certificate": cert, "policy": policy, "output": str(out)}
 
     cpus = os.cpu_count() or 1
-    workers = min(cfg.workers or cpus, cpus, cfg.replications)
+    workers = manifest["workers"] = min(cfg.workers or cpus, cpus, cfg.replications)
     with _csv_file(out / "trajectory.csv", TRAJECTORY_COLUMNS) as write:
         sums, summaries = _run_replications(cfg, workers, write)
     means = [total / cfg.replications for total in sums]

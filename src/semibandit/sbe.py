@@ -7,10 +7,11 @@ keeps it: the first phase of every run on an environment, and the one
 phase of pure exploration, share one solve.  A phase samples the design
 for a schedule-driven number of rounds, and solves the orthogonalized
 ridge system.  Elimination then drops arms whose estimated reward trails
-the leader by more than eps_l = 2^-l; when one arm survives it is
-declared best and exploited to the horizon.  Pure exploration (PAC, error
-scaling) runs a single phase over all arms for a fixed budget and picks
-the greedy arm.
+the leader by more than eps_l = 2^-l; when one arm survives, or the
+survivors are identical (``design.all_equal``: one arm), the smallest
+surviving index is declared best and exploited to the horizon.  Pure
+exploration (PAC, error scaling) runs a single phase over all arms for a
+fixed budget and picks the greedy arm.
 
 A run records only what it decided (arms, rewards, phases, declaration);
 ``harness.compute_metrics`` derives every per-step column from its phases.
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import estimator as est
-from .design import DesignCertificate, DesignPolicy, FeatureSet, deo
+from .design import DesignCertificate, DesignPolicy, FeatureSet, all_equal, deo
 from .environment import Environment, rewards_for
 from .errors import ScheduleOverflow, check_int, check_member, check_positive, check_probability
 
@@ -222,6 +223,8 @@ def run_sbe(env: Environment, cfg: SbeConfig, run_seed: int = 0) -> RunRecord:
         if phase.truncated:
             break  # horizon hit mid-phase: no elimination from a partial phase
         active = eliminate(env.features, active, phase.theta_hat, phase.epsilon)
+        if all_equal(env.features.features[active]):  # identical survivors are one arm
+            active = active[:1]
 
     declared = declared_at = None
     if t < big_t:  # one arm survived: declare it best and play it to the horizon

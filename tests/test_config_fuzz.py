@@ -1,7 +1,7 @@
 """Fuzz the config boundary: ``validate`` exits 0 or 2, and ``run`` agrees with it and never raises.
 
 The strategies come from the tables the harness checks a config against:
-``_ALGORITHM`` by mode, ``_ENVIRONMENT_KEYS``, ``_SHIFT_KEYS`` and
+``_ALGORITHM`` by mode, ``_ENVIRONMENT`` by kind, ``_SHIFT_KEYS`` and
 ``_NOISE_KEYS``.  Each key usually gets a valid value; otherwise it is left
 out or gets a wrong one (a wrong type, a bool, NaN, +-inf, an int past the
 largest double), and an object sometimes gains an unknown key.  A horizon or
@@ -9,7 +9,8 @@ budget is sometimes past the most rounds a run may hold, which ``validate``
 must reject, and epsilon reaches down to 1e-300, whose PAC budget is past it
 too.  Every example that runs stays small: one worker, at most 3
 replications, d <= 4, K <= 8, at most 500 rounds, and no file read but one
-feature file.
+feature file.  A config error names its field: only an environment that is
+not an object is blamed on bare ``environment``.
 """
 
 import contextlib
@@ -84,7 +85,7 @@ def with_kind(kind):
 
 @st.composite
 def environments(draw, feature_file: str, faults: bool):
-    kind = draw(field(st.sampled_from(sorted(harness._ENVIRONMENT_KEYS)), faults))
+    kind = draw(field(st.sampled_from(sorted(harness._ENVIRONMENT)), faults))
     from_file = draw(st.integers(0, 4)) == 0
     d = 2 if from_file else draw(st.integers(1, 4))
     k = draw(st.integers(1, 8))
@@ -98,7 +99,8 @@ def environments(draw, feature_file: str, faults: bool):
         "path": st.just(feature_file),
         "theta": st.lists(coordinate, min_size=d, max_size=d),
     }
-    keys = set(known(harness._ENVIRONMENT_KEYS, kind)) - {"features" if from_file else "path"}
+    keys = set(known(harness._ENVIRONMENT, kind, {})) - set(harness._ENV_SHARED)
+    keys -= {"features" if from_file else "path"}
     env = draw(objects({key: valid[key] for key in sorted(keys)}, faults))
     env.update({"kind": kind, "seed": draw(field(st.integers(-3, 2**70), faults))})
     shift_kind = draw(field(st.sampled_from(SHIFT_KINDS), faults))
@@ -138,8 +140,13 @@ def configs(draw, work: Path):
 
 
 def exit_code(command: str, path: Path) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main([command, "--config", str(path)])
+    """The CLI's exit code; a config error must name a field, bare ``environment`` only if it is not an object."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(path)])
+    if err.getvalue().startswith("config error: environment: "):
+        assert not isinstance(json.loads(path.read_text()).get("environment"), dict), err.getvalue()
+    return code
 
 
 @settings(derandomize=True, deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])

@@ -94,6 +94,14 @@ class TestGOptimal:
         with pytest.raises(DegenerateFeatures):
             g_optimal(FeatureSet(np.zeros((3, 2))))
 
+    @pytest.mark.parametrize("entry", [5e-324, 1e-310, 1e-300])
+    def test_any_nonzero_row_spans_a_direction(self, entry):
+        # all-zero features are the one degenerate input: a single nonzero entry, subnormal
+        # included, spans a direction that the design puts all its mass on
+        x = np.zeros((3, 2))
+        x[1, 0] = entry
+        assert np.array_equal(g_optimal(FeatureSet(x)).probabilities, [0.0, 1.0, 0.0])
+
     def test_kiefer_wolfowitz_certificate(self):
         rng = np.random.default_rng(10)
         for _ in range(25):
@@ -382,6 +390,24 @@ class TestDeo:
     def test_single_arm(self):
         with pytest.raises(DegenerateFeatures):
             deo(FeatureSet(np.array([[1.0, 0.0]])))
+
+    @pytest.mark.parametrize("k", [-60, -40, -34, -20, 20, 60])
+    def test_power_of_two_scaling_changes_nothing(self, k):
+        # the one degenerate arm set is equal rows, with no tolerance: arms scaled by 2^k
+        # keep every leverage, so the design is bit for bit the same and the certificate
+        # norms, ratios of scaled quantities, agree to rounding.  Rank-deficient features
+        # (a duplicated column) take the span-basis path
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            d = int(rng.integers(2, 6))
+            x = random_unit_features(rng, d, int(rng.integers(d + 1, 16)))
+            x = np.column_stack([x, x[:, 0]])
+            policy, cert = deo(FeatureSet(x))
+            scaled_policy, scaled = deo(FeatureSet(x * math.ldexp(1.0, k)))
+            assert np.array_equal(scaled_policy.probabilities, policy.probabilities)
+            assert (scaled.dim, scaled.support_size) == (cert.dim, cert.support_size)
+            assert scaled.max_anchor_norm == pytest.approx(cert.max_anchor_norm, rel=1e-12, abs=0)
+            assert scaled.max_centered_norm == pytest.approx(cert.max_centered_norm, rel=1e-12, abs=0)
 
     def test_certificate_bounds_random(self):
         rng = np.random.default_rng(14)

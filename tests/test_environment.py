@@ -213,14 +213,23 @@ class TestMabEmbedding:
         assert env.best_arm == 0
         assert np.isclose(env.gap, 0.2)
 
-    def test_all_equal_rejected(self):
-        with pytest.raises(ValueError):
-            make_mab_embedding([0.4, 0.4, 0.4])
+    def test_tied_means_reported_by_the_audit(self):
+        # a tie is the audit's to report, as for any environment; the embedding runs it
+        env = make_mab_embedding([0.4, 0.4, 0.4])
+        assert (env.gap, env.best_arm) == (0.0, 0)
+        assert assumption_audit(env) == ["best arm is not unique: gap-dependent results are undefined"]
 
-    def test_scaled_gap(self):
+    def test_theta_is_mu(self):
+        # mu is played as written: ||mu|| > 1 is reported by the audit, not rescaled away
         env = make_mab_embedding([0.9, 0.5, 0.1])
-        assert np.isclose(env.gap / env.info["scale"], 0.4)
-        assert np.linalg.norm(env.theta_star) <= 1.0 + 1e-12
+        assert np.array_equal(env.theta_star, [0.9, 0.5, 0.1])
+        assert np.isclose(env.gap, 0.4)
+        assert assumption_audit(env) == [f"||theta*|| = {math.hypot(0.9, 0.5, 0.1):.6g} > 1"]
+
+    @pytest.mark.parametrize("mu", [[0.5], 0.5, [[0.5, 0.1]]])
+    def test_needs_a_vector_of_two_means(self, mu):
+        with pytest.raises(ValueError, match="at least two means"):
+            make_mab_embedding(mu)
 
 
 class TestAudit:
@@ -248,6 +257,22 @@ class TestAudit:
         # past the square root of the largest double, where the sum of squares overflows
         env = Environment(features=FeatureSet(np.array([[0.5, 0.0], [0.0, 0.5]])), theta_star=[3e300, -4e300])
         assert assumption_audit(env) == ["||theta*|| = 5e+300 > 1"]
+
+    @pytest.mark.parametrize(
+        "kind, scale, reported",
+        [
+            ("gaussian", 1.0, False),
+            ("gaussian", 3.0, True),
+            ("bounded_uniform", 1.0, False),
+            ("bounded_uniform", 1.5, True),  # uniform on [-s, s] is s-sub-Gaussian
+            ("none", 1.0, False),
+        ],
+    )
+    def test_reports_noise_past_unit_scale(self, kind, scale, reported):
+        fs = FeatureSet(np.array([[0.6, 0.0], [0.0, 0.6]]))
+        env = Environment(features=fs, theta_star=np.array([0.6, 0.0]), noise=NoiseSpec(kind=kind, scale=scale))
+        finding = f"{kind} noise scale {scale:g} > 1: phase lengths, the PAC budget and beta assume unit-scale noise"
+        assert assumption_audit(env) == ([finding] if reported else [])
 
     def test_reports_non_unique_best_arm(self):
         fs = FeatureSet(np.array([[0.6, 0.0], [0.0, 0.6], [-0.6, 0.0]]))

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pickle
+import platform
 import subprocess
 import sys
 from fractions import Fraction
@@ -207,6 +208,22 @@ BAD_CONFIGS = {
     "singular-ridge-features": {"environment": features_env(features=[[1e9, 0.0], [0.0, 1e9], [-1e9, 0.0]])},
     # a delta so small that log(budget/delta) is infinite: a run exited 3 before, after numpy warnings
     "infinite-regularizer": {"mode": "error-scaling", "algorithm": {"budget": 300, "delta": 1e-320}},
+    # each names its field through the environment's table or its constructor's guard; blamed on bare
+    # "environment" before, with the text of a Python error
+    "zero-d": {"environment": {"kind": "gap_instance", "d": 0, "K": 5, "gap": 0.2}},
+    "bool-d": {"environment": {"kind": "gap_instance", "d": True, "K": 5, "gap": 0.2}},
+    "string-d": {"environment": {"kind": "gap_instance", "d": "3", "K": 5, "gap": 0.2}},
+    "float-K": {"environment": {"kind": "gap_instance", "d": 3, "K": 5.0, "gap": 0.2}},
+    "bool-K": {"environment": {"kind": "gap_instance", "d": 3, "K": True, "gap": 0.2}},
+    "one-K": {"environment": {"kind": "gap_instance", "d": 3, "K": 1, "gap": 0.2}},
+    "large-gap": {"environment": {"kind": "gap_instance", "d": 3, "K": 5, "gap": 3}},
+    "string-mu": {"environment": {"kind": "mab", "mu": "ab"}},
+    "short-theta": {"environment": features_env(theta=[1.0, 0.0, 0.0])},
+    "missing-gap": {"environment": {"kind": "gap_instance", "d": 3, "K": 5}},
+    "missing-theta": {"environment": {"kind": "features", "features": [[0.5, 0.0], [0.0, 0.5]]}},
+    "missing-features": {"environment": {"kind": "features", "theta": [1.0, 0.0]}},
+    # all arms identical: validate passed them before, and the run exited 3
+    "identical-arms": {"environment": features_env(features=[[0.3, 0.4]] * 3)},
 }
 
 
@@ -603,7 +620,7 @@ class TestRunExperiment:
                 {"horizon": 60},
                 {"horizon": 60, "delta": 0.05, "c2": 1.0, "c3": 1.0, "schedule": "fixed", "fw_tol": 1e-3},
             ),
-            ("error-scaling", {"budget": 70}, {"epsilon": None, "budget": 70, "delta": 0.1, "c2": 4.0}),
+            ("error-scaling", {"budget": 70}, {"epsilon": None, "budget": 70, "delta": 0.1}),
             ("design-cert", {}, {"anchor": 0, "fw_tol": 1e-3}),
         ],
     )
@@ -645,6 +662,17 @@ class TestRunExperiment:
         assert pool["sizes"] == ([] if pool_size is None else [pool_size])
         assert pool["submitted"] == (0 if pool_size is None else replications)
         assert result["replications"] == replications
+
+    @pytest.mark.parametrize("workers, cpus, recorded", [(8, 2, 2), (None, 3, 3), (2, 16, 2), (8, None, 1)])
+    def test_manifest_records_the_run_plan(self, tmp_path, monkeypatch, workers, cpus, recorded):
+        # the worker count the run picked (not the config's), and the versions that ran it
+        spy_pool(monkeypatch)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        raw = base_config(tmp_path, workers=workers, replications=4, algorithm={"horizon": 50})
+        run_experiment(ExperimentConfig.from_dict(raw))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["workers"] == recorded
+        assert manifest["python"] == platform.python_version() and manifest["numpy"] == np.__version__
 
     def test_pool_keeps_two_per_worker_in_flight(self, tmp_path, monkeypatch):
         # a future counts as outstanding from its submission until its result is taken
@@ -1255,6 +1283,8 @@ class TestCli:
             ("misspelled-noise-key", "environment.noise.scael"),
             ("misspelled-shift-key", "environment.shift.constnat"),
             ("pac-fw-tol", "algorithm.fw_tol"),
+            ("bool-error-scaling-c2", "algorithm.c2"),  # only a budget worked out from epsilon reads c2
+            ("zero-error-scaling-c2", "algorithm.c2"),
         ],
     )
     def test_unknown_keys_name_the_field(self, tmp_path, capsys, case, field):
@@ -1278,6 +1308,111 @@ class TestCli:
         path.write_text(json.dumps(base_config(tmp_path, **BAD_CONFIGS[case])))
         assert main(["validate", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+    @pytest.mark.parametrize(
+        "case, field",
+        [
+            ("zero-d", "environment.d"),
+            ("bool-d", "environment.d"),
+            ("string-d", "environment.d"),
+            ("float-K", "environment.K"),
+            ("bool-K", "environment.K"),
+            ("one-K", "environment.K"),
+            ("large-gap", "environment.gap"),
+            ("bool-gap", "environment.gap"),
+            ("string-mu", "environment.mu"),
+            ("nan-mu", "environment.mu"),
+            ("short-theta", "environment.theta"),
+            ("nan-theta", "environment.theta"),
+            ("missing-gap", "environment.gap"),
+            ("missing-theta", "environment.theta"),
+            ("missing-features", "environment.features"),
+            ("one-arm", "environment.features"),
+            ("identical-arms", "environment.features"),
+            ("identical-arms-file", "environment.path"),
+            ("float-environment-seed", "environment.seed"),
+            ("string-noise-scale", "environment.noise"),
+            ("nan-shift-constant", "environment.shift"),
+        ],
+    )
+    def test_environment_errors_name_the_field(self, tmp_path, capsys, case, field):
+        # validate and run each print one line that names the field, never bare "environment"
+        if case == "identical-arms-file":
+            (tmp_path / "feats.txt").write_text("2 3\n0.3 0.4\n0.3 0.4\n0.3 0.4\n")
+            overrides = {"environment": {"kind": "features", "path": str(tmp_path / "feats.txt"), "theta": [1.0, 0.0]}}
+        else:
+            overrides = BAD_CONFIGS[case]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path, **overrides)))
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+
+    def test_gap_instance_too_large_to_allocate_exits_2(self, tmp_path, capsys, monkeypatch):
+        # an environment that cannot be built in memory is a config error, named by its constructor's field
+        def make_gap_instance(d, K, gap, seed):
+            raise MemoryError()
+
+        monkeypatch.setattr(harness, "make_gap_instance", make_gap_instance)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path)))
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            assert capsys.readouterr().err == "config error: environment.gap: MemoryError\n"
+
+    @pytest.mark.parametrize(
+        "features",
+        [
+            [[0.0, 0.0], [1e-11, 0.0], [0.0, 1e-11]],  # within 1e-10 of each other
+            [[0.5 * 2.0**-40, 0.0], [0.0, 0.5 * 2.0**-40], [-0.5 * 2.0**-40, 0.0]],
+            [[0.0, 0.0], [1e-300, 0.0], [0.0, 1e-300]],  # rows whose squared norms underflow
+        ],
+        ids=["1e-11-apart", "scaled-2^-40", "1e-300-apart"],
+    )
+    def test_arms_at_tiny_scales_run(self, tmp_path, capsys, features):
+        # arms that are not identical span a direction however close they are: validate and run exit 0
+        env = features_env(features=features)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path, environment=env, algorithm={"horizon": 2000})))
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_identical_survivors_are_declared(self, tmp_path, capsys):
+        # arms 0 and 1 are equal rows; once arm 2 is eliminated they are one arm, and the
+        # run declares arm 0 (exit 3 before).  The audit lists the tie
+        env = features_env(features=[[0.9, 0.0], [0.9, 0.0], [0.0, 0.5]], theta=[1.0, 0.0])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path, environment=env, algorithm={"horizon": 20_000})))
+        assert main(["run", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]]
+        assert [(row[3], row[6]) for row in rows] == [("0", "1"), ("0", "1")]
+        audit = json.loads((tmp_path / "out" / "manifest.json").read_text())["assumption_audit"]
+        assert "best arm is not unique: gap-dependent results are undefined" in audit
+
+    def test_mab_means_run_as_written(self, tmp_path, capsys):
+        # ||mu|| > 1 and tied best means run with exit 0; the audit reports both
+        env = {"kind": "mab", "mu": [0.9, 0.9, 0.5]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path, environment=env, algorithm={"horizon": 300})))
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        audit = json.loads((tmp_path / "out" / "manifest.json").read_text())["assumption_audit"]
+        norm = math.hypot(0.9, 0.9, 0.5)
+        assert audit == [f"||theta*|| = {norm:.6g} > 1", "best arm is not unique: gap-dependent results are undefined"]
+
+    def test_noise_past_unit_scale_is_reported(self, tmp_path):
+        env = features_env(noise={"kind": "gaussian", "scale": 3.0})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path, environment=env, algorithm={"horizon": 300})))
+        assert main(["run", "--config", str(path)]) == 0
+        audit = json.loads((tmp_path / "out" / "manifest.json").read_text())["assumption_audit"]
+        assert audit == [
+            "gaussian noise scale 3 > 1: phase lengths, the PAC budget and beta assume unit-scale noise"
+        ]
 
     def test_huge_feature_file_names_the_path(self, tmp_path, capsys):
         (tmp_path / "feats.txt").write_text("2 3\n1e308 0\n0 1e308\n-1e308 0\n")

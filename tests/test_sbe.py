@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -120,6 +121,16 @@ class TestRunSbe:
         env = Environment(features=fs, theta_star=np.array([1.0, 0.0]))
         with pytest.raises(DegenerateFeatures):
             run_sbe(env, cfg())
+
+    def test_identical_survivors_are_one_arm(self):
+        # arms 0 and 1 have equal rows: once arm 2 is eliminated they survive together,
+        # as one arm.  The smallest index is declared and played to the horizon
+        fs = FeatureSet(np.array([[0.9, 0.0], [0.9, 0.0], [0.0, 0.5]]))
+        env = Environment(features=fs, theta_star=np.array([1.0, 0.0]))
+        record = run_sbe(env, cfg(horizon=20_000), run_seed=0)
+        assert record.declared_best == 0 and record.declared_at < 20_000
+        assert record.phases[-1].active == (0, 1, 2)
+        assert np.all(record.arm[record.declared_at :] == 0)
 
     def test_noiseless_elimination_schedule(self):
         # only ridge shrinkage perturbs the estimate, so the gap-0.5 arm
@@ -279,6 +290,28 @@ class TestPureExploration:
             4 * (d / eps**2 * math.log(d * k / (eps * delta)) + d**1.5 / eps * math.log(d * k / delta))
         )
         assert pac_budget(d, k, eps, delta, c2=4.0) == expected
+
+    def test_pac_guarantee_needs_unit_scale_noise(self):
+        # phase lengths, the PAC budget and beta assume unit-scale noise, which the audit
+        # reports.  With (epsilon, delta) = (0.25, 0.1), a method that meets 1 - delta has
+        # each of 200 runs succeed with probability at least 0.9.  At scale 1 it fails
+        # ">= 170" with probability P(Bin(200, 0.9) <= 169) < 0.01; at scale 10, 200 runs
+        # would pass "<= 150" with probability P(Bin(200, 0.9) <= 150) < 1e-9 if the
+        # guarantee held.  Measured: 197 and 66 successes (157 at scale 3)
+        def below(k):  # P(Bin(200, 0.9) <= k)
+            return sum(math.comb(200, i) * 0.9**i * 0.1 ** (200 - i) for i in range(k + 1))
+
+        assert below(169) < 0.01 and below(150) < 1e-9
+        base = make_gap_instance(5, 20, 0.2, seed=0)
+        budget = pac_budget(5, 20, 0.25, 0.1, c2=1.0)
+        assert budget == 973
+        successes = {}
+        for scale in (1.0, 10.0):
+            env = dataclasses.replace(base, shift=ShiftSpec(kind="sine"), noise=NoiseSpec(kind="gaussian", scale=scale))
+            picks = [run_pure_exploration(env, budget, 0.1, run_seed=seed)[1] for seed in range(200)]
+            successes[scale] = sum(env.values[env.best_arm] - env.values[arm] <= 0.25 for arm in picks)
+        assert successes[1.0] >= 170
+        assert successes[10.0] <= 150
 
     def test_declared_arm_invariant(self):
         env = make_gap_instance(3, 6, 0.5, seed=10)
