@@ -6,9 +6,9 @@ Subcommands:
   validate --config FILE
 
 Exit codes: 0 success; 2 configuration error, among them a missing or
-malformed feature file (given to ``design`` or as ``environment.path``), a
-config's arms fewer than two or all identical, and an environment too large
-to allocate; 3 runtime error, running out of memory in a run included.  An
+malformed feature file and arms fewer than two or all identical (one rule
+for ``design``'s file and a config's arms), and an environment too large to
+allocate; 3 runtime error, running out of memory in a run included.  An
 error prints one line to stderr, and a success prints nothing there: a run
 reports its breaks of the model's assumptions in its manifest (the audit).
 """
@@ -18,15 +18,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .design import FeatureSet, deo
+from .design import deo
 from .errors import ConfigError, SemibanditError, check_positive
-from .harness import ExperimentConfig, check_anchor, naming, run_experiment
+from .harness import ExperimentConfig, _arms, check_anchor, run_experiment
 
 
 def _cmd_design(args) -> int:
     check_positive(args.fw_tol, "--fw-tol")
-    with naming("features_file"):
-        feats = FeatureSet.from_file(args.features_file)
+    feats = _arms("features_file", path=args.features_file)
     check_anchor(args.anchor, feats.K, "--anchor")
     policy, cert = deo(feats, anchor=args.anchor, fw_tol=args.fw_tol)
     print("arm_index,probability")

@@ -64,8 +64,8 @@ class FeatureSet:
 
     @functools.cached_property
     def _span(self):
-        """``span_basis`` of the rows, computed once: ``deo``'s certificate reuses ``g_optimal``'s."""
-        return span_basis(self.features)
+        """``span_basis`` of the rows at ``_scaled``, computed once: ``deo``'s certificate reuses ``g_optimal``'s."""
+        return span_basis(_scaled(self.features))
 
     @functools.cached_property
     def _designs(self) -> dict:
@@ -85,14 +85,15 @@ class FeatureSet:
         with open(path) as fh:
             try:
                 header = fh.readline().split()
-                if len(header) != 2:
-                    raise DimError(f"{path}: first line must be 'd K'")
-                d, k = int(header[0]), int(header[1])
-                rows = np.loadtxt(fh, ndmin=2)
+                d, k = (int(v) for v in header) if len(header) == 2 else (0, 0)
+                if min(d, k) < 1:
+                    raise DimError(f"{path}: first line must be 'd K', two positive integers")
+                lines = [line for line in fh if line.partition("#")[0].strip()]  # np.loadtxt warns on no rows
+                rows = np.loadtxt(lines, ndmin=2) if lines else np.empty((0, d))
             except ValueError as exc:  # a header entry or cell that is not a number, a ragged row, non-text bytes
                 raise DimError(f"{path}: {exc}") from exc
         if rows.shape != (k, d):
-            raise DimError(f"{path}: expected {k} rows of {d} values, got {rows.shape}")
+            raise DimError(f"{path}: expected {k} rows of {d} values, got {rows.shape[0]} rows of {rows.shape[1]}")
         return cls(rows)
 
 
@@ -157,6 +158,11 @@ def span_basis(x: np.ndarray):
         return np.zeros((x.shape[1], 0)), 0
     rank = int(np.count_nonzero(s > SPAN_RTOL * s[0]))
     return vt[:rank].T, rank
+
+
+def _scaled(x: np.ndarray) -> np.ndarray:
+    """``x`` over the power of two above its largest entry (exact): the one scale of a design and its certificate."""
+    return x / math.ldexp(1.0, math.frexp(max(x.max(initial=0.0), -x.min(initial=0.0)))[1])  # no temporary array
 
 
 def all_equal(x: np.ndarray) -> bool:
@@ -280,15 +286,9 @@ def g_optimal(features: FeatureSet, fw_tol: float = 1e-3, max_iters: int | None 
     """
     if fw_tol <= 0:
         raise ValueError("fw_tol must be positive")
-    x_full = features.features
-    largest = max(x_full.max(initial=0.0), -x_full.min(initial=0.0))  # a norm of tiny rows would underflow to 0
-    if largest == 0.0:
+    x_full = _scaled(features.features)
+    if not x_full.any():
         raise DegenerateFeatures("all features are zero")
-    # dyadic normalization: dividing by a power of two is exact, so scaling
-    # all features by 2^k leaves every branch of the solver unchanged
-    x_full = x_full / math.ldexp(1.0, math.frexp(largest)[1])
-    # the SVD's vectors are bitwise unchanged by the power-of-two scaling, so the
-    # span of the unscaled rows, cached for deo's certificate, serves
     basis, d_eff = features._span
     x = x_full if d_eff == x_full.shape[1] else x_full @ basis
     if max_iters is None:
@@ -398,8 +398,10 @@ def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = 1e-3):
     up to the solver tolerance.  Both norms are taken in the coordinates of
     the differences' span basis, where the covariance has full rank: every
     direction ``span_basis`` kept counts, down to ``SPAN_EIG_RTOL`` of the
-    top eigenvalue.  Raises ``DegenerateFeatures`` if all arms are identical
-    (``all_equal``): any other arms span a direction, however close they are.
+    top eigenvalue.  The design, its span and the certificate's moments are
+    all taken on ``_scaled`` rows, so arms scaled by 2^k give the same design
+    and certificate, bit for bit, at any scale short of subnormal entries.
+    Raises ``DegenerateFeatures`` if all arms are identical (``all_equal``).
 
     Each ``(anchor, fw_tol)`` is solved once per ``features`` object: the
     result is kept on it (``FeatureSet._designs``) and returned as the same
@@ -425,12 +427,13 @@ def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = 1e-3):
     probs.setflags(write=False)  # shared by every later call: no caller may change another's design
     policy = DesignPolicy(probs)
 
-    moments = policy_moments(features, policy)
+    z = _scaled(x)
+    moments = policy_moments(FeatureSet(z), policy)
     basis, d_eff = diff_set._span  # g_optimal's SVD, cached
     cov = basis.T @ moments.covariance @ basis
     cert = DesignCertificate(
-        max_anchor_norm=float(weighted_inv_norm(cov, (x - x[anchor]) @ basis, SPAN_EIG_RTOL).max()),
-        max_centered_norm=float(weighted_inv_norm(cov, (x - moments.mean) @ basis, SPAN_EIG_RTOL).max()),
+        max_anchor_norm=float(weighted_inv_norm(cov, (z - z[anchor]) @ basis, SPAN_EIG_RTOL).max()),
+        max_centered_norm=float(weighted_inv_norm(cov, (z - moments.mean) @ basis, SPAN_EIG_RTOL).max()),
         support_size=int(policy.support.size),
         dim=d_eff,
     )

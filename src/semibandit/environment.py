@@ -203,14 +203,13 @@ class Environment:
     def d(self) -> int:
         return self.features.d
 
-    def noise_stream(self, run_seed: int | None = None) -> NoiseStream:
+    def noise_stream(self, run_seed: int) -> NoiseStream:
         """Noise stream for one run; distinct run seeds give independent streams."""
-        base = self.rng_seed if run_seed is None else (self.rng_seed * 0x9E3779B9 + run_seed) & (2**63 - 1)
-        return NoiseStream(self.noise, base)
+        return NoiseStream(self.noise, (self.rng_seed * 0x9E3779B9 + run_seed) & (2**63 - 1))
 
-    def action_rng(self, run_seed: int | None = None) -> np.random.Generator:
+    def action_rng(self, run_seed: int) -> np.random.Generator:
         """Arm-sampling RNG, independent of the noise stream."""
-        entropy = (self.rng_seed & (2**64 - 1), 0x616374, 0 if run_seed is None else run_seed & (2**64 - 1))
+        entropy = (self.rng_seed & (2**64 - 1), 0x616374, run_seed & (2**64 - 1))
         return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
 
 

@@ -91,8 +91,6 @@ def error_bound_diagnostic(cert: DesignCertificate, t: int, delta: float, c1: fl
         raise ValueError("t must be >= 1")
     big_l = cert.max_anchor_norm**2
     big_m = cert.max_centered_norm**2
-    if big_l == 0.0:
-        return 0.0
     lead = math.sqrt(big_l * math.log(t / delta)) / math.sqrt(t)
     tail = math.sqrt(big_l) * big_m * math.log(max(cert.dim, 1) / delta) / t
     return c1 * (lead + tail)

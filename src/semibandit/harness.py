@@ -121,22 +121,21 @@ class MetricTable:
     active_size: np.ndarray
 
 
-def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1, betas=None) -> MetricTable:
+def compute_metrics(record: RunRecord, env: Environment, betas=None) -> MetricTable:
     """Per-step columns of one record, each laid out over its phase segments.
 
     The segments are the phases' ``taken`` rounds, then the declared arm's
     tail; each carries its phase's index and active-set size (the tail: the
     last index and one arm).  Regret is measured against the true best arm.
     The estimation error e_t is evaluated at estimator snapshots: per step for
-    pure-exploration records (anchored at arm 0 over all arms, with the
-    log(t/delta) regularizer), and at phase ends for elimination records
+    pure-exploration records (anchored at arm 0 over all arms, regularized by
+    ``betas``: log(t/delta) for t = 1.. at least the record's steps, as in
+    ``ExperimentConfig.betas``), and at phase ends for elimination records
     (anchored at the phase anchor over the surviving arms), each carried over
     the next segment; steps before the first snapshot report NaN.  The
     per-step systems are solved ``_BLOCK`` at a time by ``estimator.solve``,
     whose ``InvalidSample`` passes through, as does one for an e_t that is not
-    finite.  ``betas`` holds log(t/delta) for t = 1.. at least the record's
-    steps (a run passes ``ExperimentConfig.betas``); by default it is made
-    here by ``_log_table``.
+    finite.
     """
     n = record.steps
     x = env.features.features
@@ -155,7 +154,6 @@ def compute_metrics(record: RunRecord, env: Environment, delta: float = 0.1, bet
         z = x - x[0]
         gram = np.zeros((1, env.d, env.d))
         moment = np.zeros((1, env.d))
-        betas = _log_table(n, delta) if betas is None else betas
         for s in range(0, n, _BLOCK):
             b = slice(s, s + _BLOCK)
             gram = np.cumsum(np.concatenate([gram[-1:], xt[b, :, None] * xt[b, None, :]]), axis=0)[1:]
@@ -211,6 +209,15 @@ def naming(name: str):
         raise
     except (ValueError, TypeError, ArithmeticError, OSError, MemoryError, SemibanditError) as exc:
         raise ConfigError(name, str(exc) or type(exc).__name__) from None
+
+
+def _arms(name: str, rows=None, path=None) -> FeatureSet:
+    """The one arm rule: ``rows`` or the file at ``path`` under ``naming(name)``, ConfigError unless two arms differ."""
+    with naming(name):
+        feats = FeatureSet(rows) if path is None else FeatureSet.from_file(path)
+    if all_equal(feats.features):  # fewer than two arms, or all identical
+        raise ConfigError(name, "needs at least two arms that are not all identical")
+    return feats
 
 
 _check_count = functools.partial(check_int, minimum=1)
@@ -415,11 +422,7 @@ def build_environment(spec: dict) -> Environment:
         if (path is None) == (rows is None):
             problem = "missing field" if path is None else "cannot be given with environment.path"
             raise ConfigError("environment.features", problem)
-        arms = "environment.features" if path is None else "environment.path"
-        with naming(arms):
-            feats = FeatureSet(rows) if path is None else FeatureSet.from_file(path)
-        if all_equal(feats.features):  # fewer than two arms, or all identical
-            raise ConfigError(arms, "needs at least two arms that are not all identical")
+        feats = _arms("environment.features" if path is None else "environment.path", rows, path)
         with naming("environment.theta"):
             env = Environment(features=feats, theta_star=given["theta"], rng_seed=given["seed"])
     for name, make, keys in (("shift", ShiftSpec, _SHIFT_KEYS), ("noise", NoiseSpec, _NOISE_KEYS)):
@@ -447,7 +450,7 @@ def _replication_task(cfg: ExperimentConfig, rep: int):
         _, greedy, record = run_pure_exploration(env, alg["budget"], alg["delta"], run_seed=seed)
         value_gap = float(env.values[env.best_arm] - env.values[greedy])
         success = value_gap <= alg["epsilon"] if alg["epsilon"] is not None else greedy == env.best_arm
-    tb = compute_metrics(record, env, delta=alg["delta"], betas=cfg.betas if record.kind == "pure" else None)
+    tb = compute_metrics(record, env, cfg.betas if record.kind == "pure" else None)
     summary = {
         "replication": rep,
         "seed": seed,

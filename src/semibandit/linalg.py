@@ -1,7 +1,7 @@
 """Dense symmetric/PSD matrix utilities.
 
 All routines operate on plain ``numpy`` arrays.  PSD inputs are validated
-on entry (symmetry to 1e-12 relative, numerically nonnegative spectrum);
+on entry (finite entries, symmetry to 1e-12 relative);
 rank-deficient matrices are handled through a relative spectral cutoff so
 that inverse-weighted norms remain well defined on the range of the matrix
 and are reported as infinite off it.
@@ -16,12 +16,11 @@ import numpy as np
 from .errors import DimError, InvalidMatrix
 
 SYM_RTOL = 1e-12
-PSD_EIG_RTOL = 1e-10
 DEFAULT_RANGE_TOL = 1e-8
 
 
 def validate_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Check that ``a`` is a finite, symmetric, numerically PSD square matrix."""
+    """Check that ``a`` is a finite, symmetric square matrix; its spectrum is left to the caller's cutoff."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidMatrix(f"{name} must be square, got shape {a.shape}")

@@ -200,8 +200,7 @@ def run_sbe(env: Environment, cfg: SbeConfig, run_seed: int = 0) -> RunRecord:
     if env.K < 2:
         raise ValueError("elimination needs at least two arms")
     big_t = cfg.horizon
-    noise = env.noise_stream(run_seed)
-    rng = env.action_rng(run_seed)
+    rng, noise = env.action_rng(run_seed), env.noise_stream(run_seed)
     active = list(range(env.K))
     phases: list[PhaseState] = []
     arms, rewards = [], []

@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import semibandit.design as design
@@ -68,3 +70,19 @@ def test_bench_digests_smoke(capsys):
         assert len(digest) == 64 and int(digest, 16) >= 0
         by_workers.setdefault(workers, []).append((workload, instance, file, digest))
     assert set(by_workers) == {"1", "2"} and by_workers["1"] == by_workers["2"]
+
+
+def test_stream_pool_smoke():
+    # the only measurement of the pool path: a two-worker run in a fresh interpreter exits 0
+    # and the script prints its JSON object, with the run's wall time and peak memory
+    argv = ["--repeats", "1", "--horizon", "3000", "--reps", "2", "--workers", "2"]
+    proc = subprocess.run(
+        [sys.executable, str(BENCHMARKS / "stream_pool.py"), *argv], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["config"] == {"workload": "regret-long", "horizon": 3000, "replications": 2, "workers": 2, "seed": 1}
+    (run,) = result["runs"]
+    assert run["rc"] == 0 and run["run_s"] > 0
+    assert run["parent_peak_rss_mb"] > 0 and run["children_peak_rss_mb"] > 0
+    assert result["median"] == {k: run[k] for k in ("run_s", "parent_peak_rss_mb", "children_peak_rss_mb")}

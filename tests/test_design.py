@@ -374,6 +374,14 @@ class TestDeo:
         assert cert.max_anchor_norm <= 2.0 * math.sqrt(2.0)
         assert cert.dim == 2
 
+    @pytest.mark.parametrize("s", [1.0, 1e-200, 1e-300])
+    def test_simplex_certificate_at_any_scale(self, s):
+        # the certificate's norms are scale-free: no product of tiny features underflows
+        policy, cert = deo(FeatureSet(np.array([[0.0, 0.0], [s, 0.0], [0.0, s]])))
+        assert policy.probabilities.tolist() == [0.5, 0.25, 0.25]
+        assert cert.max_anchor_norm == 2.449489742783178
+        assert cert.max_centered_norm == pytest.approx(math.sqrt(3.0), rel=0, abs=1e-12)
+
     def test_two_arms_tight(self):
         rng = np.random.default_rng(13)
         x = random_unit_features(rng, 3, 2)
@@ -391,12 +399,13 @@ class TestDeo:
         with pytest.raises(DegenerateFeatures):
             deo(FeatureSet(np.array([[1.0, 0.0]])))
 
-    @pytest.mark.parametrize("k", [-60, -40, -34, -20, 20, 60])
+    @pytest.mark.parametrize("k", [-700, -60, -40, -34, -20, 20, 60])
     def test_power_of_two_scaling_changes_nothing(self, k):
-        # the one degenerate arm set is equal rows, with no tolerance: arms scaled by 2^k
-        # keep every leverage, so the design is bit for bit the same and the certificate
-        # norms, ratios of scaled quantities, agree to rounding.  Rank-deficient features
-        # (a duplicated column) take the span-basis path
+        # the one degenerate arm set is equal rows, with no tolerance; and the design, its
+        # span and its certificate are all taken on one scale, so arms scaled by 2^k give
+        # the same design and certificate bit for bit, at 2^-700 too, where the products
+        # of the unscaled certificate underflow.  Rank-deficient features (a duplicated
+        # column) take the span-basis path
         for seed in range(20):
             rng = np.random.default_rng(seed)
             d = int(rng.integers(2, 6))
@@ -405,9 +414,7 @@ class TestDeo:
             policy, cert = deo(FeatureSet(x))
             scaled_policy, scaled = deo(FeatureSet(x * math.ldexp(1.0, k)))
             assert np.array_equal(scaled_policy.probabilities, policy.probabilities)
-            assert (scaled.dim, scaled.support_size) == (cert.dim, cert.support_size)
-            assert scaled.max_anchor_norm == pytest.approx(cert.max_anchor_norm, rel=1e-12, abs=0)
-            assert scaled.max_centered_norm == pytest.approx(cert.max_centered_norm, rel=1e-12, abs=0)
+            assert scaled == cert
 
     def test_certificate_bounds_random(self):
         rng = np.random.default_rng(14)

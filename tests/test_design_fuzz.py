@@ -13,7 +13,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semibandit.cli import main
@@ -49,6 +49,10 @@ def feature_files(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
+# a header and no rows: the file's one error, with no warning from the parser
+@example(file=("0 0\n", 0), fw_tol=None, anchor=None)
+@example(file=("2 0\n", 0), fw_tol=None, anchor=None)
+@example(file=("2 3\n", 3), fw_tol=None, anchor=None)
 @given(
     file=feature_files(),
     fw_tol=st.sampled_from([None, "nan", "inf", "1e-300", "1e300", "0.001"]),

@@ -283,10 +283,11 @@ class TestComputeMetrics:
         phase = PhaseState(1, tuple(range(env.K)), math.nan, 8, policy, cert, 0, np.zeros(env.d), taken=8)
         monkeypatch.setattr(harness, "_BLOCK", block)
         finite = RunRecord(arm=arms, reward=env.values[arms], phases=[phase], kind="pure")
-        assert np.isfinite(compute_metrics(finite, env).e_t).all()
+        betas = harness._log_table(8, 0.1)
+        assert np.isfinite(compute_metrics(finite, env, betas).e_t).all()
         huge = RunRecord(arm=arms, reward=np.full(8, 1e308), phases=[phase], kind="pure")
         with np.errstate(all="ignore"), pytest.raises(InvalidSample, match="^the ridge estimate is not finite"):
-            compute_metrics(huge, env)
+            compute_metrics(huge, env, betas)
 
     def test_sqrt_column_identity(self):
         env = make_gap_instance(3, 6, 0.4, seed=3)
@@ -300,7 +301,7 @@ class TestComputeMetrics:
     def test_pure_exploration_per_step_error(self):
         env = make_gap_instance(3, 5, 0.4, seed=4)
         _, _, record = run_pure_exploration(env, 200, 0.1, run_seed=0)
-        table = compute_metrics(record, env, delta=0.1)
+        table = compute_metrics(record, env, harness._log_table(record.steps, 0.1))
         assert not np.isnan(table.e_t).any()
         # spot-check one step against a direct reconstruction
         t_check = 150
@@ -320,7 +321,7 @@ class TestComputeMetrics:
         env = make_gap_instance(d, 9, 0.3, seed=d)
         _, _, record = run_pure_exploration(env, 1_500, 0.1, run_seed=d)
         monkeypatch.setattr(harness, "_BLOCK", block)
-        table = compute_metrics(record, env, delta=0.1)
+        table = compute_metrics(record, env, harness._log_table(record.steps, 0.1))
         x = env.features.features
         xbar = record.phases[0].policy.probabilities @ x
         gram, moment, expected = np.zeros((d, d)), np.zeros(d), []
@@ -333,7 +334,7 @@ class TestComputeMetrics:
         assert table.e_t.tobytes() == np.array(expected).tobytes()
 
     def test_log_table_made_once_and_read_only(self, tmp_path, monkeypatch):
-        # the pure records of one run share one log(t/delta) table; a call on its own makes one
+        # the pure records of one run share one log(t/delta) table; compute_metrics makes none, it reads the one given
         made = []
         log_table = harness._log_table
         monkeypatch.setattr(harness, "_log_table", lambda n, delta: made.append((n, delta)) or log_table(n, delta))
@@ -341,8 +342,9 @@ class TestComputeMetrics:
         run_experiment(ExperimentConfig.from_dict(raw))
         assert made == [(300, 0.1)]
         env = make_gap_instance(3, 6, 0.5, seed=5)
-        compute_metrics(run_pure_exploration(env, 300, 0.2, run_seed=0)[2], env, delta=0.2)
-        assert made == [(300, 0.1), (300, 0.2)]
+        record = run_pure_exploration(env, 300, 0.2, run_seed=0)[2]
+        assert compute_metrics(record, env, log_table(300, 0.2)).e_t.size == 300
+        assert made == [(300, 0.1)]
         table = log_table(300, 0.1)
         assert table.tolist() == [math.log(t / 0.1) for t in range(1, 301)]
         with pytest.raises(ValueError):
@@ -364,7 +366,7 @@ class TestComputeMetrics:
         env = make_gap_instance(3, 6, 0.5, seed=5)
         record = make(env)
         assert record.steps - sum(ph.taken for ph in record.phases) == tail
-        table = compute_metrics(record, env, delta=0.1)
+        table = compute_metrics(record, env, harness._log_table(record.steps, 0.1))
         x = env.features.features
         phase, size, e_t = [], [], []
         done, used, snapshot = 0, 0, math.nan
@@ -1182,17 +1184,21 @@ class TestCli:
             ([], b"2 3\n0 0\n\xff\xfe\n0 1\n", "features_file"),
             (["--anchor", "3"], b"2 3\n0 0\n1 0\n0 1\n", "--anchor"),
             (["--anchor", "-1"], b"2 3\n0 0\n1 0\n0 1\n", "--anchor"),
+            ([], b"2 2\n0.3 0.4\n0.3 0.4\n", "features_file"),
+            ([], b"2 1\n0.3 0.4\n", "features_file"),
+            ([], b"2 3\n", "features_file"),
             ([], b"2 3\n0 0\n0.1 0.1\n0.1 0.100000001\n", None),
         ],
         ids=[
             "zero-fw-tol", "negative-fw-tol", "infinite-fw-tol", "nan-fw-tol", "missing-file", "non-numeric-cell",
             "nan-cell", "non-integer-header", "non-numeric-header", "ragged-row", "not-utf8", "anchor-out-of-range",
-            "negative-anchor", "near-duplicate-arms",
+            "negative-anchor", "identical-arms", "one-arm", "no-rows", "near-duplicate-arms",
         ],
     )
     def test_design_errors(self, tmp_path, capsys, options, contents, blame):
-        # a bad option or a missing or malformed feature file is a config error (exit 2) that
-        # names it; a file of arms no design can be solved for exits 3; each prints one line
+        # a bad option, a missing or malformed feature file, or one whose arms are fewer than two or
+        # all identical (the rule a config's arms follow) is a config error (exit 2) that names it;
+        # a file of arms too close for their design matrix to be inverted exits 3; each prints one line
         feats = tmp_path / "feats.txt"
         if contents is not None:
             feats.write_bytes(contents)
