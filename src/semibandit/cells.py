@@ -18,12 +18,11 @@ rows that ``translate`` scans are shorter.
 
 A ``%.17g`` cell with 1e-4 <= |x| < 1e8 takes its 17 digits from the exact
 product |x| 10^k, held as its binary64 rounding p and p's error e, which
-Dekker's two-product gives exactly (``_encode_floats``).  A ``%d`` cell takes
-its digits from a table of 4-digit chunks: up to 8 in one word for a cell in
-[0, 1e8), else a sign and up to 19 in three (``_encode_ints``).  Zero, NaN and
-inf are fixed texts.  ``%`` formats every other cell (``_percent``): other
-magnitudes, and a product just outside [1e16, 1e17).  A column of any other
-spec or dtype is a ``TypeError``.
+Dekker's two-product gives exactly (``_encode_floats``).  A ``%d`` cell in
+[0, 1e8) takes its 8 digits from a table of 4-digit chunks (``_encode_ints``).
+Zero, NaN and inf are fixed texts.  ``%`` formats every other cell
+(``_percent``): other magnitudes, a product just outside [1e16, 1e17), and
+any other int.  A column of any other spec or dtype is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -57,13 +56,6 @@ _LEAD[:, 7] = np.arange(ord("0"), ord("0") + 10)
 _LEAD = _LEAD.view(np.uint64)[:, 0]
 _LEADING = (np.arange(8) >= np.arange(7, -1, -1)[:, None]).astype(np.uint8) * 255  # row i: keep the last i + 1 bytes
 _LEADING = _LEADING.view(np.uint64)[:, 0]
-# a 3-word %d field by (digits - 1): a mask that keeps the digits, and the sign before them
-_POW10_WIDE = 10 ** np.arange(1, 19, dtype=np.uint64)
-_WIDE_KEEP = (np.arange(24) >= np.arange(23, 4, -1)[:, None]).astype(np.uint8) * 255
-_WIDE_KEEP = _WIDE_KEEP.view(np.uint64)
-_WIDE_MINUS = np.zeros((19, 24), np.uint8)
-_WIDE_MINUS[np.arange(19), np.arange(22, 3, -1)] = ord("-")
-_WIDE_MINUS = _WIDE_MINUS.view(np.uint64)
 _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")  # turns _percent's pad spaces into field padding
 # A %.17g field is 4 words: the separator's slot; the sign, "0." and up to
 # three zeros; digits 0-8, each but the last followed by the slot of a point;
@@ -279,43 +271,20 @@ def _encode_ints(v: np.ndarray, out: np.ndarray) -> None:
 
     A cell in [0, 1e8) is its 8 digits from two 4-digit chunks in the last
     word, leading zeros masked; one word holds cells below 1e7 after the
-    separator's slot.  A negative cell or one of 1e8 or more needs 3 words
-    (``_encode_wide_ints``).  Each kind of digits is made only for its cells.
+    separator's slot.  Any other cell goes to ``_percent``, in 3 words.  The
+    digits are made only for the cells in [0, 1e8).
     """
-    wide = (v < 0) | (v >= 10**8)
-    count = np.count_nonzero(wide)
+    slow = (v < 0) | (v >= 10**8)
+    count = np.count_nonzero(slow)
     # a part that holds every cell or none is a slice: no gather or scatter
-    narrow = ~wide if 0 < count < v.size else slice(0 if count else None)
-    wide = wide if count < v.size else slice(None)
-    u = v[narrow]
+    fast = ~slow if 0 < count < v.size else slice(0 if count else None)
+    slow = slow if count < v.size else slice(None)
+    u = v[fast]
     high = u // 10_000
     digits = np.empty((u.size, 2), np.uint32)
     digits[:, 0] = _ASCII4[high]
     digits[:, 1] = _ASCII4[u - high * 10_000]
     out[:, :-1] = 0
-    out[narrow, -1] = digits.view(np.uint64)[:, 0] & _LEADING[np.searchsorted(_POW10_INT, u, side="right")]
+    out[fast, -1] = digits.view(np.uint64)[:, 0] & _LEADING[np.searchsorted(_POW10_INT, u, side="right")]
     if count:
-        out[wide] = _encode_wide_ints(v[wide])
-
-
-def _encode_wide_ints(v: np.ndarray) -> np.ndarray:
-    """The 3-word ``%d`` fields of int64 cells: a sign and up to 19 digits, ending at the field's last byte.
-
-    |v| is taken as uint64, which also holds 2^63; its digits are a chunk of
-    3 and four of 4, leading zeros masked.
-    """
-    u = np.abs(v).view(np.uint64)
-    top = u // 10**16
-    low = u - top * 10**16
-    middle = low // 10**8
-    low -= middle * 10**8
-    chunks = np.zeros((v.size, 6), np.uint32)  # bytes 0-3: the separator's slot, and room for the sign
-    chunks[:, 1] = _ASCII4[top]
-    for i, part in ((2, middle), (4, low)):
-        high = part // 10_000
-        chunks[:, i] = _ASCII4[high]
-        chunks[:, i + 1] = _ASCII4[part - high * 10_000]
-    kept = np.searchsorted(_POW10_WIDE, u, side="right")  # digits - 1
-    fields = chunks.view(np.uint64) & _WIDE_KEEP[kept]
-    fields |= _WIDE_MINUS[kept] * (v < 0)[:, None]
-    return fields
+        out[slow] = _percent("%d", v[slow], out.shape[1])

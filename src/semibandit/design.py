@@ -399,8 +399,12 @@ def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = 1e-3):
     the differences' span basis, where the covariance has full rank: every
     direction ``span_basis`` kept counts, down to ``SPAN_EIG_RTOL`` of the
     top eigenvalue.  The design, its span and the certificate's moments are
-    all taken on ``_scaled`` rows, so arms scaled by 2^k give the same design
-    and certificate, bit for bit, at any scale short of subnormal entries.
+    all taken on one set of rows, the anchored differences at ``_scaled``,
+    u = _scaled(x - x_anchor): ``g_optimal`` solves on the other arms' rows of
+    u, and the certificate's norms are those of u and u - p'u.  So a common
+    offset of the arms changes only the rounding of their differences, and
+    arms scaled by 2^k give the same design and certificate, bit for bit,
+    short of subnormal entries.
     Raises ``DegenerateFeatures`` if all arms are identical (``all_equal``).
 
     Each ``(anchor, fw_tol)`` is solved once per ``features`` object: the
@@ -419,7 +423,8 @@ def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = 1e-3):
     if all_equal(x):
         raise DegenerateFeatures("all arms identical: anchored differences span nothing")
     others = [i for i in range(k) if i != anchor]
-    diff_set = FeatureSet(x[others] - x[anchor])
+    u = _scaled(x - x[anchor])  # the anchor's row is zero
+    diff_set = FeatureSet(u[others])  # at scale already: g_optimal's _scaled divides by 1
     p_tilde = g_optimal(diff_set, fw_tol=fw_tol)
     probs = np.zeros(k)
     probs[others] = p_tilde.probabilities / 2.0
@@ -427,13 +432,12 @@ def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = 1e-3):
     probs.setflags(write=False)  # shared by every later call: no caller may change another's design
     policy = DesignPolicy(probs)
 
-    z = _scaled(x)
-    moments = policy_moments(FeatureSet(z), policy)
+    moments = policy_moments(FeatureSet(u), policy)
     basis, d_eff = diff_set._span  # g_optimal's SVD, cached
     cov = basis.T @ moments.covariance @ basis
     cert = DesignCertificate(
-        max_anchor_norm=float(weighted_inv_norm(cov, (z - z[anchor]) @ basis, SPAN_EIG_RTOL).max()),
-        max_centered_norm=float(weighted_inv_norm(cov, (z - moments.mean) @ basis, SPAN_EIG_RTOL).max()),
+        max_anchor_norm=float(weighted_inv_norm(cov, u @ basis, SPAN_EIG_RTOL).max()),
+        max_centered_norm=float(weighted_inv_norm(cov, (u - moments.mean) @ basis, SPAN_EIG_RTOL).max()),
         support_size=int(policy.support.size),
         dim=d_eff,
     )

@@ -54,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .design import FeatureSet, all_equal, deo, span_basis
+from .design import FeatureSet, all_equal, deo
 from .environment import (
     NOISE_KINDS,
     SHIFT_KINDS,
@@ -144,7 +144,7 @@ def compute_metrics(record: RunRecord, env: Environment, betas=None) -> MetricTa
     inst = env.values[env.best_arm] - env.values[record.arm]
     ts = np.arange(1, n + 1)
 
-    if record.kind == "pure" and phases:
+    if record.kind == "pure":
         # running sums of x~x~' and x~r, carried from block to block.  Each step
         # equals a step-by-step solve bit for bit; np.log or einsum in place of
         # math.log or matmul would change the last bit
@@ -202,12 +202,12 @@ def _check_type(value, name: str, kind: type, what: str):
 
 @contextlib.contextmanager
 def naming(name: str):
-    """Turn what a bad value makes a constructor raise, running out of memory included, into ConfigError(name)."""
+    """Turn what a bad value makes a constructor or reader raise, out of memory or stack included, into ConfigError(name)."""
     try:
         yield
     except ConfigError:
         raise
-    except (ValueError, TypeError, ArithmeticError, OSError, MemoryError, SemibanditError) as exc:
+    except (ValueError, TypeError, ArithmeticError, OSError, MemoryError, RecursionError, SemibanditError) as exc:
         raise ConfigError(name, str(exc) or type(exc).__name__) from None
 
 
@@ -314,14 +314,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path, **overrides) -> "ExperimentConfig":
-        """``from_dict`` of the JSON object in the file at ``path``."""
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError("config", f"file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError("config", f"invalid JSON: {exc}")
+        """``from_dict`` of the JSON object in the file at ``path``, read under ``naming("config")``."""
+        with naming("config"), open(path) as fh:
+            raw = json.load(fh)
         return cls.from_dict(raw, **overrides)
 
     @classmethod
@@ -334,17 +329,13 @@ class ExperimentConfig:
         mode = fields["mode"]
         alg = _resolve(fields["algorithm"], _ALGORITHM[mode], "algorithm.")
         env = build_environment(fields["environment"])  # raises ConfigError on bad spec
-        try:  # ScheduleOverflow: a round count worked out from the algorithm is past the cap
-            if mode == "design-cert":
-                check_anchor(alg["anchor"], env.K, "algorithm.anchor")
-            elif mode == "regret":
-                x = env.features.features
-                d_eff = span_basis(x[1:] - x[0])[1]  # the dim of phase 1's certificate
-                phase_length(1, d_eff, env.K, alg["delta"], alg["c2"], alg["c3"], alg["schedule"])
-            elif alg["budget"] is None:  # pac, with no budget given
+        if mode == "design-cert":
+            check_anchor(alg["anchor"], env.K, "algorithm.anchor")
+        elif mode == "pac" and alg["budget"] is None:
+            try:  # ScheduleOverflow: a round count worked out from the algorithm is past the cap, as below
                 alg["budget"] = pac_budget(env.d, env.K, alg["epsilon"], alg["delta"], c2=alg["c2"])
-        except ScheduleOverflow as exc:
-            raise ConfigError("algorithm", str(exc)) from None
+            except ScheduleOverflow as exc:
+                raise ConfigError("algorithm", str(exc)) from None
         if mode in ("pac", "error-scaling") and not math.isfinite(alg["budget"] / alg["delta"]):
             raise ConfigError("algorithm.delta", "is too small: the regularizer log(budget/delta) overflows")
         rounds = _rounds(alg)
@@ -358,6 +349,13 @@ class ExperimentConfig:
                 "environment.shift.table", f"has {env.shift.table.shape[0]} entries for a run of {rounds} rounds"
             )
         _check_sums(env, fields["environment"], fields["replications"], rounds, alg.get("delta"))
+        if mode == "regret":  # past _check_sums, the differences of the arms are far from overflow
+            x = env.features.features
+            d_eff = FeatureSet(x[1:] - x[0])._span[1]  # deo's rows for anchor 0: the dim of phase 1's certificate
+            try:
+                phase_length(1, d_eff, env.K, alg["delta"], alg["c2"], alg["c3"], alg["schedule"])
+            except ScheduleOverflow as exc:
+                raise ConfigError("algorithm", str(exc)) from None
         return cls(**{**fields, "algorithm": alg}, env=env, written=written)
 
     @functools.cached_property

@@ -210,7 +210,7 @@ def run_sbe(env: Environment, cfg: SbeConfig, run_seed: int = 0) -> RunRecord:
 
         def schedule(cert):
             n_ell = phase_length(ell, cert.dim, len(active), cfg.delta, cfg.c2, cfg.c3, cfg.schedule)
-            return n_ell, math.log(n_ell * ell * (ell + 1) / cfg.delta)
+            return n_ell, est.regularizer(n_ell * ell * (ell + 1), cfg.delta)
 
         phase, phase_arms, phase_rewards = _run_phase(
             env, active, ell, 2.0 ** (-ell), t + 1, big_t - t, rng, noise, cfg.fw_tol, schedule

@@ -20,7 +20,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import semibandit.harness as harness
@@ -229,3 +229,39 @@ def test_accepted_configs_near_the_sum_bound_run(data):
         assert checked in (0, 2)
         if checked == 0:
             assert exit_code("run", path) == 0
+
+
+# a config that validate accepts, as the bytes of its file
+VALID_BYTES = json.dumps(
+    {"mode": "design-cert", "environment": {"kind": "gap_instance", "d": 2, "K": 3, "gap": 0.2}, "workers": 1}
+).encode()
+NOT_UTF_8 = st.sampled_from([b"\xff", b"\xfe", b"\x80", b"\xc3", b"\xed\xa0\x80"])
+CONFIG_BYTES = st.one_of(
+    st.integers(0, len(VALID_BYTES)).map(lambda n: VALID_BYTES[:n]),  # truncated
+    st.tuples(NOT_UTF_8, st.binary(max_size=4)).map(lambda parts: b"".join(parts) + VALID_BYTES),
+    st.tuples(st.integers(1, 200_000), st.booleans()).map(  # nested, the closing brackets there or not
+        lambda deep: b"[" * deep[0] + VALID_BYTES + b"]" * (deep[0] * deep[1])
+    ),
+    st.none(),  # a directory where the file should be
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(contents=CONFIG_BYTES)
+@example(contents=b'\xff\xfe{"mode": "regret"}')
+@example(contents=b"[" * 100_000 + b"]" * 100_000)
+@example(contents=None)
+def test_config_file_bytes_exit_0_or_2(contents):
+    # whatever the file holds, validate reads it under one guard: exit 0, or 2 with one line on stderr
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "cfg.json"
+        if contents is None:
+            path.mkdir()
+        else:
+            path.write_bytes(contents)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["validate", "--config", str(path)])
+        assert code in (0, 2)
+        assert err.getvalue().count("\n") == (code == 2), err.getvalue()
+        assert code == 0 or err.getvalue().startswith("config error: ")

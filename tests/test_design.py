@@ -1,5 +1,6 @@
 import contextlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,20 @@ from semibandit.linalg import weighted_inv_norm
 def random_unit_features(rng, d, k):
     x = rng.standard_normal((k, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def quadratic_form_of_inverse(m, v) -> float:
+    """v' m^{-1} v for a symmetric positive definite matrix of Fractions, by exact Gaussian elimination."""
+    n = len(v)
+    a = [list(row) + [vi] for row, vi in zip(m, v)]
+    for c in range(n):
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    y = [Fraction(0)] * n
+    for r in reversed(range(n)):
+        y[r] = (a[r][n] - sum(a[r][j] * y[j] for j in range(r + 1, n))) / a[r][r]
+    return float(sum(vi * yi for vi, yi in zip(v, y)))
 
 
 def max_leverage(features, policy):
@@ -374,10 +389,15 @@ class TestDeo:
         assert cert.max_anchor_norm <= 2.0 * math.sqrt(2.0)
         assert cert.dim == 2
 
-    @pytest.mark.parametrize("s", [1.0, 1e-200, 1e-300])
-    def test_simplex_certificate_at_any_scale(self, s):
-        # the certificate's norms are scale-free: no product of tiny features underflows
-        policy, cert = deo(FeatureSet(np.array([[0.0, 0.0], [s, 0.0], [0.0, s]])))
+    @pytest.mark.parametrize(
+        "c, s",
+        [(0.0, 1.0), (0.0, 1e-200), (0.0, 1e-300), (1.0, 1e-200), (1e100, 1e-200)],
+        ids=["1.0", "1e-200", "1e-300", "1e-200-offset-1", "1e-200-offset-1e100"],
+    )
+    def test_simplex_certificate_at_any_scale(self, c, s):
+        # the certificate's norms are scale-free: no product of tiny differences underflows,
+        # whatever the common offset c of the arms next to them
+        policy, cert = deo(FeatureSet(np.array([[c, 0.0, 0.0], [c, s, 0.0], [c, 0.0, s]])))
         assert policy.probabilities.tolist() == [0.5, 0.25, 0.25]
         assert cert.max_anchor_norm == 2.449489742783178
         assert cert.max_centered_norm == pytest.approx(math.sqrt(3.0), rel=0, abs=1e-12)
@@ -448,14 +468,10 @@ class TestDeo:
         # features in the unit ball, confined to a random subspace, each row repeated up to
         # ``copies`` times, any anchor: the bounds hold at the rank d_eff of
         # the anchored differences, and the stacked certificate equals the
-        # largest per-arm norm, taken like the certificate in the span of the
-        # anchored differences
-        rng = np.random.default_rng(seed)
+        # largest per-arm norm, taken like the certificate on the anchored
+        # differences, in their span
+        x, anchor = self.subspace_arms(d, rank, k, copies, seed)
         rank = min(rank, d)
-        basis = np.linalg.qr(rng.standard_normal((d, rank)))[0]
-        x = random_unit_features(rng, rank, k) * rng.uniform(0.2, 1.0, size=(k, 1)) @ basis.T
-        x = np.repeat(x, rng.integers(1, copies + 1, size=k), axis=0)
-        anchor = int(rng.integers(x.shape[0]))
         fs = FeatureSet(x)
         policy, cert = deo(fs, anchor=anchor)
         d_eff, tol = cert.dim, 1e-3
@@ -464,9 +480,36 @@ class TestDeo:
         assert cert.max_centered_norm <= 4.0 * math.sqrt(d_eff * (1 + tol))
         assert cert.support_size <= d_eff * (d_eff + 1) // 2 + 1
         span, _ = design.span_basis(np.delete(x, anchor, axis=0) - x[anchor])
-        cov = span.T @ policy_moments(fs, policy).covariance @ span
+        cov = span.T @ policy_moments(FeatureSet(x - x[anchor]), policy).covariance @ span
         per_arm = max(weighted_inv_norm(cov, ((xi - x[anchor]) @ span)[None], design.SPAN_EIG_RTOL)[0] for xi in x)
         assert per_arm == pytest.approx(cert.max_anchor_norm, rel=1e-12)
+
+    @staticmethod
+    def subspace_arms(d, rank, k, copies, seed):
+        """Arms in the unit ball of a random ``rank``-dimensional subspace, rows repeated, and an anchor."""
+        rng = np.random.default_rng(seed)
+        rank = min(rank, d)
+        basis = np.linalg.qr(rng.standard_normal((d, rank)))[0]
+        x = random_unit_features(rng, rank, k) * rng.uniform(0.2, 1.0, size=(k, 1)) @ basis.T
+        x = np.repeat(x, rng.integers(1, copies + 1, size=k), axis=0)
+        return x, int(rng.integers(x.shape[0]))
+
+    def test_certificate_against_exact_arithmetic(self):
+        # the example above with a covariance eigenvalue 4e-10 times the top one, in full
+        # rank: the certificate is within 2e-9 of max_anchor_norm computed from the design's
+        # probabilities and the arms as exact rationals (moments taken on the raw features
+        # are 5.3e-9 off, on the anchored differences 7.1e-10)
+        x, anchor = self.subspace_arms(d=6, rank=6, k=7, copies=2, seed=587146849)
+        policy, cert = deo(FeatureSet(x), anchor=anchor)
+        assert cert.dim == 6
+        rows = [[Fraction(v) for v in row] for row in x.tolist()]
+        p = [Fraction(v) for v in policy.probabilities.tolist()]
+        mean = [sum(pi * row[j] for pi, row in zip(p, rows)) for j in range(6)]
+        centered = [[v - m for v, m in zip(row, mean)] for row in rows]
+        cov = [[sum(pi * row[i] * row[j] for pi, row in zip(p, centered)) for j in range(6)] for i in range(6)]
+        exact = max(math.sqrt(quadratic_form_of_inverse(cov, [v - a for v, a in zip(row, rows[anchor])])) for row in rows)
+        assert exact == pytest.approx(3.7416573867739413, rel=1e-15)
+        assert cert.max_anchor_norm == pytest.approx(exact, rel=2e-9)
 
     def test_anchor_weight_half(self):
         rng = np.random.default_rng(15)

@@ -197,6 +197,8 @@ BAD_CONFIGS = {
     # found only at run time before: a gaussian draw, or the design's squared distances, past the largest double
     "overflowing-gaussian-noise-scale": {"environment": features_env(noise={"kind": "gaussian", "scale": 1e308})},
     "huge-feature-entries": {"environment": features_env(features=[[1e308, 0.0], [0.0, 1e308], [-1e308, 0.0]])},
+    # entries within FeatureSet's bound whose differences are past it: the sums blame them before phase 1 is sized
+    "huge-feature-differences": {"environment": features_env(features=[[4e153, 0.0], [0.0, 1.0], [-4e153, 0.0]])},
     # replications x rounds past sbe._MAX_ROUNDS: the run would hold more rounds than any one may
     "huge-replications": {"replications": 10**24},
     "replications-times-horizon-past-cap": {"replications": 2**40, "algorithm": {"horizon": 2**20}},
@@ -949,6 +951,23 @@ class TestWriter:
         assert text == "".join("%.17g\n" % v for v in values.tolist())
         assert formatted == values[np.abs(values) < 1e-4].tolist()
 
+    def test_int_fast_path_is_taken(self, monkeypatch):
+        # % formats exactly the int cells outside [0, 1e8), in the order they come
+        formatted = []
+        percent = cells._percent
+
+        def counting(spec, values, words=0):
+            formatted.extend(values.tolist())
+            return percent(spec, values, words)
+
+        monkeypatch.setattr(cells, "_percent", counting)
+        rng = np.random.default_rng(0)
+        values = rng.integers(-(10**9), 10**9, 10_000)
+        values[:4] = [-(2**63), 2**63 - 1, 10**8 - 1, 10**8]
+        text = "".join(harness._format_rows("%d\n", (values,)))
+        assert text == "".join("%d\n" % v for v in values.tolist())
+        assert formatted == values[(values < 0) | (values >= 10**8)].tolist()
+
     @settings(max_examples=200, deadline=None)
     @given(ties=st.lists(TIES), power=st.integers(-5, 9))
     def test_exact_ties_and_powers_of_ten(self, ties, power):
@@ -1150,8 +1169,24 @@ class TestCli:
         path.write_text(json.dumps(base_config(tmp_path, mode="nope")))
         assert main(["validate", "--config", str(path)]) == 2
 
-    def test_missing_config(self):
-        assert main(["validate", "--config", "/no/such/file.json"]) == 2
+    def test_missing_config(self, tmp_path, capsys):
+        # a config file that cannot be found, opened, decoded or parsed is a config error, read under one guard
+        cases = {
+            "missing": None,
+            "directory": "directory",
+            "not-utf-8": b'\xff\xfe{"mode": "regret"}',
+            "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
+        }
+        for name, contents in cases.items():
+            path = tmp_path / name
+            if contents == "directory":
+                path.mkdir()
+            elif contents is not None:
+                path.write_bytes(contents)
+            for command in ("validate", "run"):
+                assert main([command, "--config", str(path)]) == 2, (name, command)
+                err = capsys.readouterr().err
+                assert err.startswith("config error: config: ") and err.count("\n") == 1, (name, command, err)
 
     def test_run_and_design(self, tmp_path, capsys):
         feats = tmp_path / "feats.txt"
