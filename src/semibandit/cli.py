@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .design import deo
+from .design import FW_TOL, deo
 from .errors import ConfigError, SemibanditError, check_positive
 from .harness import ExperimentConfig, _arms, check_anchor, run_experiment
 
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_design = sub.add_parser("design", help="compute the anchored design for a feature file")
     p_design.add_argument("features_file")
     p_design.add_argument("--anchor", type=int, default=0)
-    p_design.add_argument("--fw-tol", type=float, default=1e-3, dest="fw_tol")
+    p_design.add_argument("--fw-tol", type=float, default=FW_TOL, dest="fw_tol")
     p_design.set_defaults(func=_cmd_design)
 
     p_run = sub.add_parser("run", help="run a configured experiment")

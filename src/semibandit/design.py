@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateFeatures, DimError
 from .linalg import weighted_inv_norm
 
+FW_TOL = 1e-3  # the Frank-Wolfe tolerance of every design that names none
 SPAN_RTOL = 1e-10
 SPAN_EIG_RTOL = SPAN_RTOL**2  # span_basis's singular-value cutoff as a cutoff on the eigenvalues of a Gram matrix
 WEIGHT_FLOOR = 1e-9
@@ -269,7 +270,7 @@ def _caratheodory_reduce(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return reduced
 
 
-def g_optimal(features: FeatureSet, fw_tol: float = 1e-3, max_iters: int | None = None) -> DesignPolicy:
+def g_optimal(features: FeatureSet, fw_tol: float = FW_TOL, max_iters: int | None = None) -> DesignPolicy:
     """Solve the G-optimal design over the feature span.
 
     Returns a policy with max_i ||x_i||^2_{M(p)^{-1}} <= d_eff (1 + fw_tol),
@@ -388,7 +389,13 @@ def _pairwise_fw_from(x: np.ndarray, p: np.ndarray, d: int, tol: float, max_iter
     return p, False, max_iters
 
 
-def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = 1e-3):
+def _anchored(features: FeatureSet, anchor: int):
+    """``deo``'s one set of rows: u = _scaled(x - x_anchor), and the other arms' rows of u as a ``FeatureSet``."""
+    u = _scaled(features.features - features.features[anchor])  # the anchor's row is zero
+    return u, FeatureSet(np.delete(u, anchor, axis=0))  # at scale already: g_optimal's _scaled divides by 1
+
+
+def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = FW_TOL):
     """Anchored-difference design for orthogonalized regression.
 
     Computes the G-optimal design over {x_i - x_anchor : i != anchor},
@@ -399,7 +406,7 @@ def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = 1e-3):
     the differences' span basis, where the covariance has full rank: every
     direction ``span_basis`` kept counts, down to ``SPAN_EIG_RTOL`` of the
     top eigenvalue.  The design, its span and the certificate's moments are
-    all taken on one set of rows, the anchored differences at ``_scaled``,
+    all taken on one set of rows, ``_anchored``'s differences at ``_scaled``,
     u = _scaled(x - x_anchor): ``g_optimal`` solves on the other arms' rows of
     u, and the certificate's norms are those of u and u - p'u.  So a common
     offset of the arms changes only the rounding of their differences, and
@@ -411,7 +418,6 @@ def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = 1e-3):
     result is kept on it (``FeatureSet._designs``) and returned as the same
     objects by every later call, its probabilities read-only.
     """
-    x = features.features
     k = features.K
     if k < 2:
         raise DegenerateFeatures("anchored design needs at least two arms")
@@ -420,15 +426,10 @@ def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = 1e-3):
     stored = features._designs.get((anchor, fw_tol))
     if stored is not None:
         return stored
-    if all_equal(x):
+    if all_equal(features.features):
         raise DegenerateFeatures("all arms identical: anchored differences span nothing")
-    others = [i for i in range(k) if i != anchor]
-    u = _scaled(x - x[anchor])  # the anchor's row is zero
-    diff_set = FeatureSet(u[others])  # at scale already: g_optimal's _scaled divides by 1
-    p_tilde = g_optimal(diff_set, fw_tol=fw_tol)
-    probs = np.zeros(k)
-    probs[others] = p_tilde.probabilities / 2.0
-    probs[anchor] = 0.5
+    u, diff_set = _anchored(features, anchor)
+    probs = np.insert(g_optimal(diff_set, fw_tol=fw_tol).probabilities / 2.0, anchor, 0.5)
     probs.setflags(write=False)  # shared by every later call: no caller may change another's design
     policy = DesignPolicy(probs)
 

@@ -16,8 +16,11 @@ import numpy as np
 from .design import FeatureSet
 from .errors import DimError, GenerationError, InvalidArm, finite_real
 
-SHIFT_KINDS = ("none", "sine", "log_alternating", "log_alternating_min", "constant", "custom")
-NOISE_KINDS = ("gaussian", "bounded_uniform", "none")
+# the fields of a ShiftSpec and a NoiseSpec that each kind reads; a config that gives another is rejected
+SHIFT_KEYS = {kind: ("kind", "clip_to_unit") for kind in ("none", "sine", "log_alternating", "log_alternating_min")}
+SHIFT_KEYS.update(constant=("kind", "clip_to_unit", "constant"), custom=("kind", "clip_to_unit", "table"))
+NOISE_KEYS = {"gaussian": ("kind", "scale"), "bounded_uniform": ("kind", "scale"), "none": ("kind",)}
+SHIFT_KINDS, NOISE_KINDS = tuple(SHIFT_KEYS), tuple(NOISE_KEYS)
 
 _NOISE_CHUNK = 4096
 # numpy's ziggurat normal draws stay below r + sqrt(2 * 53 ln 2) = 3.65 + 8.57 in magnitude: its tail

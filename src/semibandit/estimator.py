@@ -87,10 +87,8 @@ def error_bound_diagnostic(cert: DesignCertificate, t: int, delta: float, c1: fl
     L = max_anchor_norm^2 and M = max_centered_norm^2.  The default C1 = 10
     matches the empirical sqrt(t) e_t <= 10 sqrt(d log K) envelope.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
     big_l = cert.max_anchor_norm**2
     big_m = cert.max_centered_norm**2
-    lead = math.sqrt(big_l * math.log(t / delta)) / math.sqrt(t)
+    lead = math.sqrt(big_l * regularizer(t, delta)) / math.sqrt(t)
     tail = math.sqrt(big_l) * big_m * math.log(max(cert.dim, 1) / delta) / t
     return c1 * (lead + tail)

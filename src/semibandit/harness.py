@@ -6,8 +6,9 @@ records the best-arm identification outcome), ``pac`` and ``error-scaling``
 (pure exploration), ``design-cert`` (the anchored design alone).
 ``ExperimentConfig.from_dict`` resolves a config in one step: it checks each
 field by one table of key -> (default, check) per object (the algorithm's by
-mode, the environment's by kind), works out a PAC budget, and builds the
-environment.  The result is frozen, and everything after it
+mode, the environment's by kind, a shift's or noise's by kind from
+``environment.SHIFT_KEYS`` and ``NOISE_KEYS``), works out a PAC budget, and
+builds the environment.  The result is frozen, and everything after it
 (``run_experiment``, each replication, each pool worker) reads only it.
 
 Replications are seeded as ``base_seed + index`` and are consumed in index
@@ -22,7 +23,7 @@ per-step column (phase, regret, active-set size, e_t) out over the run's phase
 segments.  What replications compute alike is computed once per run and
 kept on the config's objects: the anchored design over all arms, which
 ``deo`` keeps on the ``FeatureSet`` of the config's environment, and the
-log(t/delta) regularizers of the pure-exploration e_t,
+regularizers of the pure-exploration e_t, ``estimator.regularizer`` at each t,
 ``ExperimentConfig.betas``.  A pool worker gets the config once, at its
 start, and makes them once from its copy, so its replications share them
 too; nothing is kept beyond the run.
@@ -54,10 +55,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .design import FeatureSet, all_equal, deo
+from .design import FW_TOL, FeatureSet, _anchored, all_equal, deo
 from .environment import (
-    NOISE_KINDS,
-    SHIFT_KINDS,
+    NOISE_KEYS,
+    SHIFT_KEYS,
     Environment,
     NoiseSpec,
     ShiftSpec,
@@ -77,18 +78,10 @@ from .errors import (
     check_positive,
     check_probability,
 )
-from .estimator import EstimatorState, solve
-from .sbe import RunRecord, SbeConfig, check_rounds, pac_budget, phase_length, run_pure_exploration, run_sbe
+from .estimator import EstimatorState, regularizer, solve
+from .sbe import PAC_C2, RunRecord, SbeConfig, check_rounds, pac_budget, phase_length, run_pure_exploration, run_sbe
 
 MODES = ("regret", "pac", "design-cert", "error-scaling")
-
-# the keys the shift and noise objects may hold, by kind (the environment's are in
-# _ENVIRONMENT): exactly those the program reads.  Any other key is a ConfigError
-_SHIFT_KEYS = {kind: ("kind", "clip_to_unit") for kind in SHIFT_KINDS}
-_SHIFT_KEYS["constant"] += ("constant",)
-_SHIFT_KEYS["custom"] += ("table",)
-_NOISE_KEYS = {kind: ("kind", "scale") for kind in NOISE_KINDS}
-_NOISE_KEYS["none"] = ("kind",)
 
 # CSV headers, each beside its line format; "%.17g" % x == f"{x:.17g}", nan, inf and -0 included
 TRAJECTORY_COLUMNS = (
@@ -179,13 +172,6 @@ def compute_metrics(record: RunRecord, env: Environment, betas=None) -> MetricTa
     )
 
 
-def _log_table(n: int, delta: float) -> np.ndarray:
-    """log(t / delta) for t = 1..n by ``math.log``, read-only: ``np.log`` differs from it in some last bits."""
-    table = np.fromiter((math.log(t / delta) for t in range(1, n + 1)), float, count=n)
-    table.setflags(write=False)
-    return table
-
-
 def _check_keys(obj: dict, known, prefix: str = "") -> None:
     """ConfigError naming the first key of ``obj`` that is not in ``known``, if any."""
     unknown = sorted(set(obj) - set(known), key=str)
@@ -222,8 +208,16 @@ def _arms(name: str, rows=None, path=None) -> FeatureSet:
 
 _check_count = functools.partial(check_int, minimum=1)
 _check_arms = functools.partial(check_int, minimum=2)
+_check_index = functools.partial(check_int, minimum=0)
 _check_object = functools.partial(_check_type, kind=dict, what="an object")
 _check_string = functools.partial(_check_type, kind=str, what="a string")
+
+
+def _check_path(value, name: str) -> str:
+    """``value`` if it is a string that can name a file, one with no NUL byte; else ConfigError."""
+    if "\0" in _check_string(value, name):
+        raise ConfigError(name, "must not contain a NUL byte")
+    return value
 
 
 def check_anchor(anchor, k: int, name: str) -> int:
@@ -244,13 +238,13 @@ _FIELDS = {
     "mode": (_REQUIRED, functools.partial(check_member, choices=MODES)),
     "environment": (_REQUIRED, _check_object),
     "algorithm": ({}, _check_object),
-    "output": ("out", _check_string),
+    "output": ("out", _check_path),
     "replications": (1, _check_count),
     "base_seed": (0, check_int),
     "workers": (None, _check_count),
 }
 _DELTA = (0.1, check_probability)
-_C2 = (4.0, check_positive)  # scales only a PAC budget worked out from epsilon
+_C2 = (PAC_C2, check_positive)  # scales only a PAC budget worked out from epsilon
 _ALGORITHM = {
     "regret": {
         f.name: (_REQUIRED if f.default is dataclasses.MISSING else f.default, f.metadata["check"])
@@ -258,14 +252,15 @@ _ALGORITHM = {
     },
     "pac": {"epsilon": (_REQUIRED, check_positive), "budget": (None, check_rounds), "delta": _DELTA, "c2": _C2},
     "error-scaling": {"epsilon": (None, check_positive), "budget": (_REQUIRED, check_rounds), "delta": _DELTA},
-    "design-cert": {"anchor": (0, functools.partial(check_int, minimum=0)), "fw_tol": (1e-3, check_positive)},
+    "design-cert": {"anchor": (0, _check_index), "fw_tol": (FW_TOL, check_positive)},
 }
 _OBJECT = ({}, _check_object)
 _ENV_SHARED = {"kind": (_REQUIRED, None), "seed": (0, check_int), "shift": _OBJECT, "noise": _OBJECT}
 _ENVIRONMENT = {
     kind: {**_ENV_SHARED, **table}
     for kind, table in {
-        "gap_instance": {"d": (_REQUIRED, _check_count), "K": (_REQUIRED, _check_arms), "gap": (_REQUIRED, None)},
+        "gap_instance": {"d": (_REQUIRED, _check_count), "K": (_REQUIRED, _check_arms), "gap": (_REQUIRED, None),
+                         "seed": (0, _check_index)},  # numpy's generator takes no negative seed
         "mab": {"mu": (_REQUIRED, None)},
         # open() reads an int path as a file descriptor
         "features": {"features": (None, None), "path": (None, _check_string), "theta": (_REQUIRED, None)},
@@ -350,8 +345,7 @@ class ExperimentConfig:
             )
         _check_sums(env, fields["environment"], fields["replications"], rounds, alg.get("delta"))
         if mode == "regret":  # past _check_sums, the differences of the arms are far from overflow
-            x = env.features.features
-            d_eff = FeatureSet(x[1:] - x[0])._span[1]  # deo's rows for anchor 0: the dim of phase 1's certificate
+            d_eff = _anchored(env.features, 0)[1]._span[1]  # the dim of phase 1's certificate
             try:
                 phase_length(1, d_eff, env.K, alg["delta"], alg["c2"], alg["c3"], alg["schedule"])
             except ScheduleOverflow as exc:
@@ -360,8 +354,11 @@ class ExperimentConfig:
 
     @functools.cached_property
     def betas(self) -> np.ndarray:
-        """log(t/delta) for t = 1..budget, the regularizers of a pure mode's per-step e_t (``_log_table``)."""
-        return _log_table(self.algorithm["budget"], self.algorithm["delta"])
+        """``regularizer(t, delta)`` for t = 1..budget, read-only: the regularizers of a pure mode's per-step e_t."""
+        budget, delta = self.algorithm["budget"], self.algorithm["delta"]
+        table = np.fromiter((regularizer(t, delta) for t in range(1, budget + 1)), float, count=budget)
+        table.setflags(write=False)
+        return table
 
 
 def _check_sums(env: Environment, spec: dict, replications: int, rounds: int, delta: float | None) -> None:
@@ -423,7 +420,7 @@ def build_environment(spec: dict) -> Environment:
         feats = _arms("environment.features" if path is None else "environment.path", rows, path)
         with naming("environment.theta"):
             env = Environment(features=feats, theta_star=given["theta"], rng_seed=given["seed"])
-    for name, make, keys in (("shift", ShiftSpec, _SHIFT_KEYS), ("noise", NoiseSpec, _NOISE_KEYS)):
+    for name, make, keys in (("shift", ShiftSpec, SHIFT_KEYS), ("noise", NoiseSpec, NOISE_KEYS)):
         _check_keys(given[name], [f.name for f in dataclasses.fields(make)], f"environment.{name}.")
         with naming(f"environment.{name}"):
             setattr(env, name, make(**given[name]))  # a key left out takes the dataclass's default

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import estimator as est
-from .design import DesignCertificate, DesignPolicy, FeatureSet, all_equal, deo
+from .design import FW_TOL, DesignCertificate, DesignPolicy, FeatureSet, all_equal, deo
 from .environment import Environment, rewards_for
 from .errors import ScheduleOverflow, check_int, check_member, check_positive, check_probability
 
@@ -35,6 +35,7 @@ _SCHEDULES = ("fixed", "adaptive")
 # round (np.arange(1, n + 1), for one); numpy 2.4 refuses 2**60 rounds with
 # ValueError, but 2**59 can fail only with MemoryError, which the CLI reports
 _MAX_ROUNDS = 2**59
+PAC_C2 = 4.0  # the scale of a PAC budget that names none
 
 
 def check_rounds(value, name: str) -> int:
@@ -53,7 +54,7 @@ class SbeConfig:
     c2: float = field(default=1.0, metadata={"check": check_positive})
     c3: float = field(default=1.0, metadata={"check": check_positive})
     schedule: str = field(default="fixed", metadata={"check": functools.partial(check_member, choices=_SCHEDULES)})
-    fw_tol: float = field(default=1e-3, metadata={"check": check_positive})
+    fw_tol: float = field(default=FW_TOL, metadata={"check": check_positive})
 
     def __post_init__(self):
         for f in fields(self):
@@ -136,7 +137,7 @@ def phase_length(ell: int, d_eff: int, k_active: int, delta: float, c2: float, c
     return sample_size(d, d * k_active * ell * (ell + 1), eps, delta, size, f"phase {ell} length")
 
 
-def pac_budget(d: int, k: int, epsilon: float, delta: float, c2: float = 4.0) -> int:
+def pac_budget(d: int, k: int, epsilon: float, delta: float, c2: float = PAC_C2) -> int:
     """Pure-exploration budget for an (epsilon, delta)-PAC guarantee: ceil(c2 n), the sample size n at m = dK."""
     check_positive(epsilon, "epsilon")
     check_probability(delta, "delta")
@@ -243,7 +244,7 @@ def run_pure_exploration(env: Environment, budget: int, delta: float, run_seed: 
     """Pure exploration: one phase over all arms with a fixed budget, then a greedy pick.
 
     Returns ``(theta_hat, greedy_arm, RunRecord)``.  The design is solved to
-    ``deo``'s default tolerance, 1e-3.  The estimate uses
+    ``design.FW_TOL``.  The estimate uses
     beta = log(budget / delta); the greedy arm maximizes x_i' theta_hat
     (equivalently (x_i - x_1)' theta_hat).
     """
@@ -251,7 +252,7 @@ def run_pure_exploration(env: Environment, budget: int, delta: float, run_seed: 
     beta = est.regularizer(budget, delta)
     rng, noise = env.action_rng(run_seed), env.noise_stream(run_seed)
     phase, arms, rewards = _run_phase(
-        env, list(range(env.K)), 1, math.nan, 1, budget, rng, noise, 1e-3, lambda cert: (budget, beta)
+        env, list(range(env.K)), 1, math.nan, 1, budget, rng, noise, FW_TOL, lambda cert: (budget, beta)
     )
     record = RunRecord(arm=arms, reward=rewards, phases=[phase], kind="pure")
     return phase.theta_hat, int(np.argmax(env.features.features @ phase.theta_hat)), record

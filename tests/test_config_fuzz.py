@@ -1,8 +1,9 @@
 """Fuzz the config boundary: ``validate`` exits 0 or 2, and ``run`` agrees with it and never raises.
 
 The strategies come from the tables the harness checks a config against:
-``_ALGORITHM`` by mode, ``_ENVIRONMENT`` by kind, ``_SHIFT_KEYS`` and
-``_NOISE_KEYS``.  Each key usually gets a valid value; otherwise it is left
+``_ALGORITHM`` by mode and ``_ENVIRONMENT`` by kind, and from the keys the
+environment module lists for each shift and noise kind, ``SHIFT_KEYS`` and
+``NOISE_KEYS``.  Each key usually gets a valid value; otherwise it is left
 out or gets a wrong one (a wrong type, a bool, NaN, +-inf, an int past the
 largest double), and an object sometimes gains an unknown key.  A horizon or
 budget is sometimes past the most rounds a run may hold, which ``validate``
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 import semibandit.harness as harness
 from semibandit.cli import main
-from semibandit.environment import NOISE_KINDS, SHIFT_KINDS
+from semibandit.environment import NOISE_KEYS, NOISE_KINDS, SHIFT_KEYS, SHIFT_KINDS
 
 ABSENT = object()  # a key left out of its object
 WRONG = st.one_of(
@@ -109,11 +110,11 @@ def environments(draw, feature_file: str, faults: bool):
         "constant": st.floats(-3.0, 3.0),
         "table": st.one_of(st.lists(st.floats(-2.0, 2.0), max_size=8), st.integers(0, 600).map(lambda n: [0.5] * n)),
     }
-    keys = set(known(harness._SHIFT_KEYS, shift_kind, ("kind",))) - {"kind"}
+    keys = set(known(SHIFT_KEYS, shift_kind, ("kind",))) - {"kind"}
     shifts = objects({key: shift[key] for key in sorted(keys)}, faults).map(with_kind(shift_kind))
     env["shift"] = draw(field(shifts, faults))
     noise_kind = draw(field(st.sampled_from(NOISE_KINDS), faults))
-    keys = set(known(harness._NOISE_KEYS, noise_kind, ("kind",))) - {"kind"}
+    keys = set(known(NOISE_KEYS, noise_kind, ("kind",))) - {"kind"}
     scale = {"scale": st.one_of(st.floats(0.0, 3.0), st.just(1e308))}
     env["noise"] = draw(field(objects({key: scale[key] for key in keys}, faults).map(with_kind(noise_kind)), faults))
     return {key: value for key, value in env.items() if value is not ABSENT}

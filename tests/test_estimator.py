@@ -14,6 +14,8 @@ from semibandit.estimator import (
     update_batch,
 )
 
+from gaussian_limit import anchored_errors, noise_scale
+
 
 def add_sample(state, x, r):
     """One (centered feature, reward) sample through the batch update."""
@@ -268,3 +270,47 @@ class TestComparability:
                 if e_t <= error_bound_diagnostic(cert, t, delta, c1=10.0):
                     inside += 1
         assert inside >= 0.95 * total
+
+
+class TestHistoryDependentShift:
+    def test_centering_absorbs_a_shift_that_reacts_to_rewards(self):
+        # the semiparametric claim against an adaptive adversary: nu_t = 2 when the last reward's
+        # shift-free part x_a'theta* + eta was positive, else 0 (nu_1 = 0), so the shift has a nonzero
+        # mean and reacts to the history.  The arms come from deo's fixed design, so every shift-free
+        # part, and with it every nu_t, is known before a reward is drawn.  The ridge estimate on
+        # centered rows follows the Gaussian limit (tests/gaussian_limit.py); the same ridge on the raw
+        # rows, a plain linear model, takes the shift's mean into theta_hat and does not.
+        # Let m be the limit's median e_B and q the limit's chance of e_B <= 1.1 m (or >= 0.9 m), both
+        # about 0.61.  A run that follows the limit falls on each side of the band with chance q, so
+        # "at least 100 of 200 runs have e_B <= 1.1 m, and at least 100 have e_B >= 0.9 m", which puts
+        # the median e_B within [0.9, 1.1] m, fails by chance with probability P(Bin(200, q) <= 99)
+        # < 0.01 each; and for the raw rows "at most 99 of 200 have e_B <= 1.1 m" would hold with that
+        # probability if they followed the limit.  Measured: 122 and 131 of 200 (median ratio 1.02) for
+        # the centered rows, 0 of 200 (median ratio 9.4) for the raw rows
+        budget, delta, runs = 4000, 0.1, 200
+        env = make_gap_instance(5, 20, 0.2, seed=0)
+        p = deo(env.features)[0].probabilities
+        x = env.features.features
+        beta = regularizer(budget, delta)
+        errors = {"centered": [], "raw": []}
+        shifts = []
+        for seed in range(runs):
+            arms = env.action_rng(seed).choice(env.K, size=budget, p=p)
+            shift_free = env.values[arms] + env.noise_stream(seed).values(1, budget)
+            nu = np.concatenate([[0.0], np.where(shift_free[:-1] > 0, 2.0, 0.0)])
+            shifts.append(nu)
+            for name, rows in (("centered", x[arms] - p @ x), ("raw", x[arms])):
+                state = update_batch(EstimatorState.zeros(env.d), rows, shift_free + nu)
+                errors[name].append(np.abs((x - x[0]) @ (solve(state, beta) - env.theta_star)).max())
+        oracle = anchored_errors(x, p, env.theta_star, budget, beta, noise_scale(x, p, env.theta_star, shifts))
+        m = np.median(oracle)
+
+        def below(k, q):  # P(Bin(runs, q) <= k)
+            return sum(math.comb(runs, i) * q**i * (1 - q) ** (runs - i) for i in range(k + 1))
+
+        assert below(99, np.mean(oracle <= 1.1 * m)) < 0.01 and below(99, np.mean(oracle >= 0.9 * m)) < 0.01
+        centered_errors, raw_errors = np.array(errors["centered"]), np.array(errors["raw"])
+        assert np.sum(centered_errors <= 1.1 * m) >= 100 and np.sum(centered_errors >= 0.9 * m) >= 100
+        assert 0.9 <= np.median(centered_errors) / m <= 1.1
+        assert np.sum(raw_errors <= 1.1 * m) <= 99
+        assert np.median(raw_errors) / m > 1.1

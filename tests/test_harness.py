@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -21,10 +22,11 @@ import semibandit.cells as cells
 import semibandit.design as design
 import semibandit.harness as harness
 import semibandit.sbe as sbe
-from semibandit.cli import main
+from semibandit.cli import build_parser, main
 from semibandit.design import DesignCertificate, DesignPolicy, deo
 from semibandit.environment import make_gap_instance
 from semibandit.errors import ConfigError, ConvergenceError, InvalidSample, IoError
+from semibandit.estimator import regularizer
 from semibandit.harness import (
     MEAN_LINE,
     MODES,
@@ -60,6 +62,11 @@ def base_config(tmp_path, **overrides):
     }
     raw.update(overrides)
     return raw
+
+
+def log_table(n, delta):
+    """``regularizer(t, delta)`` for t = 1..n: the betas of a pure record of n steps, as ``ExperimentConfig.betas``."""
+    return np.array([regularizer(t, delta) for t in range(1, n + 1)])
 
 
 def spy_pool(monkeypatch) -> dict:
@@ -123,6 +130,8 @@ BAD_CONFIGS = {
     "missing-mode": {"mode": None},
     "algorithm-not-object": {"algorithm": ["horizon"]},
     "output-not-string": {"output": 5},
+    # a path no file can have: validate passed it before, and the run ended in a traceback from mkdir
+    "nul-in-output": {"output": "a\u0000b"},
     "float-horizon": {"algorithm": {"horizon": 1e3}},
     "bool-horizon": {"algorithm": {"horizon": True}},
     "bool-budget": {"mode": "error-scaling", "algorithm": {"budget": True}},
@@ -148,6 +157,8 @@ BAD_CONFIGS = {
     "design-cert-anchor-out-of-range": {"mode": "design-cert", "algorithm": {"anchor": 9}},
     "float-environment-seed": {"environment": features_env(seed=1.5)},
     "bool-environment-seed": {"environment": features_env(seed=True)},
+    # numpy's generator takes no negative seed: blamed on environment.gap before, the field whose constructor ran
+    "negative-gap-instance-seed": {"environment": {"kind": "gap_instance", "d": 3, "K": 5, "gap": 0.2, "seed": -1}},
     "short-custom-table": {
         "environment": features_env(shift={"kind": "custom", "table": [0.0] * 199}),
         "algorithm": {"horizon": 200},
@@ -285,7 +296,7 @@ class TestComputeMetrics:
         phase = PhaseState(1, tuple(range(env.K)), math.nan, 8, policy, cert, 0, np.zeros(env.d), taken=8)
         monkeypatch.setattr(harness, "_BLOCK", block)
         finite = RunRecord(arm=arms, reward=env.values[arms], phases=[phase], kind="pure")
-        betas = harness._log_table(8, 0.1)
+        betas = log_table(8, 0.1)
         assert np.isfinite(compute_metrics(finite, env, betas).e_t).all()
         huge = RunRecord(arm=arms, reward=np.full(8, 1e308), phases=[phase], kind="pure")
         with np.errstate(all="ignore"), pytest.raises(InvalidSample, match="^the ridge estimate is not finite"):
@@ -303,7 +314,7 @@ class TestComputeMetrics:
     def test_pure_exploration_per_step_error(self):
         env = make_gap_instance(3, 5, 0.4, seed=4)
         _, _, record = run_pure_exploration(env, 200, 0.1, run_seed=0)
-        table = compute_metrics(record, env, harness._log_table(record.steps, 0.1))
+        table = compute_metrics(record, env, log_table(record.steps, 0.1))
         assert not np.isnan(table.e_t).any()
         # spot-check one step against a direct reconstruction
         t_check = 150
@@ -323,7 +334,7 @@ class TestComputeMetrics:
         env = make_gap_instance(d, 9, 0.3, seed=d)
         _, _, record = run_pure_exploration(env, 1_500, 0.1, run_seed=d)
         monkeypatch.setattr(harness, "_BLOCK", block)
-        table = compute_metrics(record, env, harness._log_table(record.steps, 0.1))
+        table = compute_metrics(record, env, log_table(record.steps, 0.1))
         x = env.features.features
         xbar = record.phases[0].policy.probabilities @ x
         gram, moment, expected = np.zeros((d, d)), np.zeros(d), []
@@ -336,21 +347,21 @@ class TestComputeMetrics:
         assert table.e_t.tobytes() == np.array(expected).tobytes()
 
     def test_log_table_made_once_and_read_only(self, tmp_path, monkeypatch):
-        # the pure records of one run share one log(t/delta) table; compute_metrics makes none, it reads the one given
+        # the pure records of one run share one table of estimator.regularizer, ExperimentConfig.betas, made
+        # once for the run; compute_metrics makes none, it reads the one given
         made = []
-        log_table = harness._log_table
-        monkeypatch.setattr(harness, "_log_table", lambda n, delta: made.append((n, delta)) or log_table(n, delta))
+        monkeypatch.setattr(harness, "regularizer", lambda t, delta: made.append((t, delta)) or regularizer(t, delta))
         raw = base_config(tmp_path, mode="error-scaling", algorithm={"budget": 300, "delta": 0.1}, replications=3)
-        run_experiment(ExperimentConfig.from_dict(raw))
-        assert made == [(300, 0.1)]
+        cfg = ExperimentConfig.from_dict(raw)
+        run_experiment(cfg)
+        assert made == [(t, 0.1) for t in range(1, 301)]
         env = make_gap_instance(3, 6, 0.5, seed=5)
         record = run_pure_exploration(env, 300, 0.2, run_seed=0)[2]
         assert compute_metrics(record, env, log_table(300, 0.2)).e_t.size == 300
-        assert made == [(300, 0.1)]
-        table = log_table(300, 0.1)
-        assert table.tolist() == [math.log(t / 0.1) for t in range(1, 301)]
+        assert len(made) == 300
+        assert cfg.betas.tolist() == [math.log(t / 0.1) for t in range(1, 301)]
         with pytest.raises(ValueError):
-            table[0] = 0.0
+            cfg.betas[0] = 0.0
 
     @pytest.mark.parametrize(
         "make, tail",
@@ -368,7 +379,7 @@ class TestComputeMetrics:
         env = make_gap_instance(3, 6, 0.5, seed=5)
         record = make(env)
         assert record.steps - sum(ph.taken for ph in record.phases) == tail
-        table = compute_metrics(record, env, harness._log_table(record.steps, 0.1))
+        table = compute_metrics(record, env, log_table(record.steps, 0.1))
         x = env.features.features
         phase, size, e_t = [], [], []
         done, used, snapshot = 0, 0, math.nan
@@ -1164,6 +1175,14 @@ class TestCli:
         path.write_text(json.dumps(base_config(tmp_path)))
         assert main(["validate", "--config", str(path)]) == 0
 
+    @pytest.mark.parametrize("kind", ["features", "mab"])
+    def test_negative_environment_seed_accepted(self, tmp_path, kind):
+        # only gap_instance's seed reaches numpy's generator; the others are keyed as integers of any sign
+        environment = features_env(seed=-1) if kind == "features" else {"kind": "mab", "mu": [0.5, 0.1], "seed": -1}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path, environment=environment, algorithm={"horizon": 200})))
+        assert main(["validate", "--config", str(path)]) == 0
+
     def test_validate_bad(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(base_config(tmp_path, mode="nope")))
@@ -1372,6 +1391,7 @@ class TestCli:
             ("identical-arms", "environment.features"),
             ("identical-arms-file", "environment.path"),
             ("float-environment-seed", "environment.seed"),
+            ("negative-gap-instance-seed", "environment.seed"),
             ("string-noise-scale", "environment.noise"),
             ("nan-shift-constant", "environment.shift"),
         ],
@@ -1584,13 +1604,19 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "options, field",
-        [(["--reps", "0"], "replications"), (["--workers", "0"], "workers"), (["--mode", "bai"], "mode")],
+        [
+            (["--reps", "0"], "replications"),
+            (["--workers", "0"], "workers"),
+            (["--mode", "bai"], "mode"),
+            (["--out", "a\0b"], "output"),
+        ],
     )
     def test_bad_run_options_exit_2(self, tmp_path, capsys, options, field):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(base_config(tmp_path)))
         assert main(["run", "--config", str(path), *options]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -1616,3 +1642,22 @@ class TestCli:
         cfgdict["algorithm"]["horizon"] = 100
         path.write_text(json.dumps(cfgdict))
         assert main(["run", "--config", str(path)]) == 3
+
+
+def test_algorithm_defaults_have_one_owner():
+    # the Frank-Wolfe tolerance a caller leaves out is design.FW_TOL at every front door, and the PAC
+    # c2 one constant of sbe: each is the same object wherever it is a default
+    fw_defaults = {
+        "g_optimal": inspect.signature(design.g_optimal).parameters["fw_tol"].default,
+        "deo": inspect.signature(design.deo).parameters["fw_tol"].default,
+        "SbeConfig": next(f.default for f in dataclasses.fields(SbeConfig) if f.name == "fw_tol"),
+        "regret table": harness._ALGORITHM["regret"]["fw_tol"][0],
+        "design-cert table": harness._ALGORITHM["design-cert"]["fw_tol"][0],
+        "--fw-tol": build_parser().parse_args(["design", "features.txt"]).fw_tol,
+    }
+    assert {name: value is design.FW_TOL for name, value in fw_defaults.items()} == dict.fromkeys(fw_defaults, True)
+    env = make_gap_instance(3, 5, 0.5, seed=1)
+    run_pure_exploration(env, 50, 0.1)
+    assert list(env.features._designs) == [(0, design.FW_TOL)]  # the one design pure exploration solves
+    assert inspect.signature(sbe.pac_budget).parameters["c2"].default is sbe.PAC_C2
+    assert harness._ALGORITHM["pac"]["c2"][0] is sbe.PAC_C2
