@@ -10,7 +10,9 @@ worker count, the instance's config (``perfbench/instances.py``) is run by
 printed per CSV: workload, instance, seed, workers, file name and sha256.
 Point ``PYTHONPATH`` at another tree's ``src`` to print that tree's lines;
 two trees write the same bytes exactly when their lines are equal.
-``--smoke`` runs each workload at its small size.
+``--smoke`` runs each workload at its small size.  ``--noise-free`` sets each
+config's noise to ``{"kind": "none"}``: two trees whose noise-free lines are
+equal differ at most in the noise they draw.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -31,7 +34,7 @@ import instances  # noqa: E402
 CSVS = ("trajectory.csv", "trajectory_mean.csv", "summary.csv")
 
 
-def digests(seeds, workers, smoke: bool = False):
+def digests(seeds, workers, smoke: bool = False, noise_free: bool = False):
     """Yield ``(workload, instance, seed, workers, file, sha256)`` for every run, in a fixed order."""
     from semibandit.cli import main
 
@@ -40,7 +43,11 @@ def digests(seeds, workers, smoke: bool = False):
         for seed in seeds:
             for name, w in instances.WORKLOADS.items():
                 for index in range(w.n_instances):
-                    instances.write_config(config, w, instances.make_instance(w, seed, index), seed, str(out), smoke)
+                    instance = instances.make_instance(w, seed, index)
+                    cfg = instances.write_config(config, w, instance, seed, str(out), smoke)
+                    if noise_free:
+                        cfg["environment"]["noise"] = {"kind": "none"}
+                        config.write_text(json.dumps(cfg))
                     for count in workers:
                         argv = ["run", "--config", str(config), "--workers", str(count)]
                         with contextlib.redirect_stdout(io.StringIO()):
@@ -56,8 +63,9 @@ def main(argv=None) -> None:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     parser.add_argument("--workers", type=int, nargs="+", default=[1])
     parser.add_argument("--smoke", action="store_true", help="each workload at its small size")
+    parser.add_argument("--noise-free", action="store_true", help='each config with noise {"kind": "none"}')
     args = parser.parse_args(argv)
-    for row in digests(args.seeds, args.workers, args.smoke):
+    for row in digests(args.seeds, args.workers, args.smoke, args.noise_free):
         print(*row)
 
 

@@ -49,8 +49,8 @@ _ASCII4 = _ascii.view(np.uint32)[:, 0]
 _SPREAD4 = np.zeros((10_000, 8), np.uint8)
 _SPREAD4[:, 1::2] = _ascii  # each digit after the slot of a point
 _SPREAD4 = _SPREAD4.view(np.uint64)[:, 0]
-_chunk = np.arange(10_000)
-_TRAILING4 = ((_chunk % 10 == 0) * 1 + (_chunk % 100 == 0) + (_chunk % 1000 == 0) + (_chunk == 0)).astype(np.uint8)
+_group = np.arange(10_000)
+_TRAILING4 = ((_group % 10 == 0) * 1 + (_group % 100 == 0) + (_group % 1000 == 0) + (_group == 0)).astype(np.uint8)
 _LEAD = np.zeros((10, 8), np.uint8)
 _LEAD[:, 7] = np.arange(ord("0"), ord("0") + 10)
 _LEAD = _LEAD.view(np.uint64)[:, 0]
@@ -77,7 +77,7 @@ _FLOAT_PATTERNS = _FLOAT_PATTERNS.reshape(-1, 32).view(np.uint64)
 _FLOAT_SPECIAL = np.zeros((5, 32), np.uint8)
 _FLOAT_SPECIAL[:, 1:5] = np.array([b"0", b"-0", b"inf", b"-inf", b"nan"], "S4").view(np.uint8).reshape(5, 4)
 _FLOAT_SPECIAL = _FLOAT_SPECIAL.view(np.uint64)
-del _digits, _ascii, _chunk, _sign, _exp, _kept, _digit
+del _digits, _ascii, _group, _sign, _exp, _kept, _digit
 
 
 def rows(line_format: str, columns, block: int):

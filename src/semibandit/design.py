@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateFeatures, DimError
+from .errors import ConvergenceError, DegenerateFeatures, DimError, real_array
 from .linalg import weighted_inv_norm
 
 FW_TOL = 1e-3  # the Frank-Wolfe tolerance of every design that names none
@@ -39,15 +39,15 @@ class FeatureSet:
     Rows need not lie in the unit ball that the paper's bounds assume;
     ``environment.assumption_audit`` reports those that do not.  An object
     also keeps what is solved from its rows, which are not to be changed in
-    place: their span basis (``_span``) and ``deo``'s results by
-    ``(anchor, fw_tol)`` (``_designs``).  Both live and die with the object,
-    so the callers that share one object share its solves.
+    place: their span basis (``_span``), ``deo``'s results by ``(anchor,
+    fw_tol)`` (``_designs``) and its anchored rows by ``anchor`` (``_anchors``).
+    All live and die with the object, so the callers that share one share them.
     """
 
     features: np.ndarray
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
+        feats = real_array(self.features)
         if feats.ndim != 2:
             raise DimError(f"features must be a (K, d) array, got shape {feats.shape}")
         if not np.isfinite(feats).all():
@@ -71,6 +71,11 @@ class FeatureSet:
     @functools.cached_property
     def _designs(self) -> dict:
         """``deo``'s ``(policy, certificate)`` by ``(anchor, fw_tol)``; ``deo`` is deterministic."""
+        return {}
+
+    @functools.cached_property
+    def _anchors(self) -> dict:
+        """``_anchored``'s rows by ``anchor``."""
         return {}
 
     @property
@@ -390,9 +395,11 @@ def _pairwise_fw_from(x: np.ndarray, p: np.ndarray, d: int, tol: float, max_iter
 
 
 def _anchored(features: FeatureSet, anchor: int):
-    """``deo``'s one set of rows: u = _scaled(x - x_anchor), and the other arms' rows of u as a ``FeatureSet``."""
-    u = _scaled(features.features - features.features[anchor])  # the anchor's row is zero
-    return u, FeatureSet(np.delete(u, anchor, axis=0))  # at scale already: g_optimal's _scaled divides by 1
+    """``deo``'s one set of rows, kept in ``features._anchors``: u = _scaled(x - x_anchor), the others' rows of u."""
+    if anchor not in features._anchors:
+        u = _scaled(features.features - features.features[anchor])  # the anchor's row is zero
+        features._anchors[anchor] = u, FeatureSet(np.delete(u, anchor, axis=0))  # g_optimal's _scaled divides by 1
+    return features._anchors[anchor]
 
 
 def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = FW_TOL):

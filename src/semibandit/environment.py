@@ -1,9 +1,11 @@
 """Semiparametric reward simulation: r_t = x_a' theta* + nu_t + eta_t.
 
-The shift nu_t depends only on the round index (never on the chosen arm),
-and the noise stream is keyed by (seed, t) so that two algorithms facing
-the same environment and seed see identical disturbances regardless of how
-many other random draws they consume.
+The shift nu_t depends only on the round index (never on the chosen arm).
+A run draws its arms and its noise eta_t from two random streams, both keyed
+by one rule: (environment seed, stream tag, run seed).  The noise is one
+generator read in round order, so two algorithms that face the same
+environment and seed, and read their rounds in order, see identical
+disturbances regardless of how many other random draws they consume.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import FeatureSet
-from .errors import DimError, GenerationError, InvalidArm, finite_real
+from .errors import DimError, GenerationError, InvalidArm, finite_real, real_array
 
 # the fields of a ShiftSpec and a NoiseSpec that each kind reads; a config that gives another is rejected
 SHIFT_KEYS = {kind: ("kind", "clip_to_unit") for kind in ("none", "sine", "log_alternating", "log_alternating_min")}
@@ -22,7 +24,6 @@ SHIFT_KEYS.update(constant=("kind", "clip_to_unit", "constant"), custom=("kind",
 NOISE_KEYS = {"gaussian": ("kind", "scale"), "bounded_uniform": ("kind", "scale"), "none": ("kind",)}
 SHIFT_KINDS, NOISE_KINDS = tuple(SHIFT_KEYS), tuple(NOISE_KEYS)
 
-_NOISE_CHUNK = 4096
 # numpy's ziggurat normal draws stay below r + sqrt(2 * 53 ln 2) = 3.65 + 8.57 in magnitude: its tail
 # takes x = -ln(1 - U1) / r and accepts it when x^2 < -2 ln(1 - U2), and a 53-bit U2 puts that below 73.5
 _NORMAL_MAX = 12.25
@@ -53,9 +54,7 @@ class ShiftSpec:
         if not isinstance(self.clip_to_unit, bool):
             raise ValueError("clip_to_unit must be true or false")
         if self.kind == "custom":
-            if self.table is None:
-                raise ValueError("custom shift needs a table")
-            table = np.asarray(self.table, dtype=float)
+            table = real_array(self.table, "custom shift table entries")  # a missing table is None, no number
             if table.ndim != 1 or not np.isfinite(table).all():
                 raise ValueError("custom shift table must be a flat list of finite numbers")
             object.__setattr__(self, "table", table)
@@ -123,50 +122,28 @@ class NoiseSpec:
 
 
 class NoiseStream:
-    """Counter-based noise draws keyed by (seed, t).
+    """A run's noise, one generator read in round order.
 
-    Values are generated in fixed-size chunks, each chunk from its own
-    deterministically derived generator, so the value at round t is
-    independent of how the stream is traversed.  Runs read rounds in
-    increasing order, so only the chunk read last is kept; a chunk read again
-    later is generated again, with the same values.
+    ``seed`` is ``SeedSequence`` entropy, an int or a tuple of ints.  Each
+    read continues from the round after the last one read (round 1 at
+    first), so a run's reads split any way give the values of one read.
     """
 
-    def __init__(self, spec: NoiseSpec, seed: int):
+    def __init__(self, spec: NoiseSpec, seed: int | tuple[int, ...]):
         self.spec = spec
-        self.seed = int(seed)
-        self._last: tuple[int, np.ndarray | None] = (-1, None)
-
-    def _chunk(self, index: int) -> np.ndarray:
-        if self._last[0] == index:
-            return self._last[1]
-        if self.spec.kind == "none":
-            block = np.zeros(_NOISE_CHUNK)
-        else:
-            gen = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(entropy=(self.seed & (2**64 - 1), 0x6E6F6973, index)))
-            )
-            if self.spec.kind == "gaussian":
-                block = gen.standard_normal(_NOISE_CHUNK) * self.spec.scale
-            else:
-                block = gen.uniform(-self.spec.scale, self.spec.scale, _NOISE_CHUNK)
-        self._last = (index, block)
-        return block
+        self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        self._next = 1  # the round the next read starts at
 
     def values(self, t0: int, n: int) -> np.ndarray:
-        """Noise for rounds t0, t0+1, ..., t0+n-1."""
-        if t0 < 1 or n < 0:
-            raise ValueError("invalid round range")
-        out = np.empty(n)
-        pos = 0
-        t = t0
-        while pos < n:
-            ci, off = divmod(t, _NOISE_CHUNK)
-            take = min(_NOISE_CHUNK - off, n - pos)
-            out[pos : pos + take] = self._chunk(ci)[off : off + take]
-            pos += take
-            t += take
-        return out
+        """Noise for rounds t0, t0+1, ..., t0+n-1; ``t0`` must be the round after the last one read."""
+        if t0 != self._next or n < 0:
+            raise ValueError(f"noise is read in order: next, n >= 0 rounds from {self._next}; not {n} from {t0}")
+        self._next += n
+        if self.spec.kind == "gaussian":
+            return self._gen.standard_normal(n) * self.spec.scale
+        if self.spec.kind == "bounded_uniform":
+            return self._gen.uniform(-self.spec.scale, self.spec.scale, n)
+        return np.zeros(n)
 
 
 @dataclass
@@ -186,7 +163,7 @@ class Environment:
     rng_seed: int = 0
 
     def __post_init__(self):
-        theta = np.asarray(self.theta_star, dtype=float)
+        theta = real_array(self.theta_star)
         if theta.shape != (self.features.d,):
             raise DimError(f"theta shape {theta.shape} vs feature dim {self.features.d}")
         if not np.isfinite(theta).all():
@@ -206,14 +183,17 @@ class Environment:
     def d(self) -> int:
         return self.features.d
 
+    def _entropy(self, tag: int, run_seed: int) -> tuple:
+        """The one key of a run's random streams: ``SeedSequence`` entropy (environment seed, ``tag``, run seed)."""
+        return self.rng_seed & (2**64 - 1), tag, run_seed & (2**64 - 1)
+
     def noise_stream(self, run_seed: int) -> NoiseStream:
         """Noise stream for one run; distinct run seeds give independent streams."""
-        return NoiseStream(self.noise, (self.rng_seed * 0x9E3779B9 + run_seed) & (2**63 - 1))
+        return NoiseStream(self.noise, self._entropy(0x6E6F6973, run_seed))
 
     def action_rng(self, run_seed: int) -> np.random.Generator:
         """Arm-sampling RNG, independent of the noise stream."""
-        entropy = (self.rng_seed & (2**64 - 1), 0x616374, run_seed & (2**64 - 1))
-        return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
+        return np.random.default_rng(self._entropy(0x616374, run_seed))
 
 
 def rewards_for(env: Environment, arms: np.ndarray, t0: int, noise_stream: NoiseStream) -> np.ndarray:
@@ -290,7 +270,7 @@ def make_mab_embedding(mu, seed: int = 0) -> Environment:
     reports a ||mu|| past 1 and a best mean that is not unique, and
     ``Environment`` rejects non-finite means.
     """
-    mu = np.asarray(mu, dtype=float)
+    mu = real_array(mu)
     if mu.ndim != 1 or mu.shape[0] < 2:
         raise ValueError("mu must be a vector of at least two means")
     return Environment(features=FeatureSet(np.eye(mu.shape[0])), theta_star=mu, rng_seed=seed)

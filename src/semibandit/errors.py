@@ -3,6 +3,8 @@
 import numbers
 import sys
 
+import numpy as np
+
 
 class SemibanditError(Exception):
     """Base class for all package-specific errors."""
@@ -68,6 +70,16 @@ class IoError(SemibanditError):
 def finite_real(value) -> bool:
     """True for a real number (not a bool) that a double holds finitely; an int past 1.8e308 is too large."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def real_array(values, what: str = "entries") -> np.ndarray:
+    """``values`` as floats; TypeError on an entry that is not a float and not ``finite_real`` (a bool or a string)."""
+    array = np.asarray(values, dtype=float)  # raises first on ragged rows and on strings that are no number
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):  # an array of numeric dtype holds none
+        for value in np.asarray(values, dtype=object).ravel():
+            if type(value) is not float and not finite_real(value):  # a float is left to the caller's finite check
+                raise TypeError(f"{what} must be finite numbers, not {value!r}")
+    return array
 
 
 def check_positive(value, name: str):

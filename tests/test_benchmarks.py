@@ -57,19 +57,30 @@ def test_encode_cells_smoke(capsys):
     assert "exact_long_double" not in result
 
 
+def bench_digest_lines(capsys, script, *flags):
+    script.main(["--smoke", "--seeds", "1", "--workers", "1", "2", *flags])
+    return [line.split() for line in capsys.readouterr().out.splitlines()]
+
+
 def test_bench_digests_smoke(capsys):
-    # one line per CSV of every instance and worker count; the files do not depend on the worker count
+    # one line per CSV of every instance and worker count; the files do not depend on the worker count,
+    # with noise or without; without it, every trajectory.csv differs
     script = load_script("bench_digests")
-    script.main(["--smoke", "--seeds", "1", "--workers", "1", "2"])
-    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     runs = sum(w.n_instances for w in script.instances.WORKLOADS.values())
-    assert len(lines) == runs * 2 * len(script.CSVS)
-    by_workers = {}
-    for workload, instance, seed, workers, file, digest in lines:
-        assert workload in script.instances.WORKLOADS and seed == "1" and file in script.CSVS
-        assert len(digest) == 64 and int(digest, 16) >= 0
-        by_workers.setdefault(workers, []).append((workload, instance, file, digest))
-    assert set(by_workers) == {"1", "2"} and by_workers["1"] == by_workers["2"]
+    files = {}
+    for flags in ((), ("--noise-free",)):
+        lines = bench_digest_lines(capsys, script, *flags)
+        assert len(lines) == runs * 2 * len(script.CSVS)
+        by_workers = {}
+        for workload, instance, seed, workers, file, digest in lines:
+            assert workload in script.instances.WORKLOADS and seed == "1" and file in script.CSVS
+            assert len(digest) == 64 and int(digest, 16) >= 0
+            by_workers.setdefault(workers, []).append((workload, instance, file, digest))
+        assert set(by_workers) == {"1", "2"} and by_workers["1"] == by_workers["2"]
+        files[flags] = {(workload, instance, file): digest for workload, instance, file, digest in by_workers["1"]}
+    noisy, noise_free = files.values()
+    assert noisy.keys() == noise_free.keys()
+    assert all(noisy[key] != noise_free[key] for key in noisy if key[2] == "trajectory.csv")
 
 
 def test_stream_pool_smoke():

@@ -47,6 +47,38 @@ def test_finite_real(value, expected):
     assert finite_real(value) == expected
 
 
+ARRAY_FIELDS = {
+    "features": lambda rows: FeatureSet(rows),
+    "theta": lambda theta: Environment(features=FeatureSet(np.eye(2)), theta_star=theta),
+    "mu": make_mab_embedding,
+    "shift table": lambda table: ShiftSpec(kind="custom", table=table),
+}
+
+
+@pytest.mark.parametrize("field", ARRAY_FIELDS)
+@pytest.mark.parametrize(
+    "entries",
+    [[0.5, "0.2"], ["0.5", 0.2], [True, False], [1.0, True], np.array([True, False]), np.array(["0.5", "0.2"])],
+    ids=["string-last", "string-first", "bools", "bool-among-floats", "bool-array", "string-array"],
+)
+def test_array_entries_follow_the_number_rule(field, entries):
+    # every entry of features, theta, mu and a custom shift table is a number by finite_real's rule;
+    # numpy alone reads each of these as floats
+    rows = np.stack([entries, entries[::-1]]) if isinstance(entries, np.ndarray) else [entries, [0.0, 1.0]]
+    with pytest.raises(TypeError, match="must be finite numbers, not "):
+        ARRAY_FIELDS[field](rows if field == "features" else entries)
+
+
+@pytest.mark.parametrize("field", ARRAY_FIELDS)
+@pytest.mark.parametrize(
+    "entries", [[np.float64(0.25), 1], np.array([0.25, 1.0], dtype=np.float32), np.arange(2)], ids=["list", "f4", "i8"]
+)
+def test_array_entries_of_any_real_type(field, entries):
+    # ints, numpy scalars and arrays of a numeric dtype are numbers
+    rows = np.stack([entries, entries[::-1]]) if isinstance(entries, np.ndarray) else [entries, [0.0, 0.5]]
+    ARRAY_FIELDS[field](rows if field == "features" else entries)
+
+
 class TestShiftSpec:
     def test_sine(self):
         assert np.isclose(shift_at(ShiftSpec(kind="sine"), 1), 1 + math.sin(2))
@@ -105,23 +137,48 @@ class TestShiftSpec:
 
 
 class TestNoise:
-    def test_stream_random_access_consistency(self):
-        stream = NoiseStream(NoiseSpec(kind="gaussian", scale=1.0), seed=9)
-        block = stream.values(4090, 20)  # crosses a chunk boundary
-        singles = [stream.values(t, 1)[0] for t in range(4090, 4110)]
-        assert np.array_equal(block, singles)
-        # a fresh stream read from the far side of the boundary agrees too
-        fresh = NoiseStream(NoiseSpec(kind="gaussian", scale=1.0), seed=9)
-        assert np.array_equal(fresh.values(4100, 10), block[10:])
+    @pytest.mark.parametrize("kind", ["gaussian", "bounded_uniform"])
+    @pytest.mark.parametrize("a, b", [(1, 4095), (4095, 2), (4096, 1), (37, 5000), (0, 9), (9, 0)])
+    def test_split_reads_equal_one_read(self, kind, a, b):
+        # a run reads its noise phase by phase: two reads give the values of one read of both
+        spec = NoiseSpec(kind=kind, scale=0.7)
+        stream = NoiseStream(spec, seed=9)
+        split = np.concatenate([stream.values(1, a), stream.values(1 + a, b)])
+        assert split.tobytes() == NoiseStream(spec, seed=9).values(1, a + b).tobytes()
 
-    def test_backward_reread_after_forward_read(self):
-        # only the chunk read last is kept; an earlier chunk read again is regenerated alike
-        stream = NoiseStream(NoiseSpec(kind="gaussian", scale=1.0), seed=3)
-        forward = stream.values(1, 3 * 4096)
-        assert stream._last[0] == 3
-        assert np.array_equal(stream.values(5, 4200), forward[4:4204])
-        assert stream._last[0] == 1
-        assert np.array_equal(stream.values(1, 3 * 4096), forward)
+    @pytest.mark.parametrize("kind", ["gaussian", "bounded_uniform", "none"])
+    @pytest.mark.parametrize("t0", [-1, 0, 1, 5, 7, 4097])
+    def test_out_of_order_read_raises(self, kind, t0):
+        # after rounds 1..5 the next read starts at round 6; any other start, back or ahead, is refused
+        spec = NoiseSpec(kind=kind)
+        stream = NoiseStream(spec, seed=3)
+        stream.values(1, 5)
+        with pytest.raises(ValueError, match="in order"):
+            stream.values(t0, 3)
+        # a refused read draws nothing
+        assert stream.values(6, 4).tobytes() == NoiseStream(spec, seed=3).values(1, 9)[5:].tobytes()
+        if t0 != 1:  # a fresh stream starts at round 1
+            with pytest.raises(ValueError, match="in order"):
+                NoiseStream(spec, seed=3).values(t0, 3)
+        with pytest.raises(ValueError, match="in order"):  # and reads no negative count
+            stream.values(10, -1)
+
+    def test_run_keys_do_not_collide(self):
+        # both pairs drew identical noise under the key (env seed * 0x9E3779B9 + run seed) mod 2^63
+        mu = [0.5, 0.2]
+        a = make_mab_embedding(mu, seed=0).noise_stream(0x9E3779B9).values(1, 1000)
+        b = make_mab_embedding(mu, seed=1).noise_stream(0).values(1, 1000)
+        assert not np.array_equal(a, b)
+        env = make_mab_embedding(mu, seed=0)
+        assert not np.array_equal(env.noise_stream(0).values(1, 1000), env.noise_stream(2**63).values(1, 1000))
+
+    def test_streams_keyed_by_one_rule(self):
+        # (env seed, tag, run seed) as SeedSequence entropy: Philox for the noise, numpy's default for the arms
+        env = make_mab_embedding([0.5, 0.2], seed=2**64 + 5)
+        noise = np.random.Generator(np.random.Philox(np.random.SeedSequence((5, 0x6E6F6973, 2**64 - 7))))
+        assert env.noise_stream(-7).values(1, 50).tobytes() == noise.standard_normal(50).tobytes()
+        arms = np.random.default_rng(np.random.SeedSequence((5, 0x616374, 2**64 - 7)))
+        assert env.action_rng(-7).random(50).tobytes() == arms.random(50).tobytes()
 
     def test_bounded_uniform_range(self):
         stream = NoiseStream(NoiseSpec(kind="bounded_uniform", scale=0.4), seed=1)
@@ -148,14 +205,14 @@ class TestEnvironment:
     def test_exact_reward_no_noise(self):
         env = self.make_env(noise=NoiseSpec(kind="none"))
         stream = env.noise_stream(0)
-        assert rewards_for(env, [1], 3, stream)[0] == env.values[1]
+        assert rewards_for(env, [0, 2, 1], 1, stream)[2] == env.values[1]  # round 3
 
     def test_constant_shift(self):
         env = self.make_env(
             noise=NoiseSpec(kind="none"), shift=ShiftSpec(kind="constant", constant=0.7)
         )
         stream = env.noise_stream(0)
-        assert np.isclose(rewards_for(env, [2], 9, stream)[0], env.values[2] + 0.7)
+        assert np.isclose(rewards_for(env, [0] * 8 + [2], 1, stream)[8], env.values[2] + 0.7)  # round 9
 
     def test_gaussian_empirical_mean(self):
         env = self.make_env()
@@ -173,11 +230,11 @@ class TestEnvironment:
 
     def test_shift_and_noise_independent_of_arm(self):
         env = self.make_env(shift=ShiftSpec(kind="sine"))
-        t = 17
-        r_a = rewards_for(env, [1, 0], t, env.noise_stream(3))
-        r_b = rewards_for(env, [1, 2], t, env.noise_stream(3))
-        assert r_a[0] == r_b[0]
-        assert np.isclose(r_a[1] - r_b[1], env.values[0] - env.values[2])
+        t = 17  # rounds 1..16 play other arms in each run
+        r_a = rewards_for(env, [0] * (t - 1) + [1, 0], 1, env.noise_stream(3))
+        r_b = rewards_for(env, [2] * (t - 1) + [1, 2], 1, env.noise_stream(3))
+        assert r_a[t - 1] == r_b[t - 1]
+        assert np.isclose(r_a[t] - r_b[t], env.values[0] - env.values[2])
 
     def test_invalid_arm(self):
         env = self.make_env()

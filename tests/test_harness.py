@@ -237,6 +237,20 @@ BAD_CONFIGS = {
     "missing-features": {"environment": {"kind": "features", "theta": [1.0, 0.0]}},
     # all arms identical: validate passed them before, and the run exited 3
     "identical-arms": {"environment": features_env(features=[[0.3, 0.4]] * 3)},
+    # a bool or a string is not a number in an array either: each ran as 0.0, 1.0 or the string's number before
+    "string-theta": {"environment": features_env(theta=["1.0", "0.0"])},
+    "bool-theta": {"environment": features_env(theta=[True, False])},
+    "string-feature-row": {"environment": features_env(features=[["0.5", "0.0"], [0.0, 0.5], [-0.5, 0.0]])},
+    "numeric-string-mu": {"environment": {"kind": "mab", "mu": ["0.1", "0.5"]}},
+    "bool-mu": {"environment": {"kind": "mab", "mu": [True, False]}},
+    "bool-custom-table": {
+        "environment": features_env(shift={"kind": "custom", "table": [True] * 200}),
+        "algorithm": {"horizon": 200},
+    },
+    "string-custom-table": {
+        "environment": features_env(shift={"kind": "custom", "table": ["1"] * 200}),
+        "algorithm": {"horizon": 200},
+    },
 }
 
 
@@ -366,7 +380,8 @@ class TestComputeMetrics:
     @pytest.mark.parametrize(
         "make, tail",
         [
-            (lambda env: run_sbe(env, SbeConfig(delta=0.1, horizon=6_000), run_seed=3), 6_000 - 2_644),
+            # one arm is declared at step 1764 (2644 before the noise moved to one generator per run)
+            (lambda env: run_sbe(env, SbeConfig(delta=0.1, horizon=6_000), run_seed=3), 6_000 - 1_764),
             (lambda env: run_sbe(env, SbeConfig(delta=0.1, horizon=500), run_seed=0), 0),  # cut inside phase 1
             (lambda env: run_pure_exploration(env, 300, 0.1, run_seed=1)[2], 0),
         ],
@@ -421,6 +436,16 @@ class TestConfig:
     def test_valid(self, tmp_path):
         cfg = ExperimentConfig.from_dict(base_config(tmp_path))
         assert cfg.mode == "regret"
+
+    def test_phase_one_rows_factored_once(self, tmp_path, monkeypatch):
+        # from_dict sizes phase 1 on deo's anchored rows, and phase 1's deo solves on the same rows and their SVD
+        calls = []
+        span_basis = design.span_basis
+        monkeypatch.setattr(design, "span_basis", lambda x: calls.append(x.shape) or span_basis(x))
+        cfg = ExperimentConfig.from_dict(base_config(tmp_path))
+        record = run_sbe(cfg.env, SbeConfig(delta=0.05, horizon=100), run_seed=0)  # cut inside phase 1
+        assert len(record.phases) == 1 and record.phases[0].truncated
+        assert calls == [(cfg.env.K - 1, cfg.env.d)]
 
     def test_unknown_field(self, tmp_path):
         with pytest.raises(ConfigError, match="bogus"):
@@ -1394,6 +1419,13 @@ class TestCli:
             ("negative-gap-instance-seed", "environment.seed"),
             ("string-noise-scale", "environment.noise"),
             ("nan-shift-constant", "environment.shift"),
+            ("string-theta", "environment.theta"),
+            ("bool-theta", "environment.theta"),
+            ("string-feature-row", "environment.features"),
+            ("numeric-string-mu", "environment.mu"),
+            ("bool-mu", "environment.mu"),
+            ("bool-custom-table", "environment.shift"),
+            ("string-custom-table", "environment.shift"),
         ],
     )
     def test_environment_errors_name_the_field(self, tmp_path, capsys, case, field):
