@@ -35,7 +35,6 @@ from .estimator import (  # noqa: F401
     solve,
     update_batch,
 )
-from .linalg import weighted_inv_norm  # noqa: F401
 from .sbe import (  # noqa: F401
     PhaseState,
     RunRecord,

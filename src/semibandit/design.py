@@ -25,7 +25,6 @@ from .linalg import weighted_inv_norm
 
 FW_TOL = 1e-3  # the Frank-Wolfe tolerance of every design that names none
 SPAN_RTOL = 1e-10
-SPAN_EIG_RTOL = SPAN_RTOL**2  # span_basis's singular-value cutoff as a cutoff on the eigenvalues of a Gram matrix
 WEIGHT_FLOOR = 1e-9
 FW_REFRESH_STEPS = 256  # pairwise steps between exact recomputations of the carried FW state
 _ADD_REMOVE = np.array([[1.0], [-1.0]])  # signs of the two rank-one terms of a pairwise FW step
@@ -409,13 +408,15 @@ def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = FW_TOL):
     halves it, and assigns probability 1/2 to the anchor arm.  Returns
     ``(DesignPolicy, DesignCertificate)``; the certificate norms satisfy
     max_anchor_norm <= 2 sqrt(d_eff) and max_centered_norm <= 4 sqrt(d_eff)
-    up to the solver tolerance.  Both norms are taken in the coordinates of
-    the differences' span basis, where the covariance has full rank: every
-    direction ``span_basis`` kept counts, down to ``SPAN_EIG_RTOL`` of the
-    top eigenvalue.  The design, its span and the certificate's moments are
-    all taken on one set of rows, ``_anchored``'s differences at ``_scaled``,
-    u = _scaled(x - x_anchor): ``g_optimal`` solves on the other arms' rows of
-    u, and the certificate's norms are those of u and u - p'u.  So a common
+    up to the solver tolerance.  Both norms come from one solve in the
+    coordinates of the differences' span basis.  There the covariance is
+    M_q / 2 - m m' / 4 >= M_q / 4, where q is ``g_optimal``'s design, M_q
+    the design matrix it has inverted and m = sum_i q_i u_i (m m' <= M_q by
+    Jensen), so the solve cannot fail where ``g_optimal`` succeeded.  The
+    design, its span and the certificate's moments are all taken on one set
+    of rows, ``_anchored``'s differences at ``_scaled``, u = _scaled(x -
+    x_anchor): ``g_optimal`` solves on the other arms' rows of u, and the
+    certificate's norms are those of u and u - p'u.  So a common
     offset of the arms changes only the rounding of their differences, and
     arms scaled by 2^k give the same design and certificate, bit for bit,
     short of subnormal entries.
@@ -444,8 +445,8 @@ def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = FW_TOL):
     basis, d_eff = diff_set._span  # g_optimal's SVD, cached
     cov = basis.T @ moments.covariance @ basis
     cert = DesignCertificate(
-        max_anchor_norm=float(weighted_inv_norm(cov, u @ basis, SPAN_EIG_RTOL).max()),
-        max_centered_norm=float(weighted_inv_norm(cov, (u - moments.mean) @ basis, SPAN_EIG_RTOL).max()),
+        max_anchor_norm=float(weighted_inv_norm(cov, u @ basis).max()),
+        max_centered_norm=float(weighted_inv_norm(cov, (u - moments.mean) @ basis).max()),
         support_size=int(policy.support.size),
         dim=d_eff,
     )

@@ -10,10 +10,6 @@ class SemibanditError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidMatrix(SemibanditError):
-    """Matrix input is malformed (non-finite, non-square, asymmetric)."""
-
-
 class DimError(SemibanditError):
     """Dimension mismatch between operands."""
 

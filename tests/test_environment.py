@@ -17,7 +17,7 @@ from semibandit.environment import (
     shift_values,
 )
 from semibandit.design import FeatureSet
-from semibandit.errors import InvalidArm
+from semibandit.errors import GenerationError, InvalidArm
 
 
 def shift_at(spec, t):
@@ -260,6 +260,11 @@ class TestGapInstance:
     def test_zero_gap_rejected(self):
         with pytest.raises(ValueError):
             make_gap_instance(3, 5, 0.0, seed=0)
+
+    def test_unrealizable_gap_raises(self):
+        # the runner-up's value is at least -0.8, so the best arm's would be 1.1: outside the unit ball at every draw
+        with pytest.raises(GenerationError, match=r"could not realize gap 1\.9 with d=2, K=3 in 10\^4 attempts"):
+            make_gap_instance(2, 3, 1.9, seed=0)
 
 
 class TestMabEmbedding:

@@ -14,6 +14,7 @@ from semibandit.estimator import (
     update_batch,
 )
 
+import binomial
 from gaussian_limit import anchored_errors, noise_scale
 
 
@@ -304,11 +305,8 @@ class TestHistoryDependentShift:
                 errors[name].append(np.abs((x - x[0]) @ (solve(state, beta) - env.theta_star)).max())
         oracle = anchored_errors(x, p, env.theta_star, budget, beta, noise_scale(x, p, env.theta_star, shifts))
         m = np.median(oracle)
-
-        def below(k, q):  # P(Bin(runs, q) <= k)
-            return sum(math.comb(runs, i) * q**i * (1 - q) ** (runs - i) for i in range(k + 1))
-
-        assert below(99, np.mean(oracle <= 1.1 * m)) < 0.01 and below(99, np.mean(oracle >= 0.9 * m)) < 0.01
+        assert binomial.cdf(99, runs, np.mean(oracle <= 1.1 * m)) < 0.01
+        assert binomial.cdf(99, runs, np.mean(oracle >= 0.9 * m)) < 0.01
         centered_errors, raw_errors = np.array(errors["centered"]), np.array(errors["raw"])
         assert np.sum(centered_errors <= 1.1 * m) >= 100 and np.sum(centered_errors >= 0.9 * m) >= 100
         assert 0.9 <= np.median(centered_errors) / m <= 1.1

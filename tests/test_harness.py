@@ -230,6 +230,8 @@ BAD_CONFIGS = {
     "bool-K": {"environment": {"kind": "gap_instance", "d": 3, "K": True, "gap": 0.2}},
     "one-K": {"environment": {"kind": "gap_instance", "d": 3, "K": 1, "gap": 0.2}},
     "large-gap": {"environment": {"kind": "gap_instance", "d": 3, "K": 5, "gap": 3}},
+    # a gap below 2 that no draw realizes (the best arm would leave the unit ball): GenerationError after 10^4
+    "unrealizable-gap": {"environment": {"kind": "gap_instance", "d": 2, "K": 3, "gap": 1.9}},
     "string-mu": {"environment": {"kind": "mab", "mu": "ab"}},
     "short-theta": {"environment": features_env(theta=[1.0, 0.0, 0.0])},
     "missing-gap": {"environment": {"kind": "gap_instance", "d": 3, "K": 5}},
@@ -524,9 +526,9 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         cert = result["certificate"]
         assert cert.max_anchor_norm <= 2 * math.sqrt(2)
-        golden = (
+        golden = (  # sqrt(6) and sqrt(3), each correctly rounded
             "max_anchor_norm,max_centered_norm,support_size,dim\n"
-            "2.4494897427831779,1.732050807568877,3,2\n"
+            "2.4494897427831779,1.7320508075688772,3,2\n"
         )
         assert (tmp_path / "gold" / "certificate.csv").read_text() == golden
         assert (tmp_path / "gold" / "policy.csv").read_text() == (
@@ -1404,6 +1406,7 @@ class TestCli:
             ("bool-K", "environment.K"),
             ("one-K", "environment.K"),
             ("large-gap", "environment.gap"),
+            ("unrealizable-gap", "environment.gap"),
             ("bool-gap", "environment.gap"),
             ("string-mu", "environment.mu"),
             ("nan-mu", "environment.mu"),
