@@ -38,9 +38,9 @@ class FeatureSet:
     Rows need not lie in the unit ball that the paper's bounds assume;
     ``environment.assumption_audit`` reports those that do not.  An object
     also keeps what is solved from its rows, which are not to be changed in
-    place: their span basis (``_span``), ``deo``'s results by ``(anchor,
-    fw_tol)`` (``_designs``) and its anchored rows by ``anchor`` (``_anchors``).
-    All live and die with the object, so the callers that share one share them.
+    place: their span basis (``_span``) and ``deo``'s results by ``(anchor,
+    fw_tol)`` (``_designs``).  Both live and die with the object, so the
+    callers that share one share them.
     """
 
     features: np.ndarray
@@ -70,11 +70,6 @@ class FeatureSet:
     @functools.cached_property
     def _designs(self) -> dict:
         """``deo``'s ``(policy, certificate)`` by ``(anchor, fw_tol)``; ``deo`` is deterministic."""
-        return {}
-
-    @functools.cached_property
-    def _anchors(self) -> dict:
-        """``_anchored``'s rows by ``anchor``."""
         return {}
 
     @property
@@ -159,8 +154,6 @@ def span_basis(x: np.ndarray):
     if x.size == 0:
         return np.zeros((x.shape[1], 0)), 0
     _, s, vt = np.linalg.svd(x, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((x.shape[1], 0)), 0
     rank = int(np.count_nonzero(s > SPAN_RTOL * s[0]))
     return vt[:rank].T, rank
 
@@ -285,9 +278,10 @@ def g_optimal(features: FeatureSet, fw_tol: float = FW_TOL, max_iters: int | Non
     drift (``_caratheodory_reduce``); within the bound it is returned as is.
 
     The default iteration cap is max(2000, 10 d_eff^2); raises
-    ``ConvergenceError`` (carrying the best iterate) if it is hit, and
-    ``DegenerateFeatures`` if every feature is zero (the one degenerate input)
-    or the design matrix over the span cannot be inverted in double precision.
+    ``ConvergenceError`` as soon as the solver stops there unconverged,
+    before any weight floor or reduction, and ``DegenerateFeatures`` if every
+    feature is zero (the one degenerate input) or the design matrix over the
+    span cannot be inverted in double precision.
     """
     if fw_tol <= 0:
         raise ValueError("fw_tol must be positive")
@@ -301,15 +295,11 @@ def g_optimal(features: FeatureSet, fw_tol: float = FW_TOL, max_iters: int | Non
 
     try:
         p, converged, _ = _pairwise_fw(x, d_eff, fw_tol, max_iters)
+        if not converged:
+            raise ConvergenceError(f"G-optimal solver did not reach tolerance {fw_tol} in {max_iters} iterations")
         p[p < WEIGHT_FLOOR] = 0.0
         p /= p.sum()
         p = _caratheodory_reduce(x, p)
-        if not converged:
-            raise ConvergenceError(
-                f"G-optimal solver did not reach tolerance {fw_tol} in {max_iters} iterations",
-                policy=DesignPolicy(p),
-                certificate=float(_exact_state(x, p)[1].max()),
-            )
     except np.linalg.LinAlgError as exc:
         # span_basis keeps directions down to SPAN_RTOL of the largest singular
         # value, so the design matrix can be too ill-conditioned for a double
@@ -393,14 +383,6 @@ def _pairwise_fw_from(x: np.ndarray, p: np.ndarray, d: int, tol: float, max_iter
     return p, False, max_iters
 
 
-def _anchored(features: FeatureSet, anchor: int):
-    """``deo``'s one set of rows, kept in ``features._anchors``: u = _scaled(x - x_anchor), the others' rows of u."""
-    if anchor not in features._anchors:
-        u = _scaled(features.features - features.features[anchor])  # the anchor's row is zero
-        features._anchors[anchor] = u, FeatureSet(np.delete(u, anchor, axis=0))  # g_optimal's _scaled divides by 1
-    return features._anchors[anchor]
-
-
 def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = FW_TOL):
     """Anchored-difference design for orthogonalized regression.
 
@@ -414,29 +396,28 @@ def deo(features: FeatureSet, anchor: int = 0, fw_tol: float = FW_TOL):
     the design matrix it has inverted and m = sum_i q_i u_i (m m' <= M_q by
     Jensen), so the solve cannot fail where ``g_optimal`` succeeded.  The
     design, its span and the certificate's moments are all taken on one set
-    of rows, ``_anchored``'s differences at ``_scaled``, u = _scaled(x -
-    x_anchor): ``g_optimal`` solves on the other arms' rows of u, and the
-    certificate's norms are those of u and u - p'u.  So a common
-    offset of the arms changes only the rounding of their differences, and
-    arms scaled by 2^k give the same design and certificate, bit for bit,
-    short of subnormal entries.
-    Raises ``DegenerateFeatures`` if all arms are identical (``all_equal``).
+    of rows, formed here and nowhere else: the differences at ``_scaled``,
+    u = _scaled(x - x_anchor).  ``g_optimal`` solves on the other arms' rows
+    of u, and the certificate's norms are those of u and u - p'u.  So a
+    common offset of the arms changes only the rounding of their
+    differences, and arms scaled by 2^k give the same design and
+    certificate, bit for bit, short of subnormal entries.
+    Raises ``DegenerateFeatures`` if all arms are identical (``all_equal``),
+    one arm included.
 
     Each ``(anchor, fw_tol)`` is solved once per ``features`` object: the
     result is kept on it (``FeatureSet._designs``) and returned as the same
     objects by every later call, its probabilities read-only.
     """
-    k = features.K
-    if k < 2:
-        raise DegenerateFeatures("anchored design needs at least two arms")
-    if not 0 <= anchor < k:
-        raise DimError(f"anchor {anchor} out of range for {k} arms")
+    if not 0 <= anchor < features.K:
+        raise DimError(f"anchor {anchor} out of range for {features.K} arms")
     stored = features._designs.get((anchor, fw_tol))
     if stored is not None:
         return stored
     if all_equal(features.features):
         raise DegenerateFeatures("all arms identical: anchored differences span nothing")
-    u, diff_set = _anchored(features, anchor)
+    u = _scaled(features.features - features.features[anchor])  # the anchor's row is zero
+    diff_set = FeatureSet(np.delete(u, anchor, axis=0))  # g_optimal's _scaled divides it by 1
     probs = np.insert(g_optimal(diff_set, fw_tol=fw_tol).probabilities / 2.0, anchor, 0.5)
     probs.setflags(write=False)  # shared by every later call: no caller may change another's design
     policy = DesignPolicy(probs)

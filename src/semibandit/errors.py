@@ -19,16 +19,7 @@ class DegenerateFeatures(SemibanditError):
 
 
 class ConvergenceError(SemibanditError):
-    """Design solver ran out of iterations.
-
-    Carries the best iterate found so far and its certificate so callers
-    can decide whether the partial result is good enough.
-    """
-
-    def __init__(self, message, policy=None, certificate=None):
-        super().__init__(message)
-        self.policy = policy
-        self.certificate = certificate
+    """Design solver ran out of iterations before its tolerance; the message names both."""
 
 
 class InvalidSample(SemibanditError):

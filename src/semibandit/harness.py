@@ -55,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .design import FW_TOL, FeatureSet, _anchored, all_equal, deo
+from .design import FW_TOL, FeatureSet, all_equal, deo
 from .environment import (
     NOISE_KEYS,
     SHIFT_KEYS,
@@ -80,8 +80,6 @@ from .errors import (
 )
 from .estimator import EstimatorState, regularizer, solve
 from .sbe import PAC_C2, RunRecord, SbeConfig, check_rounds, pac_budget, phase_length, run_pure_exploration, run_sbe
-
-MODES = ("regret", "pac", "design-cert", "error-scaling")
 
 # CSV headers, each beside its line format; "%.17g" % x == f"{x:.17g}", nan, inf and -0 included
 TRAJECTORY_COLUMNS = (
@@ -232,17 +230,9 @@ def check_anchor(anchor, k: int, name: str) -> int:
 # regret's read from SbeConfig's fields, and of ``environment`` by kind.  _REQUIRED
 # marks a key that must be given; a key whose default is None may be absent or null.
 # A check of None leaves the value to the constructor that build_environment runs
-# under ``naming``.  The design-cert anchor is checked against the arms
+# under ``naming``.  The design-cert anchor is checked against the arms in
+# from_dict.  The modes are _ALGORITHM's keys, in the order "must be one of" lists them.
 _REQUIRED = object()
-_FIELDS = {
-    "mode": (_REQUIRED, functools.partial(check_member, choices=MODES)),
-    "environment": (_REQUIRED, _check_object),
-    "algorithm": ({}, _check_object),
-    "output": ("out", _check_path),
-    "replications": (1, _check_count),
-    "base_seed": (0, check_int),
-    "workers": (None, _check_count),
-}
 _DELTA = (0.1, check_probability)
 _C2 = (PAC_C2, check_positive)  # scales only a PAC budget worked out from epsilon
 _ALGORITHM = {
@@ -251,8 +241,18 @@ _ALGORITHM = {
         for f in dataclasses.fields(SbeConfig)
     },
     "pac": {"epsilon": (_REQUIRED, check_positive), "budget": (None, check_rounds), "delta": _DELTA, "c2": _C2},
-    "error-scaling": {"epsilon": (None, check_positive), "budget": (_REQUIRED, check_rounds), "delta": _DELTA},
     "design-cert": {"anchor": (0, _check_index), "fw_tol": (FW_TOL, check_positive)},
+    "error-scaling": {"epsilon": (None, check_positive), "budget": (_REQUIRED, check_rounds), "delta": _DELTA},
+}
+MODES = tuple(_ALGORITHM)
+_FIELDS = {
+    "mode": (_REQUIRED, functools.partial(check_member, choices=MODES)),
+    "environment": (_REQUIRED, _check_object),
+    "algorithm": ({}, _check_object),
+    "output": ("out", _check_path),
+    "replications": (1, _check_count),
+    "base_seed": (0, check_int),
+    "workers": (None, _check_count),
 }
 _OBJECT = ({}, _check_object)
 _ENV_SHARED = {"kind": (_REQUIRED, None), "seed": (0, check_int), "shift": _OBJECT, "noise": _OBJECT}
@@ -344,10 +344,10 @@ class ExperimentConfig:
                 "environment.shift.table", f"has {env.shift.table.shape[0]} entries for a run of {rounds} rounds"
             )
         _check_sums(env, fields["environment"], fields["replications"], rounds, alg.get("delta"))
-        if mode == "regret":  # past _check_sums, the differences of the arms are far from overflow
-            d_eff = _anchored(env.features, 0)[1]._span[1]  # the dim of phase 1's certificate
+        if mode == "regret":
+            # the largest dim an anchored certificate can have: phase_length grows with it, so no phase 1 is longer
             try:
-                phase_length(1, d_eff, env.K, alg["delta"], alg["c2"], alg["c3"], alg["schedule"])
+                phase_length(1, min(env.d, env.K - 1), env.K, alg["delta"], alg["c2"], alg["c3"], alg["schedule"])
             except ScheduleOverflow as exc:
                 raise ConfigError("algorithm", str(exc)) from None
         return cls(**{**fields, "algorithm": alg}, env=env, written=written)

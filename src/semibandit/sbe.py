@@ -106,7 +106,8 @@ def sample_size(d: int, m: float, epsilon: float, delta: float, size, name: str)
     That is ``size(n)``, the caller's rounding, rounded up to at least 1 and checked by ``check_rounds``.
     """
     try:
-        n = (d / epsilon**2) * math.log(m / (delta * epsilon)) + (d**1.5 / epsilon) * math.log(m / delta)
+        square = epsilon**2 if epsilon < 2.0**512 else math.inf  # from 2^512 on, epsilon**2 raises OverflowError
+        n = (d / square) * math.log(m / (delta * epsilon)) + (d**1.5 / epsilon) * math.log(m / delta)
         rounds = max(1, math.ceil(size(n)))
     except (OverflowError, ZeroDivisionError, ValueError):  # epsilon**2 underflows to 0, or ceil(inf) or ceil(nan)
         rounds = _MAX_ROUNDS + 1

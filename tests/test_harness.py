@@ -208,7 +208,7 @@ BAD_CONFIGS = {
     # found only at run time before: a gaussian draw, or the design's squared distances, past the largest double
     "overflowing-gaussian-noise-scale": {"environment": features_env(noise={"kind": "gaussian", "scale": 1e308})},
     "huge-feature-entries": {"environment": features_env(features=[[1e308, 0.0], [0.0, 1e308], [-1e308, 0.0]])},
-    # entries within FeatureSet's bound whose differences are past it: the sums blame them before phase 1 is sized
+    # entries within FeatureSet's bound whose differences are past it: the sums blame them before any design forms them
     "huge-feature-differences": {"environment": features_env(features=[[4e153, 0.0], [0.0, 1.0], [-4e153, 0.0]])},
     # replications x rounds past sbe._MAX_ROUNDS: the run would hold more rounds than any one may
     "huge-replications": {"replications": 10**24},
@@ -440,11 +440,13 @@ class TestConfig:
         assert cfg.mode == "regret"
 
     def test_phase_one_rows_factored_once(self, tmp_path, monkeypatch):
-        # from_dict sizes phase 1 on deo's anchored rows, and phase 1's deo solves on the same rows and their SVD
+        # from_dict sizes phase 1 by its rank bound, min(d, K - 1), and factors nothing: the one SVD is
+        # phase 1's deo, on its anchored rows
         calls = []
         span_basis = design.span_basis
         monkeypatch.setattr(design, "span_basis", lambda x: calls.append(x.shape) or span_basis(x))
         cfg = ExperimentConfig.from_dict(base_config(tmp_path))
+        assert calls == []
         record = run_sbe(cfg.env, SbeConfig(delta=0.05, horizon=100), run_seed=0)  # cut inside phase 1
         assert len(record.phases) == 1 and record.phases[0].truncated
         assert calls == [(cfg.env.K - 1, cfg.env.d)]
@@ -1352,6 +1354,31 @@ class TestCli:
         assert main([command, "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_phase_one_sized_by_rank_bound(self, tmp_path, capsys):
+        # five arms in R^3 on the plane z = 0: phase 1's certificate has dim 2, but the config is
+        # checked at min(d, K - 1) = 3, the largest dim an anchored set of five arms in R^3 can have.
+        # At c2 in (9.5e14, 1.6e15] only dim 3 overflows, so this exits 2 as full-rank features do
+        plane = [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [-0.5, 0.0, 0.0], [0.0, -0.5, 0.0]]
+        assert deo(design.FeatureSet(plane))[1].dim == 2
+        assert sbe.phase_length(1, 2, 5, 0.05, 1.2e15, 1.0, "fixed") == 422_400_000_000_000_000
+        environment = {"kind": "features", "features": plane, "theta": [1.0, 0.0, 0.0]}
+        algorithm = {"horizon": 2000, "delta": 0.05, "c2": 1.2e15, "schedule": "fixed"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path, environment=environment, algorithm=algorithm)))
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            assert capsys.readouterr().err == (
+                "config error: algorithm: phase 1 length: must be at most 576460752303423488 rounds\n"
+            )
+
+    def test_huge_pac_epsilon_runs_one_round(self, tmp_path):
+        # an epsilon whose square is past the largest double asks for a budget of one round
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path, mode="pac", algorithm={"epsilon": 1e200})))
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 0
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["algorithm"]["budget"] == 1
+
     @pytest.mark.parametrize(
         "case", ["bool-pac-c2", "negative-pac-c2", "bool-error-scaling-c2", "zero-error-scaling-c2", "huge-int-pac-c2"]
     )
@@ -1681,7 +1708,8 @@ class TestCli:
 
 def test_algorithm_defaults_have_one_owner():
     # the Frank-Wolfe tolerance a caller leaves out is design.FW_TOL at every front door, and the PAC
-    # c2 one constant of sbe: each is the same object wherever it is a default
+    # c2 one constant of sbe: each is the same object wherever it is a default.  The modes are the
+    # algorithm table's keys
     fw_defaults = {
         "g_optimal": inspect.signature(design.g_optimal).parameters["fw_tol"].default,
         "deo": inspect.signature(design.deo).parameters["fw_tol"].default,
@@ -1696,3 +1724,4 @@ def test_algorithm_defaults_have_one_owner():
     assert list(env.features._designs) == [(0, design.FW_TOL)]  # the one design pure exploration solves
     assert inspect.signature(sbe.pac_budget).parameters["c2"].default is sbe.PAC_C2
     assert harness._ALGORITHM["pac"]["c2"][0] is sbe.PAC_C2
+    assert harness.MODES == tuple(harness._ALGORITHM) == ("regret", "pac", "design-cert", "error-scaling")
