@@ -10,16 +10,17 @@ and solves ``deo`` with anchor 0 and the default tolerance, ``--repeats``
 times, each on a fresh ``FeatureSet`` of the same rows: ``deo`` keeps its
 result on the object it is given, so a second call on one object would
 time a lookup.  Prints one JSON object: per point the median and every run's wall
-seconds, the median wall seconds of the Carathéodory reduction, the
-Frank-Wolfe iterations, the reduction's atoms in and out and its QR
-factorizations in the last solve, and the certificate.
+seconds, the median wall seconds of the Carathéodory reduction, the median
+Frank-Wolfe seconds per iteration, the Frank-Wolfe iterations, the
+reduction's atoms in and out and its QR factorizations in the last solve,
+and the certificate.
 
 ``--draws N`` instead solves ``deo`` once on each of N draws at
 (d, K) = (20, 1000), the grid's draw for seeds 0..N-1, and prints the sums
 of the ``deo`` and reduction seconds over them, the number of draws whose
 Frank-Wolfe support is over the d(d+1)/2 bound, and each draw's record.
 
-The iterations and the reduction are measured here, by wrapping the
+The iterations, their seconds and the reduction are measured here, by wrapping the
 solver's private functions ``design._pairwise_fw_from`` and
 ``design._caratheodory_reduce``.
 """
@@ -42,8 +43,8 @@ DRAW = (20, 1000)
 
 
 @contextlib.contextmanager
-def instrumented(fw_iterations: list, reductions: list):
-    """While active, append every pairwise FW run's iterations and every reduction's record.
+def instrumented(fw_runs: list, reductions: list):
+    """While active, append every pairwise FW run's ``(iterations, seconds)`` and every reduction's record.
 
     A reduction's record holds its wall seconds, its atoms in and out, and
     the ``np.linalg.qr`` calls it made.
@@ -51,8 +52,9 @@ def instrumented(fw_iterations: list, reductions: list):
     loop, reduce, qr = design._pairwise_fw_from, design._caratheodory_reduce, np.linalg.qr
 
     def counted(*args, **kwargs):
+        start = time.perf_counter()
         result = loop(*args, **kwargs)
-        fw_iterations.append(result[2])
+        fw_runs.append((result[2], time.perf_counter() - start))
         return result
 
     def timed(x, p):
@@ -87,24 +89,27 @@ def unit_rows(seed: int, d: int, k: int) -> np.ndarray:
 
 def grid(repeats: int, seed: int) -> dict:
     result = {}
-    iterations, reductions = [], []
-    with instrumented(iterations, reductions):
+    fw_runs, reductions = [], []
+    with instrumented(fw_runs, reductions):
         for d, k in GRID:
             rows = unit_rows(seed, d, k)
-            runs, reduce_runs = [], []
+            runs, reduce_runs, step_runs = [], [], []
             for _ in range(repeats):
-                iterations.clear()
+                fw_runs.clear()
                 reductions.clear()
                 features = FeatureSet(rows)
                 start = time.perf_counter()
                 _, cert = deo(features)
                 runs.append(time.perf_counter() - start)
                 reduce_runs.append(sum(r["reduce_s"] for r in reductions))
+                iterations = sum(n for n, _ in fw_runs)
+                step_runs.append(sum(s for _, s in fw_runs) / iterations)
             result[f"d={d},K={k}"] = {
                 "median_s": statistics.median(runs),
                 "runs_s": runs,
                 "reduce_median_s": statistics.median(reduce_runs),
-                "fw_iterations": sum(iterations),
+                "fw_s_per_iteration": statistics.median(step_runs),
+                "fw_iterations": iterations,
                 "reduce_atoms_in": sum(r["atoms_in"] for r in reductions),
                 "reduce_atoms_out": sum(r["atoms_out"] for r in reductions),
                 "reduce_factorizations": sum(r["factorizations"] for r in reductions),
@@ -115,7 +120,7 @@ def grid(repeats: int, seed: int) -> dict:
             }
             print(
                 f"d={d} K={k}: {statistics.median(runs):.4f} s, reduction {statistics.median(reduce_runs):.4f} s, "
-                f"{sum(iterations)} FW iterations",
+                f"{iterations} FW iterations at {statistics.median(step_runs) * 1e6:.1f} us",
                 flush=True,
             )
     return result

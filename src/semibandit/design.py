@@ -326,38 +326,66 @@ def _pairwise_fw_from(x: np.ndarray, p: np.ndarray, d: int, tol: float, max_iter
     ``FW_REFRESH_STEPS`` pairwise steps, after every plain FW vertex step,
     and before the stopping test may pass, so ``converged`` is only ever
     reported on exact leverages.
+
+    Between refreshes a step allocates no array but the support's leverages
+    (``g.take(supp)``) and, when an atom comes in or leaves, ``supp``.  Its
+    operands are allocated once per solve: the pair's two rows, ``vt``, the
+    2x2 coefficient matrix, ``bt`` and its signed copy, the d x d rank-two
+    update and the 2 x K leverage update.
+    Each step writes its products into them (``dot`` with ``out=``,
+    ``multiply`` with ``out=``, in-place ``-=``, ``+=`` and ``*=``).  It
+    reads ``g[i]``, ``g[j]``, ``p[i]`` and ``p[j]`` as Python floats, which
+    round as NumPy's scalars do, and ``p[j]`` once more after ``p[i]`` is
+    written.  The bits of ``p`` fix the arms a run samples and so its e_t,
+    so the arithmetic must not move.  Every BLAS call keeps its operands'
+    shapes, order and memory layout: the buffers are C-contiguous, as the
+    products they replace were, and ``bt_t`` is a transposed view, as
+    ``bt.T`` was.  ``p[i]`` is written before ``p[j]`` is read, so even a
+    degenerate step with i == j gives the bits of updating the two entries
+    in turn.
     """
     limit = d * (1.0 + tol)
     xt = np.ascontiguousarray(x.T)  # bt @ xt has contiguous rows
+    k, n = x.shape
+    rows, vt, bt, signed = (np.empty((2, n)) for _ in range(4))
+    signs = _ADD_REMOVE.repeat(n, axis=1)  # a product of equal shapes: no broadcast on every step
+    coef = np.zeros((2, 2))
+    update = np.empty((n, n))
+    y = np.empty((2, k))
+    bt_t, vt_j, y_down, y_up = bt.T, vt[1], y[0], y[1]
     m_inv, g = _exact_state(x, p)
     stale = 0  # steps since the last exact state
     supp = np.flatnonzero(p > 0)
     for it in range(max_iters):
         i = int(g.argmax())
-        if g[i] <= limit and stale:
+        a = float(g[i])
+        if a <= limit and stale:
             m_inv, g = _exact_state(x, p)
             stale = 0
             i = int(g.argmax())
-        if g[i] <= limit:
+            a = float(g[i])
+        if a <= limit:
             return p, True, it
-        j = int(supp[g[supp].argmin()])
-        a, b = float(g[i]), float(g[j])
-        vt = x.take((i, j), axis=0) @ m_inv  # rows x_i' M^{-1}, x_j' M^{-1}
-        cross = float(vt[1] @ x[i])
+        j = int(supp[g.take(supp).argmin()])
+        b, pi, pj = float(g[j]), float(p[i]), float(p[j])
+        x_i = x[i]
+        rows[0] = x_i
+        rows[1] = x[j]
+        rows.dot(m_inv, out=vt)  # rows x_i' M^{-1}, x_j' M^{-1}
+        cross = float(vt_j.dot(x_i))
         denom = 2.0 * (a * b - cross * cross)
         gamma = (a - b) / denom if denom > 0 else math.inf
-        gamma = min(max(gamma, 0.0), float(p[j]))
-        added = p[i] == 0.0
+        gamma = min(max(gamma, 0.0), pj)
         if gamma <= 0.0:  # a plain FW vertex step; its state is recomputed below
             gamma_fw = (a - d) / (d * (a - 1.0))
             p *= 1.0 - gamma_fw
             p[i] += gamma_fw
             stale = FW_REFRESH_STEPS
+            pj = float(p[j])
         else:
-            p[i] += gamma
-            p[j] -= gamma
-            if p[j] < 1e-15:
-                p[j] = 0.0
+            p[i] = pi + gamma
+            pj = float(p[j]) - gamma  # read after p[i] is written, so a step with i == j moves no weight
+            p[j] = pj = 0.0 if pj < 1e-15 else pj
             # M' = M + gamma x_i x_i' - gamma x_j x_j' as two Sherman-Morrison
             # steps: M'^{-1} = M^{-1} - s v_i v_i' + h u u' with v = M^{-1} x,
             # u = v_j - s cross v_i, s = gamma / (1 + gamma a) and
@@ -368,17 +396,22 @@ def _pairwise_fw_from(x: np.ndarray, p: np.ndarray, d: int, tol: float, max_iter
             s = gamma / (1.0 + gamma * a)
             h = gamma * (1.0 + gamma * a) / f
             rs, rh = math.sqrt(s), math.sqrt(h)
-            bt = np.array([[rs, 0.0], [-s * cross * rh, rh]]) @ vt
-            m_inv -= bt.T @ (bt * _ADD_REMOVE)
-            y = bt @ xt
+            coef[0, 0] = rs
+            coef[1, 0] = -s * cross * rh
+            coef[1, 1] = rh
+            coef.dot(vt, out=bt)
+            np.multiply(bt, signs, out=signed)
+            bt_t.dot(signed, out=update)
+            m_inv -= update
+            bt.dot(xt, out=y)
             y *= y
-            g -= y[0]
-            g += y[1]
+            g -= y_down
+            g += y_up
             stale += 1
         if stale == FW_REFRESH_STEPS:
             m_inv, g = _exact_state(x, p)
             stale = 0
-        if added or p[j] == 0.0:
+        if pi == 0.0 or pj == 0.0:  # an atom came in or left
             supp = np.flatnonzero(p > 0)
     return p, False, max_iters
 

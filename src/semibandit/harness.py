@@ -212,8 +212,10 @@ _check_string = functools.partial(_check_type, kind=str, what="a string")
 
 
 def _check_path(value, name: str) -> str:
-    """``value`` if it is a string that can name a file, one with no NUL byte; else ConfigError."""
-    if "\0" in _check_string(value, name):
+    """``value`` if it is a string that can name a file: not empty, no NUL byte; else ConfigError."""
+    if not _check_string(value, name):  # Path("") is the working directory
+        raise ConfigError(name, "must not be empty")
+    if "\0" in value:
         raise ConfigError(name, "must not contain a NUL byte")
     return value
 

@@ -31,6 +31,7 @@ def test_deo_grid_smoke(capsys):
         assert point["support_size"] <= d * (d + 1) // 2 + 1
         assert point["max_anchor_norm"] <= 2 * math.sqrt(d) * (1 + 1e-3)
         assert point["fw_iterations"] > 0
+        assert point["fw_s_per_iteration"] > 0
         assert point["reduce_atoms_out"] <= min(point["reduce_atoms_in"], d * (d + 1) // 2)
 
 

@@ -6,14 +6,19 @@ block boundaries of the CSV writer and of the batched e_t.  Any change to
 sampling, estimation, metrics or formatting that moves a single byte fails
 here; a deliberate change has to re-record the digests and say why.  The
 same configs with no noise are pinned too, so that a change that moves only
-the noise leaves those digests as they are.
+the noise leaves those digests as they are.  The anchored design is pinned on
+its own at the size the d=20, K=1000 runs solve it, which those small configs
+do not reach: its probabilities' bytes fix every arm a run samples.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 import semibandit.harness as harness
+from semibandit.design import FeatureSet, deo
+from semibandit.environment import make_gap_instance
 from semibandit.harness import ExperimentConfig, run_experiment
 
 ALGORITHM = {
@@ -168,3 +173,38 @@ def test_block_size_does_not_change_bytes(tmp_path, monkeypatch, mode):
     run_experiment(ExperimentConfig.from_dict(golden_config(mode, 1, tmp_path / "small", algorithm)))
     default = {p.name: p.read_bytes() for p in (tmp_path / "default").glob("*.csv")}
     assert default and default == {p.name: p.read_bytes() for p in (tmp_path / "small").glob("*.csv")}
+
+
+def design_inputs():
+    x = make_gap_instance(20, 1000, 0.2, 0).features.features
+    return {
+        "d=20,K=1000": x,  # a phase 1 of 1,640 Frank-Wolfe iterations over 999 anchored rows
+        "d=20,K=300": x[:300],  # the size of a phase 2 over the survivors
+        "rank 12 in d=20": x[:300, :12] @ np.random.default_rng(0).standard_normal((12, 20)),  # solved in span coordinates
+    }
+
+
+# sha256 of deo's probabilities.tobytes() and its certificate, recorded before the Frank-Wolfe step was made to
+# write into buffers allocated once per solve: a change to the solver's arithmetic that moves a bit fails here
+DESIGN_GOLDEN = {
+    "d=20,K=1000": (
+        "f3d01eb03a61ea2bd666d0ffc31bed3cab2f7c4a44ce3ca6ca6198df4cc14fe4",
+        (6.564621605871031, 6.257064598662494, 174, 20),
+    ),
+    "d=20,K=300": (
+        "970241f1b0db33c4bc0f0e07646ffeec07e6e977932c667ec87729751b89e9d7",
+        (6.5966942239514585, 6.264277756321005, 143, 20),
+    ),
+    "rank 12 in d=20": (
+        "0cf90a7b75dd77884ee824992d883a75b412bad4ab19563e089cc4cd0d0e8275",
+        (5.3428277863873, 4.880143719046892, 55, 12),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DESIGN_GOLDEN))
+def test_design_digests(name):
+    policy, cert = deo(FeatureSet(design_inputs()[name]))
+    digest = hashlib.sha256(policy.probabilities.tobytes()).hexdigest()
+    norms = (cert.max_anchor_norm, cert.max_centered_norm, cert.support_size, cert.dim)
+    assert (digest, norms) == DESIGN_GOLDEN[name]

@@ -132,6 +132,8 @@ BAD_CONFIGS = {
     "output-not-string": {"output": 5},
     # a path no file can have: validate passed it before, and the run ended in a traceback from mkdir
     "nul-in-output": {"output": "a\u0000b"},
+    # Path("") is the working directory: a run wrote its CSVs and manifest there and exited 0
+    "empty-output": {"output": ""},
     "float-horizon": {"algorithm": {"horizon": 1e3}},
     "bool-horizon": {"algorithm": {"horizon": True}},
     "bool-budget": {"mode": "error-scaling", "algorithm": {"budget": True}},
@@ -1347,7 +1349,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("overrides", BAD_CONFIGS.values(), ids=list(BAD_CONFIGS))
-    def test_config_errors_exit_2(self, tmp_path, capsys, command, overrides):
+    def test_config_errors_exit_2(self, tmp_path, capsys, monkeypatch, command, overrides):
+        monkeypatch.chdir(tmp_path)  # a config that names no directory must not write into this one
         path = tmp_path / "cfg.json"
         raw = {k: v for k, v in base_config(tmp_path, **overrides).items() if v is not None}
         path.write_text(json.dumps(raw))
@@ -1671,15 +1674,17 @@ class TestCli:
             (["--workers", "0"], "workers"),
             (["--mode", "bai"], "mode"),
             (["--out", "a\0b"], "output"),
+            (["--out", ""], "output"),
         ],
     )
-    def test_bad_run_options_exit_2(self, tmp_path, capsys, options, field):
+    def test_bad_run_options_exit_2(self, tmp_path, capsys, monkeypatch, options, field):
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(base_config(tmp_path)))
         assert main(["run", "--config", str(path), *options]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
-        assert not (tmp_path / "out").exists()
+        assert list(tmp_path.iterdir()) == [path]  # nothing written, in the config's output or the working directory
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("value", [0, 2])
