@@ -62,11 +62,26 @@ def finite_real(value) -> bool:
 def real_array(values, what: str = "entries") -> np.ndarray:
     """``values`` as floats; TypeError on an entry that is not a float and not ``finite_real`` (a bool or a string)."""
     array = np.asarray(values, dtype=float)  # raises first on ragged rows and on strings that are no number
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):  # an array of numeric dtype holds none
-        for value in np.asarray(values, dtype=object).ravel():
-            if type(value) is not float and not finite_real(value):  # a float is left to the caller's finite check
-                raise TypeError(f"{what} must be finite numbers, not {value!r}")
+    _check_entries(values, what)
     return array
+
+
+def _check_entries(values, what: str) -> None:
+    """``real_array``'s entry rule, in row order: lists and tuples are walked as they are, with no copy of them."""
+    if not isinstance(values, (list, tuple)):
+        values = np.asarray(values)
+        if values.dtype.kind in "iuf":  # an array of numeric dtype holds no bool or string
+            return
+        values = values.ravel().tolist()  # its entries as Python objects, as the rule reads them
+    for value in values:
+        if type(value) is float:  # a float is left to the caller's finite check
+            continue
+        if isinstance(value, (list, tuple)):
+            _check_entries(value, what)
+        elif not finite_real(value):
+            if not np.ndim(value):  # an entry, not an array or other sequence of them
+                raise TypeError(f"{what} must be finite numbers, not {value!r}")
+            _check_entries(value, what)
 
 
 def check_positive(value, name: str):

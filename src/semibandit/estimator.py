@@ -43,7 +43,9 @@ def update_batch(state: EstimatorState, centered: np.ndarray, rewards: np.ndarra
     rewards = np.asarray(rewards, dtype=float)
     if centered.ndim != 2 or centered.shape[1] != state.dim or centered.shape[0] != rewards.shape[0]:
         raise DimError("centered rows and rewards must align with the state dimension")
-    if not (np.isfinite(rewards).all() and np.isfinite(centered).all()):
+    # min and max propagate NaN and reach any infinity, with no n x d temporary; an empty input passes
+    extremes = (rewards.min(initial=0.0), rewards.max(initial=0.0), centered.min(initial=0.0), centered.max(initial=0.0))
+    if not np.isfinite(extremes).all():
         raise InvalidSample("non-finite reward or feature")
     state.gram += centered.T @ centered
     state.moment += centered.T @ rewards

@@ -138,17 +138,18 @@ def compute_metrics(record: RunRecord, env: Environment, betas=None) -> MetricTa
     if record.kind == "pure":
         # running sums of x~x~' and x~r, carried from block to block.  Each step
         # equals a step-by-step solve bit for bit; np.log or einsum in place of
-        # math.log or matmul would change the last bit
+        # math.log or matmul would change the last bit.  x~ is the run's one
+        # n x d array, centered in place; x~r is formed a block at a time
         e_t = np.empty(n)
-        xt = x[record.arm] - phases[0].policy.probabilities @ x
-        xr = xt * record.reward[:, None]
+        xt = x[record.arm]
+        xt -= phases[0].policy.probabilities @ x
         z = x - x[0]
         gram = np.zeros((1, env.d, env.d))
         moment = np.zeros((1, env.d))
         for s in range(0, n, _BLOCK):
             b = slice(s, s + _BLOCK)
             gram = np.cumsum(np.concatenate([gram[-1:], xt[b, :, None] * xt[b, None, :]]), axis=0)[1:]
-            moment = np.cumsum(np.concatenate([moment[-1:], xr[b]]), axis=0)[1:]
+            moment = np.cumsum(np.concatenate([moment[-1:], xt[b] * record.reward[b, None]]), axis=0)[1:]
             theta_hat = solve(EstimatorState(gram, moment), betas[s : s + gram.shape[0]])
             e_t[b] = np.abs(np.matmul(z, (theta_hat - env.theta_star)[:, :, None])).max(axis=(1, 2))
             if not np.isfinite(e_t[b]).all():

@@ -178,9 +178,10 @@ def _run_phase(env, active, index, epsilon, t0, max_rounds, rng, noise, fw_tol, 
     local = rng.choice(len(active), size=taken, p=policy.probabilities)
     arms = np.asarray(active, dtype=np.int64)[local]
     rewards = rewards_for(env, arms, t0, noise)
-    xbar = policy.probabilities @ feats.features
+    centered = feats.features[local]  # a copy: centered in place, the phase's one n x d array
+    centered -= policy.probabilities @ feats.features
     state = est.EstimatorState.zeros(env.d)
-    est.update_batch(state, feats.features[local] - xbar, rewards)
+    est.update_batch(state, centered, rewards)
     phase = PhaseState(
         index=index,
         active=tuple(active),

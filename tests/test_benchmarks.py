@@ -98,3 +98,19 @@ def test_stream_pool_smoke():
     assert run["rc"] == 0 and run["run_s"] > 0
     assert run["parent_peak_rss_mb"] > 0 and run["children_peak_rss_mb"] > 0
     assert result["median"] == {k: run[k] for k in ("run_s", "parent_peak_rss_mb", "children_peak_rss_mb")}
+
+
+def test_peak_memory_smoke(capsys):
+    # every workload's three layers are traced, and at the scale point a phase holds its n x d rows
+    script = load_script("peak_memory")
+    phase, metrics = script.sbe._run_phase, script.harness.compute_metrics
+    script.main(["--rounds", "3000"])
+    assert (script.sbe._run_phase, script.harness.compute_metrics) == (phase, metrics)
+    result = json.loads(capsys.readouterr().out)
+    assert set(result["workloads"]) == set(script.instances.WORKLOADS)
+    for layers in result["workloads"].values():
+        assert layers["rows"] > 0 and layers["phase_mb"] == max(layers["phases_mb"]) > 0
+        assert layers["compute_metrics_mb"] > 0 and layers["writer_block_mb"] > 0
+    scale = result["scale"]
+    assert scale["rounds"] == 3000 and scale["rows_mb"] == 3000 * scale["d"] * 8 / 1e6
+    assert scale["phase_mb"] >= scale["rows_mb"] and scale["compute_metrics_mb"] >= scale["rows_mb"]

@@ -67,6 +67,25 @@ class TestUpdate:
             add_sample(state, np.array([0.0, math.inf]), 1.0)
         assert not state.gram.any() and not state.moment.any()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("where", ["rows", "rewards"])
+    def test_any_non_finite_entry_rejected(self, value, where):
+        # one entry deep inside a batch, among entries of both signs, is enough
+        rng = np.random.default_rng(2)
+        rows, rewards = rng.standard_normal((40, 3)), rng.standard_normal(40)
+        if where == "rows":
+            rows[17, 1] = value
+        else:
+            rewards[17] = value
+        state = EstimatorState.zeros(3)
+        with pytest.raises(InvalidSample, match="^non-finite reward or feature$"):
+            update_batch(state, rows, rewards)
+        assert not state.gram.any() and not state.moment.any()
+
+    def test_empty_batch_adds_nothing(self):
+        state = update_batch(EstimatorState.zeros(3), np.empty((0, 3)), np.empty(0))
+        assert not state.gram.any() and not state.moment.any()
+
     def test_incremental_matches_batch(self):
         rng = np.random.default_rng(0)
         xs = rng.standard_normal((50, 3))

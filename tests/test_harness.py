@@ -41,6 +41,8 @@ from semibandit.harness import (
 )
 from semibandit.sbe import PhaseState, RunRecord, SbeConfig, run_pure_exploration, run_sbe
 
+from allocation import traced_peak
+
 
 def base_config(tmp_path, **overrides):
     raw = {
@@ -363,6 +365,17 @@ class TestComputeMetrics:
             theta_hat = np.linalg.solve(gram + math.log((i + 1) / 0.1) * np.eye(d), moment)
             expected.append(np.abs((x - x[0]) @ (theta_hat - env.theta_star)).max())
         assert table.e_t.tobytes() == np.array(expected).tobytes()
+
+    def test_pure_record_holds_one_copy_of_its_rows(self):
+        # a pure record's centered rows are its one n x d array: x~r is formed a block at a time.  Besides them
+        # the metrics hold the columns they return, z over K arms, and a block's stack of d x d systems.  A
+        # second n x d copy (about 2.4 n d 8 B in all) fails
+        n, d, k = 50_000, 20, 20
+        env = make_gap_instance(d, k, 0.2, seed=0)
+        _, _, record = run_pure_exploration(env, n, 0.1)
+        table, peak = traced_peak(compute_metrics, record, env, log_table(n, 0.1))
+        returned = sum(col.nbytes for col in vars(table).values() if col is not record.arm and col is not record.reward)
+        assert peak <= 1.3 * n * d * 8 + returned + 16 * k * d * 8 + 3 * harness._BLOCK * d * d * 8
 
     def test_log_table_made_once_and_read_only(self, tmp_path, monkeypatch):
         # the pure records of one run share one table of estimator.regularizer, ExperimentConfig.betas, made

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from semibandit.design import FeatureSet
+from semibandit.design import FW_TOL, FeatureSet
 from semibandit.environment import (
     Environment,
     NoiseSpec,
@@ -17,6 +17,7 @@ from semibandit.errors import DegenerateFeatures, ScheduleOverflow
 from semibandit.harness import compute_metrics
 from semibandit.sbe import (
     SbeConfig,
+    _run_phase,
     check_rounds,
     eliminate,
     pac_budget,
@@ -26,6 +27,7 @@ from semibandit.sbe import (
 )
 
 import binomial
+from allocation import traced_peak
 
 
 def cfg(**kw):
@@ -307,6 +309,19 @@ class TestRunSbe:
             same = [tuple(p.active) for p in r0.phases] == [tuple(p.active) for p in r1.phases]
             matches += same and r0.declared_best == r1.declared_best
         assert matches >= 179
+
+
+def test_phase_holds_one_copy_of_its_rows():
+    # a long phase's largest array is its n x d centered rows, gathered and then centered in place, and
+    # checked for finite entries with no temporary of their size.  Besides them a phase holds the arms and
+    # rewards it returns and its design over K arms.  A second n x d copy (about 2.15 n d 8 B in all) fails
+    n, d, k = 50_000, 20, 50
+    env = make_gap_instance(d, k, 0.2, seed=0)
+    rng, noise = env.action_rng(0), env.noise_stream(0)
+    args = (env, list(range(k)), 1, 0.5, 1, n, rng, noise, FW_TOL, lambda cert: (n, 10.0))
+    (phase, arms, rewards), peak = traced_peak(_run_phase, *args)
+    assert phase.taken == n and np.isfinite(phase.theta_hat).all()
+    assert peak <= 1.3 * n * d * 8 + arms.nbytes + rewards.nbytes + 16 * k * d * 8
 
 
 class TestPureExploration:
