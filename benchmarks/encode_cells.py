@@ -5,13 +5,13 @@ Run from the root of a checkout:
     PYTHONPATH=src python3 benchmarks/encode_cells.py --repeats 5
 
 Each column is turned into ``spec % cell`` lines twice: by the writer's
-formatter ``cells.rows`` (the array encoders, ``%`` only for the cells they
-hand to ``cells._percent``), and by ``%`` on every cell of
+formatter ``cells.table_rows`` (the array encoders, ``%`` only for the cells
+they hand to ``cells._percent``), and by ``%`` on every cell of
 ``column.tolist()``.  The two texts must be equal.  The columns are fixed
 draws (standard-normal and wide-range floats, small and large integers) and
 the float and integer columns of replication 0 of instance 0 of each perfbench
-workload at ``--seed``.  A column on its own cannot show what ``cells.rows``
-spends once per block, such as a call of an encoder, so each of those
+workload at ``--seed``, its blocks joined.  A column on its own cannot show
+what ``cells.rows`` spends once per block, such as a call of an encoder, so each of those
 trajectory tables is also written whole, with all ten columns, and compared
 with ``TRAJECTORY_LINE % row`` on every row.  Prints one JSON object: per
 column, nanoseconds per cell for both (the best of ``--repeats``), and the
@@ -67,7 +67,8 @@ def workload_tables(seed: int) -> dict:
             path = Path(work) / "config.json"
             instances.write_config(path, w, instances.make_instance(w, seed, 0), seed, str(Path(work) / "out"))
             cfg = harness.ExperimentConfig.from_file(path)
-            tables[name] = harness._replication_task(cfg, 0)[0]
+            blocks = list(harness._replication_task(cfg, 0, harness._sums(harness._rounds(cfg.algorithm)), []))
+            tables[name] = [np.concatenate(column) for column in zip(*blocks)]
     return tables
 
 
@@ -116,9 +117,9 @@ def calls_of(*names):
 def measure(spec: str, column: np.ndarray, repeats: int) -> dict:
     line = spec + "\n"
     with calls_of("_percent") as calls:
-        encoded = "".join(cells.rows(line, (column,), harness._WRITE_BLOCK))
+        encoded = "".join(cells.table_rows(line, (column,), harness._WRITE_BLOCK))
     assert encoded == "".join([line % v for v in column.tolist()]), spec
-    encoder = best_seconds(lambda: "".join(cells.rows(line, (column,), harness._WRITE_BLOCK)), repeats)
+    encoder = best_seconds(lambda: "".join(cells.table_rows(line, (column,), harness._WRITE_BLOCK)), repeats)
     per_cell = best_seconds(lambda: "".join([line % v for v in column.tolist()]), repeats)
     bits = column.view(np.int64)
     return {
@@ -135,7 +136,7 @@ def measure_table(table, repeats: int) -> dict:
     line = harness.TRAJECTORY_LINE
 
     def encoded():
-        return "".join(cells.rows(line, table, harness._WRITE_BLOCK))
+        return "".join(cells.table_rows(line, table, harness._WRITE_BLOCK))
 
     def per_row():
         return "".join([line % row for row in zip(*(column.tolist() for column in table))])
@@ -151,7 +152,10 @@ def measure_table(table, repeats: int) -> dict:
         "encoder_calls_per_block": round((len(calls["_encode_floats"]) + len(calls["_encode_ints"])) / blocks, 2),
         "percent_calls": len(calls["_percent"]),
         "words_per_row": round(sum(len(args[2][0]) * words for args, words in calls["_lay_out"]) / rows, 2),
-        "unfolded_words_per_row": sum(cells._encoder(spec, column)[1] for spec, column in zip(specs, table)) + 1,
+        "unfolded_words_per_row": sum(
+            cells._encoder(spec, column.dtype, (column.min(initial=0), column.max(initial=0)))[1]
+            for spec, column in zip(specs, table)
+        ) + 1,
         "encoder_us_per_row": round(best_seconds(encoded, repeats) / rows * 1e6, 3),
         "percent_us_per_row": round(best_seconds(per_row, repeats) / rows * 1e6, 3),
     }

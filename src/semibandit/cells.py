@@ -1,9 +1,11 @@
 """CSV text of numeric NumPy columns: the bytes of ``%`` on every cell, made by array operations.
 
-``rows`` lays out a block of rows in one reused buffer of uint64 words, with no
-Python object per cell, and deleting the NULs gives the block's text.  An
-encoder call costs tens of microseconds however few its cells, so each block
-makes one call per encoder and field width, for all of its columns: a column
+``rows`` takes a file's rows as a stream of blocks, picks each column's
+encoder once, from its dtype and a range of its cells that the caller knows,
+and lays out each block in one buffer of uint64 words reused for the whole
+stream, with no Python object per cell; deleting the NULs gives the block's
+text.  An encoder call costs tens of microseconds however few its cells, so
+each block makes one call per encoder and field width, for all of its columns: a column
 of few runs (equal bit patterns) sends only the first cell of each run, and a
 column in which more than half the cells start a run sends every cell.  A row
 is then laid out in pieces of whole words.  Each maximal run of adjacent
@@ -80,21 +82,32 @@ _FLOAT_SPECIAL = _FLOAT_SPECIAL.view(np.uint64)
 del _digits, _ascii, _group, _sign, _exp, _kept, _digit
 
 
-def rows(line_format: str, columns, block: int):
-    """Yield the rows of ``columns`` as ``line_format % row``, ``block`` rows per string.
+def rows(line_format: str, blocks, ranges):
+    """Yield the rows of each block of ``blocks`` as ``line_format % row``, one string per block.
 
-    ``columns`` is a sequence of equal-length NumPy columns, each float64
-    under ``%.17g`` or int64 under ``%d``, encoded by array operations
-    (``_encoder``); any other column is a ``TypeError``.  Each block is laid
-    out in one buffer (``_lay_out``), which is resized in place from block to
-    block, and its NULs are deleted.
+    A block is a sequence of equal-length NumPy columns, each float64 under
+    ``%.17g`` or int64 under ``%d``, encoded by array operations (``_encoder``,
+    picked at the first block for every block); any other column is a
+    ``TypeError``.  ``ranges`` holds a ``(low, high)`` range of every cell of
+    each int column, which picks its field width once, and anything for a
+    float column.  Every block is laid out in one buffer (``_lay_out``),
+    resized in place from block to block, and its NULs are deleted.
     """
     specs = line_format.rstrip("\n").split(",")
-    encoders = [_encoder(spec, column) for spec, column in zip(specs, columns)]
-    buf = bytearray()
-    for s in range(0, len(columns[0]), block):
-        _lay_out(buf, encoders, [column[s : s + block] for column in columns])
+    encoders, buf = None, bytearray()
+    for columns in blocks:
+        if encoders is None:
+            encoders = [_encoder(spec, column.dtype, bounds) for spec, column, bounds in zip(specs, columns, ranges)]
+        _lay_out(buf, encoders, columns)
+        del columns  # a block's views may hold a whole record: not kept while the next block is made
         yield buf.translate(None, b"\0").decode("ascii")
+
+
+def table_rows(line_format: str, columns, block: int):
+    """``rows`` of the equal-length ``columns``, ``block`` rows per string, each int column's range its own."""
+    ranges = [(c.min(initial=0), c.max(initial=0)) if c.dtype == np.int64 else None for c in columns]
+    blocks = (tuple(c[s : s + block] for c in columns) for s in range(0, len(columns[0]), block))
+    return rows(line_format, blocks, ranges)
 
 
 def _lay_out(buf: bytearray, encoders, cells) -> int:
@@ -168,14 +181,14 @@ def _item(fields: np.ndarray) -> np.ndarray:
     return fields.view(f"V{8 * fields.shape[1]}")[:, 0]
 
 
-def _encoder(spec: str, cells: np.ndarray):
-    """The array encoder of ``spec`` for ``cells`` and the words of its fields; TypeError if there is none."""
-    if spec == "%.17g" and cells.dtype == np.float64:
+def _encoder(spec: str, dtype: np.dtype, bounds):
+    """The array encoder of ``spec`` for ``dtype`` cells in ``bounds`` and the words of its fields; else TypeError."""
+    if spec == "%.17g" and dtype == np.float64:
         return _encode_floats, 4
-    if spec == "%d" and cells.dtype == np.int64:
-        low, high = cells.min(initial=0), cells.max(initial=0)
+    if spec == "%d" and dtype == np.int64:
+        low, high = bounds
         return _encode_ints, 3 if low < 0 or high >= 10**8 else 2 if high >= 10**7 else 1
-    raise TypeError(f"no array encoder for {spec!r} of {cells.dtype} cells")
+    raise TypeError(f"no array encoder for {spec!r} of {dtype} cells")
 
 
 def _encode_runs(encode, words: int, sent) -> list:

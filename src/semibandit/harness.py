@@ -12,16 +12,18 @@ builds the environment.  The result is frozen, and everything after it
 (``run_experiment``, each replication, each pool worker) reads only it.
 
 Replications are seeded as ``base_seed + index`` and are consumed in index
-order, so that the parent holds one replication's table at a time.  Inline,
-each replication's rows are formatted straight into ``trajectory.csv`` and
-its table is dropped before the next starts; in a process pool, each worker
+order.  A run returns only its decisions; ``metrics.metric_blocks`` makes
+every per-step column (phase, regret, active-set size, e_t) one block of
+``_WRITE_BLOCK`` steps at a time, and each block goes straight to the CSV
+writer and into the running sums of the mean columns.  No column as long as
+the horizon is made: a replication holds its record, a block's columns and
+the writer's buffer.  Inline, each replication's blocks are formatted into
+``trajectory.csv`` by a stream of their own; in a process pool, each worker
 writes its own rows to a part file, which the parent appends in index order
 and deletes.  Either way the files are byte-identical regardless of worker
-count, and ``trajectory_mean.csv`` comes from running sums added in index
-order.  A run returns only its decisions; ``compute_metrics`` lays every
-per-step column (phase, regret, active-set size, e_t) out over the run's phase
-segments.  What replications compute alike is computed once per run and
-kept on the config's objects: the anchored design over all arms, which
+count, and ``trajectory_mean.csv`` divides the sums, added in index order, a
+block at a time.  What replications compute alike is computed once per run
+and kept on the config's objects: the anchored design over all arms, which
 ``deo`` keeps on the ``FeatureSet`` of the config's environment, and the
 regularizers of the pure-exploration e_t, ``estimator.regularizer`` at each t,
 ``ExperimentConfig.betas``.  A pool worker gets the config once, at its
@@ -33,10 +35,7 @@ IEEE doubles exactly and keeps repeated runs byte-stable; ``cells.rows`` writes
 the text of ``%`` on every cell of numeric columns by array operations, and
 ``summary.csv``, a row per replication, is ``SUMMARY_LINE % row``.  Each CSV
 and the manifest is written under a temporary name and renamed when complete,
-so a failed run leaves none.  The per-step estimation error of pure
-exploration is computed ``_BLOCK`` steps at a time: running sums of the
-rank-one terms and one batched ridge solve per block (``estimator.solve``),
-bit for bit equal to solving after every step.
+so a failed run leaves none.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ from .environment import (
 )
 from .errors import (
     ConfigError,
-    InvalidSample,
     IoError,
     ScheduleOverflow,
     SemibanditError,
@@ -78,7 +76,8 @@ from .errors import (
     check_positive,
     check_probability,
 )
-from .estimator import EstimatorState, regularizer, solve
+from .estimator import regularizer
+from .metrics import compute_metrics, metric_blocks  # the benchmark's tracer wraps harness.compute_metrics
 from .sbe import PAC_C2, RunRecord, SbeConfig, check_rounds, pac_budget, phase_length, run_pure_exploration, run_sbe
 
 # CSV headers, each beside its line format; "%.17g" % x == f"{x:.17g}", nan, inf and -0 included
@@ -91,84 +90,8 @@ MEAN_LINE = "%d,%.17g,%.17g,%.17g\n"
 SUMMARY_COLUMNS = ("replication", "seed", "final_regret", "declared_best", "declared_at", "greedy_arm", "success")
 SUMMARY_LINE = "%d,%d,%.17g,%s,%s,%s,%d\n"  # one row per replication, by %; the %s cells may be empty
 
-# steps per block of the batched e_t, which holds block x d x d floats at once
-_BLOCK = 512
-# rows per block of the CSV writer
+# steps per block of the per-step metrics and rows per block of the CSV writer
 _WRITE_BLOCK = 2048
-
-
-@dataclasses.dataclass
-class MetricTable:
-    """Column-oriented per-step metrics for one replication."""
-
-    t: np.ndarray
-    phase: np.ndarray
-    arm: np.ndarray
-    reward: np.ndarray
-    inst_regret: np.ndarray
-    cum_regret: np.ndarray
-    e_t: np.ndarray
-    sqrt_t_e_t: np.ndarray
-    active_size: np.ndarray
-
-
-def compute_metrics(record: RunRecord, env: Environment, betas=None) -> MetricTable:
-    """Per-step columns of one record, each laid out over its phase segments.
-
-    The segments are the phases' ``taken`` rounds, then the declared arm's
-    tail; each carries its phase's index and active-set size (the tail: the
-    last index and one arm).  Regret is measured against the true best arm.
-    The estimation error e_t is evaluated at estimator snapshots: per step for
-    pure-exploration records (anchored at arm 0 over all arms, regularized by
-    ``betas``: log(t/delta) for t = 1.. at least the record's steps, as in
-    ``ExperimentConfig.betas``), and at phase ends for elimination records
-    (anchored at the phase anchor over the surviving arms), each carried over
-    the next segment; steps before the first snapshot report NaN.  The
-    per-step systems are solved ``_BLOCK`` at a time by ``estimator.solve``,
-    whose ``InvalidSample`` passes through, as does one for an e_t that is not
-    finite.
-    """
-    n = record.steps
-    x = env.features.features
-    phases = record.phases
-    lengths = [ph.taken for ph in phases] + [n - sum(ph.taken for ph in phases)]
-    inst = env.values[env.best_arm] - env.values[record.arm]
-    ts = np.arange(1, n + 1)
-
-    if record.kind == "pure":
-        # running sums of x~x~' and x~r, carried from block to block.  Each step
-        # equals a step-by-step solve bit for bit; np.log or einsum in place of
-        # math.log or matmul would change the last bit.  x~ is the run's one
-        # n x d array, centered in place; x~r is formed a block at a time
-        e_t = np.empty(n)
-        xt = x[record.arm]
-        xt -= phases[0].policy.probabilities @ x
-        z = x - x[0]
-        gram = np.zeros((1, env.d, env.d))
-        moment = np.zeros((1, env.d))
-        for s in range(0, n, _BLOCK):
-            b = slice(s, s + _BLOCK)
-            gram = np.cumsum(np.concatenate([gram[-1:], xt[b, :, None] * xt[b, None, :]]), axis=0)[1:]
-            moment = np.cumsum(np.concatenate([moment[-1:], xt[b] * record.reward[b, None]]), axis=0)[1:]
-            theta_hat = solve(EstimatorState(gram, moment), betas[s : s + gram.shape[0]])
-            e_t[b] = np.abs(np.matmul(z, (theta_hat - env.theta_star)[:, :, None])).max(axis=(1, 2))
-            if not np.isfinite(e_t[b]).all():
-                raise InvalidSample("the ridge estimate is not finite: the rewards or features are too large to sum")
-    else:
-        errors = [np.abs((x[list(ph.active)] - x[ph.anchor]) @ (ph.theta_hat - env.theta_star)) for ph in phases]
-        e_t = np.repeat([math.nan] + [float(err.max()) for err in errors], lengths)
-
-    return MetricTable(
-        t=ts,
-        phase=np.repeat([ph.index for ph in phases] + [len(phases)], lengths),
-        arm=record.arm,
-        reward=record.reward,
-        inst_regret=inst,
-        cum_regret=np.cumsum(inst),
-        e_t=e_t,
-        sqrt_t_e_t=np.sqrt(ts) * e_t,
-        active_size=np.repeat([len(ph.active) for ph in phases] + [1], lengths),
-    )
 
 
 def _check_keys(obj: dict, known, prefix: str = "") -> None:
@@ -431,12 +354,12 @@ def build_environment(spec: dict) -> Environment:
     return env
 
 
-def _replication_task(cfg: ExperimentConfig, rep: int):
-    """Run one replication; used inline, and through ``_pooled_task`` in worker processes.
+def _replication_task(cfg: ExperimentConfig, rep: int, means: np.ndarray, summaries: list):
+    """Run replication ``rep`` and yield its ``trajectory.csv`` columns a block at a time (``_trajectory_blocks``).
 
-    Returns its ``trajectory.csv`` columns, its ``cum_regret``, ``e_t`` and
-    ``sqrt_t_e_t`` columns (those ``trajectory_mean.csv`` averages), and its
-    ``summary.csv`` cells by column name.
+    Used inline, and through ``_pooled_task`` in worker processes.  Its
+    mean columns are added into ``means``, and once its last block is taken,
+    its ``summary.csv`` cells, by column name, are appended to ``summaries``.
     """
     env, alg = cfg.env, cfg.algorithm
     seed = cfg.base_seed + rep
@@ -448,21 +371,51 @@ def _replication_task(cfg: ExperimentConfig, rep: int):
         _, greedy, record = run_pure_exploration(env, alg["budget"], alg["delta"], run_seed=seed)
         value_gap = float(env.values[env.best_arm] - env.values[greedy])
         success = value_gap <= alg["epsilon"] if alg["epsilon"] is not None else greedy == env.best_arm
-    tb = compute_metrics(record, env, cfg.betas if record.kind == "pure" else None)
-    summary = {
+    final_regret = yield from _trajectory_blocks(record, env, cfg.betas if record.kind == "pure" else None, rep, means)
+    summaries.append({
         "replication": rep,
         "seed": seed,
-        "final_regret": float(tb.cum_regret[-1]),
+        "final_regret": final_regret,
         "declared_best": _nullable(record.declared_best),
         "declared_at": _nullable(record.declared_at),
         "greedy_arm": _nullable(greedy),
         "success": int(success),
-    }
-    columns = (
-        tb.t, np.broadcast_to(np.int64(rep), tb.t.shape), tb.phase, tb.arm, tb.reward, tb.inst_regret, tb.cum_regret,
-        tb.e_t, tb.sqrt_t_e_t, tb.active_size,
-    )
-    return columns, (tb.cum_regret, tb.e_t, tb.sqrt_t_e_t), summary
+    })
+
+
+def _trajectory_blocks(record: RunRecord, env: Environment, betas, rep: int, means: np.ndarray):
+    """Yield replication ``rep``'s ``trajectory.csv`` columns of ``record`` a block at a time; return its final regret.
+
+    Each block's cum_regret, e_t and sqrt_t_e_t, the columns that
+    ``trajectory_mean.csv`` averages, are added into ``means`` (3 x steps).
+    """
+    reps = np.broadcast_to(np.int64(rep), _WRITE_BLOCK)
+    stop = 0
+    for tb in metric_blocks(record, env, betas, _WRITE_BLOCK):
+        start, stop = stop, stop + tb.t.size
+        for total, column in zip(means[:, start:stop], (tb.cum_regret, tb.e_t, tb.sqrt_t_e_t)):
+            total += column  # in place in a row view: no copy back, as means[i, a:b] += would make
+        yield (
+            tb.t, reps[: stop - start], tb.phase, tb.arm, tb.reward, tb.inst_regret, tb.cum_regret, tb.e_t,
+            tb.sqrt_t_e_t, tb.active_size,
+        )
+    return float(tb.cum_regret[-1])
+
+
+def _trajectory_ranges(cfg: ExperimentConfig) -> tuple:
+    """A range of each int column of ``trajectory.csv``, for ``cells.rows``: a phase index is at most the rounds."""
+    n, k = _rounds(cfg.algorithm), cfg.env.K
+    return (1, n), (0, cfg.replications - 1), (0, n), (0, k - 1), None, None, None, None, None, (1, k)
+
+
+def _sums(rounds: int) -> np.ndarray:
+    """Zeros to add the mean columns of replications of ``rounds`` rounds into (3 x rounds), in index order.
+
+    They are -0.0, which + leaves every value as it is, -0.0 included.
+    Summing R replications in index order and dividing by R once gives the
+    bits of ``np.mean(stacked, axis=0)``, which also adds row after row.
+    """
+    return np.full((3, rounds), -0.0)
 
 
 # in a pool worker process: the config of the run it serves, set once by
@@ -486,15 +439,16 @@ def _pooled_task(rep: int):
     """``_replication_task`` of replication ``rep`` for a worker process.
 
     Its trajectory rows go to its own part file (``_trajectory_part``), one
-    block at a time; only the mean columns and the summary come back.
+    block at a time, written as ``_replacing`` writes a file; only its mean
+    columns and its summary come back.
     """
     cfg = _worker_run
-    columns, mean_columns, summary = _replication_task(cfg, rep)
-    part = _trajectory_part(cfg, rep)
-    with _writing(part), open(part, "w", newline="") as fh:
-        for text in _format_rows(TRAJECTORY_LINE, columns):
-            fh.write(text)
-    return mean_columns, summary
+    means, summaries = _sums(_rounds(cfg.algorithm)), []
+    blocks = _replication_task(cfg, rep, means, summaries)
+    with _replacing(_trajectory_part(cfg, rep)) as write:  # an OSError of the replication's own passes through
+        for text in _stream_rows(TRAJECTORY_LINE, blocks, _trajectory_ranges(cfg)):
+            write(text)
+    return means, summaries[0]
 
 
 def _trajectory_part(cfg: ExperimentConfig, rep: int) -> Path:
@@ -507,24 +461,18 @@ def _nullable(value) -> str:
     return "" if value is None else str(int(value))
 
 
-def _add_columns(sums: list, columns) -> None:
-    """Add ``columns`` into ``sums`` in place; empty ``sums`` start as copies of them.
-
-    Summing R replications in index order and dividing by R once gives the
-    bits of ``np.mean(stacked, axis=0)``, which also adds row after row.
-    """
-    if not sums:
-        sums.extend(np.array(column, dtype=float) for column in columns)
-        return
-    for total, column in zip(sums, columns):
-        total += column
-
-
 def _format_rows(line_format: str, columns):
-    """Yield the rows of ``columns`` as ``line_format % row``, ``_WRITE_BLOCK`` rows per string (``cells.rows``)."""
+    """Yield the rows of ``columns`` as ``line_format % row``, ``_WRITE_BLOCK`` rows a string (``cells.table_rows``)."""
     from . import cells  # its compile and tables take about 4 ms: only a run that writes rows loads it
 
-    return cells.rows(line_format, columns, _WRITE_BLOCK)
+    return cells.table_rows(line_format, columns, _WRITE_BLOCK)
+
+
+def _stream_rows(line_format: str, blocks, ranges):
+    """Yield the rows of each block of ``blocks`` as ``line_format % row``, a string per block (``cells.rows``)."""
+    from . import cells
+
+    return cells.rows(line_format, blocks, ranges)
 
 
 @contextlib.contextmanager
@@ -582,28 +530,27 @@ def _write_csv(path: Path, header, line_format: str, columns) -> None:
             write(text)
 
 
-def _run_replications(cfg: ExperimentConfig, workers: int, write) -> tuple[list, list]:
+def _run_replications(cfg: ExperimentConfig, workers: int, write) -> tuple[np.ndarray, list]:
     """Run every replication, passing its trajectory rows to ``write`` in index order.
 
     Returns the sums of the replications' mean columns, added in index order
-    (``_add_columns``), and their summaries.  Inline, a replication's rows are
-    formatted and written one block at a time, and its table is dropped before
-    the next replication starts.  In a pool, each worker gets ``cfg`` once
-    (``_start_worker``) and a task is a replication index; each
-    worker writes its rows to its own part file, which is appended and
+    (``_sums``), and their summaries.  Inline, each block of a replication's
+    columns is formatted and written as soon as it is computed, by one
+    ``cells.rows`` per replication, and a replication's record and writer
+    buffer are dropped before the next starts (a buffer kept for the whole
+    file was no faster).  In a pool, each worker
+    gets ``cfg`` once (``_start_worker``) and a task is a replication index;
+    each worker writes its rows to its own part file, which is appended and
     deleted in index order; at most 2 x ``workers`` replications are
     submitted and not yet appended.  If the run fails, every part file is
     deleted.
     """
-    sums, summaries = [], []
+    summaries = []
     if workers == 1:
+        sums, ranges = _sums(_rounds(cfg.algorithm)), _trajectory_ranges(cfg)
         for rep in range(cfg.replications):
-            columns, mean_columns, summary = _replication_task(cfg, rep)
-            for text in _format_rows(TRAJECTORY_LINE, columns):
+            for text in _stream_rows(TRAJECTORY_LINE, _replication_task(cfg, rep, sums, summaries), ranges):
                 write(text)
-            _add_columns(sums, mean_columns)
-            summaries.append(summary)
-            del columns, mean_columns  # the next replication runs without this one's table
         return sums, summaries
 
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only a run with a pool needs it
@@ -614,7 +561,7 @@ def _run_replications(cfg: ExperimentConfig, workers: int, write) -> tuple[list,
             submit = functools.partial(pool.submit, _pooled_task)
             pending = collections.deque(map(submit, itertools.islice(reps, 2 * workers)))
             for rep in range(cfg.replications):
-                mean_columns, summary = pending.popleft().result()
+                means, summary = pending.popleft().result()
                 following = next(reps, None)
                 if following is not None:
                     pending.append(submit(following))
@@ -624,9 +571,12 @@ def _run_replications(cfg: ExperimentConfig, workers: int, write) -> tuple[list,
                         for text in iter(functools.partial(fh.read, 1 << 20), ""):
                             write(text)
                     part.unlink()
-                _add_columns(sums, mean_columns)
+                if rep:
+                    sums += means
+                else:
+                    sums = means  # added into a worker's _sums, they are the sums so far
                 summaries.append(summary)
-                del mean_columns  # not held while the next result is awaited
+                del means  # not held while the next result is awaited
     except BaseException:
         # a failed run leaves no part file: the pool has closed, so no worker is still writing one
         for rep in range(cfg.replications):
@@ -634,6 +584,14 @@ def _run_replications(cfg: ExperimentConfig, workers: int, write) -> tuple[list,
                 _trajectory_part(cfg, rep).unlink()
         raise
     return sums, summaries
+
+
+def _mean_blocks(sums: np.ndarray, replications: int):
+    """``trajectory_mean.csv``'s columns a block at a time: t, and the sums, divided in place by ``replications``."""
+    for s in range(0, sums.shape[1], _WRITE_BLOCK):
+        means = sums[:, s : s + _WRITE_BLOCK]
+        means /= replications
+        yield np.arange(s + 1, s + means.shape[1] + 1), *means
 
 
 def _manifest_config(cfg: ExperimentConfig) -> dict:
@@ -699,8 +657,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     workers = manifest["workers"] = min(cfg.workers or cpus, cpus, cfg.replications)
     with _csv_file(out / "trajectory.csv", TRAJECTORY_COLUMNS) as write:
         sums, summaries = _run_replications(cfg, workers, write)
-    means = [total / cfg.replications for total in sums]
-    _write_csv(out / "trajectory_mean.csv", MEAN_COLUMNS, MEAN_LINE, [np.arange(1, means[0].size + 1), *means])
+    with _csv_file(out / "trajectory_mean.csv", MEAN_COLUMNS) as write:
+        for text in _stream_rows(MEAN_LINE, _mean_blocks(sums, cfg.replications), ((1, sums.shape[1]),) + (None,) * 3):
+            write(text)
 
     with _csv_file(out / "summary.csv", SUMMARY_COLUMNS) as write:
         write("".join(SUMMARY_LINE % tuple(s[c] for c in SUMMARY_COLUMNS) for s in summaries))

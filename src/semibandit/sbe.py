@@ -14,7 +14,7 @@ exploration (PAC, error scaling) runs a single phase over all arms for a
 fixed budget and picks the greedy arm.
 
 A run records only what it decided (arms, rewards, phases, declaration);
-``harness.compute_metrics`` derives every per-step column from its phases.
+``metrics.metric_blocks`` derives every per-step column from its phases.
 """
 
 from __future__ import annotations

@@ -101,16 +101,21 @@ def test_stream_pool_smoke():
 
 
 def test_peak_memory_smoke(capsys):
-    # every workload's three layers are traced, and at the scale point a phase holds its n x d rows
+    # every workload's layers are traced, at the scale point a phase holds its n x d rows and the metrics do
+    # not, and the long point traces each layer of a whole run
     script = load_script("peak_memory")
-    phase, metrics = script.sbe._run_phase, script.harness.compute_metrics
-    script.main(["--rounds", "3000"])
-    assert (script.sbe._run_phase, script.harness.compute_metrics) == (phase, metrics)
+    wrapped = (script.sbe._run_phase, script.metrics.compute_metrics, script.harness.run_sbe)
+    script.main(["--rounds", "3000", "--long-rounds", "3000"])
+    assert (script.sbe._run_phase, script.metrics.compute_metrics, script.harness.run_sbe) == wrapped
     result = json.loads(capsys.readouterr().out)
     assert set(result["workloads"]) == set(script.instances.WORKLOADS)
     for layers in result["workloads"].values():
         assert layers["rows"] > 0 and layers["phase_mb"] == max(layers["phases_mb"]) > 0
-        assert layers["compute_metrics_mb"] > 0 and layers["writer_block_mb"] > 0
+        assert 0 < layers["compute_metrics_mb"] < layers["stream_mb"]
     scale = result["scale"]
     assert scale["rounds"] == 3000 and scale["rows_mb"] == 3000 * scale["d"] * 8 / 1e6
-    assert scale["phase_mb"] >= scale["rows_mb"] and scale["compute_metrics_mb"] >= scale["rows_mb"]
+    assert scale["phase_mb"] >= scale["rows_mb"] and 0 < scale["compute_metrics_mb"] <= scale["metrics_mb"]
+    long = result["long"]
+    assert (long["rounds"], long["replications"]) == (3000, 2)
+    layers = [long[f"{name}_mb"] for name in ("run_sbe", "compute_metrics", "assumption_audit")]
+    assert 0 < max(layers) <= long["run_experiment_mb"]

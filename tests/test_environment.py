@@ -16,8 +16,11 @@ from semibandit.environment import (
     shift_bound,
     shift_values,
 )
+import semibandit.environment as environment
 from semibandit.design import FeatureSet
 from semibandit.errors import GenerationError, InvalidArm
+
+from allocation import traced_peak
 
 
 def shift_at(spec, t):
@@ -308,6 +311,29 @@ class TestAudit:
         )
         findings = assumption_audit(env, horizon=50)
         assert any("shift" in f for f in findings)
+
+    @pytest.mark.parametrize("at", [0, 6, 7, 8, 29, 44])
+    def test_shift_peak_found_in_any_block(self, monkeypatch, at):
+        # the largest |nu_t| over the horizon, scanned _AUDIT_BLOCK rounds at a time, wherever it lies; an entry
+        # past the horizon is not read
+        monkeypatch.setattr(environment, "_AUDIT_BLOCK", 7)
+        table = np.linspace(-0.5, 0.5, 50)
+        table[at], table[45] = -1.75, 9.0
+        fs = FeatureSet(np.array([[0.6, 0.0], [0.0, 0.6]]))
+        env = Environment(features=fs, theta_star=np.array([0.6, 0.0]), shift=ShiftSpec(kind="custom", table=table))
+        assert assumption_audit(env, horizon=45) == [
+            f"shift magnitude reaches {np.abs(table[:45]).max():.6g} > 1 within t <= 45"
+        ] == ["shift magnitude reaches 1.75 > 1 within t <= 45"]
+
+    def test_shift_scan_holds_no_horizon_length_array(self):
+        # at T = 1e6 the whole-horizon scan held 32 MB; a block's arrays are all that is held now
+        env = make_gap_instance(3, 5, 0.4, seed=1)
+        env.shift = ShiftSpec(kind="log_alternating")
+        findings, peak = traced_peak(assumption_audit, env, 1_000_000)
+        largest = np.abs(shift_values(env.shift, np.arange(1, 1_000_001))).max()  # the whole-horizon scan's
+        assert findings == [f"shift magnitude reaches {largest:.6g} > 1 within t <= 1000000"]
+        assert findings == ["shift magnitude reaches 2.7631 > 1 within t <= 1000000"]
+        assert peak <= 8 * environment._AUDIT_BLOCK * 8
 
     def test_reports_feature_norm(self):
         env = Environment(features=FeatureSet(np.array([[2.0, 0.0], [0.0, 0.5], [0.6, 0.8]])), theta_star=[1.0, 0.0])

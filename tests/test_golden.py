@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import semibandit.harness as harness
+import semibandit.metrics as metrics
 from semibandit.design import FeatureSet, deo
 from semibandit.environment import make_gap_instance
 from semibandit.harness import ExperimentConfig, run_experiment
@@ -168,7 +169,7 @@ def test_block_size_does_not_change_bytes(tmp_path, monkeypatch, mode):
     # a 7-row block puts a carry and a partial last block in every file
     algorithm = {"regret": {"delta": 0.05, "horizon": 600}, "error-scaling": {"budget": 500, "delta": 0.1}}.get(mode)
     run_experiment(ExperimentConfig.from_dict(golden_config(mode, 1, tmp_path / "default", algorithm)))
-    monkeypatch.setattr(harness, "_BLOCK", 7)
+    monkeypatch.setattr(metrics, "_BLOCK", 7)
     monkeypatch.setattr(harness, "_WRITE_BLOCK", 7)
     run_experiment(ExperimentConfig.from_dict(golden_config(mode, 1, tmp_path / "small", algorithm)))
     default = {p.name: p.read_bytes() for p in (tmp_path / "default").glob("*.csv")}

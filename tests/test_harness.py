@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import dataclasses
 import hashlib
@@ -21,12 +22,14 @@ import semibandit
 import semibandit.cells as cells
 import semibandit.design as design
 import semibandit.harness as harness
+import semibandit.metrics as metrics
 import semibandit.sbe as sbe
 from semibandit.cli import build_parser, main
 from semibandit.design import DesignCertificate, DesignPolicy, deo
 from semibandit.environment import make_gap_instance
 from semibandit.errors import ConfigError, ConvergenceError, InvalidSample, IoError
 from semibandit.estimator import regularizer
+from semibandit.metrics import metric_blocks
 from semibandit.harness import (
     MEAN_LINE,
     MODES,
@@ -36,7 +39,6 @@ from semibandit.harness import (
     TRAJECTORY_LINE,
     ExperimentConfig,
     build_environment,
-    compute_metrics,
     run_experiment,
 )
 from semibandit.sbe import PhaseState, RunRecord, SbeConfig, run_pure_exploration, run_sbe
@@ -260,6 +262,13 @@ BAD_CONFIGS = {
 }
 
 
+def metric_columns(record, env, betas=None):
+    """The per-step columns of ``record``: its blocks of ``harness._WRITE_BLOCK`` steps, each column joined."""
+    blocks = list(metric_blocks(record, env, betas, harness._WRITE_BLOCK))
+    names = [f.name for f in dataclasses.fields(metrics.MetricTable)]
+    return metrics.MetricTable(*(np.concatenate([getattr(block, name) for block in blocks]) for name in names))
+
+
 def manual_record(env, arms, phases=(), kind="sbe", declared=None, declared_at=None):
     arms = np.asarray(arms, dtype=np.int64)
     return RunRecord(
@@ -276,7 +285,7 @@ class TestComputeMetrics:
     def test_always_best_zero_regret(self):
         env = make_gap_instance(3, 5, 0.5, seed=1)
         record = manual_record(env, [env.best_arm] * 10)
-        table = compute_metrics(record, env)
+        table = metric_columns(record, env)
         assert np.all(table.inst_regret == 0.0)
         assert np.all(table.cum_regret == 0.0)
 
@@ -284,10 +293,10 @@ class TestComputeMetrics:
         env = make_gap_instance(3, 5, 0.5, seed=1)
         runner_up = int(np.argsort(env.values)[-2])
         arms = [env.best_arm, runner_up] * 5
-        table = compute_metrics(manual_record(env, arms), env)
+        table = metric_columns(manual_record(env, arms), env)
         assert np.isclose(table.cum_regret[-1], 2.5)
 
-    def test_perfect_estimate_zero_error(self):
+    def test_perfect_estimate_zero_error(self, monkeypatch):
         env = make_gap_instance(3, 5, 0.5, seed=2)
         policy, cert = deo(env.features)
         phase = PhaseState(
@@ -302,9 +311,11 @@ class TestComputeMetrics:
             theta_hat=env.theta_star.copy(),
         )
         record = manual_record(env, [0, 1, 2, 3, 0, 1, 2, 3], phases=[phase])
-        table = compute_metrics(record, env)
-        assert np.all(np.isnan(table.e_t[:4]))  # before the first snapshot
-        assert np.all(table.e_t[4:] == 0.0)
+        for block in (3, 2048):  # a block of 3 steps meets both segments
+            monkeypatch.setattr(harness, "_WRITE_BLOCK", block)
+            table = metric_columns(record, env)
+            assert np.all(np.isnan(table.e_t[:4]))  # before the first snapshot
+            assert np.all(table.e_t[4:] == 0.0)
 
     @pytest.mark.parametrize("block", [3, 512])
     def test_pure_error_past_the_largest_double_raises(self, monkeypatch, block):
@@ -314,18 +325,18 @@ class TestComputeMetrics:
         policy, cert = deo(env.features)
         arms = np.arange(8) % env.K
         phase = PhaseState(1, tuple(range(env.K)), math.nan, 8, policy, cert, 0, np.zeros(env.d), taken=8)
-        monkeypatch.setattr(harness, "_BLOCK", block)
+        monkeypatch.setattr(metrics, "_BLOCK", block)
         finite = RunRecord(arm=arms, reward=env.values[arms], phases=[phase], kind="pure")
         betas = log_table(8, 0.1)
-        assert np.isfinite(compute_metrics(finite, env, betas).e_t).all()
+        assert np.isfinite(metric_columns(finite, env, betas).e_t).all()
         huge = RunRecord(arm=arms, reward=np.full(8, 1e308), phases=[phase], kind="pure")
         with np.errstate(all="ignore"), pytest.raises(InvalidSample, match="^the ridge estimate is not finite"):
-            compute_metrics(huge, env, betas)
+            metric_columns(huge, env, betas)
 
     def test_sqrt_column_identity(self):
         env = make_gap_instance(3, 6, 0.4, seed=3)
         record = run_sbe(env, SbeConfig(delta=0.1, horizon=3_000), run_seed=0)
-        table = compute_metrics(record, env)
+        table = metric_columns(record, env)
         mask = ~np.isnan(table.e_t)
         lhs = table.sqrt_t_e_t[mask]
         rhs = np.sqrt(table.t[mask]) * table.e_t[mask]
@@ -334,7 +345,7 @@ class TestComputeMetrics:
     def test_pure_exploration_per_step_error(self):
         env = make_gap_instance(3, 5, 0.4, seed=4)
         _, _, record = run_pure_exploration(env, 200, 0.1, run_seed=0)
-        table = compute_metrics(record, env, log_table(record.steps, 0.1))
+        table = metric_columns(record, env, log_table(record.steps, 0.1))
         assert not np.isnan(table.e_t).any()
         # spot-check one step against a direct reconstruction
         t_check = 150
@@ -350,11 +361,13 @@ class TestComputeMetrics:
     @pytest.mark.parametrize("block", [7, 997, 2048])
     @pytest.mark.parametrize("d", [2, 5, 7])
     def test_pure_exploration_error_matches_stepwise_solves(self, monkeypatch, block, d):
-        # the batched e_t equals a ridge solve after every step, bit for bit
+        # the batched e_t equals a ridge solve after every step, bit for bit, the
+        # running sums carried across the edge of two blocks of 1,000 steps
         env = make_gap_instance(d, 9, 0.3, seed=d)
         _, _, record = run_pure_exploration(env, 1_500, 0.1, run_seed=d)
-        monkeypatch.setattr(harness, "_BLOCK", block)
-        table = compute_metrics(record, env, log_table(record.steps, 0.1))
+        monkeypatch.setattr(metrics, "_BLOCK", block)
+        monkeypatch.setattr(harness, "_WRITE_BLOCK", 1_000)
+        table = metric_columns(record, env, log_table(record.steps, 0.1))
         x = env.features.features
         xbar = record.phases[0].policy.probabilities @ x
         gram, moment, expected = np.zeros((d, d)), np.zeros(d), []
@@ -366,20 +379,39 @@ class TestComputeMetrics:
             expected.append(np.abs((x - x[0]) @ (theta_hat - env.theta_star)).max())
         assert table.e_t.tobytes() == np.array(expected).tobytes()
 
-    def test_pure_record_holds_one_copy_of_its_rows(self):
-        # a pure record's centered rows are its one n x d array: x~r is formed a block at a time.  Besides them
-        # the metrics hold the columns they return, z over K arms, and a block's stack of d x d systems.  A
-        # second n x d copy (about 2.4 n d 8 B in all) fails
+    def test_pure_record_holds_no_copy_of_its_rows(self):
+        # the metrics of a pure record hold no n x d array: x~ and x~r are formed _BLOCK steps at a time.  Taking
+        # its blocks holds two blocks' columns (the one taken and the next), z and a few K x d arrays, and a
+        # _BLOCK's stacks of d x d systems (about 3.1 of them); one n x d array (1.3 stacks here) fails
         n, d, k = 50_000, 20, 20
         env = make_gap_instance(d, k, 0.2, seed=0)
         _, _, record = run_pure_exploration(env, n, 0.1)
-        table, peak = traced_peak(compute_metrics, record, env, log_table(n, 0.1))
-        returned = sum(col.nbytes for col in vars(table).values() if col is not record.arm and col is not record.reward)
-        assert peak <= 1.3 * n * d * 8 + returned + 16 * k * d * 8 + 3 * harness._BLOCK * d * d * 8
+        betas = log_table(n, 0.1)
+        _, peak = traced_peak(lambda: collections.deque(metric_blocks(record, env, betas, harness._WRITE_BLOCK), 0))
+        assert peak <= 2 * 9 * harness._WRITE_BLOCK * 8 + 16 * k * d * 8 + 4 * metrics._BLOCK * d * d * 8
+
+    @pytest.mark.parametrize("mode, rounds", [("regret", 30_000), ("error-scaling", 6_000)])
+    def test_streamed_replication_peak_does_not_grow_with_the_horizon(self, tmp_path, mode, rounds):
+        # a replication's metrics and its trajectory text, a block at a time: at 4x the rounds the traced peak
+        # moves by less than one block's columns.  The record, the betas and the mean sums are made before
+        peaks = []
+        for n in (rounds, 4 * rounds):
+            algorithm = {"horizon": n, "delta": 0.05} if mode == "regret" else {"budget": n, "delta": 0.1}
+            cfg = ExperimentConfig.from_dict(base_config(tmp_path, mode=mode, algorithm=algorithm, replications=1))
+            if mode == "regret":
+                record, betas = run_sbe(cfg.env, SbeConfig(**cfg.algorithm), run_seed=0), None
+            else:
+                record, betas = run_pure_exploration(cfg.env, n, 0.1, run_seed=0)[2], cfg.betas
+            means = harness._sums(n)
+            blocks = harness._trajectory_blocks(record, cfg.env, betas, 0, means)
+            rows = harness._stream_rows(TRAJECTORY_LINE, blocks, harness._trajectory_ranges(cfg))
+            peaks.append(traced_peak(collections.deque, rows, 0)[1])
+            assert np.isfinite(means[0]).all() and record.steps == n
+        assert abs(peaks[1] - peaks[0]) < len(TRAJECTORY_COLUMNS) * harness._WRITE_BLOCK * 8
 
     def test_log_table_made_once_and_read_only(self, tmp_path, monkeypatch):
         # the pure records of one run share one table of estimator.regularizer, ExperimentConfig.betas, made
-        # once for the run; compute_metrics makes none, it reads the one given
+        # once for the run; metric_blocks makes none, it reads the one given
         made = []
         monkeypatch.setattr(harness, "regularizer", lambda t, delta: made.append((t, delta)) or regularizer(t, delta))
         raw = base_config(tmp_path, mode="error-scaling", algorithm={"budget": 300, "delta": 0.1}, replications=3)
@@ -388,7 +420,7 @@ class TestComputeMetrics:
         assert made == [(t, 0.1) for t in range(1, 301)]
         env = make_gap_instance(3, 6, 0.5, seed=5)
         record = run_pure_exploration(env, 300, 0.2, run_seed=0)[2]
-        assert compute_metrics(record, env, log_table(300, 0.2)).e_t.size == 300
+        assert metric_columns(record, env, log_table(300, 0.2)).e_t.size == 300
         assert len(made) == 300
         assert cfg.betas.tolist() == [math.log(t / 0.1) for t in range(1, 301)]
         with pytest.raises(ValueError):
@@ -404,14 +436,13 @@ class TestComputeMetrics:
         ],
         ids=["declared", "truncated", "pure"],
     )
-    def test_columns_match_stepwise_walk(self, make, tail):
+    def test_columns_match_stepwise_walk(self, monkeypatch, make, tail):
         # phase, active_size and e_t, walking the steps one at a time: a step
         # belongs to the first phase not yet used up, or else to the declared
         # arm's tail, and e_t is the last finished phase's error (NaN before any)
         env = make_gap_instance(3, 6, 0.5, seed=5)
         record = make(env)
         assert record.steps - sum(ph.taken for ph in record.phases) == tail
-        table = compute_metrics(record, env, log_table(record.steps, 0.1))
         x = env.features.features
         phase, size, e_t = [], [], []
         done, used, snapshot = 0, 0, math.nan
@@ -436,15 +467,20 @@ class TestComputeMetrics:
                 theta_hat = np.linalg.solve(gram + math.log(t / 0.1) * np.eye(env.d), moment)
                 snapshot = np.abs((x - x[0]) @ (theta_hat - env.theta_star)).max()
             e_t.append(snapshot)
-        assert table.phase.tolist() == phase
-        assert table.active_size.tolist() == size
-        assert table.e_t.tobytes() == np.array(e_t).tobytes()
-        assert np.isnan(table.e_t[0]) == (record.kind == "sbe")
+        for block in (7, 2048):  # blocks of 7 steps meet every segment edge
+            monkeypatch.setattr(harness, "_WRITE_BLOCK", block)
+            table = metric_columns(record, env, log_table(record.steps, 0.1))
+            assert table.phase.tolist() == phase
+            assert table.active_size.tolist() == size
+            assert table.e_t.tobytes() == np.array(e_t).tobytes()
+            assert np.isnan(table.e_t[0]) == (record.kind == "sbe")
+            # cum_regret, continued from block to block, has the bits of one cumsum over the record
+            assert table.cum_regret.tobytes() == np.cumsum(env.values[env.best_arm] - env.values[record.arm]).tobytes()
 
     def test_regret_monotone_and_total(self):
         env = make_gap_instance(3, 6, 0.4, seed=5)
         record = run_sbe(env, SbeConfig(delta=0.1, horizon=4_000), run_seed=1)
-        table = compute_metrics(record, env)
+        table = metric_columns(record, env)
         assert np.all(np.diff(table.cum_regret) >= -1e-12)
         assert abs(table.cum_regret[-1] - table.inst_regret.sum()) <= 1e-9
 
@@ -881,8 +917,8 @@ def run_tables(draw, block):
 
 
 def written_lines(line, columns, block):
-    """The lines ``cells.rows`` writes, newlines kept: a list, which pytest compares quickly when long."""
-    return "".join(cells.rows(line, columns, block)).splitlines(keepends=True)
+    """The lines ``cells.table_rows`` writes, newlines kept: a list, which pytest compares quickly when long."""
+    return "".join(cells.table_rows(line, columns, block)).splitlines(keepends=True)
 
 
 def per_cell_lines(line, columns):
@@ -1035,8 +1071,10 @@ class TestWriter:
     def test_fallback_for_every_cell_gives_the_same_bytes(self, tmp_path, monkeypatch):
         # % on every cell of every column, through the encoders' field layout
         cfg = ExperimentConfig.from_dict(base_config(tmp_path, algorithm={"horizon": 5_000}))
-        columns, _, _ = harness._replication_task(cfg, 0)
-        encoded = "".join(harness._format_rows(TRAJECTORY_LINE, columns))
+        blocks = list(harness._replication_task(cfg, 0, harness._sums(5_000), []))
+        encoded = "".join(harness._stream_rows(TRAJECTORY_LINE, blocks, harness._trajectory_ranges(cfg)))
+        columns = [np.concatenate(column) for column in zip(*blocks)]
+        assert "".join(harness._format_rows(TRAJECTORY_LINE, columns)) == encoded
 
         def percent_only(spec):
             def encode(values, out):
@@ -1100,7 +1138,9 @@ class TestWriter:
         ]:
             cfg = ExperimentConfig.from_dict(base_config(tmp_path, mode=mode, algorithm=algorithm, replications=3))
             run_experiment(cfg)
-            summaries = [harness._replication_task(cfg, rep)[2] for rep in range(3)]
+            summaries, sums = [], harness._sums(harness._rounds(cfg.algorithm))
+            for rep in range(3):
+                collections.deque(harness._replication_task(cfg, rep, sums, summaries), 0)
             texts = [[s[c] if isinstance(s[c], str) else cell_text(s[c]) for c in SUMMARY_COLUMNS] for s in summaries]
             text = "".join(",".join(row) + "\n" for row in texts)
             assert text == "".join(SUMMARY_LINE % tuple(s[c] for c in SUMMARY_COLUMNS) for s in summaries)
@@ -1122,7 +1162,7 @@ class TestWriter:
     def test_rows_reject_columns_without_an_encoder(self, spec, column):
         # the writer takes float64 under %.17g and int64 under %d, and nothing else
         with pytest.raises(TypeError, match="^no array encoder"):
-            next(cells.rows(f"%d,{spec}\n", (np.arange(2), column), 4))
+            next(cells.table_rows(f"%d,{spec}\n", (np.arange(2), column), 4))
 
     def test_row_width_follows_each_block(self, monkeypatch):
         # a column constant in one block and varying in the next: each block has its own width
@@ -1196,21 +1236,32 @@ class TestWriter:
 
 class TestRunningMean:
     @pytest.mark.parametrize("reps", range(1, 41))
-    def test_running_sums_equal_numpy_mean(self, reps):
-        # the trajectory_mean.csv columns, bit for bit, with NaN prefixes like regret e_t
+    def test_running_sums_equal_numpy_mean(self, monkeypatch, reps):
+        # the trajectory_mean.csv columns, bit for bit, with NaN prefixes like regret e_t: each replication's
+        # blocks added into _sums in index order, then divided a block at a time
+        monkeypatch.setattr(harness, "_WRITE_BLOCK", 5)
         rng = np.random.default_rng(reps)
         for _ in range(5):
             columns = []
             for _ in range(reps):
                 col = rng.standard_normal(64) * 10.0 ** rng.uniform(-3, 3, 64)
                 col[: rng.integers(0, 20)] = math.nan
-                columns.append((col, np.cumsum(np.abs(col[::-1]))))
-            sums = []
+                columns.append((col, np.cumsum(np.abs(col[::-1])), -col))
+            sums = harness._sums(64)
             for cols in columns:
-                harness._add_columns(sums, cols)
-            expected = [np.mean([cols[i] for cols in columns], axis=0) for i in range(2)]
-            assert [(total / reps).tobytes() for total in sums] == [e.tobytes() for e in expected]
-            assert not any(np.shares_memory(total, col) for total in sums for col in columns[0])
+                for s in range(0, 64, 5):
+                    sums[:, s : s + 5] += tuple(c[s : s + 5] for c in cols)
+            blocks = list(harness._mean_blocks(sums, reps))
+            assert [len(block[0]) for block in blocks] == [5] * 12 + [4]
+            expected = [np.arange(1, 65), *(np.mean([cols[i] for cols in columns], axis=0) for i in range(3))]
+            assert [np.concatenate(column).tobytes() for column in zip(*blocks)] == [e.tobytes() for e in expected]
+
+    def test_sums_take_the_first_replication_as_it_is(self):
+        # the sums start at -0.0, which + leaves as it is: a 0.0 start would turn a -0.0 cell into 0.0
+        cells = np.array([-0.0, 0.0, math.nan, -math.inf, 5e-324, -1.5])
+        sums = harness._sums(cells.size)
+        sums += (cells, -cells, cells[::-1])
+        assert sums.tobytes() == np.stack([cells, -cells, cells[::-1]]).tobytes()
 
 
 class TestCli:

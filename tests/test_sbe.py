@@ -14,7 +14,7 @@ from semibandit.environment import (
     shift_values,
 )
 from semibandit.errors import DegenerateFeatures, ScheduleOverflow
-from semibandit.harness import compute_metrics
+from semibandit.metrics import metric_blocks
 from semibandit.sbe import (
     SbeConfig,
     _run_phase,
@@ -195,9 +195,10 @@ class TestRunSbe:
     def test_cumulative_regret_monotone(self):
         env = make_gap_instance(3, 6, 0.5, seed=7)
         record = run_sbe(env, cfg(horizon=5_000), run_seed=2)
-        table = compute_metrics(record, env)
-        assert np.all(np.diff(table.cum_regret) >= -1e-12)
-        assert np.isclose(table.cum_regret[-1], table.inst_regret.sum())
+        blocks = list(metric_blocks(record, env, None, 2048))
+        cum_regret = np.concatenate([block.cum_regret for block in blocks])
+        assert np.all(np.diff(cum_regret) >= -1e-12)
+        assert np.isclose(cum_regret[-1], np.concatenate([block.inst_regret for block in blocks]).sum())
 
     def test_anchor_policy_weight(self):
         env = make_gap_instance(4, 9, 0.4, seed=8)
