@@ -14,7 +14,9 @@ of instance 0 of each perfbench workload at ``--seed``, the layers are each
 ``metrics.compute_metrics`` call (the largest: one block of steps), and the
 stream: the replication's metrics and its trajectory text taken a block at a
 time, as a run writes them, each block's text dropped once made.  The record,
-the betas and the mean sums are made before the stream and do not count in it.
+the betas and the mean sums are made before the stream and do not count in it;
+the record holds the phase rounds, and the declared arm's tail, a count, is
+drawn in the stream a block at a time, so its draws count there.
 The scale point is one pure-exploration phase of ``--rounds`` rounds
 (default 200,000) over ``make_gap_instance(20, 1000, 0.2, 0)``, and the
 metrics of its record, one ``compute_metrics`` call and all of its blocks;

@@ -129,12 +129,28 @@ class NoiseStream:
     ``seed`` is ``SeedSequence`` entropy, an int or a tuple of ints.  Each
     read continues from the round after the last one read (round 1 at
     first), so a run's reads split any way give the values of one read.
+    ``state`` saves where a stream is and ``resume`` continues from it, as
+    often as asked: each resumed stream reads what the saved one would.
     """
 
     def __init__(self, spec: NoiseSpec, seed: int | tuple[int, ...]):
         self.spec = spec
         self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         self._next = 1  # the round the next read starts at
+
+    @property
+    def state(self) -> tuple:
+        """The spec, the generator's state (a copy) and the round the next read starts at."""
+        return self.spec, self._gen.bit_generator.state, self._next
+
+    @classmethod
+    def resume(cls, state: tuple) -> NoiseStream:
+        """A new stream that continues from ``state`` (``NoiseStream.state``)."""
+        spec, bits, next_round = state
+        stream = cls(spec, 0)
+        stream._gen.bit_generator.state = bits
+        stream._next = next_round
+        return stream
 
     def values(self, t0: int, n: int) -> np.ndarray:
         """Noise for rounds t0, t0+1, ..., t0+n-1; ``t0`` must be the round after the last one read."""

@@ -15,12 +15,14 @@ Replications are seeded as ``base_seed + index`` and are consumed in index
 order.  A run returns only its decisions; ``metrics.metric_blocks`` makes
 every per-step column (phase, regret, active-set size, e_t) one block of
 ``_WRITE_BLOCK`` steps at a time, and each block goes straight to the CSV
-writer and into the running sums of the mean columns.  No column as long as
-the horizon is made: a replication holds its record, a block's columns and
+writer and into the running sums of the mean columns.  Beside those sums
+(3 x rounds), no column as long as the horizon is made: a replication holds
+its record, whose declared tail is a count of rounds, a block's columns and
 the writer's buffer.  Inline, each replication's blocks are formatted into
 ``trajectory.csv`` by a stream of their own; in a process pool, each worker
-writes its own rows to a part file, which the parent appends in index order
-and deletes.  Either way the files are byte-identical regardless of worker
+writes its own rows and then its mean columns to part files, which the
+parent appends, or adds into its sums a block at a time, in index order, and
+deletes.  Either way the files are byte-identical regardless of worker
 count, and ``trajectory_mean.csv`` divides the sums, added in index order, a
 block at a time.  What replications compute alike is computed once per run
 and kept on the config's objects: the anchored design over all arms, which
@@ -439,8 +441,9 @@ def _pooled_task(rep: int):
     """``_replication_task`` of replication ``rep`` for a worker process.
 
     Its trajectory rows go to its own part file (``_trajectory_part``), one
-    block at a time, written as ``_replacing`` writes a file; only its mean
-    columns and its summary come back.
+    block at a time, and then its mean columns, as the float64 bytes of its
+    ``_sums``, to another (``_sums_part``), each written as ``_replacing``
+    writes a file; only its summary comes back.
     """
     cfg = _worker_run
     means, summaries = _sums(_rounds(cfg.algorithm)), []
@@ -448,12 +451,28 @@ def _pooled_task(rep: int):
     with _replacing(_trajectory_part(cfg, rep)) as write:  # an OSError of the replication's own passes through
         for text in _stream_rows(TRAJECTORY_LINE, blocks, _trajectory_ranges(cfg)):
             write(text)
-    return means, summaries[0]
+    with _replacing(_sums_part(cfg, rep), binary=True) as write:
+        write(means)
+    return summaries[0]
 
 
 def _trajectory_part(cfg: ExperimentConfig, rep: int) -> Path:
     """Where a worker writes the trajectory rows of replication ``rep``."""
     return Path(cfg.output) / f"trajectory.csv.part.{rep}"
+
+
+def _sums_part(cfg: ExperimentConfig, rep: int) -> Path:
+    """Where a worker writes the mean columns of replication ``rep``, as the bytes of its ``_sums`` (3 x rounds)."""
+    return Path(cfg.output) / f"mean_sums.part.{rep}"
+
+
+def _add_part(sums: np.ndarray, path: Path) -> None:
+    """Add the mean columns in ``path`` (``_sums_part``) into ``sums``, row by row, ``_WRITE_BLOCK`` cells at a time."""
+    with open(path, "rb") as fh:
+        for row in sums:
+            for s in range(0, row.size, _WRITE_BLOCK):
+                total = row[s : s + _WRITE_BLOCK]
+                total += np.frombuffer(fh.read(total.nbytes))
 
 
 def _nullable(value) -> str:
@@ -485,8 +504,8 @@ def _writing(path: Path):
 
 
 @contextlib.contextmanager
-def _replacing(path: Path):
-    """A ``write(text)`` function for ``path``.
+def _replacing(path: Path, binary: bool = False):
+    """A ``write(text)`` function for ``path``, or ``write(data)`` of bytes-like data if ``binary``.
 
     The text goes to a temporary name beside ``path``, renamed to ``path`` when
     the block completes, so a run that fails part way leaves no partial file
@@ -496,11 +515,11 @@ def _replacing(path: Path):
     """
     part = path.with_name(path.name + ".part")
     with _writing(path):
-        fh = open(part, "w", newline="")
+        fh = open(part, "wb") if binary else open(part, "w", newline="")
 
-    def write(text: str) -> None:
+    def write(data) -> None:
         with _writing(path):
-            fh.write(text)
+            fh.write(data)
 
     try:
         yield write
@@ -542,12 +561,14 @@ def _run_replications(cfg: ExperimentConfig, workers: int, write) -> tuple[np.nd
     gets ``cfg`` once (``_start_worker``) and a task is a replication index;
     each worker writes its rows to its own part file, which is appended and
     deleted in index order; at most 2 x ``workers`` replications are
-    submitted and not yet appended.  If the run fails, every part file is
-    deleted.
+    submitted and not yet appended.  Its mean columns come as a file too,
+    added into the run's sums a block at a time and deleted (``_add_part``),
+    so the parent holds its own sums and a block, never a replication's
+    whole.  If the run fails, every part file is deleted.
     """
-    summaries = []
+    summaries, sums = [], _sums(_rounds(cfg.algorithm))
     if workers == 1:
-        sums, ranges = _sums(_rounds(cfg.algorithm)), _trajectory_ranges(cfg)
+        ranges = _trajectory_ranges(cfg)
         for rep in range(cfg.replications):
             for text in _stream_rows(TRAJECTORY_LINE, _replication_task(cfg, rep, sums, summaries), ranges):
                 write(text)
@@ -561,7 +582,7 @@ def _run_replications(cfg: ExperimentConfig, workers: int, write) -> tuple[np.nd
             submit = functools.partial(pool.submit, _pooled_task)
             pending = collections.deque(map(submit, itertools.islice(reps, 2 * workers)))
             for rep in range(cfg.replications):
-                means, summary = pending.popleft().result()
+                summary = pending.popleft().result()
                 following = next(reps, None)
                 if following is not None:
                     pending.append(submit(following))
@@ -571,17 +592,17 @@ def _run_replications(cfg: ExperimentConfig, workers: int, write) -> tuple[np.nd
                         for text in iter(functools.partial(fh.read, 1 << 20), ""):
                             write(text)
                     part.unlink()
-                if rep:
-                    sums += means
-                else:
-                    sums = means  # added into a worker's _sums, they are the sums so far
+                part = _sums_part(cfg, rep)
+                with _writing(part):
+                    _add_part(sums, part)
+                    part.unlink()
                 summaries.append(summary)
-                del means  # not held while the next result is awaited
     except BaseException:
         # a failed run leaves no part file: the pool has closed, so no worker is still writing one
         for rep in range(cfg.replications):
-            with contextlib.suppress(OSError):
-                _trajectory_part(cfg, rep).unlink()
+            for part in (_trajectory_part(cfg, rep), _sums_part(cfg, rep)):
+                with contextlib.suppress(OSError):
+                    part.unlink()
         raise
     return sums, summaries
 

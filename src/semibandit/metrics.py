@@ -5,8 +5,13 @@ derives every per-step column from it, phase, regret, active-set size and
 the estimation error e_t, one block of steps at a time: each block is one
 ``compute_metrics`` call, from the record's phase segments and what the
 block before left (``MetricStream``), so no column as long as the horizon is
-made.  Every cell of a block has the bits of computing the whole record at
-once: a cumsum continued from the last block's sum adds as one cumsum does.
+made.  A declared arm's tail is drawn here: its arm cells are a block of the
+arm, and its rewards come from ``environment.rewards_for`` a block at a
+time, on a noise stream resumed from the record's saved state, so each pass
+over a record draws the same tail.  Every cell of a block has the bits of
+computing the whole record at once: a cumsum continued from the last block's
+sum adds as one cumsum does, a noise stream read split any way gives the
+values of one read, and ``rewards_for`` works element by element.
 The per-step e_t of pure exploration is computed ``_BLOCK`` steps at a time:
 running sums of the rank-one terms and one batched ridge solve per block
 (``estimator.solve``), bit for bit equal to solving after every step.
@@ -20,7 +25,7 @@ import math
 
 import numpy as np
 
-from .environment import Environment
+from .environment import Environment, NoiseStream, rewards_for
 from .errors import InvalidSample
 from .estimator import EstimatorState, solve
 from .sbe import RunRecord
@@ -52,16 +57,19 @@ class MetricStream:
     its phase, active-set size and e_t, each as a block of equal cells
     (read-only broadcasts); ``segment`` is the first segment not yet passed.
     Only ``cum_regret``, the last step's cumulative regret (-0.0, the identity
-    of +, before the first), and a pure record's running sums ``gram`` and
-    ``moment`` (1 x d x d and 1 x d) cross a block edge.  A pure record's e_t
-    also reads its policy's mean arm ``xbar`` and the arms less arm 0, ``z``.
+    of +, before the first), the declared arm's ``noise`` stream, resumed
+    from the record's saved state, and a pure record's running sums ``gram``
+    and ``moment`` (1 x d x d and 1 x d) cross a block edge.  A declared
+    record's tail takes its arm cells from ``tail``, a block of the declared
+    arm.  A pure record's e_t also reads its policy's mean arm ``xbar`` and the
+    arms less arm 0, ``z``.
     A plain class: a dataclass would add to every import of the CLI.
     """
 
     def __init__(self, record: RunRecord, env: Environment, betas, ends: list, segments: list):
         self.record, self.env, self.betas, self.ends, self.segments = record, env, betas, ends, segments
         self.segment, self.cum_regret = 0, -0.0
-        self.gram = self.moment = self.xbar = self.z = None
+        self.gram = self.moment = self.xbar = self.z = self.tail = self.noise = None
 
 
 def metric_blocks(record: RunRecord, env: Environment, betas, block: int):
@@ -74,7 +82,10 @@ def metric_blocks(record: RunRecord, env: Environment, betas, block: int):
     least the record's steps, as in ``ExperimentConfig.betas``), and at phase
     ends for elimination records (anchored at the phase anchor over the
     surviving arms), each carried over the next segment; steps before the
-    first snapshot report NaN.
+    first snapshot report NaN.  The declared arm's tail, which the record
+    holds as a count, is drawn block by block with ``environment.rewards_for``
+    from a noise stream that each pass resumes from the record's ``noise``, so
+    two passes over one record give the same columns.
     """
     n, x, phases = record.steps, env.features.features, record.phases
     errors = [math.nan] * len(phases)
@@ -92,6 +103,8 @@ def metric_blocks(record: RunRecord, env: Environment, betas, block: int):
     if record.kind == "pure":
         stream.gram, stream.moment = np.zeros((1, env.d, env.d)), np.zeros((1, env.d))
         stream.xbar, stream.z = phases[0].policy.probabilities @ x, x - x[0]
+    if n > record.arm.shape[0]:  # a noise stream of its own: two passes over one record draw the same tail
+        stream.tail, stream.noise = np.full(block, record.declared_best, np.int64), NoiseStream.resume(record.noise)
     for s in range(0, n, block):
         yield compute_metrics(stream, s, min(s + block, n))
 
@@ -110,6 +123,12 @@ def compute_metrics(stream: MetricStream, start: int, stop: int) -> MetricTable:
     record, env, ends = stream.record, stream.env, stream.ends
     n = stop - start
     arm, reward = record.arm[start:stop], record.reward[start:stop]
+    tau = record.arm.shape[0]  # the phase rounds: the declared arm's tail follows
+    if stop > tau:  # the tail's steps of the block, their rewards drawn in round order
+        first = max(start, tau)
+        tail = stream.tail[: stop - first]
+        drawn = rewards_for(env, tail, first + 1, stream.noise)
+        arm, reward = (tail, drawn) if first == start else (np.concatenate([arm, tail]), np.concatenate([reward, drawn]))
     t = np.arange(start + 1, stop + 1)
     inst = env.values[env.best_arm] - env.values[arm]
     cum = np.empty(n + 1)

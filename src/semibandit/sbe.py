@@ -13,8 +13,11 @@ surviving index is declared best and exploited to the horizon.  Pure
 exploration (PAC, error scaling) runs a single phase over all arms for a
 fixed budget and picks the greedy arm.
 
-A run records only what it decided (arms, rewards, phases, declaration);
-``metrics.metric_blocks`` derives every per-step column from its phases.
+A run records only what it decided: the arms and rewards of its phase
+rounds, its phases and its declaration.  The declared arm's tail is a count
+of rounds and the saved state of the run's noise, so a run's memory stops
+growing with the horizon once it declares; ``metrics.metric_blocks`` draws
+the tail's rewards a block at a time and derives every per-step column.
 """
 
 from __future__ import annotations
@@ -31,9 +34,11 @@ from .environment import Environment, rewards_for
 from .errors import ScheduleOverflow, check_int, check_member, check_positive, check_probability
 
 _SCHEDULES = ("fixed", "adaptive")
-# the most rounds a horizon, budget or phase may hold.  A run allocates 8 bytes a
-# round (np.arange(1, n + 1), for one); numpy 2.4 refuses 2**60 rounds with
-# ValueError, but 2**59 can fail only with MemoryError, which the CLI reports
+# the most rounds a horizon, budget or phase may hold.  A phase allocates 8 bytes
+# a round (np.arange(1, n + 1), for one), and a run's mean sums 24
+# (harness._sums); a declared tail, a count, none.  numpy 2.4 refuses 2**60
+# rounds with ValueError, but 2**59 can fail only with MemoryError, which the
+# CLI reports
 _MAX_ROUNDS = 2**59
 PAC_C2 = 4.0  # the scale of a PAC budget that names none
 
@@ -80,10 +85,14 @@ class PhaseState:
 
 @dataclass
 class RunRecord:
-    """What one run decided: the arm and reward of each step, its phases, its declaration.
+    """What one run decided: the arm and reward of each phase round, its phases, its declaration.
 
-    The steps are the phases' ``taken`` rounds in order, then, if one arm was
-    declared best at step ``declared_at``, that arm to the horizon.  ``kind``
+    The steps are the phases' ``taken`` rounds in order, whose arms and
+    rewards ``arm`` and ``reward`` hold, then, if one arm was declared best
+    at step ``declared_at``, that arm to the ``horizon``.  The tail is a count:
+    ``noise`` is the run's noise from round ``declared_at + 1`` on
+    (``NoiseStream.state``), from which ``metrics.metric_blocks`` draws its
+    rewards.  A record without a ``horizon`` has no tail.  ``kind``
     distinguishes elimination runs ("sbe") from one-phase pure-exploration
     runs ("pure"); metric computation keys off it.
     """
@@ -94,10 +103,12 @@ class RunRecord:
     declared_best: int | None = None
     declared_at: int | None = None
     kind: str = "sbe"
+    horizon: int | None = None
+    noise: tuple | None = None
 
     @property
     def steps(self) -> int:
-        return self.arm.shape[0]
+        return self.arm.shape[0] if self.horizon is None else self.horizon
 
 
 def sample_size(d: int, m: float, epsilon: float, delta: float, size, name: str) -> int:
@@ -229,16 +240,16 @@ def run_sbe(env: Environment, cfg: SbeConfig, run_seed: int = 0) -> RunRecord:
             active = active[:1]
 
     declared = declared_at = None
-    if t < big_t:  # one arm survived: declare it best and play it to the horizon
+    if t < big_t:  # one arm survived: declare it best and play it to the horizon, drawn by the metrics
         declared, declared_at = active[0], t
-        arms.append(np.full(big_t - t, declared, dtype=np.int64))
-        rewards.append(rewards_for(env, arms[-1], t + 1, noise))
     return RunRecord(
         arm=np.concatenate(arms),
         reward=np.concatenate(rewards),
         phases=phases,
         declared_best=declared,
         declared_at=declared_at,
+        horizon=big_t,
+        noise=None if declared is None else noise.state,
     )
 
 

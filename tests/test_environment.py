@@ -166,6 +166,21 @@ class TestNoise:
         with pytest.raises(ValueError, match="in order"):  # and reads no negative count
             stream.values(10, -1)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "bounded_uniform", "none"])
+    def test_resumed_streams_read_what_the_saved_one_would(self, kind):
+        # a declared run saves its noise after its phase rounds; each pass of the metrics resumes it, so
+        # every resumed stream reads the rounds the saved one would, whatever the saved one reads later
+        spec = NoiseSpec(kind=kind, scale=0.7)
+        stream = NoiseStream(spec, seed=9)
+        stream.values(1, 37)
+        state = stream.state
+        later = stream.values(38, 5000)  # moves the saved stream on, not its state
+        resumed = [NoiseStream.resume(state) for _ in range(2)]
+        assert resumed[0].values(38, 5000).tobytes() == later.tobytes()
+        assert np.concatenate([resumed[1].values(38, 4096), resumed[1].values(4134, 904)]).tobytes() == later.tobytes()
+        with pytest.raises(ValueError, match="in order"):  # a resumed stream goes on from the saved round
+            NoiseStream.resume(state).values(1, 3)
+
     def test_run_keys_do_not_collide(self):
         # both pairs drew identical noise under the key (env seed * 0x9E3779B9 + run seed) mod 2^63
         mu = [0.5, 0.2]

@@ -392,8 +392,9 @@ class TestComputeMetrics:
 
     @pytest.mark.parametrize("mode, rounds", [("regret", 30_000), ("error-scaling", 6_000)])
     def test_streamed_replication_peak_does_not_grow_with_the_horizon(self, tmp_path, mode, rounds):
-        # a replication's metrics and its trajectory text, a block at a time: at 4x the rounds the traced peak
-        # moves by less than one block's columns.  The record, the betas and the mean sums are made before
+        # a replication's metrics and its trajectory text, a block at a time, the declared arm's tail drawn in
+        # them: at 4x the rounds the traced peak moves by less than one block's columns.  The record, the betas
+        # and the mean sums are made before
         peaks = []
         for n in (rounds, 4 * rounds):
             algorithm = {"horizon": n, "delta": 0.05} if mode == "regret" else {"budget": n, "delta": 0.1}
@@ -437,14 +438,16 @@ class TestComputeMetrics:
         ids=["declared", "truncated", "pure"],
     )
     def test_columns_match_stepwise_walk(self, monkeypatch, make, tail):
-        # phase, active_size and e_t, walking the steps one at a time: a step
-        # belongs to the first phase not yet used up, or else to the declared
-        # arm's tail, and e_t is the last finished phase's error (NaN before any)
+        # phase, arm, active_size and e_t, walking the steps one at a time: a step
+        # belongs to the first phase not yet used up, its arm the record's, or else
+        # to the declared arm's tail, and e_t is the last finished phase's error
+        # (NaN before any)
         env = make_gap_instance(3, 6, 0.5, seed=5)
         record = make(env)
         assert record.steps - sum(ph.taken for ph in record.phases) == tail
+        assert record.steps - record.arm.size == tail  # the record holds the phase rounds: the tail is a count
         x = env.features.features
-        phase, size, e_t = [], [], []
+        phase, arm, size, e_t = [], [], [], []
         done, used, snapshot = 0, 0, math.nan
         gram, moment = np.zeros((env.d, env.d)), np.zeros(env.d)
         for t in range(1, record.steps + 1):
@@ -455,13 +458,14 @@ class TestComputeMetrics:
             if done < len(record.phases):
                 used += 1
                 phase.append(record.phases[done].index)
+                arm.append(record.arm[t - 1])
                 size.append(len(record.phases[done].active))
             else:
                 phase.append(record.phases[-1].index)
+                arm.append(record.declared_best)
                 size.append(1)
-                assert record.arm[t - 1] == record.declared_best
             if record.kind == "pure":  # a ridge solve after every step, anchored at arm 0 over all arms
-                xt = x[record.arm[t - 1]] - record.phases[0].policy.probabilities @ x
+                xt = x[arm[-1]] - record.phases[0].policy.probabilities @ x
                 gram += np.outer(xt, xt)
                 moment += xt * record.reward[t - 1]
                 theta_hat = np.linalg.solve(gram + math.log(t / 0.1) * np.eye(env.d), moment)
@@ -471,11 +475,12 @@ class TestComputeMetrics:
             monkeypatch.setattr(harness, "_WRITE_BLOCK", block)
             table = metric_columns(record, env, log_table(record.steps, 0.1))
             assert table.phase.tolist() == phase
+            assert table.arm.tolist() == arm
             assert table.active_size.tolist() == size
             assert table.e_t.tobytes() == np.array(e_t).tobytes()
             assert np.isnan(table.e_t[0]) == (record.kind == "sbe")
             # cum_regret, continued from block to block, has the bits of one cumsum over the record
-            assert table.cum_regret.tobytes() == np.cumsum(env.values[env.best_arm] - env.values[record.arm]).tobytes()
+            assert table.cum_regret.tobytes() == np.cumsum(env.values[env.best_arm] - env.values[arm]).tobytes()
 
     def test_regret_monotone_and_total(self):
         env = make_gap_instance(3, 6, 0.4, seed=5)
@@ -483,6 +488,19 @@ class TestComputeMetrics:
         table = metric_columns(record, env)
         assert np.all(np.diff(table.cum_regret) >= -1e-12)
         assert abs(table.cum_regret[-1] - table.inst_regret.sum()) <= 1e-9
+
+    def test_two_passes_over_a_record_give_the_same_columns(self):
+        # each pass draws the declared arm's tail from a noise stream of its own, resumed from the record's saved
+        # state: two passes, one after the other or taken block by block side by side, give the same bytes
+        env = make_gap_instance(3, 6, 0.5, seed=5)
+        record = run_sbe(env, SbeConfig(delta=0.1, horizon=20_000), run_seed=3)
+        assert record.steps - record.declared_at > 2 * harness._WRITE_BLOCK
+        names = [f.name for f in dataclasses.fields(metrics.MetricTable)]
+        first = [getattr(metric_columns(record, env), name).tobytes() for name in names]
+        assert [getattr(metric_columns(record, env), name).tobytes() for name in names] == first
+        side_by_side = zip(*(metric_blocks(record, env, None, harness._WRITE_BLOCK) for _ in range(2)))
+        for one, other in side_by_side:
+            assert [getattr(one, name).tobytes() for name in names] == [getattr(other, name).tobytes() for name in names]
 
 
 class TestConfig:
@@ -1255,6 +1273,22 @@ class TestRunningMean:
             assert [len(block[0]) for block in blocks] == [5] * 12 + [4]
             expected = [np.arange(1, 65), *(np.mean([cols[i] for cols in columns], axis=0) for i in range(3))]
             assert [np.concatenate(column).tobytes() for column in zip(*blocks)] == [e.tobytes() for e in expected]
+
+    def test_worker_sums_are_added_from_their_file_a_block_at_a_time(self, tmp_path):
+        # a pool's parent adds each worker's mean columns, the bytes of its _sums, into the run's sums in place: the
+        # bits of adding the arrays, holding a block of them at a time (the whole file is 1.2 MB here)
+        n = 50_000
+        rng = np.random.default_rng(0)
+        parts = [rng.standard_normal((3, n)) for _ in range(2)]
+        expected = harness._sums(n)
+        sums = harness._sums(n)
+        for rep, part in enumerate(parts):
+            expected += part
+            path = tmp_path / f"mean_sums.part.{rep}"
+            path.write_bytes(part.tobytes())
+            peak = traced_peak(harness._add_part, sums, path)[1]
+            assert peak < 4 * 8 * harness._WRITE_BLOCK
+        assert sums.tobytes() == expected.tobytes()
 
     def test_sums_take_the_first_replication_as_it_is(self):
         # the sums start at -0.0, which + leaves as it is: a 0.0 start would turn a -0.0 cell into 0.0
