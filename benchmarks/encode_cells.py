@@ -5,9 +5,10 @@ Run from the root of a checkout:
     PYTHONPATH=src python3 benchmarks/encode_cells.py --repeats 5
 
 Each column is turned into ``spec % cell`` lines twice: by the writer's
-formatter ``cells.table_rows`` (the array encoders, ``%`` only for the cells
-they hand to ``cells._percent``), and by ``%`` on every cell of
-``column.tolist()``.  The two texts must be equal.  The columns are fixed
+formatter ``cells.rows``, in blocks of ``harness._WRITE_BLOCK`` rows with
+each int column's range read off its cells (``table_rows``: the array
+encoders, ``%`` only for the cells they hand to ``cells._percent``), and by
+``%`` on every cell of ``column.tolist()``.  The two texts must be equal.  The columns are fixed
 draws (standard-normal and wide-range floats, small and large integers) and
 the float and integer columns of replication 0 of instance 0 of each perfbench
 workload at ``--seed``, its blocks joined.  A column on its own cannot show
@@ -82,6 +83,14 @@ def workload_columns(tables: dict) -> dict:
     }
 
 
+def table_rows(line: str, columns):
+    """``cells.rows`` of the equal-length ``columns``, ``harness._WRITE_BLOCK`` rows a block, int ranges off the cells."""
+    ranges = [(c.min(initial=0), c.max(initial=0)) if c.dtype == np.int64 else None for c in columns]
+    block = harness._WRITE_BLOCK
+    blocks = (tuple(c[s : s + block] for c in columns) for s in range(0, len(columns[0]), block))
+    return cells.rows(line, blocks, ranges)
+
+
 def best_seconds(fn, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -117,9 +126,9 @@ def calls_of(*names):
 def measure(spec: str, column: np.ndarray, repeats: int) -> dict:
     line = spec + "\n"
     with calls_of("_percent") as calls:
-        encoded = "".join(cells.table_rows(line, (column,), harness._WRITE_BLOCK))
+        encoded = "".join(table_rows(line, (column,)))
     assert encoded == "".join([line % v for v in column.tolist()]), spec
-    encoder = best_seconds(lambda: "".join(cells.table_rows(line, (column,), harness._WRITE_BLOCK)), repeats)
+    encoder = best_seconds(lambda: "".join(table_rows(line, (column,))), repeats)
     per_cell = best_seconds(lambda: "".join([line % v for v in column.tolist()]), repeats)
     bits = column.view(np.int64)
     return {
@@ -136,7 +145,7 @@ def measure_table(table, repeats: int) -> dict:
     line = harness.TRAJECTORY_LINE
 
     def encoded():
-        return "".join(cells.table_rows(line, table, harness._WRITE_BLOCK))
+        return "".join(table_rows(line, table))
 
     def per_row():
         return "".join([line % row for row in zip(*(column.tolist() for column in table))])

@@ -1,7 +1,8 @@
 """CSV text of numeric NumPy columns: the bytes of ``%`` on every cell, made by array operations.
 
-``rows`` takes a file's rows as a stream of blocks, picks each column's
-encoder once, from its dtype and a range of its cells that the caller knows,
+``rows``, the module's one entry, takes a file's rows as a stream of blocks,
+picks each column's encoder once, from its dtype and a range of its cells
+that the caller knows (a short table is ``%`` on each row at its caller),
 and lays out each block in one buffer of uint64 words reused for the whole
 stream, with no Python object per cell; deleting the NULs gives the block's
 text.  An encoder call costs tens of microseconds however few its cells, so
@@ -101,13 +102,6 @@ def rows(line_format: str, blocks, ranges):
         _lay_out(buf, encoders, columns)
         del columns  # a block's views may hold a whole record: not kept while the next block is made
         yield buf.translate(None, b"\0").decode("ascii")
-
-
-def table_rows(line_format: str, columns, block: int):
-    """``rows`` of the equal-length ``columns``, ``block`` rows per string, each int column's range its own."""
-    ranges = [(c.min(initial=0), c.max(initial=0)) if c.dtype == np.int64 else None for c in columns]
-    blocks = (tuple(c[s : s + block] for c in columns) for s in range(0, len(columns[0]), block))
-    return rows(line_format, blocks, ranges)
 
 
 def _lay_out(buf: bytearray, encoders, cells) -> int:

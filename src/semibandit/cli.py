@@ -20,7 +20,7 @@ import sys
 
 from .design import FW_TOL, deo
 from .errors import ConfigError, SemibanditError, check_positive
-from .harness import ExperimentConfig, _arms, check_anchor, run_experiment
+from .harness import POLICY_COLUMNS, ExperimentConfig, _arms, check_anchor, policy_rows, run_experiment
 
 
 def _cmd_design(args) -> int:
@@ -28,9 +28,7 @@ def _cmd_design(args) -> int:
     feats = _arms("features_file", path=args.features_file)
     check_anchor(args.anchor, feats.K, "--anchor")
     policy, cert = deo(feats, anchor=args.anchor, fw_tol=args.fw_tol)
-    print("arm_index,probability")
-    for i, p in enumerate(policy.probabilities):
-        print(f"{i},{p:.17g}")
+    sys.stdout.write(",".join(POLICY_COLUMNS) + "\n" + policy_rows(policy.probabilities))
     print(
         f"# certificate: max_anchor_norm={cert.max_anchor_norm:.17g} "
         f"max_centered_norm={cert.max_centered_norm:.17g} "

@@ -20,8 +20,9 @@ writer and into the running sums of the mean columns.  Beside those sums
 its record, whose declared tail is a count of rounds, a block's columns and
 the writer's buffer.  Inline, each replication's blocks are formatted into
 ``trajectory.csv`` by a stream of their own; in a process pool, each worker
-writes its own rows and then its mean columns to part files, which the
-parent appends, or adds into its sums a block at a time, in index order, and
+writes each block's mean columns and text, as it makes them, to one part
+file per replication, which the parent reads in index order, a block at a
+time, adding the columns into its sums and appending the text, and then
 deletes.  Either way the files are byte-identical regardless of worker
 count, and ``trajectory_mean.csv`` divides the sums, added in index order, a
 block at a time.  What replications compute alike is computed once per run
@@ -33,9 +34,12 @@ start, and makes them once from its copy, so its replications share them
 too; nothing is kept beyond the run.
 
 Floats are serialized with 17 significant digits (``%.17g``), which round-trips
-IEEE doubles exactly and keeps repeated runs byte-stable; ``cells.rows`` writes
-the text of ``%`` on every cell of numeric columns by array operations, and
-``summary.csv``, a row per replication, is ``SUMMARY_LINE % row``.  Each CSV
+IEEE doubles exactly and keeps repeated runs byte-stable.  A streamed table
+(``trajectory.csv``, ``trajectory_mean.csv``) is ``cells.rows``, which writes
+the text of ``%`` on every cell of numeric columns by array operations; a
+short one is ``%`` on each row: ``summary.csv``, a row per replication, is
+``SUMMARY_LINE % row``, and design-cert's ``certificate.csv`` and
+``policy.csv`` are ``CERTIFICATE_LINE`` and ``POLICY_LINE`` rows.  Each CSV
 and the manifest is written under a temporary name and renamed when complete,
 so a failed run leaves none.
 """
@@ -91,6 +95,10 @@ MEAN_COLUMNS = ("t", "mean_cum_regret", "mean_e_t", "mean_sqrt_t_e_t")
 MEAN_LINE = "%d,%.17g,%.17g,%.17g\n"
 SUMMARY_COLUMNS = ("replication", "seed", "final_regret", "declared_best", "declared_at", "greedy_arm", "success")
 SUMMARY_LINE = "%d,%d,%.17g,%s,%s,%s,%d\n"  # one row per replication, by %; the %s cells may be empty
+CERTIFICATE_COLUMNS = ("max_anchor_norm", "max_centered_norm", "support_size", "dim")
+CERTIFICATE_LINE = "%.17g,%.17g,%d,%d\n"
+POLICY_COLUMNS = ("arm_index", "probability")
+POLICY_LINE = "%d,%.17g\n"
 
 # steps per block of the per-step metrics and rows per block of the CSV writer
 _WRITE_BLOCK = 2048
@@ -221,6 +229,7 @@ class ExperimentConfig:
 
     ``environment`` is the environment's object as written, ``written`` the
     whole config as written, and ``env`` the ``Environment`` they describe.
+    An inline feature matrix is held once, in both, as ``env.features.features``.
     ``algorithm`` holds every key the mode reads, a PAC budget included.
     ``betas``, made on first use, is what the replications of a pure mode share.
     """
@@ -252,6 +261,9 @@ class ExperimentConfig:
         mode = fields["mode"]
         alg = _resolve(fields["algorithm"], _ALGORITHM[mode], "algorithm.")
         env = build_environment(fields["environment"])  # raises ConfigError on bad spec
+        if fields["environment"].get("features") is not None:  # an inline matrix: kept once, as the run's array
+            fields["environment"] = {**fields["environment"], "features": env.features.features}
+            written = {**written, "environment": fields["environment"]}
         if mode == "design-cert":
             check_anchor(alg["anchor"], env.K, "algorithm.anchor")
         elif mode == "pac" and alg["budget"] is None:
@@ -389,14 +401,15 @@ def _trajectory_blocks(record: RunRecord, env: Environment, betas, rep: int, mea
     """Yield replication ``rep``'s ``trajectory.csv`` columns of ``record`` a block at a time; return its final regret.
 
     Each block's cum_regret, e_t and sqrt_t_e_t, the columns that
-    ``trajectory_mean.csv`` averages, are added into ``means`` (3 x steps).
+    ``trajectory_mean.csv`` averages, are added into ``means`` (3 x steps),
+    unless it is None: a pool worker writes them to its part file instead.
     """
     reps = np.broadcast_to(np.int64(rep), _WRITE_BLOCK)
     stop = 0
     for tb in metric_blocks(record, env, betas, _WRITE_BLOCK):
         start, stop = stop, stop + tb.t.size
-        for total, column in zip(means[:, start:stop], (tb.cum_regret, tb.e_t, tb.sqrt_t_e_t)):
-            total += column  # in place in a row view: no copy back, as means[i, a:b] += would make
+        if means is not None:
+            _add_block(means, start, (tb.cum_regret, tb.e_t, tb.sqrt_t_e_t))
         yield (
             tb.t, reps[: stop - start], tb.phase, tb.arm, tb.reward, tb.inst_regret, tb.cum_regret, tb.e_t,
             tb.sqrt_t_e_t, tb.active_size,
@@ -408,6 +421,12 @@ def _trajectory_ranges(cfg: ExperimentConfig) -> tuple:
     """A range of each int column of ``trajectory.csv``, for ``cells.rows``: a phase index is at most the rounds."""
     n, k = _rounds(cfg.algorithm), cfg.env.K
     return (1, n), (0, cfg.replications - 1), (0, n), (0, k - 1), None, None, None, None, None, (1, k)
+
+
+def _add_block(sums: np.ndarray, start: int, columns) -> None:
+    """Add the three equal-length mean ``columns`` of a block into ``sums`` at the steps from ``start`` on."""
+    for total, column in zip(sums[:, start : start + len(columns[0])], columns):
+        total += column  # in place in a row view: no copy back, as sums[i, a:b] += would make
 
 
 def _sums(rounds: int) -> np.ndarray:
@@ -438,41 +457,46 @@ def _start_worker(cfg: ExperimentConfig) -> None:
 
 
 def _pooled_task(rep: int):
-    """``_replication_task`` of replication ``rep`` for a worker process.
+    """``_replication_task`` of replication ``rep`` for a worker process, written to its part file as it runs.
 
-    Its trajectory rows go to its own part file (``_trajectory_part``), one
-    block at a time, and then its mean columns, as the float64 bytes of its
-    ``_sums``, to another (``_sums_part``), each written as ``_replacing``
-    writes a file; only its summary comes back.
+    For each block, in order, the part (``_part``) holds its step count, its
+    three mean columns as float64 bytes, and its ``trajectory.csv`` text, each
+    count an 8-byte little-endian int before what it counts; the worker holds
+    one block of them, not its replication's mean columns.  The part is
+    written as ``_replacing`` writes a file; only the summary comes back.
     """
     cfg = _worker_run
-    means, summaries = _sums(_rounds(cfg.algorithm)), []
-    blocks = _replication_task(cfg, rep, means, summaries)
-    with _replacing(_trajectory_part(cfg, rep)) as write:  # an OSError of the replication's own passes through
-        for text in _stream_rows(TRAJECTORY_LINE, blocks, _trajectory_ranges(cfg)):
+    summaries = []
+    with _replacing(_part(cfg, rep), binary=True) as write:  # an OSError of the replication's own passes through
+
+        def blocks():
+            for block in _replication_task(cfg, rep, None, summaries):
+                write(len(block[0]).to_bytes(8, "little"))
+                for column in block[6:9]:  # cum_regret, e_t, sqrt_t_e_t; a block's e_t may be one broadcast cell
+                    write(np.ascontiguousarray(column))
+                yield block
+
+        for text in _stream_rows(TRAJECTORY_LINE, blocks(), _trajectory_ranges(cfg)):
+            text = text.encode("ascii")
+            write(len(text).to_bytes(8, "little"))
             write(text)
-    with _replacing(_sums_part(cfg, rep), binary=True) as write:
-        write(means)
     return summaries[0]
 
 
-def _trajectory_part(cfg: ExperimentConfig, rep: int) -> Path:
-    """Where a worker writes the trajectory rows of replication ``rep``."""
-    return Path(cfg.output) / f"trajectory.csv.part.{rep}"
+def _part(cfg: ExperimentConfig, rep: int) -> Path:
+    """Where a worker writes replication ``rep``'s blocks (``_pooled_task``)."""
+    return Path(cfg.output) / f"replication.part.{rep}"
 
 
-def _sums_part(cfg: ExperimentConfig, rep: int) -> Path:
-    """Where a worker writes the mean columns of replication ``rep``, as the bytes of its ``_sums`` (3 x rounds)."""
-    return Path(cfg.output) / f"mean_sums.part.{rep}"
-
-
-def _add_part(sums: np.ndarray, path: Path) -> None:
-    """Add the mean columns in ``path`` (``_sums_part``) into ``sums``, row by row, ``_WRITE_BLOCK`` cells at a time."""
+def _append_part(path: Path, sums: np.ndarray, write) -> None:
+    """Add each block's mean columns in the part at ``path`` into ``sums`` and pass its text to ``write``, in order."""
     with open(path, "rb") as fh:
-        for row in sums:
-            for s in range(0, row.size, _WRITE_BLOCK):
-                total = row[s : s + _WRITE_BLOCK]
-                total += np.frombuffer(fh.read(total.nbytes))
+        start = 0
+        while head := fh.read(8):
+            steps = int.from_bytes(head, "little")
+            _add_block(sums, start, np.frombuffer(fh.read(24 * steps)).reshape(3, steps))
+            write(fh.read(int.from_bytes(fh.read(8), "little")).decode("ascii"))
+            start += steps
 
 
 def _nullable(value) -> str:
@@ -480,16 +504,14 @@ def _nullable(value) -> str:
     return "" if value is None else str(int(value))
 
 
-def _format_rows(line_format: str, columns):
-    """Yield the rows of ``columns`` as ``line_format % row``, ``_WRITE_BLOCK`` rows a string (``cells.table_rows``)."""
-    from . import cells  # its compile and tables take about 4 ms: only a run that writes rows loads it
-
-    return cells.table_rows(line_format, columns, _WRITE_BLOCK)
+def policy_rows(probabilities: np.ndarray) -> str:
+    """``POLICY_LINE % (arm, probability)`` of each arm: ``policy.csv``'s rows, which ``semibandit design`` prints."""
+    return "".join(POLICY_LINE % row for row in enumerate(probabilities.tolist()))
 
 
 def _stream_rows(line_format: str, blocks, ranges):
     """Yield the rows of each block of ``blocks`` as ``line_format % row``, a string per block (``cells.rows``)."""
-    from . import cells
+    from . import cells  # its compile and tables take about 4 ms: only a run that writes trajectories loads it
 
     return cells.rows(line_format, blocks, ranges)
 
@@ -542,13 +564,6 @@ def _csv_file(path: Path, header):
         yield write
 
 
-def _write_csv(path: Path, header, line_format: str, columns) -> None:
-    """Write ``header``, then every row of the equal-length ``columns`` as ``line_format % row``."""
-    with _csv_file(path, header) as write:
-        for text in _format_rows(line_format, columns):
-            write(text)
-
-
 def _run_replications(cfg: ExperimentConfig, workers: int, write) -> tuple[np.ndarray, list]:
     """Run every replication, passing its trajectory rows to ``write`` in index order.
 
@@ -557,14 +572,14 @@ def _run_replications(cfg: ExperimentConfig, workers: int, write) -> tuple[np.nd
     columns is formatted and written as soon as it is computed, by one
     ``cells.rows`` per replication, and a replication's record and writer
     buffer are dropped before the next starts (a buffer kept for the whole
-    file was no faster).  In a pool, each worker
-    gets ``cfg`` once (``_start_worker``) and a task is a replication index;
-    each worker writes its rows to its own part file, which is appended and
-    deleted in index order; at most 2 x ``workers`` replications are
-    submitted and not yet appended.  Its mean columns come as a file too,
-    added into the run's sums a block at a time and deleted (``_add_part``),
-    so the parent holds its own sums and a block, never a replication's
-    whole.  If the run fails, every part file is deleted.
+    file was no faster).  In a pool, each worker gets ``cfg`` once
+    (``_start_worker``) and a task is a replication index; each worker writes
+    its replication's blocks, mean columns and text, to one part file
+    (``_pooled_task``).  The parent reads the parts in index order, a block
+    at a time, adds the columns into the run's sums, writes the text and
+    deletes the part (``_append_part``), so neither process holds a
+    replication's whole; at most 2 x ``workers`` replications are submitted
+    and not yet appended.  If the run fails, every part file is deleted.
     """
     summaries, sums = [], _sums(_rounds(cfg.algorithm))
     if workers == 1:
@@ -586,23 +601,16 @@ def _run_replications(cfg: ExperimentConfig, workers: int, write) -> tuple[np.nd
                 following = next(reps, None)
                 if following is not None:
                     pending.append(submit(following))
-                part = _trajectory_part(cfg, rep)
+                part = _part(cfg, rep)
                 with _writing(part):
-                    with open(part, newline="") as fh:
-                        for text in iter(functools.partial(fh.read, 1 << 20), ""):
-                            write(text)
-                    part.unlink()
-                part = _sums_part(cfg, rep)
-                with _writing(part):
-                    _add_part(sums, part)
+                    _append_part(part, sums, write)
                     part.unlink()
                 summaries.append(summary)
     except BaseException:
         # a failed run leaves no part file: the pool has closed, so no worker is still writing one
         for rep in range(cfg.replications):
-            for part in (_trajectory_part(cfg, rep), _sums_part(cfg, rep)):
-                with contextlib.suppress(OSError):
-                    part.unlink()
+            with contextlib.suppress(OSError):
+                _part(cfg, rep).unlink()
         raise
     return sums, summaries
 
@@ -621,11 +629,11 @@ def _manifest_config(cfg: ExperimentConfig) -> dict:
     The digest is of the float64 bytes of the matrix the run used.  Written out,
     the entries would take json's pure-Python indenting encoder one line each.
     """
-    if "features" not in cfg.environment:
+    if cfg.environment.get("features") is None:  # no matrix given, or a null one beside a path
         return cfg.written
     import hashlib  # loads OpenSSL's _hashlib, about 3.5 MB: importing the CLI needs neither
 
-    x = np.ascontiguousarray(cfg.env.features.features, dtype=np.float64)
+    x = np.ascontiguousarray(cfg.environment["features"], dtype=np.float64)
     digest = {"shape": list(x.shape), "sha256": hashlib.sha256(x).hexdigest()}
     return {**cfg.written, "environment": {**cfg.environment, "features": digest}}
 
@@ -662,15 +670,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     if cfg.mode == "design-cert":
         policy, cert = deo(env.features, anchor=alg["anchor"], fw_tol=alg["fw_tol"])
-        cert_row = (cert.max_anchor_norm, cert.max_centered_norm, cert.support_size, cert.dim)
-        _write_csv(
-            out / "certificate.csv",
-            ("max_anchor_norm", "max_centered_norm", "support_size", "dim"),
-            "%.17g,%.17g,%d,%d\n",
-            [np.array([v]) for v in cert_row],
-        )
-        probs = policy.probabilities
-        _write_csv(out / "policy.csv", ("arm_index", "probability"), "%d,%.17g\n", (np.arange(probs.size), probs))
+        with _csv_file(out / "certificate.csv", CERTIFICATE_COLUMNS) as write:
+            write(CERTIFICATE_LINE % (cert.max_anchor_norm, cert.max_centered_norm, cert.support_size, cert.dim))
+        with _csv_file(out / "policy.csv", POLICY_COLUMNS) as write:
+            write(policy_rows(policy.probabilities))
         _write_manifest(out / "manifest.json", manifest)
         return {"certificate": cert, "policy": policy, "output": str(out)}
 

@@ -1,5 +1,6 @@
 import collections
 import concurrent.futures
+import copy
 import dataclasses
 import hashlib
 import inspect
@@ -710,6 +711,7 @@ class TestRunExperiment:
         # the config is written as given, except that an inline feature matrix
         # is recorded as its shape and the sha256 of its float64 bytes
         raw = base_config(tmp_path, environment=features_env(), algorithm={"horizon": 50}, output=str(tmp_path / "m"))
+        given = copy.deepcopy(raw)
         cfg = ExperimentConfig.from_dict(raw)
         run_experiment(cfg)
         features = np.asarray(raw["environment"]["features"], dtype=np.float64)
@@ -717,7 +719,17 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
         assert manifest["config"] == {**raw, "environment": {**raw["environment"], "features": digest}}
         assert manifest["algorithm"] == cfg.algorithm
-        assert cfg.environment["features"] == raw["environment"]["features"]  # the config itself is untouched
+        assert raw == given  # the caller's config is untouched
+        # the resolved config holds the matrix once, as the array the run uses
+        assert cfg.environment["features"] is cfg.written["environment"]["features"] is cfg.env.features.features
+
+    def test_manifest_config_with_null_features_beside_a_path(self, tmp_path):
+        # a null inline matrix is no matrix: the config names a path, and is written as given, with no digest
+        (tmp_path / "f.txt").write_text("2 3\n0.5 0\n0 0.5\n-0.5 0\n")
+        environment = {"kind": "features", "path": str(tmp_path / "f.txt"), "features": None, "theta": [1.0, 0.0]}
+        raw = base_config(tmp_path, environment=environment, algorithm={"horizon": 50}, output=str(tmp_path / "p"))
+        run_experiment(ExperimentConfig.from_dict(raw))
+        assert json.loads((tmp_path / "p" / "manifest.json").read_text())["config"] == raw
 
     def test_manifest_config_without_inline_features(self, tmp_path):
         # a generated environment has no feature matrix in its config: written as given
@@ -872,7 +884,9 @@ class TestRunExperiment:
     def test_seventeen_digit_roundtrip(self, tmp_path):
         values = [math.pi, 1 / 3, 1e-17, 123456.789012345678]
         path = tmp_path / "floats.csv"
-        harness._write_csv(path, ("x",), "%.17g\n", (np.array(values),))
+        with harness._csv_file(path, ("x",)) as write:
+            for text in table_rows("%.17g\n", (np.array(values),)):
+                write(text)
         assert [float(v) for v in path.read_text().splitlines()[1:]] == values
 
 
@@ -934,9 +948,20 @@ def run_tables(draw, block):
     return ",".join(specs) + "\n", columns
 
 
+def table_rows(line, columns, block=None):
+    """``cells.rows`` of the equal-length ``columns`` in blocks of ``block`` rows (``harness._WRITE_BLOCK`` if None).
+
+    Each int column's range is read off its cells, as a table's caller would know it.
+    """
+    block = block or harness._WRITE_BLOCK
+    ranges = [(c.min(initial=0), c.max(initial=0)) if c.dtype == np.int64 else None for c in columns]
+    blocks = (tuple(c[s : s + block] for c in columns) for s in range(0, len(columns[0]), block))
+    return cells.rows(line, blocks, ranges)
+
+
 def written_lines(line, columns, block):
-    """The lines ``cells.table_rows`` writes, newlines kept: a list, which pytest compares quickly when long."""
-    return "".join(cells.table_rows(line, columns, block)).splitlines(keepends=True)
+    """The lines ``table_rows`` writes, newlines kept: a list, which pytest compares quickly when long."""
+    return "".join(table_rows(line, columns, block)).splitlines(keepends=True)
 
 
 def per_cell_lines(line, columns):
@@ -1011,7 +1036,7 @@ class TestWriter:
             np.array(cells, dtype=np.int64 if spec == "%d" else np.float64)
             for spec, cells in zip(line_format.rstrip("\n").split(","), zip(*rows))
         ]
-        blocks = list(harness._format_rows(line_format, columns))
+        blocks = list(table_rows(line_format, columns))
         assert [len(b.splitlines()) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
         expected = "".join(",".join(cell_text(v) for v in row) + "\n" for row in rows)
         assert "".join(blocks) == expected
@@ -1021,13 +1046,15 @@ class TestWriter:
         # 0.0 == -0.0, so a block that formats each distinct cell once must key on bits, not values
         monkeypatch.setattr(harness, "_WRITE_BLOCK", block)
         path = tmp_path / "zeros.csv"
-        harness._write_csv(path, ("z", "n"), "%.17g,%d\n", (np.array([0.0, -0.0] * 6), np.zeros(12, dtype=np.int64)))
+        with harness._csv_file(path, ("z", "n")) as write:
+            for text in table_rows("%.17g,%d\n", (np.array([0.0, -0.0] * 6), np.zeros(12, dtype=np.int64))):
+                write(text)
         assert path.read_text() == "z,n\n" + "0,0\n-0,0\n" * 6
 
     def test_float_boundaries(self):
         # two columns, so that a field's text and the separator before it are both checked
         values = boundary_floats()
-        text = "".join(harness._format_rows("%.17g,%.17g\n", (values, values[::-1])))
+        text = "".join(table_rows("%.17g,%.17g\n", (values, values[::-1])))
         assert text == "".join("%.17g,%.17g\n" % row for row in zip(values.tolist(), values[::-1].tolist()))
 
     @pytest.mark.parametrize(
@@ -1042,7 +1069,7 @@ class TestWriter:
         rng = np.random.default_rng(2506)
         values = np.concatenate([edges, rng.integers(0, high, 3000), rng.integers(-high, high, 3000 * (high > 10**8))])
         values = values.astype(np.int64)
-        text = "".join(harness._format_rows("%d,%d\n", (values, values[::-1])))
+        text = "".join(table_rows("%d,%d\n", (values, values[::-1])))
         assert text == "".join("%d,%d\n" % row for row in zip(values.tolist(), values[::-1].tolist()))
 
     def test_fast_path_is_taken(self, monkeypatch):
@@ -1056,7 +1083,7 @@ class TestWriter:
 
         monkeypatch.setattr(cells, "_percent", counting)
         values = np.random.default_rng(0).standard_normal(10_000)
-        text = "".join(harness._format_rows("%.17g\n", (values,)))
+        text = "".join(table_rows("%.17g\n", (values,)))
         assert text == "".join("%.17g\n" % v for v in values.tolist())
         assert formatted == values[np.abs(values) < 1e-4].tolist()
 
@@ -1073,7 +1100,7 @@ class TestWriter:
         rng = np.random.default_rng(0)
         values = rng.integers(-(10**9), 10**9, 10_000)
         values[:4] = [-(2**63), 2**63 - 1, 10**8 - 1, 10**8]
-        text = "".join(harness._format_rows("%d\n", (values,)))
+        text = "".join(table_rows("%d\n", (values,)))
         assert text == "".join("%d\n" % v for v in values.tolist())
         assert formatted == values[(values < 0) | (values >= 10**8)].tolist()
 
@@ -1092,7 +1119,7 @@ class TestWriter:
         blocks = list(harness._replication_task(cfg, 0, harness._sums(5_000), []))
         encoded = "".join(harness._stream_rows(TRAJECTORY_LINE, blocks, harness._trajectory_ranges(cfg)))
         columns = [np.concatenate(column) for column in zip(*blocks)]
-        assert "".join(harness._format_rows(TRAJECTORY_LINE, columns)) == encoded
+        assert "".join(table_rows(TRAJECTORY_LINE, columns)) == encoded
 
         def percent_only(spec):
             def encode(values, out):
@@ -1102,7 +1129,7 @@ class TestWriter:
 
         monkeypatch.setattr(cells, "_encode_floats", percent_only("%.17g"))
         monkeypatch.setattr(cells, "_encode_ints", percent_only("%d"))
-        assert "".join(harness._format_rows(TRAJECTORY_LINE, columns)) == encoded
+        assert "".join(table_rows(TRAJECTORY_LINE, columns)) == encoded
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), block=st.integers(1, 40))
@@ -1180,7 +1207,7 @@ class TestWriter:
     def test_rows_reject_columns_without_an_encoder(self, spec, column):
         # the writer takes float64 under %.17g and int64 under %d, and nothing else
         with pytest.raises(TypeError, match="^no array encoder"):
-            next(cells.table_rows(f"%d,{spec}\n", (np.arange(2), column), 4))
+            next(table_rows(f"%d,{spec}\n", (np.arange(2), column), 4))
 
     def test_row_width_follows_each_block(self, monkeypatch):
         # a column constant in one block and varying in the next: each block has its own width
@@ -1274,21 +1301,41 @@ class TestRunningMean:
             expected = [np.arange(1, 65), *(np.mean([cols[i] for cols in columns], axis=0) for i in range(3))]
             assert [np.concatenate(column).tobytes() for column in zip(*blocks)] == [e.tobytes() for e in expected]
 
-    def test_worker_sums_are_added_from_their_file_a_block_at_a_time(self, tmp_path):
-        # a pool's parent adds each worker's mean columns, the bytes of its _sums, into the run's sums in place: the
-        # bits of adding the arrays, holding a block of them at a time (the whole file is 1.2 MB here)
-        n = 50_000
-        rng = np.random.default_rng(0)
-        parts = [rng.standard_normal((3, n)) for _ in range(2)]
-        expected = harness._sums(n)
-        sums = harness._sums(n)
-        for rep, part in enumerate(parts):
-            expected += part
-            path = tmp_path / f"mean_sums.part.{rep}"
-            path.write_bytes(part.tobytes())
-            peak = traced_peak(harness._add_part, sums, path)[1]
-            assert peak < 4 * 8 * harness._WRITE_BLOCK
+    def test_worker_sums_are_added_from_their_file_a_block_at_a_time(self, tmp_path, monkeypatch):
+        # a pool's parent reads each worker's part a block at a time: its mean columns are added into the run's sums
+        # in place, the bits of adding them inline, and its text is what the inline stream writes, holding a block of
+        # them at a time (a replication's mean columns are 4.8 MB here, its text 18.5 MB)
+        n = 200_000
+        raw = base_config(tmp_path, algorithm={"horizon": n, "delta": 0.05}, output=str(tmp_path))
+        cfg = ExperimentConfig.from_dict(raw)
+        monkeypatch.setattr(harness, "_worker_run", cfg)
+        expected, sums = harness._sums(n), harness._sums(n)
+        for rep in range(cfg.replications):
+            inline, longest = hashlib.sha256(), 0
+            blocks = harness._replication_task(cfg, rep, expected, [])
+            for text in harness._stream_rows(TRAJECTORY_LINE, blocks, harness._trajectory_ranges(cfg)):
+                inline.update(text.encode())
+                longest = max(longest, len(text))
+            harness._pooled_task(rep)
+            digest = hashlib.sha256()
+            _, peak = traced_peak(harness._append_part, harness._part(cfg, rep), sums, lambda t: digest.update(t.encode()))
+            assert digest.hexdigest() == inline.hexdigest()
+            assert peak < 4 * longest + 4 * 8 * harness._WRITE_BLOCK
         assert sums.tobytes() == expected.tobytes()
+
+    def test_worker_peak_does_not_grow_with_the_horizon(self, tmp_path, monkeypatch):
+        # a pool worker writes each block's mean columns and text to its part as it makes them: at 10x the rounds its
+        # traced peak moves by less than a few blocks' columns; holding its mean columns would add 24 B a round, 6.5 MB
+        peaks = []
+        for n in (30_000, 300_000):
+            raw = base_config(tmp_path, algorithm={"horizon": n, "delta": 0.05}, output=str(tmp_path))
+            cfg = ExperimentConfig.from_dict(raw)
+            monkeypatch.setattr(harness, "_worker_run", cfg)
+            summary, peak = traced_peak(harness._pooled_task, 0)
+            assert summary["declared_at"] != "" and harness._part(cfg, 0).stat().st_size > 24 * n
+            harness._part(cfg, 0).unlink()
+            peaks.append(peak)
+        assert abs(peaks[1] - peaks[0]) < len(TRAJECTORY_COLUMNS) * harness._WRITE_BLOCK * 8
 
     def test_sums_take_the_first_replication_as_it_is(self):
         # the sums start at -0.0, which + leaves as it is: a 0.0 start would turn a -0.0 cell into 0.0
