@@ -5,15 +5,15 @@ Run from the root of a checkout:
     PYTHONPATH=src python3 benchmarks/encode_cells.py --repeats 5
 
 Each column is turned into ``spec % cell`` lines twice: by the writer's
-formatter ``cells.rows``, in blocks of ``harness._WRITE_BLOCK`` rows with
-each int column's range read off its cells (``table_rows``: the array
-encoders, ``%`` only for the cells they hand to ``cells._percent``), and by
-``%`` on every cell of ``column.tolist()``.  The two texts must be equal.  The columns are fixed
-draws (standard-normal and wide-range floats, small and large integers) and
-the float and integer columns of replication 0 of instance 0 of each perfbench
-workload at ``--seed``, its blocks joined.  A column on its own cannot show
-what ``cells.rows`` spends once per block, such as a call of an encoder, so each of those
-trajectory tables is also written whole, with all ten columns, and compared
+formatter ``cells.rows``, in blocks of ``harness._WRITE_BLOCK`` rows
+(``table_rows``: the array encoders, ``%`` only for the cells they hand to
+``cells._percent``), and by ``%`` on every cell of ``column.tolist()``.  The
+two texts must be equal.  The columns are fixed draws (standard-normal and
+wide-range floats, small and large integers) and the float and integer
+columns of replication 0 of instance 0 of each perfbench workload at
+``--seed``, its blocks joined.  A column on its own cannot show what
+``cells.rows`` spends once per block, such as a call of an encoder, so each
+of those trajectory tables is also written whole, with all ten columns, and compared
 with ``TRAJECTORY_LINE % row`` on every row.  Prints one JSON object: per
 column, nanoseconds per cell for both (the best of ``--repeats``), and the
 share of cells the encoder handed to ``%``, counted by wrapping
@@ -23,7 +23,8 @@ calls per block of ``harness._WRITE_BLOCK`` rows and the calls of
 the words of a laid-out row, the bytes that ``translate`` scans over 8, as
 ``cells._lay_out`` returns them: ``words_per_row`` is their mean over the
 rows, and ``unfolded_words_per_row`` the width of a row in which every cell
-has a field (each column's field words, and the newline's word).
+has a field (each column's field words, as its widest cell needs them, and
+the newline's word).
 """
 
 from __future__ import annotations
@@ -84,11 +85,10 @@ def workload_columns(tables: dict) -> dict:
 
 
 def table_rows(line: str, columns):
-    """``cells.rows`` of the equal-length ``columns``, ``harness._WRITE_BLOCK`` rows a block, int ranges off the cells."""
-    ranges = [(c.min(initial=0), c.max(initial=0)) if c.dtype == np.int64 else None for c in columns]
+    """``cells.rows`` of the equal-length ``columns``, ``harness._WRITE_BLOCK`` rows a block."""
     block = harness._WRITE_BLOCK
     blocks = (tuple(c[s : s + block] for c in columns) for s in range(0, len(columns[0]), block))
-    return cells.rows(line, blocks, ranges)
+    return cells.rows(line, blocks)
 
 
 def best_seconds(fn, repeats: int) -> float:
@@ -161,10 +161,7 @@ def measure_table(table, repeats: int) -> dict:
         "encoder_calls_per_block": round((len(calls["_encode_floats"]) + len(calls["_encode_ints"])) / blocks, 2),
         "percent_calls": len(calls["_percent"]),
         "words_per_row": round(sum(len(args[2][0]) * words for args, words in calls["_lay_out"]) / rows, 2),
-        "unfolded_words_per_row": sum(
-            cells._encoder(spec, column.dtype, (column.min(initial=0), column.max(initial=0)))[1]
-            for spec, column in zip(specs, table)
-        ) + 1,
+        "unfolded_words_per_row": sum(cells._encoder(spec, c.dtype)(c).shape[1] for spec, c in zip(specs, table)) + 1,
         "encoder_us_per_row": round(best_seconds(encoded, repeats) / rows * 1e6, 3),
         "percent_us_per_row": round(best_seconds(per_row, repeats) / rows * 1e6, 3),
     }

@@ -119,7 +119,7 @@ def run(cfg: harness.ExperimentConfig, rep: int):
 def stream(cfg: harness.ExperimentConfig, record, betas, means) -> None:
     """Replication 0's metrics and trajectory text, a block at a time; each block's text is dropped, not written."""
     blocks = harness._trajectory_blocks(record, cfg.env, betas, 0, means)
-    collections.deque(harness._stream_rows(harness.TRAJECTORY_LINE, blocks, harness._trajectory_ranges(cfg)), 0)
+    collections.deque(harness._stream_rows(harness.TRAJECTORY_LINE, blocks), 0)
 
 
 def workload(w, seed: int) -> dict:

@@ -1,18 +1,18 @@
 """CSV text of numeric NumPy columns: the bytes of ``%`` on every cell, made by array operations.
 
 ``rows``, the module's one entry, takes a file's rows as a stream of blocks,
-picks each column's encoder once, from its dtype and a range of its cells
-that the caller knows (a short table is ``%`` on each row at its caller),
-and lays out each block in one buffer of uint64 words reused for the whole
-stream, with no Python object per cell; deleting the NULs gives the block's
-text.  An encoder call costs tens of microseconds however few its cells, so
-each block makes one call per encoder and field width, for all of its columns: a column
-of few runs (equal bit patterns) sends only the first cell of each run, and a
-column in which more than half the cells start a run sends every cell.  A row
-is then laid out in pieces of whole words.  Each maximal run of adjacent
-columns that hold one bit pattern in the block is one literal: their texts,
-joined by their commas, with the newline if they end the row, NUL-padded and
-broadcast into every row.  Every other column has a field per cell, its text
+picks each column's encoder once, from its dtype, and lays out each block in
+one buffer of uint64 words reused for the whole stream, with no Python
+object per cell; deleting the NULs gives the block's text.  An encoder call
+costs tens of microseconds however few its cells, so each block makes one
+call per encoder, for all of its columns, and the call sizes every field it
+returns by the widest cell it was sent: a column of few runs (equal bit
+patterns) sends only the first cell of each run, and a column in which more
+than half the cells start a run sends every cell.  A row is then laid out in
+pieces of whole words.  Each maximal run of adjacent columns that hold one
+bit pattern in the block is one literal: their texts, joined by their commas,
+with the newline if they end the row, NUL-padded and broadcast into every
+row.  Every other column has a field per cell, its text
 NUL-padded after the slot of the comma before it, copied from its call's
 output or gathered by run index as one item of whole words.  A row that ends
 in such a field ends in a newline word.  Late in an elimination run, where one
@@ -83,22 +83,20 @@ _FLOAT_SPECIAL = _FLOAT_SPECIAL.view(np.uint64)
 del _digits, _ascii, _group, _sign, _exp, _kept, _digit
 
 
-def rows(line_format: str, blocks, ranges):
+def rows(line_format: str, blocks):
     """Yield the rows of each block of ``blocks`` as ``line_format % row``, one string per block.
 
     A block is a sequence of equal-length NumPy columns, each float64 under
     ``%.17g`` or int64 under ``%d``, encoded by array operations (``_encoder``,
     picked at the first block for every block); any other column is a
-    ``TypeError``.  ``ranges`` holds a ``(low, high)`` range of every cell of
-    each int column, which picks its field width once, and anything for a
-    float column.  Every block is laid out in one buffer (``_lay_out``),
+    ``TypeError``.  Every block is laid out in one buffer (``_lay_out``),
     resized in place from block to block, and its NULs are deleted.
     """
     specs = line_format.rstrip("\n").split(",")
     encoders, buf = None, bytearray()
     for columns in blocks:
         if encoders is None:
-            encoders = [_encoder(spec, column.dtype, bounds) for spec, column, bounds in zip(specs, columns, ranges)]
+            encoders = [_encoder(spec, column.dtype) for spec, column in zip(specs, columns)]
         _lay_out(buf, encoders, columns)
         del columns  # a block's views may hold a whole record: not kept while the next block is made
         yield buf.translate(None, b"\0").decode("ascii")
@@ -107,9 +105,9 @@ def rows(line_format: str, blocks, ranges):
 def _lay_out(buf: bytearray, encoders, cells) -> int:
     """Lay out the rows of one block of ``cells`` in ``buf``, resized to hold them; return the words of a row.
 
-    The columns go to one call per (encoder, field width) (``_encode_runs``):
-    every cell of a column in which more than half the cells start a run of
-    equal bits, and only the run heads of the others.  Each maximal run of
+    The columns go to one call per encoder (``_encode_runs``), whose fields
+    all have one width: every cell of a column in which more than half the
+    cells start a run of equal bits, and only the run heads of the others.  Each maximal run of
     adjacent columns of one run each is one literal: their heads' texts, each
     after its comma, and the newline if they end the row, NUL-padded to whole
     words and broadcast into every row.  The newline is a literal of its own
@@ -119,7 +117,7 @@ def _lay_out(buf: bytearray, encoders, cells) -> int:
     of ``buf`` outlives the call, so that the next block can resize it.
     """
     n = len(cells[0])
-    calls = {}  # (encoder, field words) -> [column index]
+    calls = {}  # encoder -> [column index]
     sent, starts = {}, {}  # by column: its cells sent, and where a run starts after cell 0 (None: all sent)
     for i, (c, e) in enumerate(zip(cells, encoders)):
         bits = c.view(np.int64)  # equal bits print as equal text; equal values need not (0.0, -0.0)
@@ -131,8 +129,8 @@ def _lay_out(buf: bytearray, encoders, cells) -> int:
             sent[i] = np.concatenate((c[:1], c[1:][starts[i]]))
         calls.setdefault(e, []).append(i)
     fields = {}  # by column: the fields of its cells sent, each one item of the field's bytes
-    for (encode, words), group in calls.items():
-        fields.update(zip(group, _encode_runs(encode, words, [sent[i] for i in group])))
+    for encode, group in calls.items():
+        fields.update(zip(group, _encode_runs(encode, [sent[i] for i in group])))
     pieces, literal = [], b""  # in row order: a column's index, or a literal's bytes
     for i in range(len(cells)):
         if len(sent[i]) == 1:  # one run
@@ -175,21 +173,18 @@ def _item(fields: np.ndarray) -> np.ndarray:
     return fields.view(f"V{8 * fields.shape[1]}")[:, 0]
 
 
-def _encoder(spec: str, dtype: np.dtype, bounds):
-    """The array encoder of ``spec`` for ``dtype`` cells in ``bounds`` and the words of its fields; else TypeError."""
+def _encoder(spec: str, dtype: np.dtype):
+    """The array encoder of ``spec`` for ``dtype`` cells; else TypeError."""
     if spec == "%.17g" and dtype == np.float64:
-        return _encode_floats, 4
+        return _encode_floats
     if spec == "%d" and dtype == np.int64:
-        low, high = bounds
-        return _encode_ints, 3 if low < 0 or high >= 10**8 else 2 if high >= 10**7 else 1
+        return _encode_ints
     raise TypeError(f"no array encoder for {spec!r} of {dtype} cells")
 
 
-def _encode_runs(encode, words: int, sent) -> list:
+def _encode_runs(encode, sent) -> list:
     """Encode the cells of every array in ``sent`` in one ``encode`` call; return each array's fields (``_item``)."""
-    fields = np.empty((sum(map(len, sent)), words), np.uint64)
-    encode(np.concatenate(sent), fields)
-    fields = _item(fields)
+    fields = _item(encode(np.concatenate(sent)))
     ends = list(itertools.accumulate(map(len, sent)))
     return [fields[start:end] for start, end in zip([0, *ends], ends)]
 
@@ -205,8 +200,8 @@ def _percent(spec: str, cells, words: int) -> np.ndarray:
     return np.frombuffer(fields.encode("ascii").translate(_SPACE_TO_NUL), np.uint64).reshape(len(cells), words)
 
 
-def _encode_floats(x: np.ndarray, out: np.ndarray) -> None:
-    """Write the ``%.17g`` fields of float64 cells into ``out``, (n, 4) uint64.
+def _encode_floats(x: np.ndarray) -> np.ndarray:
+    """The ``%.17g`` fields of float64 cells, (n, 4) uint64.
 
     %.17g prints |x| in [1e-4, 1e17) in fixed notation, from its 17-digit
     rounding N = round(|x| 10^k), 10^16 <= N < 10^17, k = 16 - floor(log10 |x|).
@@ -263,23 +258,25 @@ def _encode_floats(x: np.ndarray, out: np.ndarray) -> None:
     halves = fields.view(np.uint32)
     halves[:, 6] &= _ASCII4[c3]
     halves[:, 7] &= _ASCII4[c4]
-    np.bitwise_or(fields, np.take(_FLOAT_PATTERNS, layout, axis=0, mode="clip"), out=out)
+    fields |= np.take(_FLOAT_PATTERNS, layout, axis=0, mode="clip")
     special = (x == 0) | ~np.isfinite(x)
     if special.any():
         xs = x[special]
-        out[special] = _FLOAT_SPECIAL[np.where(np.isnan(xs), 4, 2 * np.isinf(xs) + np.signbit(xs))]
+        fields[special] = _FLOAT_SPECIAL[np.where(np.isnan(xs), 4, 2 * np.isinf(xs) + np.signbit(xs))]
     slow = ~(fast | special)
     if slow.any():
-        out[slow] = _percent("%.17g", x[slow], 4)
+        fields[slow] = _percent("%.17g", x[slow], 4)
+    return fields
 
 
-def _encode_ints(v: np.ndarray, out: np.ndarray) -> None:
-    """Write the ``%d`` fields of int64 cells into ``out``, (n, 1 to 3) uint64.
+def _encode_ints(v: np.ndarray) -> np.ndarray:
+    """The ``%d`` fields of int64 cells, (n, w) uint64, w the words of the widest.
 
     A cell in [0, 1e8) is its 8 digits from two 4-digit chunks in the last
-    word, leading zeros masked; one word holds cells below 1e7 after the
-    separator's slot.  Any other cell goes to ``_percent``, in 3 words.  The
-    digits are made only for the cells in [0, 1e8).
+    word, leading zeros masked; one word holds a cell below 1e7 after the
+    separator's slot, two words one of 8 digits.  Any other cell goes to
+    ``_percent``, in 3 words.  The digits are made only for the cells in
+    [0, 1e8), and their digit counts give w.
     """
     slow = (v < 0) | (v >= 10**8)
     count = np.count_nonzero(slow)
@@ -291,7 +288,11 @@ def _encode_ints(v: np.ndarray, out: np.ndarray) -> None:
     digits = np.empty((u.size, 2), np.uint32)
     digits[:, 0] = _ASCII4[high]
     digits[:, 1] = _ASCII4[u - high * 10_000]
+    lengths = np.searchsorted(_POW10_INT, u, side="right")  # digits less one
+    words = 3 if count else 2 if lengths.max(initial=0) == 7 else 1
+    out = np.empty((v.size, words), np.uint64)
     out[:, :-1] = 0
-    out[fast, -1] = digits.view(np.uint64)[:, 0] & _LEADING[np.searchsorted(_POW10_INT, u, side="right")]
+    out[fast, -1] = digits.view(np.uint64)[:, 0] & _LEADING[lengths]
     if count:
-        out[slow] = _percent("%d", v[slow], out.shape[1])
+        out[slow] = _percent("%d", v[slow], words)
+    return out

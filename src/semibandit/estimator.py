@@ -47,8 +47,9 @@ def update_batch(state: EstimatorState, centered: np.ndarray, rewards: np.ndarra
     extremes = (rewards.min(initial=0.0), rewards.max(initial=0.0), centered.min(initial=0.0), centered.max(initial=0.0))
     if not np.isfinite(extremes).all():
         raise InvalidSample("non-finite reward or feature")
-    state.gram += centered.T @ centered
-    state.moment += centered.T @ rewards
+    with np.errstate(over="ignore", invalid="ignore"):  # sums past the largest double: ``solve`` reports them
+        state.gram += centered.T @ centered
+        state.moment += centered.T @ rewards
     return state
 
 
@@ -74,12 +75,13 @@ def solve(state: EstimatorState, beta) -> np.ndarray:
     if (beta <= 0).any():
         raise InvalidRegularizer(f"beta must be positive, got {beta.min()}")
     try:
-        theta = np.linalg.solve(state.gram + beta[..., None, None] * np.eye(state.dim), state.moment[..., None])[..., 0]
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by the finite check below
+            theta = np.linalg.solve(state.gram + beta[..., None, None] * np.eye(state.dim), state.moment[..., None])
     except np.linalg.LinAlgError:
         raise InvalidSample("the ridge system is singular: the features are too large for its regularizer") from None
     if not np.isfinite(theta).all():
         raise InvalidSample("the ridge estimate is not finite: the rewards or features are too large to sum")
-    return theta
+    return theta[..., 0]
 
 
 def error_bound_diagnostic(cert: DesignCertificate, t: int, delta: float, c1: float = 10.0) -> float:

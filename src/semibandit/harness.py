@@ -12,36 +12,38 @@ builds the environment.  The result is frozen, and everything after it
 (``run_experiment``, each replication, each pool worker) reads only it.
 
 Replications are seeded as ``base_seed + index`` and are consumed in index
-order.  A run returns only its decisions; ``metrics.metric_blocks`` makes
-every per-step column (phase, regret, active-set size, e_t) one block of
-``_WRITE_BLOCK`` steps at a time, and each block goes straight to the CSV
-writer and into the running sums of the mean columns.  Beside those sums
-(3 x rounds), no column as long as the horizon is made: a replication holds
-its record, whose declared tail is a count of rounds, a block's columns and
-the writer's buffer.  Inline, each replication's blocks are formatted into
+order.  A run returns only its decisions; ``metrics.metric_blocks`` makes every
+per-step column (phase, regret, active-set size, e_t) one block of
+``_WRITE_BLOCK`` steps at a time, as a tuple in ``trajectory.csv``'s order, and
+each block, its replication's column inserted, goes straight to the CSV writer
+and into the running sums of the mean columns (``_MEANS``).  Beside those sums
+(3 x rounds), no column as long as the horizon is made: a replication holds its
+record, whose declared tail is a count of rounds, a block's columns and the
+writer's buffer.  Inline, each replication's blocks are formatted into
 ``trajectory.csv`` by a stream of their own; in a process pool, each worker
-writes each block's mean columns and text, as it makes them, to one part
-file per replication, which the parent reads in index order, a block at a
-time, adding the columns into its sums and appending the text, and then
-deletes.  Either way the files are byte-identical regardless of worker
-count, and ``trajectory_mean.csv`` divides the sums, added in index order, a
-block at a time.  What replications compute alike is computed once per run
-and kept on the config's objects: the anchored design over all arms, which
-``deo`` keeps on the ``FeatureSet`` of the config's environment, and the
-regularizers of the pure-exploration e_t, ``estimator.regularizer`` at each t,
-``ExperimentConfig.betas``.  A pool worker gets the config once, at its
-start, and makes them once from its copy, so its replications share them
-too; nothing is kept beyond the run.
+writes each block's mean columns and text, as it makes them, to one part file
+per replication, which the parent reads in index order, a block at a time,
+adding the columns into its sums and appending the text, and then
+deletes.  Either way the files are byte-identical regardless of worker count,
+and ``trajectory_mean.csv`` divides the sums, added in index order, a block at
+a time.  What replications compute alike is computed once per run and kept on
+the config's objects: the anchored design over all arms, which ``deo`` keeps on
+the ``FeatureSet`` of the config's environment, and the regularizers of the
+pure-exploration e_t, ``estimator.regularizer`` at each t,
+``ExperimentConfig.betas``.  A pool worker gets the config once, at its start,
+and makes them once from its copy, so its replications share them too; nothing
+is kept beyond the run.
 
 Floats are serialized with 17 significant digits (``%.17g``), which round-trips
 IEEE doubles exactly and keeps repeated runs byte-stable.  A streamed table
 (``trajectory.csv``, ``trajectory_mean.csv``) is ``cells.rows``, which writes
-the text of ``%`` on every cell of numeric columns by array operations; a
-short one is ``%`` on each row: ``summary.csv``, a row per replication, is
-``SUMMARY_LINE % row``, and design-cert's ``certificate.csv`` and
-``policy.csv`` are ``CERTIFICATE_LINE`` and ``POLICY_LINE`` rows.  Each CSV
-and the manifest is written under a temporary name and renamed when complete,
-so a failed run leaves none.
+the text of ``%`` on every cell of numeric columns by array operations, each
+block's int fields as wide as its widest int cell needs; a short one is ``%``
+on each row: ``summary.csv``, a row per replication, is ``SUMMARY_LINE % row``,
+and design-cert's ``certificate.csv`` and ``policy.csv`` are
+``CERTIFICATE_LINE`` and ``POLICY_LINE`` rows.  Each CSV and the manifest is
+written under a temporary name and renamed when complete, so a failed run
+leaves none.
 """
 
 from __future__ import annotations
@@ -102,6 +104,8 @@ POLICY_LINE = "%d,%.17g\n"
 
 # steps per block of the per-step metrics and rows per block of the CSV writer
 _WRITE_BLOCK = 2048
+# the trajectory.csv columns that trajectory_mean.csv averages: cum_regret, e_t, sqrt_t_e_t
+_MEANS = slice(6, 9)
 
 
 def _check_keys(obj: dict, known, prefix: str = "") -> None:
@@ -123,8 +127,6 @@ def naming(name: str):
     """Turn what a bad value makes a constructor or reader raise, out of memory or stack included, into ConfigError(name)."""
     try:
         yield
-    except ConfigError:
-        raise
     except (ValueError, TypeError, ArithmeticError, OSError, MemoryError, RecursionError, SemibanditError) as exc:
         raise ConfigError(name, str(exc) or type(exc).__name__) from None
 
@@ -400,27 +402,20 @@ def _replication_task(cfg: ExperimentConfig, rep: int, means: np.ndarray, summar
 def _trajectory_blocks(record: RunRecord, env: Environment, betas, rep: int, means: np.ndarray):
     """Yield replication ``rep``'s ``trajectory.csv`` columns of ``record`` a block at a time; return its final regret.
 
-    Each block's cum_regret, e_t and sqrt_t_e_t, the columns that
-    ``trajectory_mean.csv`` averages, are added into ``means`` (3 x steps),
-    unless it is None: a pool worker writes them to its part file instead.
+    A block is ``compute_metrics``' columns with the replication's inserted
+    after t.  Its ``_MEANS`` columns, which ``trajectory_mean.csv`` averages,
+    are added into ``means`` (3 x steps), unless it is None: a pool worker
+    writes them to its part file instead.
     """
     reps = np.broadcast_to(np.int64(rep), _WRITE_BLOCK)
     stop = 0
-    for tb in metric_blocks(record, env, betas, _WRITE_BLOCK):
-        start, stop = stop, stop + tb.t.size
+    for t, *columns in metric_blocks(record, env, betas, _WRITE_BLOCK):
+        start, stop = stop, stop + t.size
+        block = (t, reps[: t.size], *columns)
         if means is not None:
-            _add_block(means, start, (tb.cum_regret, tb.e_t, tb.sqrt_t_e_t))
-        yield (
-            tb.t, reps[: stop - start], tb.phase, tb.arm, tb.reward, tb.inst_regret, tb.cum_regret, tb.e_t,
-            tb.sqrt_t_e_t, tb.active_size,
-        )
-    return float(tb.cum_regret[-1])
-
-
-def _trajectory_ranges(cfg: ExperimentConfig) -> tuple:
-    """A range of each int column of ``trajectory.csv``, for ``cells.rows``: a phase index is at most the rounds."""
-    n, k = _rounds(cfg.algorithm), cfg.env.K
-    return (1, n), (0, cfg.replications - 1), (0, n), (0, k - 1), None, None, None, None, None, (1, k)
+            _add_block(means, start, block[_MEANS])
+        yield block
+    return float(block[_MEANS.start][-1])  # the last cum_regret, the first of the mean columns
 
 
 def _add_block(sums: np.ndarray, start: int, columns) -> None:
@@ -472,11 +467,11 @@ def _pooled_task(rep: int):
         def blocks():
             for block in _replication_task(cfg, rep, None, summaries):
                 write(len(block[0]).to_bytes(8, "little"))
-                for column in block[6:9]:  # cum_regret, e_t, sqrt_t_e_t; a block's e_t may be one broadcast cell
+                for column in block[_MEANS]:  # a block's e_t may be one broadcast cell
                     write(np.ascontiguousarray(column))
                 yield block
 
-        for text in _stream_rows(TRAJECTORY_LINE, blocks(), _trajectory_ranges(cfg)):
+        for text in _stream_rows(TRAJECTORY_LINE, blocks()):
             text = text.encode("ascii")
             write(len(text).to_bytes(8, "little"))
             write(text)
@@ -509,11 +504,11 @@ def policy_rows(probabilities: np.ndarray) -> str:
     return "".join(POLICY_LINE % row for row in enumerate(probabilities.tolist()))
 
 
-def _stream_rows(line_format: str, blocks, ranges):
+def _stream_rows(line_format: str, blocks):
     """Yield the rows of each block of ``blocks`` as ``line_format % row``, a string per block (``cells.rows``)."""
     from . import cells  # its compile and tables take about 4 ms: only a run that writes trajectories loads it
 
-    return cells.rows(line_format, blocks, ranges)
+    return cells.rows(line_format, blocks)
 
 
 @contextlib.contextmanager
@@ -583,9 +578,8 @@ def _run_replications(cfg: ExperimentConfig, workers: int, write) -> tuple[np.nd
     """
     summaries, sums = [], _sums(_rounds(cfg.algorithm))
     if workers == 1:
-        ranges = _trajectory_ranges(cfg)
         for rep in range(cfg.replications):
-            for text in _stream_rows(TRAJECTORY_LINE, _replication_task(cfg, rep, sums, summaries), ranges):
+            for text in _stream_rows(TRAJECTORY_LINE, _replication_task(cfg, rep, sums, summaries)):
                 write(text)
         return sums, summaries
 
@@ -682,7 +676,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     with _csv_file(out / "trajectory.csv", TRAJECTORY_COLUMNS) as write:
         sums, summaries = _run_replications(cfg, workers, write)
     with _csv_file(out / "trajectory_mean.csv", MEAN_COLUMNS) as write:
-        for text in _stream_rows(MEAN_LINE, _mean_blocks(sums, cfg.replications), ((1, sums.shape[1]),) + (None,) * 3):
+        for text in _stream_rows(MEAN_LINE, _mean_blocks(sums, cfg.replications)):
             write(text)
 
     with _csv_file(out / "summary.csv", SUMMARY_COLUMNS) as write:

@@ -4,14 +4,15 @@ A run records only what it decided (``sbe.RunRecord``).  ``metric_blocks``
 derives every per-step column from it, phase, regret, active-set size and
 the estimation error e_t, one block of steps at a time: each block is one
 ``compute_metrics`` call, from the record's phase segments and what the
-block before left (``MetricStream``), so no column as long as the horizon is
-made.  A declared arm's tail is drawn here: its arm cells are a block of the
-arm, and its rewards come from ``environment.rewards_for`` a block at a
-time, on a noise stream resumed from the record's saved state, so each pass
-over a record draws the same tail.  Every cell of a block has the bits of
-computing the whole record at once: a cumsum continued from the last block's
-sum adds as one cumsum does, a noise stream read split any way gives the
-values of one read, and ``rewards_for`` works element by element.
+block before left (``MetricStream``), and a tuple of ``trajectory.csv``'s
+columns but the replication, so no column as long as the horizon is made.
+A declared arm's tail is drawn here: its arm cells are a block of the arm,
+and its rewards come from ``environment.rewards_for`` a block at a time, on
+a noise stream resumed from the record's saved state, so each pass over a
+record draws the same tail.  Every cell of a block has the bits of computing
+the whole record at once: a cumsum continued from the last block's sum adds
+as one cumsum does, a noise stream read split any way gives the values of
+one read, and ``rewards_for`` works element by element.
 The per-step e_t of pure exploration is computed ``_BLOCK`` steps at a time:
 running sums of the rank-one terms and one batched ridge solve per block
 (``estimator.solve``), bit for bit equal to solving after every step.
@@ -19,7 +20,6 @@ running sums of the rank-one terms and one batched ridge solve per block
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 
@@ -32,21 +32,6 @@ from .sbe import RunRecord
 
 # steps per block of the batched e_t, which holds block x d x d floats at once
 _BLOCK = 512
-
-
-@dataclasses.dataclass
-class MetricTable:
-    """Column-oriented per-step metrics of one block of steps of one replication."""
-
-    t: np.ndarray
-    phase: np.ndarray
-    arm: np.ndarray
-    reward: np.ndarray
-    inst_regret: np.ndarray
-    cum_regret: np.ndarray
-    e_t: np.ndarray
-    sqrt_t_e_t: np.ndarray
-    active_size: np.ndarray
 
 
 class MetricStream:
@@ -63,7 +48,8 @@ class MetricStream:
     record's tail takes its arm cells from ``tail``, a block of the declared
     arm.  A pure record's e_t also reads its policy's mean arm ``xbar`` and the
     arms less arm 0, ``z``.
-    A plain class: a dataclass would add to every import of the CLI.
+    A plain class, and a block a plain tuple: making a dataclass would add to
+    every import of the CLI.
     """
 
     def __init__(self, record: RunRecord, env: Environment, betas, ends: list, segments: list):
@@ -109,9 +95,11 @@ def metric_blocks(record: RunRecord, env: Environment, betas, block: int):
         yield compute_metrics(stream, s, min(s + block, n))
 
 
-def compute_metrics(stream: MetricStream, start: int, stop: int) -> MetricTable:
+def compute_metrics(stream: MetricStream, start: int, stop: int) -> tuple:
     """The per-step columns of steps ``start`` to ``stop`` (at most a block) of ``stream``'s record.
 
+    They are t, phase, arm, reward, inst_regret, cum_regret, e_t, sqrt_t_e_t
+    and active_size: ``trajectory.csv``'s columns but the replication.
     Blocks are computed in order, each from what the one before left on
     ``stream``, and each cell has the bits of computing the whole record at
     once.  Regret is measured against the true best arm.  A block's phase,
@@ -153,20 +141,22 @@ def compute_metrics(stream: MetricStream, start: int, stop: int) -> MetricTable:
         # equals a step-by-step solve bit for bit; np.log or einsum in place of
         # math.log or matmul would change the last bit.  x~ is gathered once per
         # call, x~r is formed _BLOCK steps at a time, and |z (theta_hat - theta*)|
-        # in place
+        # in place.  Overflow is not warned of: the check that e_t is finite
+        # reports it
         e_t = np.empty(n)
         gram, moment = stream.gram, stream.moment
         xt = env.features.features[arm]
-        xt -= stream.xbar
-        for s in range(0, n, _BLOCK):
-            b = slice(s, s + _BLOCK)
-            gram = np.cumsum(np.concatenate([gram[-1:], xt[b, :, None] * xt[b, None, :]]), axis=0)[1:]
-            moment = np.cumsum(np.concatenate([moment[-1:], xt[b] * reward[b, None]]), axis=0)[1:]
-            theta_hat = solve(EstimatorState(gram, moment), stream.betas[start + s : start + s + gram.shape[0]])
-            error = np.matmul(stream.z, (theta_hat - env.theta_star)[:, :, None])
-            e = e_t[b] = np.abs(error, out=error).max(axis=(1, 2))
-            del error  # not held while the next product is made
-            if not np.isfinite(e).all():
-                raise InvalidSample("the ridge estimate is not finite: the rewards or features are too large to sum")
+        with np.errstate(over="ignore", invalid="ignore"):
+            xt -= stream.xbar
+            for s in range(0, n, _BLOCK):
+                b = slice(s, s + _BLOCK)
+                gram = np.cumsum(np.concatenate([gram[-1:], xt[b, :, None] * xt[b, None, :]]), axis=0)[1:]
+                moment = np.cumsum(np.concatenate([moment[-1:], xt[b] * reward[b, None]]), axis=0)[1:]
+                theta_hat = solve(EstimatorState(gram, moment), stream.betas[start + s : start + s + gram.shape[0]])
+                error = np.matmul(stream.z, (theta_hat - env.theta_star)[:, :, None])
+                e_t[b] = np.abs(error, out=error).max(axis=(1, 2))
+                del error  # not held while the next product is made
+        if not np.isfinite(e_t).all():
+            raise InvalidSample("the ridge estimate is not finite: the rewards or features are too large to sum")
         stream.gram, stream.moment = gram[-1:].copy(), moment[-1:].copy()  # not views that hold a _BLOCK stack
-    return MetricTable(t, phase, arm, reward, inst, cum, e_t, np.sqrt(t) * e_t, size)
+    return t, phase, arm, reward, inst, cum, e_t, np.sqrt(t) * e_t, size

@@ -91,6 +91,27 @@ class TestFeatureSet:
             FeatureSet.from_file(path)
 
 
+    def test_empty_rows_span_nothing(self):
+        # no rows: a d x 0 basis of rank 0, where the SVD's empty singular values have no largest to compare with
+        basis, rank = design.span_basis(np.empty((0, 3)))
+        assert basis.shape == (3, 0) and rank == 0
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: FeatureSet([1.0, 2.0]), DimError, r"features must be a \(K, d\) array, got shape \(2,\)"),
+        (lambda: DesignPolicy([0.5, 0.6]), DimError, "probabilities must be a nonnegative vector summing to 1"),
+        (lambda: g_optimal(FeatureSet(np.eye(3)), fw_tol=0), ValueError, "fw_tol must be positive"),
+        (lambda: deo(FeatureSet(np.eye(3)), anchor=3), DimError, "anchor 3 out of range for 3 arms"),
+    ],
+    ids=["flat-features", "policy-sum", "zero-fw-tol", "anchor-past-the-arms"],
+)
+def test_bad_arguments_raise(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 class TestGOptimal:
     def test_standard_basis(self):
         policy = g_optimal(FeatureSet(np.eye(3)))

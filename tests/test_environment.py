@@ -18,7 +18,7 @@ from semibandit.environment import (
 )
 import semibandit.environment as environment
 from semibandit.design import FeatureSet
-from semibandit.errors import GenerationError, InvalidArm
+from semibandit.errors import GenerationError, InvalidArm, real_array
 
 from allocation import traced_peak
 
@@ -80,6 +80,27 @@ def test_array_entries_of_any_real_type(field, entries):
     # ints, numpy scalars and arrays of a numeric dtype are numbers
     rows = np.stack([entries, entries[::-1]]) if isinstance(entries, np.ndarray) else [entries, [0.0, 0.5]]
     ARRAY_FIELDS[field](rows if field == "features" else entries)
+
+
+def test_row_arrays_in_a_list_follow_the_number_rule():
+    # a list of row arrays: each array is walked by the same rule as a nested list
+    assert real_array([np.array([1.0, 2.0]), np.array([3.0, 4.0])]).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    with pytest.raises(TypeError, match="^entries must be finite numbers, not True$"):
+        real_array([np.array([True, False])])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: shift_values(ShiftSpec(), np.array([0])), "round indices start at 1"),
+        (lambda: NoiseSpec(kind="laplace"), "unknown noise kind 'laplace'"),
+        (lambda: make_gap_instance(3, 1, 0.5, 0), "need at least two arms"),
+    ],
+    ids=["round-zero", "unknown-noise-kind", "one-arm-gap-instance"],
+)
+def test_bad_arguments_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 class TestShiftSpec:

@@ -5,7 +5,7 @@ import pytest
 
 from semibandit.design import DesignCertificate, DesignPolicy, FeatureSet, deo, policy_moments
 from semibandit.environment import make_gap_instance, rewards_for
-from semibandit.errors import InvalidRegularizer, InvalidSample
+from semibandit.errors import DimError, InvalidRegularizer, InvalidSample
 from semibandit.estimator import (
     EstimatorState,
     error_bound_diagnostic,
@@ -80,6 +80,12 @@ class TestUpdate:
         state = EstimatorState.zeros(3)
         with pytest.raises(InvalidSample, match="^non-finite reward or feature$"):
             update_batch(state, rows, rewards)
+        assert not state.gram.any() and not state.moment.any()
+
+    def test_rows_of_another_dimension_rejected(self):
+        state = EstimatorState.zeros(3)
+        with pytest.raises(DimError, match="^centered rows and rewards must align with the state dimension$"):
+            update_batch(state, np.ones((2, 2)), np.ones(2))
         assert not state.gram.any() and not state.moment.any()
 
     def test_empty_batch_adds_nothing(self):

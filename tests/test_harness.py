@@ -11,6 +11,8 @@ import pickle
 import platform
 import subprocess
 import sys
+import types
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,8 +28,8 @@ import semibandit.harness as harness
 import semibandit.metrics as metrics
 import semibandit.sbe as sbe
 from semibandit.cli import build_parser, main
-from semibandit.design import DesignCertificate, DesignPolicy, deo
-from semibandit.environment import make_gap_instance
+from semibandit.design import DesignCertificate, DesignPolicy, FeatureSet, deo
+from semibandit.environment import Environment, make_gap_instance
 from semibandit.errors import ConfigError, ConvergenceError, InvalidSample, IoError
 from semibandit.estimator import regularizer
 from semibandit.metrics import metric_blocks
@@ -159,6 +161,7 @@ BAD_CONFIGS = {
     "phase-1-schedule-overflow": {"algorithm": {"horizon": 2000, "delta": 1e-320}},
     "shift-not-object": {"environment": features_env(shift="sine")},
     "string-noise-scale": {"environment": features_env(noise={"scale": "x"})},
+    "unknown-noise-kind": {"environment": features_env(noise={"kind": "laplace"})},
     "design-cert-zero-fw-tol": {"mode": "design-cert", "algorithm": {"fw_tol": 0}},
     "design-cert-string-anchor": {"mode": "design-cert", "algorithm": {"anchor": "a"}},
     "design-cert-anchor-out-of-range": {"mode": "design-cert", "algorithm": {"anchor": 9}},
@@ -263,11 +266,14 @@ BAD_CONFIGS = {
 }
 
 
+# the columns of a metric block: trajectory.csv's but the replication, in its order
+METRIC_COLUMNS = tuple(name for name in TRAJECTORY_COLUMNS if name != "replication")
+
+
 def metric_columns(record, env, betas=None):
-    """The per-step columns of ``record``: its blocks of ``harness._WRITE_BLOCK`` steps, each column joined."""
-    blocks = list(metric_blocks(record, env, betas, harness._WRITE_BLOCK))
-    names = [f.name for f in dataclasses.fields(metrics.MetricTable)]
-    return metrics.MetricTable(*(np.concatenate([getattr(block, name) for block in blocks]) for name in names))
+    """The per-step columns of ``record`` by name: its blocks of ``harness._WRITE_BLOCK`` steps, each column joined."""
+    blocks = metric_blocks(record, env, betas, harness._WRITE_BLOCK)
+    return types.SimpleNamespace(**dict(zip(METRIC_COLUMNS, map(np.concatenate, zip(*blocks)))))
 
 
 def manual_record(env, arms, phases=(), kind="sbe", declared=None, declared_at=None):
@@ -331,8 +337,22 @@ class TestComputeMetrics:
         betas = log_table(8, 0.1)
         assert np.isfinite(metric_columns(finite, env, betas).e_t).all()
         huge = RunRecord(arm=arms, reward=np.full(8, 1e308), phases=[phase], kind="pure")
-        with np.errstate(all="ignore"), pytest.raises(InvalidSample, match="^the ridge estimate is not finite"):
-            metric_columns(huge, env, betas)
+        with warnings.catch_warnings():  # the error is the one report: NumPy's overflow warnings stay inside
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSample, match="^the ridge estimate is not finite"):
+                metric_columns(huge, env, betas)
+
+    def test_pure_error_of_a_finite_estimate_past_the_largest_double_raises(self):
+        # theta_hat is finite, but z (theta_hat - theta*) overflows on the arm of norm 1e150 that the policy never
+        # plays: an InvalidSample, and no warning of the overflow
+        env = Environment(features=FeatureSet([[0, 0], [1, 0], [0, 1], [1e150, 1e150]]), theta_star=[0, 0])
+        policy = DesignPolicy([0.5, 0.25, 0.25, 0])
+        phase = PhaseState(1, tuple(range(4)), math.nan, 8, policy, None, 0, np.zeros(2), taken=8)
+        record = RunRecord(arm=np.arange(8) % 2 + 1, reward=np.full(8, 1e300), phases=[phase], kind="pure")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSample, match="^the ridge estimate is not finite"):
+                metric_columns(record, env, log_table(8, 0.1))
 
     def test_sqrt_column_identity(self):
         env = make_gap_instance(3, 6, 0.4, seed=3)
@@ -406,7 +426,7 @@ class TestComputeMetrics:
                 record, betas = run_pure_exploration(cfg.env, n, 0.1, run_seed=0)[2], cfg.betas
             means = harness._sums(n)
             blocks = harness._trajectory_blocks(record, cfg.env, betas, 0, means)
-            rows = harness._stream_rows(TRAJECTORY_LINE, blocks, harness._trajectory_ranges(cfg))
+            rows = harness._stream_rows(TRAJECTORY_LINE, blocks)
             peaks.append(traced_peak(collections.deque, rows, 0)[1])
             assert np.isfinite(means[0]).all() and record.steps == n
         assert abs(peaks[1] - peaks[0]) < len(TRAJECTORY_COLUMNS) * harness._WRITE_BLOCK * 8
@@ -496,12 +516,12 @@ class TestComputeMetrics:
         env = make_gap_instance(3, 6, 0.5, seed=5)
         record = run_sbe(env, SbeConfig(delta=0.1, horizon=20_000), run_seed=3)
         assert record.steps - record.declared_at > 2 * harness._WRITE_BLOCK
-        names = [f.name for f in dataclasses.fields(metrics.MetricTable)]
-        first = [getattr(metric_columns(record, env), name).tobytes() for name in names]
-        assert [getattr(metric_columns(record, env), name).tobytes() for name in names] == first
+        first = [getattr(metric_columns(record, env), name).tobytes() for name in METRIC_COLUMNS]
+        assert [getattr(metric_columns(record, env), name).tobytes() for name in METRIC_COLUMNS] == first
         side_by_side = zip(*(metric_blocks(record, env, None, harness._WRITE_BLOCK) for _ in range(2)))
         for one, other in side_by_side:
-            assert [getattr(one, name).tobytes() for name in names] == [getattr(other, name).tobytes() for name in names]
+            assert len(one) == len(METRIC_COLUMNS)
+            assert [column.tobytes() for column in one] == [column.tobytes() for column in other]
 
 
 class TestConfig:
@@ -949,14 +969,10 @@ def run_tables(draw, block):
 
 
 def table_rows(line, columns, block=None):
-    """``cells.rows`` of the equal-length ``columns`` in blocks of ``block`` rows (``harness._WRITE_BLOCK`` if None).
-
-    Each int column's range is read off its cells, as a table's caller would know it.
-    """
+    """``cells.rows`` of the equal-length ``columns`` in blocks of ``block`` rows (``harness._WRITE_BLOCK`` if None)."""
     block = block or harness._WRITE_BLOCK
-    ranges = [(c.min(initial=0), c.max(initial=0)) if c.dtype == np.int64 else None for c in columns]
     blocks = (tuple(c[s : s + block] for c in columns) for s in range(0, len(columns[0]), block))
-    return cells.rows(line, blocks, ranges)
+    return cells.rows(line, blocks)
 
 
 def written_lines(line, columns, block):
@@ -1117,18 +1133,15 @@ class TestWriter:
         # % on every cell of every column, through the encoders' field layout
         cfg = ExperimentConfig.from_dict(base_config(tmp_path, algorithm={"horizon": 5_000}))
         blocks = list(harness._replication_task(cfg, 0, harness._sums(5_000), []))
-        encoded = "".join(harness._stream_rows(TRAJECTORY_LINE, blocks, harness._trajectory_ranges(cfg)))
+        encoded = "".join(harness._stream_rows(TRAJECTORY_LINE, blocks))
         columns = [np.concatenate(column) for column in zip(*blocks)]
         assert "".join(table_rows(TRAJECTORY_LINE, columns)) == encoded
 
-        def percent_only(spec):
-            def encode(values, out):
-                out[...] = cells._percent(spec, values, out.shape[1])
+        def percent_only(spec, words):
+            return lambda values: cells._percent(spec, values, words)
 
-            return encode
-
-        monkeypatch.setattr(cells, "_encode_floats", percent_only("%.17g"))
-        monkeypatch.setattr(cells, "_encode_ints", percent_only("%d"))
+        monkeypatch.setattr(cells, "_encode_floats", percent_only("%.17g", 4))
+        monkeypatch.setattr(cells, "_encode_ints", percent_only("%d", 3))  # 3 words hold any int64
         assert "".join(table_rows(TRAJECTORY_LINE, columns)) == encoded
 
     @settings(max_examples=80, deadline=None)
@@ -1219,14 +1232,16 @@ class TestWriter:
         assert widths == [1 + 1, 1 + 4 + 1, 1 + 1, 1 + 1]
 
     def test_one_grouped_call_per_encoder_per_block(self, monkeypatch):
-        # each block makes one call per (encoder, field width): the run heads
-        # of its run columns and every cell of its columns of distinct cells
+        # each block makes one call per encoder: the run heads of its run
+        # columns and every cell of its columns of distinct cells, each field
+        # as wide as the widest cell of the call needs
         calls = {"_encode_floats": [], "_encode_ints": []}
         for name, sizes in calls.items():
 
-            def counting(values, out, encode=getattr(cells, name), sizes=sizes):
-                sizes.append((len(values), out.shape[1]))
-                encode(values, out)
+            def counting(values, encode=getattr(cells, name), sizes=sizes):
+                fields = encode(values)
+                sizes.append((len(values), fields.shape[1]))
+                return fields
 
             monkeypatch.setattr(cells, name, counting)
         n, block = 5000, 2048
@@ -1243,8 +1258,16 @@ class TestWriter:
         assert written_lines(line, columns, block) == per_cell_lines(line, columns)
         # by block: the heads of the three float run columns, then the normal column's cells
         assert calls["_encode_floats"] == [(2 + 1 + 1 + 2048, 4), (3 + 1 + 2 + 2048, 4), (1 + 1 + 1 + 904, 4)]
-        # the heads of both narrow int columns; the wide column's cells, in a call of their own
-        assert calls["_encode_ints"] == [(3 + 1, 1), (2048, 3), (3 + 1, 1), (2048, 3), (1 + 1, 1), (904, 3)]
+        # the heads of both narrow int columns and the wide column's cells, in fields of the wide column's words
+        assert calls["_encode_ints"] == [(3 + 1 + 2048, 3), (3 + 1 + 2048, 3), (1 + 1 + 904, 3)]
+
+    def test_int_fields_widen_from_block_to_block(self, monkeypatch):
+        # each block's int fields are as wide as its widest int cell: 10^7 and 10^8 come after small cells, in a
+        # column beside a narrow one, and every row is still % of its cells
+        widths = spy_widths(monkeypatch)
+        columns = (np.arange(12) % 5, np.array([1, 2, 3, 4, 10**7, 5, 6, 7, 10**8, 8, 9, 12345678]))
+        assert written_lines("%d,%d\n", columns, 4) == per_cell_lines("%d,%d\n", columns)
+        assert widths == [1 + 1 + 1, 2 + 2 + 1, 3 + 3 + 1]
 
     def test_failed_write_leaves_no_file(self, tmp_path):
         # the rows go to a temporary name and are renamed only when all are in
@@ -1313,7 +1336,7 @@ class TestRunningMean:
         for rep in range(cfg.replications):
             inline, longest = hashlib.sha256(), 0
             blocks = harness._replication_task(cfg, rep, expected, [])
-            for text in harness._stream_rows(TRAJECTORY_LINE, blocks, harness._trajectory_ranges(cfg)):
+            for text in harness._stream_rows(TRAJECTORY_LINE, blocks):
                 inline.update(text.encode())
                 longest = max(longest, len(text))
             harness._pooled_task(rep)
@@ -1596,6 +1619,7 @@ class TestCli:
             ("float-environment-seed", "environment.seed"),
             ("negative-gap-instance-seed", "environment.seed"),
             ("string-noise-scale", "environment.noise"),
+            ("unknown-noise-kind", "environment.noise"),
             ("nan-shift-constant", "environment.shift"),
             ("string-theta", "environment.theta"),
             ("bool-theta", "environment.theta"),
@@ -1619,6 +1643,12 @@ class TestCli:
             assert main([command, "--config", str(path)]) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+
+    def test_unknown_noise_kind_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(tmp_path, **BAD_CONFIGS["unknown-noise-kind"])))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: environment.noise: unknown noise kind 'laplace'\n"
 
     def test_gap_instance_too_large_to_allocate_exits_2(self, tmp_path, capsys, monkeypatch):
         # an environment that cannot be built in memory is a config error, named by its constructor's field
