@@ -14,12 +14,18 @@ columns of replication 0 of instance 0 of each perfbench workload at
 ``--seed``, its blocks joined.  A column on its own cannot show what
 ``cells.rows`` spends once per block, such as a call of an encoder, so each
 of those trajectory tables is also written whole, with all ten columns, and compared
-with ``TRAJECTORY_LINE % row`` on every row.  Prints one JSON object: per
+with ``TRAJECTORY_LINE % row`` on every row.  A table is built as the harness
+builds it: inst_regret is a table column, the regret of each arm and the
+arm codes of the replication's blocks joined, and on its own it is
+measured as the cells it stands for.  Prints one JSON object: per
 column, nanoseconds per cell for both (the best of ``--repeats``), and the
 share of cells the encoder handed to ``%``, counted by wrapping
 ``cells._percent``; per table, microseconds per row for both, the encoder
-calls per block of ``harness._WRITE_BLOCK`` rows and the calls of
-``cells._percent``, counted by wrapping the encoders and ``_percent``, and
+calls per block of ``harness._WRITE_BLOCK`` rows (``cells._encode_runs``; a
+table column's table is encoded once, outside them) and the calls of
+``cells._percent``, counted by wrapping those functions, the
+float cells sent to ``cells._encode_floats`` per row
+(``float_cells_per_row``, a table column's table counted once), and
 the words of a laid-out row, the bytes that ``translate`` scans over 8, as
 ``cells._lay_out`` returns them: ``words_per_row`` is their mean over the
 rows, and ``unfolded_words_per_row`` the width of a row in which every cell
@@ -62,7 +68,7 @@ def fixed_draws() -> dict:
 
 
 def workload_tables(seed: int) -> dict:
-    """The trajectory columns of replication 0 of each workload, by workload."""
+    """The trajectory columns of replication 0 of each workload, by workload; inst_regret a table column."""
     tables = {}
     with tempfile.TemporaryDirectory() as work:
         for name, w in instances.WORKLOADS.items():
@@ -70,15 +76,30 @@ def workload_tables(seed: int) -> dict:
             instances.write_config(path, w, instances.make_instance(w, seed, 0), seed, str(Path(work) / "out"))
             cfg = harness.ExperimentConfig.from_file(path)
             blocks = list(harness._replication_task(cfg, 0, harness._sums(harness._rounds(cfg.algorithm)), []))
-            tables[name] = [np.concatenate(column) for column in zip(*blocks)]
+            tables[name] = [
+                (column[0][0], np.concatenate([codes for _, codes in column]))
+                if isinstance(column[0], tuple)
+                else np.concatenate(column)
+                for column in zip(*blocks)
+            ]
     return tables
+
+
+def cells_of(column) -> np.ndarray:
+    """The cells of a column: a table column's ``table[codes]``."""
+    return column[0][column[1]] if isinstance(column, tuple) else column
+
+
+def rows_of(column, start: int, stop: int):
+    """Rows ``start`` to ``stop`` of a column, a table column's codes sliced."""
+    return (column[0], column[1][start:stop]) if isinstance(column, tuple) else column[start:stop]
 
 
 def workload_columns(tables: dict) -> dict:
     """Each column of ``tables``, by "workload: column"."""
     specs = harness.TRAJECTORY_LINE.rstrip("\n").split(",")
     return {
-        f"{name}: {title}": (spec, np.ascontiguousarray(column))
+        f"{name}: {title}": (spec, np.ascontiguousarray(cells_of(column)))
         for name, table in tables.items()
         for title, spec, column in zip(harness.TRAJECTORY_COLUMNS, specs, table)
     }
@@ -87,7 +108,7 @@ def workload_columns(tables: dict) -> dict:
 def table_rows(line: str, columns):
     """``cells.rows`` of the equal-length ``columns``, ``harness._WRITE_BLOCK`` rows a block."""
     block = harness._WRITE_BLOCK
-    blocks = (tuple(c[s : s + block] for c in columns) for s in range(0, len(columns[0]), block))
+    blocks = (tuple(rows_of(c, s, s + block) for c in columns) for s in range(0, len(cells_of(columns[0])), block))
     return cells.rows(line, blocks)
 
 
@@ -148,20 +169,22 @@ def measure_table(table, repeats: int) -> dict:
         return "".join(table_rows(line, table))
 
     def per_row():
-        return "".join([line % row for row in zip(*(column.tolist() for column in table))])
+        return "".join([line % row for row in zip(*(cells_of(column).tolist() for column in table))])
 
-    with calls_of("_encode_floats", "_encode_ints", "_percent", "_lay_out") as calls:
+    with calls_of("_encode_floats", "_encode_runs", "_percent", "_lay_out") as calls:
         text = encoded()
     assert text == per_row()
-    rows = len(table[0])
+    rows = len(cells_of(table[0]))
     blocks = -(-rows // harness._WRITE_BLOCK)
     specs = line.rstrip("\n").split(",")
     return {
         "rows": rows,
-        "encoder_calls_per_block": round((len(calls["_encode_floats"]) + len(calls["_encode_ints"])) / blocks, 2),
+        "encoder_calls_per_block": round(len(calls["_encode_runs"]) / blocks, 2),
         "percent_calls": len(calls["_percent"]),
-        "words_per_row": round(sum(len(args[2][0]) * words for args, words in calls["_lay_out"]) / rows, 2),
-        "unfolded_words_per_row": sum(cells._encoder(spec, c.dtype)(c).shape[1] for spec, c in zip(specs, table)) + 1,
+        "float_cells_per_row": round(sum(len(args[0]) for args, _ in calls["_encode_floats"]) / rows, 3),
+        "words_per_row": round(sum(len(cells_of(args[3][0])) * words for args, words in calls["_lay_out"]) / rows, 2),
+        "unfolded_words_per_row": 1
+        + sum(cells._encoder(spec, c.dtype)(c).shape[1] for spec, c in zip(specs, map(cells_of, table))),
         "encoder_us_per_row": round(best_seconds(encoded, repeats) / rows * 1e6, 3),
         "percent_us_per_row": round(best_seconds(per_row, repeats) / rows * 1e6, 3),
     }

@@ -3,28 +3,33 @@
 ``rows``, the module's one entry, takes a file's rows as a stream of blocks,
 picks each column's encoder once, from its dtype, and lays out each block in
 one buffer of uint64 words reused for the whole stream, with no Python
-object per cell; deleting the NULs gives the block's text.  An encoder call
-costs tens of microseconds however few its cells, so each block makes one
-call per encoder, for all of its columns, and the call sizes every field it
+object per cell; deleting the NULs gives the block's text.  A column is of
+one of two kinds.  A plain column is an array of its cells.  A table column
+is a pair ``(table, codes)`` whose cells are ``table[codes]``: the table's
+fields are encoded once per stream, at its first block, and each block
+gathers them by code, so a column of few distinct values that change from
+row to row costs no encoder work per block.  An encoder call costs tens of
+microseconds however few its cells, so each block makes one call per
+encoder, for all of its plain columns, and the call sizes every field it
 returns by the widest cell it was sent: a column of few runs (equal bit
 patterns) sends only the first cell of each run, and a column in which more
 than half the cells start a run sends every cell.  A row is then laid out in
 pieces of whole words.  Each maximal run of adjacent columns that hold one
-bit pattern in the block is one literal: their texts, joined by their commas,
-with the newline if they end the row, NUL-padded and broadcast into every
-row.  Every other column has a field per cell, its text
-NUL-padded after the slot of the comma before it, copied from its call's
-output or gathered by run index as one item of whole words.  A row that ends
-in such a field ends in a newline word.  Late in an elimination run, where one
-arm is played to the horizon, most columns are constant over a block, so the
-rows that ``translate`` scans are shorter.
+bit pattern in the block (a table column: one code) is one literal: their
+texts, joined by their commas, with the newline if they end the row,
+NUL-padded and broadcast into every row.  Every other column has a field per
+cell, its text NUL-padded after the slot of the comma before it, copied from
+its call's output or gathered, by run index or by code, as one item of whole
+words.  A row that ends in such a field ends in a newline word.  Late in an
+elimination run, where one arm is played to the horizon, most columns are
+constant over a block, so the rows that ``translate`` scans are shorter.
 
 A ``%.17g`` cell with 1e-4 <= |x| < 1e8 takes its 17 digits from the exact
 product |x| 10^k, held as its binary64 rounding p and p's error e, which
 Dekker's two-product gives exactly (``_encode_floats``).  A ``%d`` cell in
 [0, 1e8) takes its 8 digits from a table of 4-digit chunks (``_encode_ints``).
 Zero, NaN and inf are fixed texts.  ``%`` formats every other cell
-(``_percent``): other magnitudes, a product just outside [1e16, 1e17), and
+(``_percent``): other magnitudes, a rounding just outside [1e16, 1e17), and
 any other int.  A column of any other spec or dtype is a ``TypeError``.
 """
 
@@ -86,54 +91,70 @@ del _digits, _ascii, _group, _sign, _exp, _kept, _digit
 def rows(line_format: str, blocks):
     """Yield the rows of each block of ``blocks`` as ``line_format % row``, one string per block.
 
-    A block is a sequence of equal-length NumPy columns, each float64 under
-    ``%.17g`` or int64 under ``%d``, encoded by array operations (``_encoder``,
-    picked at the first block for every block); any other column is a
-    ``TypeError``.  Every block is laid out in one buffer (``_lay_out``),
-    resized in place from block to block, and its NULs are deleted.
+    A block is a sequence of equal-length columns, each float64 cells under
+    ``%.17g`` or int64 cells under ``%d``, encoded by array operations
+    (``_encoder``, picked at the first block for every block); any other
+    column is a ``TypeError``.  A column is a NumPy array of its cells, or a
+    table column ``(table, codes)``: an array of the cells it may hold, the
+    same in every block, and an int array of indices into it, whose cells are
+    ``table[codes]``.  A table's fields are encoded at the first block and
+    kept for the stream.  Every block is laid out in one buffer
+    (``_lay_out``), resized in place from block to block, and its NULs are
+    deleted.
     """
     specs = line_format.rstrip("\n").split(",")
-    encoders, buf = None, bytearray()
+    encoders = tables = None
+    buf = bytearray()
     for columns in blocks:
         if encoders is None:
-            encoders = [_encoder(spec, column.dtype) for spec, column in zip(specs, columns)]
-        _lay_out(buf, encoders, columns)
+            encoders = [_encoder(spec, (c[0] if isinstance(c, tuple) else c).dtype) for spec, c in zip(specs, columns)]
+            tables = [_item(e(c[0])) if isinstance(c, tuple) else None for e, c in zip(encoders, columns)]
+        _lay_out(buf, encoders, tables, columns)
         del columns  # a block's views may hold a whole record: not kept while the next block is made
         yield buf.translate(None, b"\0").decode("ascii")
 
 
-def _lay_out(buf: bytearray, encoders, cells) -> int:
+def _lay_out(buf: bytearray, encoders, tables, cells) -> int:
     """Lay out the rows of one block of ``cells`` in ``buf``, resized to hold them; return the words of a row.
 
-    The columns go to one call per encoder (``_encode_runs``), whose fields
-    all have one width: every cell of a column in which more than half the
-    cells start a run of equal bits, and only the run heads of the others.  Each maximal run of
-    adjacent columns of one run each is one literal: their heads' texts, each
-    after its comma, and the newline if they end the row, NUL-padded to whole
-    words and broadcast into every row.  The newline is a literal of its own
-    after any other last column.  Every other column has a field per cell,
-    with the comma in byte 0 unless it is the first column: copied from its
-    call's output, or gathered from its heads' fields by run index.  No view
-    of ``buf`` outlives the call, so that the next block can resize it.
+    The plain columns go to one call per encoder (``_encode_runs``), whose
+    fields all have one width: every cell of a column in which more than half
+    the cells start a run of equal bits, and only the run heads of the
+    others.  A table column's fields are its entry of ``tables``, the fields
+    of its table, and its codes index them.  Each maximal run of adjacent
+    columns of one run each (a table column: of one code) is one literal:
+    their heads' texts, each after its comma, and the newline if they end the
+    row, NUL-padded to whole words and broadcast into every row.  The newline
+    is a literal of its own after any other last column.  Every other column
+    has a field per cell, with the comma in byte 0 unless it is the first
+    column: copied from its call's output, or gathered from its fields by run
+    index or by code.  No view of ``buf`` outlives the call, so that the next
+    block can resize it.
     """
-    n = len(cells[0])
     calls = {}  # encoder -> [column index]
-    sent, starts = {}, {}  # by column: its cells sent, and where a run starts after cell 0 (None: all sent)
-    for i, (c, e) in enumerate(zip(cells, encoders)):
-        bits = c.view(np.int64)  # equal bits print as equal text; equal values need not (0.0, -0.0)
-        starts[i] = bits[1:] != bits[:-1]
-        runs = np.count_nonzero(starts[i]) + 1
+    sent, fields, index = {}, {}, [None] * len(cells)  # by column: its cells sent, its fields, each row's field
+    for i, (c, e, table) in enumerate(zip(cells, encoders, tables)):
+        keys = c.view(np.int64) if table is None else c[1]  # runs of equal bits (0.0 and -0.0 print apart), or codes
+        n = len(keys)
+        starts = keys[1:] != keys[:-1]
+        runs = np.count_nonzero(starts) + 1
+        if table is not None:
+            fields[i], index[i] = (table[keys[:1]], None) if runs == 1 else (table, keys)
+            continue
         if runs > 1 and 2 * runs > n:
-            sent[i], starts[i] = c, None
+            sent[i] = c
         else:
-            sent[i] = np.concatenate((c[:1], c[1:][starts[i]]))
+            sent[i] = np.concatenate((c[:1], c[1:][starts]))
+            if runs > 1:
+                index[i] = np.empty(n, np.intp)
+                index[i][0] = 0
+                np.cumsum(starts, out=index[i][1:])
         calls.setdefault(e, []).append(i)
-    fields = {}  # by column: the fields of its cells sent, each one item of the field's bytes
     for encode, group in calls.items():
         fields.update(zip(group, _encode_runs(encode, [sent[i] for i in group])))
     pieces, literal = [], b""  # in row order: a column's index, or a literal's bytes
     for i in range(len(cells)):
-        if len(sent[i]) == 1:  # one run
+        if len(fields[i]) == 1:  # one run
             literal += b"," * (i > 0) + fields[i][0].tobytes().replace(b"\0", b"")
             continue
         if literal:
@@ -154,13 +175,10 @@ def _lay_out(buf: bytearray, encoders, cells) -> int:
         out = _item(words[:, start : start + w])
         if isinstance(piece, bytes):
             out[...] = _item(np.frombuffer(piece.ljust(8 * w, b"\0"), np.uint64)[None])
-        elif starts[piece] is None:
+        elif index[piece] is None:
             out[...] = fields[piece]
         else:
-            index = np.empty(n, np.intp)
-            index[0] = 0
-            np.cumsum(starts[piece], out=index[1:])
-            out[...] = fields[piece][index]
+            out[...] = fields[piece][index[piece]]
         if start and not isinstance(piece, bytes):
             commas.append(8 * start)
         start += w
@@ -209,12 +227,23 @@ def _encode_floats(x: np.ndarray) -> np.ndarray:
     product |x| 10^k is p + e: p its binary64 rounding, and e its error,
     which Dekker's two-product gives exactly from |x| and 10^k each split
     into two halves of 26 bits (Veltkamp), so that every partial product is
-    exact.  A p in [1e16, 1e17) is an even integer, so N = p + rint(e), and
-    rint's ties to even are the ties of %.  N's digits are laid out with the
-    point after digit 16 - k, or after "0." and k - 17 zeros, trailing
-    fraction zeros dropped, and the sign.  Zero, NaN and inf are fixed texts.
-    Every other cell goes to ``_percent``: other magnitudes, and a product
-    outside [1e16, 1e17), where log10 is one off next to a power of ten.
+    exact.  A p of at least 2^53 is an even integer, so N = p + rint(e) is
+    round(p + e), and rint's ties to even are the ties of % (a p below 2^53
+    gives an N below 10^16 - 1/2 as well).  Where log10 is
+    one off next to a power of ten, the product lies in [10^15, 10^16) or
+    [10^17, 10^18) instead, and the cell goes to ``_percent`` when N lies
+    outside [10^16, 10^17).  That test is exact: N < 10^17 iff its digits did
+    not carry into an 18th, and N >= 10^16 accepts a product below 10^16 only
+    if it lies in [10^16 - 1/2, 10^16), that is, only for an |x| less than
+    5e-17 times 10^m below 10^m, for some m in [-4, 7].  No double is: 10^m
+    is a double for m >= 0, and the next double below it is at least 2^-53
+    times it away; the doubles nearest 0.1, 0.01, 0.001 and 1e-4 lie above
+    them, and the next double below each is 8.3e-17, 1.5e-16, 2.0e-16 and
+    8.8e-17 times it away.  N's digits are laid out with the point after
+    digit 16 - k, or after "0." and k - 17 zeros, trailing fraction zeros
+    dropped, and the sign.  Zero, NaN and inf are fixed texts.  Every other
+    cell goes to ``_percent``: other magnitudes, and an N outside [1e16,
+    1e17).  Those are sorted out only among the cells off the fast path.
     """
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1e8)
@@ -234,9 +263,9 @@ def _encode_floats(x: np.ndarray) -> np.ndarray:
     e += high
     e += ten_high
     e += a
-    fast &= (p < 1e17) & ((p - 1e16) + e >= 0)  # p - 1e16 is exact, so the sum has the sign of the product - 1e16
     n = p.astype(np.int64)
     n += np.rint(e).astype(np.int64)
+    fast &= (n >= 10**16) & (n < 10**17)
     del a, p, e, high, ten_high, ten_low
     lead = n // 10**16  # digit 0; then the four 4-digit chunks, by // and a multiply-subtract
     high = n // 10**8 - lead * 10**8
@@ -259,13 +288,15 @@ def _encode_floats(x: np.ndarray) -> np.ndarray:
     halves[:, 6] &= _ASCII4[c3]
     halves[:, 7] &= _ASCII4[c4]
     fields |= np.take(_FLOAT_PATTERNS, layout, axis=0, mode="clip")
-    special = (x == 0) | ~np.isfinite(x)
-    if special.any():
-        xs = x[special]
-        fields[special] = _FLOAT_SPECIAL[np.where(np.isnan(xs), 4, 2 * np.isinf(xs) + np.signbit(xs))]
-    slow = ~(fast | special)
-    if slow.any():
-        fields[slow] = _percent("%.17g", x[slow], 4)
+    other = np.flatnonzero(~fast)
+    if other.size:
+        xs = x[other]
+        special = (xs == 0) | ~np.isfinite(xs)
+        xs = xs[special]
+        fields[other[special]] = _FLOAT_SPECIAL[np.where(np.isnan(xs), 4, 2 * np.isinf(xs) + np.signbit(xs))]
+        slow = other[~special]
+        if slow.size:
+            fields[slow] = _percent("%.17g", x[slow], 4)
     return fields
 
 

@@ -31,7 +31,7 @@ _ADD_REMOVE = np.array([[1.0], [-1.0]])  # signs of the two rank-one terms of a 
 _DRIFT_RTOL = 1e-12  # largest relative ||sum c_i x_i x_i^T|| of an eliminated null vector before a refactor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureSet:
     """K arm feature vectors as rows of a (K, d) array.
 
@@ -40,7 +40,9 @@ class FeatureSet:
     also keeps what is solved from its rows, which are not to be changed in
     place: their span basis (``_span``) and ``deo``'s results by ``(anchor,
     fw_tol)`` (``_designs``).  Both live and die with the object, so the
-    callers that share one share them.
+    callers that share one share them.  Like every dataclass here that holds
+    arrays, it compares and hashes by identity (``eq=False``): a generated
+    ``==`` would compare the arrays, and its truth value is ambiguous.
     """
 
     features: np.ndarray
@@ -97,7 +99,7 @@ class FeatureSet:
         return cls(rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignPolicy:
     """Probability vector over arms."""
 
@@ -114,7 +116,7 @@ class DesignPolicy:
         return np.flatnonzero(self.probabilities > 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolicyMoments:
     mean: np.ndarray
     covariance: np.ndarray

@@ -164,7 +164,7 @@ class NoiseStream:
         return np.zeros(n)
 
 
-@dataclass
+@dataclass(eq=False)
 class Environment:
     """Fixed feature set, hidden parameter, shift and noise specification.
 

@@ -17,7 +17,7 @@ from .design import DesignCertificate
 from .errors import DimError, InvalidRegularizer, InvalidSample
 
 
-@dataclass
+@dataclass(eq=False)
 class EstimatorState:
     """Accumulated centered statistics: gram = sum x~ x~', moment = sum x~ r."""
 

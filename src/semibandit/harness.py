@@ -38,7 +38,12 @@ Floats are serialized with 17 significant digits (``%.17g``), which round-trips
 IEEE doubles exactly and keeps repeated runs byte-stable.  A streamed table
 (``trajectory.csv``, ``trajectory_mean.csv``) is ``cells.rows``, which writes
 the text of ``%`` on every cell of numeric columns by array operations, each
-block's int fields as wide as its widest int cell needs; a short one is ``%``
+block's int fields as wide as its widest int cell needs.  ``trajectory.csv``'s
+inst_regret is a table column: the K regrets values[best] - values, and each
+step's arm.  A step's regret is one of K values, but pure exploration seldom
+plays one arm twice in a row, so a plain column would send nearly every cell
+to the float encoder; the table's K texts are made once per replication
+instead, and each block gathers them by arm.  A short table is ``%``
 on each row: ``summary.csv``, a row per replication, is ``SUMMARY_LINE % row``,
 and design-cert's ``certificate.csv`` and ``policy.csv`` are
 ``CERTIFICATE_LINE`` and ``POLICY_LINE`` rows.  Each CSV and the manifest is
@@ -403,15 +408,19 @@ def _trajectory_blocks(record: RunRecord, env: Environment, betas, rep: int, mea
     """Yield replication ``rep``'s ``trajectory.csv`` columns of ``record`` a block at a time; return its final regret.
 
     A block is ``compute_metrics``' columns with the replication's inserted
-    after t.  Its ``_MEANS`` columns, which ``trajectory_mean.csv`` averages,
-    are added into ``means`` (3 x steps), unless it is None: a pool worker
-    writes them to its part file instead.
+    after t, and inst_regret as the table column ``(regret, arm)``
+    (``cells.rows``): ``regret`` is values[best] - values, made once, and
+    regret[arm] has the bits of the block's inst_regret.  Its ``_MEANS``
+    columns, which ``trajectory_mean.csv`` averages, are added into ``means``
+    (3 x steps), unless it is None: a pool worker writes them to its part
+    file instead.
     """
     reps = np.broadcast_to(np.int64(rep), _WRITE_BLOCK)
+    regret = env.values[env.best_arm] - env.values
     stop = 0
-    for t, *columns in metric_blocks(record, env, betas, _WRITE_BLOCK):
+    for t, phase, arm, reward, _, *columns in metric_blocks(record, env, betas, _WRITE_BLOCK):
         start, stop = stop, stop + t.size
-        block = (t, reps[: t.size], *columns)
+        block = (t, reps[: t.size], phase, arm, reward, (regret, arm), *columns)
         if means is not None:
             _add_block(means, start, block[_MEANS])
         yield block

@@ -44,7 +44,7 @@ class MetricStream:
     Only ``cum_regret``, the last step's cumulative regret (-0.0, the identity
     of +, before the first), the declared arm's ``noise`` stream, resumed
     from the record's saved state, and a pure record's running sums ``gram``
-    and ``moment`` (1 x d x d and 1 x d) cross a block edge.  A declared
+    and ``moment`` (d x d and d) cross a block edge.  A declared
     record's tail takes its arm cells from ``tail``, a block of the declared
     arm.  A pure record's e_t also reads its policy's mean arm ``xbar`` and the
     arms less arm 0, ``z``.
@@ -87,7 +87,7 @@ def metric_blocks(record: RunRecord, env: Environment, betas, block: int):
     ]
     stream = MetricStream(record, env, betas, [*itertools.accumulate(ph.taken for ph in phases), n], segments)
     if record.kind == "pure":
-        stream.gram, stream.moment = np.zeros((1, env.d, env.d)), np.zeros((1, env.d))
+        stream.gram, stream.moment = np.zeros((env.d, env.d)), np.zeros(env.d)
         stream.xbar, stream.z = phases[0].policy.probabilities @ x, x - x[0]
     if n > record.arm.shape[0]:  # a noise stream of its own: two passes over one record draw the same tail
         stream.tail, stream.noise = np.full(block, record.declared_best, np.int64), NoiseStream.resume(record.noise)
@@ -140,23 +140,34 @@ def compute_metrics(stream: MetricStream, start: int, stop: int) -> tuple:
         # running sums of x~x~' and x~r, carried from block to block.  Each step
         # equals a step-by-step solve bit for bit; np.log or einsum in place of
         # math.log or matmul would change the last bit.  x~ is gathered once per
-        # call, x~r is formed _BLOCK steps at a time, and |z (theta_hat - theta*)|
-        # in place.  Overflow is not warned of: the check that e_t is finite
-        # reports it
+        # call, and each _BLOCK of steps reuses one stack of sums and one of
+        # moments: the sum carried in row 0, the block's terms written into the
+        # rows after it, and a cumsum in place, which adds as a fresh one does.
+        # |z (theta_hat - theta*)| is taken in place.  Overflow is not warned
+        # of: the check that e_t is finite reports it
         e_t = np.empty(n)
-        gram, moment = stream.gram, stream.moment
+        m = min(n, _BLOCK)
+        grams, moments = np.empty((m + 1, env.d, env.d)), np.empty((m + 1, env.d))
+        grams[0], moments[0] = stream.gram, stream.moment
         xt = env.features.features[arm]
         with np.errstate(over="ignore", invalid="ignore"):
             xt -= stream.xbar
             for s in range(0, n, _BLOCK):
                 b = slice(s, s + _BLOCK)
-                gram = np.cumsum(np.concatenate([gram[-1:], xt[b, :, None] * xt[b, None, :]]), axis=0)[1:]
-                moment = np.cumsum(np.concatenate([moment[-1:], xt[b] * reward[b, None]]), axis=0)[1:]
-                theta_hat = solve(EstimatorState(gram, moment), stream.betas[start + s : start + s + gram.shape[0]])
-                error = np.matmul(stream.z, (theta_hat - env.theta_star)[:, :, None])
-                e_t[b] = np.abs(error, out=error).max(axis=(1, 2))
+                rows = xt[b]
+                if s:  # the sub-block before was whole: its sums end the stack
+                    grams[0], moments[0] = grams[-1], moments[-1]
+                m = rows.shape[0]
+                gram, moment = grams[: m + 1], moments[: m + 1]
+                np.multiply(rows[:, :, None], rows[:, None, :], out=gram[1:])
+                np.multiply(rows, reward[b, None], out=moment[1:])
+                np.cumsum(gram, axis=0, out=gram)
+                np.cumsum(moment, axis=0, out=moment)
+                theta_hat = solve(EstimatorState(gram[1:], moment[1:]), stream.betas[start + s : start + s + m])
+                error = np.matmul(stream.z, (theta_hat - env.theta_star)[:, :, None])[:, :, 0]
+                np.abs(error, out=error).max(axis=1, out=e_t[b])
                 del error  # not held while the next product is made
         if not np.isfinite(e_t).all():
             raise InvalidSample("the ridge estimate is not finite: the rewards or features are too large to sum")
-        stream.gram, stream.moment = gram[-1:].copy(), moment[-1:].copy()  # not views that hold a _BLOCK stack
+        stream.gram, stream.moment = grams[m].copy(), moments[m].copy()  # not views that hold a _BLOCK stack
     return t, phase, arm, reward, inst, cum, e_t, np.sqrt(t) * e_t, size

@@ -66,7 +66,7 @@ class SbeConfig:
             f.metadata["check"](getattr(self, f.name), f.name)
 
 
-@dataclass
+@dataclass(eq=False)
 class PhaseState:
     """One phase: surviving arms, design, schedule, and end-of-phase solve."""
 
@@ -83,7 +83,7 @@ class PhaseState:
     truncated: bool = False
 
 
-@dataclass
+@dataclass(eq=False)
 class RunRecord:
     """What one run decided: the arm and reward of each phase round, its phases, its declaration.
 

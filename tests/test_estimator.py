@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from semibandit.design import DesignCertificate, DesignPolicy, FeatureSet, deo, policy_moments
-from semibandit.environment import make_gap_instance, rewards_for
+from semibandit.environment import ShiftSpec, make_gap_instance, rewards_for, shift_values
 from semibandit.errors import DimError, InvalidRegularizer, InvalidSample
 from semibandit.estimator import (
     EstimatorState,
@@ -13,6 +14,7 @@ from semibandit.estimator import (
     solve,
     update_batch,
 )
+from semibandit.sbe import run_pure_exploration
 
 import binomial
 from gaussian_limit import anchored_errors, noise_scale
@@ -353,3 +355,35 @@ class TestHistoryDependentShift:
         assert 0.9 <= np.median(centered_errors) / m <= 1.1
         assert np.sum(raw_errors <= 1.1 * m) <= 99
         assert np.median(raw_errors) / m > 1.1
+
+    @pytest.mark.parametrize(
+        "shift",
+        [ShiftSpec(), ShiftSpec(kind="sine"), ShiftSpec(kind="log_alternating"), ShiftSpec("constant", constant=5.0)],
+        ids=["none", "sine", "log_alternating", "constant-5"],
+    )
+    def test_fixed_shift_follows_the_oracle(self, shift):
+        # the same claim for the fixed shifts, through run_pure_exploration itself: one phase of deo's design
+        # over all arms, B = 4000 rounds, at seeds 0-399.  The median sqrt(B) e_B is pinned to [0.9, 1.1] times
+        # the oracle's (tests/gaussian_limit.py), whose s^2 = 1 + mean_t (xbar'theta* + nu_t)^2 carries the
+        # shift: "at least 200 of 400 runs have e_B <= 1.1 m, and at least 200 have e_B >= 0.9 m", m the
+        # limit's median e_B.  With q, about 0.61, the limit's chance of each side, a run that follows the limit
+        # fails a side with probability P(Bin(400, q) <= 199) < 1.25e-4, so the four shifts fail by chance
+        # with probability < 1e-3.  Measured: median ratios 1.002, 1.007, 0.974 and 1.024 at seeds 0-399;
+        # 1.032, 0.987, 0.962 and 0.984 at seeds 1000-1399
+        budget, delta, runs = 4000, 0.1, 400
+        env = dataclasses.replace(make_gap_instance(5, 20, 0.2, seed=0), shift=shift)
+        p = deo(env.features)[0].probabilities
+        x = env.features.features
+        errors = []
+        for seed in range(runs):
+            theta_hat, _, _ = run_pure_exploration(env, budget, delta, run_seed=seed)
+            errors.append(np.abs((x - x[0]) @ (theta_hat - env.theta_star)).max())
+        s = noise_scale(x, p, env.theta_star, shift_values(shift, np.arange(1, budget + 1)))
+        oracle = anchored_errors(x, p, env.theta_star, budget, regularizer(budget, delta), s)
+        m = np.median(oracle)
+        assert binomial.cdf(199, runs, np.mean(oracle <= 1.1 * m)) < 1.25e-4
+        assert binomial.cdf(199, runs, np.mean(oracle >= 0.9 * m)) < 1.25e-4
+        errors = np.array(errors)
+        assert np.sum(errors <= 1.1 * m) >= 200 and np.sum(errors >= 0.9 * m) >= 200
+        assert 0.9 <= np.median(errors) / m <= 1.1  # the median sqrt(B) e_B over the oracle's: sqrt(B) cancels
+

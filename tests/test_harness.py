@@ -968,10 +968,29 @@ def run_tables(draw, block):
     return ",".join(specs) + "\n", columns
 
 
+def cells_of(column) -> np.ndarray:
+    """The cells of a column: a table column ``(table, codes)``'s ``table[codes]``."""
+    return column[0][column[1]] if isinstance(column, tuple) else column
+
+
+def rows_of(column, start: int, stop: int):
+    """Rows ``start`` to ``stop`` of a column: of a table column, its table and those rows' codes."""
+    return (column[0], column[1][start:stop]) if isinstance(column, tuple) else column[start:stop]
+
+
+def joined(blocks) -> list:
+    """The columns of ``blocks`` joined: a table column's codes joined under the table of its first block."""
+    return [
+        (column[0][0], np.concatenate([codes for _, codes in column])) if isinstance(column[0], tuple)
+        else np.concatenate(column)
+        for column in zip(*blocks)
+    ]
+
+
 def table_rows(line, columns, block=None):
     """``cells.rows`` of the equal-length ``columns`` in blocks of ``block`` rows (``harness._WRITE_BLOCK`` if None)."""
     block = block or harness._WRITE_BLOCK
-    blocks = (tuple(c[s : s + block] for c in columns) for s in range(0, len(columns[0]), block))
+    blocks = (tuple(rows_of(c, s, s + block) for c in columns) for s in range(0, len(cells_of(columns[0])), block))
     return cells.rows(line, blocks)
 
 
@@ -982,7 +1001,7 @@ def written_lines(line, columns, block):
 
 def per_cell_lines(line, columns):
     """``line % row`` of each row: the oracle for ``written_lines``."""
-    return [line % row for row in zip(*(c.tolist() for c in columns))]
+    return [line % row for row in zip(*(cells_of(c).tolist() for c in columns))]
 
 
 def spy_widths(monkeypatch) -> list:
@@ -1129,13 +1148,34 @@ class TestWriter:
         column = np.concatenate([ties, near, -near])
         assert written_lines("%.17g\n", (column,), 2048) == per_cell_lines("%.17g\n", (column,))
 
+    def test_doubles_next_to_powers_of_ten(self, monkeypatch):
+        # the fast path's test on N, the 17-digit rounding, at its edges: 10^m and the doubles on either side,
+        # m in [-5, 8], with either sign.  % formats only cells off [1e-4, 1e8) and cells just below a power of
+        # ten, where log10 may round up to it
+        formatted = []
+        percent = cells._percent
+
+        def counting(spec, values, words):
+            formatted.extend(values.tolist())
+            return percent(spec, values, words)
+
+        monkeypatch.setattr(cells, "_percent", counting)
+        powers = 10.0 ** np.arange(-5, 9)
+        below = np.nextafter(powers, -np.inf)
+        column = np.concatenate([np.nextafter(powers, np.inf), below, powers])
+        column = np.concatenate([column, -column])
+        assert written_lines("%.17g\n", (column,), 2048) == per_cell_lines("%.17g\n", (column,))
+        fast = (np.abs(column) >= 1e-4) & (np.abs(column) < 1e8) & ~np.isin(np.abs(column), below)
+        assert not set(formatted) & set(column[fast].tolist())
+
     def test_fallback_for_every_cell_gives_the_same_bytes(self, tmp_path, monkeypatch):
         # % on every cell of every column, through the encoders' field layout
         cfg = ExperimentConfig.from_dict(base_config(tmp_path, algorithm={"horizon": 5_000}))
         blocks = list(harness._replication_task(cfg, 0, harness._sums(5_000), []))
         encoded = "".join(harness._stream_rows(TRAJECTORY_LINE, blocks))
-        columns = [np.concatenate(column) for column in zip(*blocks)]
+        columns = joined(blocks)
         assert "".join(table_rows(TRAJECTORY_LINE, columns)) == encoded
+        assert "".join(table_rows(TRAJECTORY_LINE, [*map(cells_of, columns)])) == encoded  # inst_regret plain
 
         def percent_only(spec, words):
             return lambda values: cells._percent(spec, values, words)
@@ -1300,6 +1340,105 @@ class TestWriter:
         with pytest.raises(IoError, match="cannot write .*missing.*t.csv"):
             with harness._csv_file(tmp_path / "missing" / "t.csv", ("x",)):
                 pass
+
+
+# table entries at the encoders' edges: signed zeros, NaN, infinities, subnormals, the ends of the float fast
+# path, and ints past 10^8, of three-word fields
+TABLE_POOL = {
+    "%.17g": [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072009e-308, 1e-5, 1e8, 0.1, -1 / 3],
+    "%d": [0, 7, 10**7, 10**8 - 1, 10**8, 10**12, 2**63 - 1, -(2**63)],
+}
+
+
+@st.composite
+def table_streams(draw):
+    """A line format and a stream of blocks that mix table columns ``(table, codes)`` and plain columns.
+
+    A block has 1 to 9 rows.  A table column's table, the same in every
+    block, draws from the encoders' edge cells and any cell; each of its
+    blocks holds one code, every code (as many as the block's rows allow),
+    or any codes.
+    """
+    specs = draw(st.lists(st.sampled_from(["%d", "%.17g"]), min_size=1, max_size=5))
+    lengths = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    columns = []  # by column: its blocks
+    for spec in specs:
+        dtype = np.float64 if spec == "%.17g" else np.int64
+        any_cell = FLOATS if spec == "%.17g" else INTS
+        if draw(st.booleans()):
+            entries = draw(st.lists(st.sampled_from(TABLE_POOL[spec]) | any_cell, min_size=1, max_size=8))
+            table = np.array(entries, dtype)
+            code = st.integers(0, table.size - 1)
+            order = np.array(draw(st.permutations(range(table.size))), np.int64)
+            blocks = []
+            for n in lengths:
+                kind = draw(st.sampled_from(["one", "every", "any"]))
+                if kind == "one":
+                    codes = np.full(n, draw(code), np.int64)
+                elif kind == "every":
+                    codes = np.resize(order, n)
+                else:
+                    codes = np.array(draw(st.lists(code, min_size=n, max_size=n)), np.int64)
+                blocks.append((table, codes))
+            columns.append(blocks)
+        else:
+            cell = draw(CELLS[spec])
+            columns.append([np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype) for n in lengths])
+    return ",".join(specs) + "\n", list(zip(*columns))
+
+
+class TestTableColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(stream=table_streams())
+    def test_rows_are_percent_of_each_row(self, stream):
+        # cells.rows over blocks of table and plain columns writes line % row on every row
+        line, blocks = stream
+        expected = [line % row for block in blocks for row in zip(*(cells_of(c).tolist() for c in block))]
+        assert "".join(cells.rows(line, blocks)).splitlines(keepends=True) == expected
+
+    @pytest.mark.parametrize("spec", ["%.17g", "%d"])
+    def test_edge_tables(self, monkeypatch, spec):
+        # every edge cell in one table, in blocks of one row, of one code and of every code, beside a plain
+        # column of the other kind: the table is encoded once, its encoder is called for nothing else, and
+        # a block of one code lays it out as a literal
+        dtype, plain = (np.float64, np.int64) if spec == "%.17g" else (np.int64, np.float64)
+        encode = cells._encoder(spec, np.dtype(dtype))
+        sent = []
+        monkeypatch.setattr(cells, encode.__name__, lambda values: sent.append(len(values)) or encode(values))
+        widths = spy_widths(monkeypatch)
+        table = np.array(TABLE_POOL[spec], dtype)
+        every = np.arange(table.size)[::-1]
+        codes = [np.array([3]), np.full(5, 2), every, every[:1], np.full(4, table.size - 1)]
+        line = ("%d," if plain is np.int64 else "%.17g,") + spec + "\n"
+        blocks = [(np.arange(len(c), dtype=plain), (table, c)) for c in codes]
+        expected = [line % row for b in blocks for row in zip(b[0].tolist(), cells_of(b[1]).tolist())]
+        assert "".join(cells.rows(line, blocks)).splitlines(keepends=True) == expected
+        assert sent == [table.size]
+        t_words = 1 if plain is np.int64 else 4
+        for width, c, text in zip(widths, codes, [expected[0], None, None, expected[-5], None]):
+            if text is not None:  # one row: the whole row is one literal
+                assert width == -(-len(text) // 8)
+            elif len(set(c.tolist())) == 1:  # t's field, then the table cell's literal and the newline
+                assert width == t_words + -(-len("," + spec % table[c[0]].item() + "\n") // 8)
+
+    @pytest.mark.parametrize("mode, algorithm", [("error-scaling", {"budget": 3_000}), ("regret", {"horizon": 3_000})])
+    def test_pooled_run_writes_the_inline_bytes(self, tmp_path, mode, algorithm):
+        # a run's trajectory, its inst_regret a table column in each worker's stream, as an inline run writes it
+        for workers in (1, 2):
+            raw = base_config(tmp_path, mode=mode, algorithm=algorithm, replications=3, workers=workers)
+            run_experiment(ExperimentConfig.from_dict({**raw, "output": str(tmp_path / str(workers))}))
+        for name in ("trajectory.csv", "trajectory_mean.csv", "summary.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_inst_regret_is_a_table_column(self, tmp_path):
+        # harness passes inst_regret as (values[best] - values, arm), whose cells have the bits of compute_metrics'
+        cfg = ExperimentConfig.from_dict(base_config(tmp_path, mode="error-scaling", algorithm={"budget": 3_000}))
+        record = run_pure_exploration(cfg.env, 3_000, cfg.algorithm["delta"], run_seed=100)[2]
+        computed = metric_blocks(record, cfg.env, cfg.betas, harness._WRITE_BLOCK)
+        for block, columns in zip(harness._trajectory_blocks(record, cfg.env, cfg.betas, 0, None), computed):
+            table, codes = block[5]
+            assert codes is block[3] and table.shape == (cfg.env.K,)
+            assert table[codes].view(np.int64).tolist() == columns[4].view(np.int64).tolist()
 
 
 class TestRunningMean:

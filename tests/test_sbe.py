@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from semibandit.design import FW_TOL, FeatureSet, deo
+from semibandit.design import FW_TOL, DesignPolicy, FeatureSet, deo, policy_moments
 from semibandit.environment import (
     Environment,
     NoiseSpec,
@@ -614,3 +614,39 @@ class TestRegretGuarantees:
             ratios = np.array([record_regret(record, env) for record in records]) / math.log(horizon)
             assert np.sum(ratios >= 250) >= 10 and np.sum(ratios <= 600) >= 10, horizon
             assert not [r.declared_best for r in records if r.declared_best not in (None, env.best_arm)], horizon
+
+
+class TestArrayHolders:
+    def test_compare_and_hash_by_identity(self):
+        # the dataclasses that hold arrays compare and hash by identity, so == and hash() never look at an
+        # array (whose truth value is ambiguous); two objects of equal arrays are two objects
+        env = make_gap_instance(3, 6, 0.5, seed=0)
+        policy, certificate = deo(env.features)
+        _, _, record = run_pure_exploration(env, 200, 0.1, run_seed=0)
+        run = run_sbe(env, cfg(horizon=2_000), run_seed=0)
+        objects = [
+            env.features,
+            FeatureSet(env.features.features.copy()),
+            policy,
+            DesignPolicy(policy.probabilities.copy()),
+            policy_moments(env.features, policy),
+            policy_moments(env.features, policy),
+            EstimatorState.zeros(3),
+            EstimatorState.zeros(3),
+            env,
+            dataclasses.replace(env),
+            record,
+            record.phases[0],
+            run,
+            *run.phases,
+        ]
+        for a in objects:
+            assert [a == b for b in objects].count(True) == 1 and a != dataclasses.replace(a)
+        assert len({hash(a) for a in objects}) == len(set(objects)) == len(objects)
+        # replace still makes a changed copy
+        flipped = dataclasses.replace(policy, probabilities=policy.probabilities[::-1])
+        assert flipped.probabilities.tolist() == policy.probabilities[::-1].tolist() and flipped != policy
+        # the value objects keep value equality: a certificate solved again equals the first
+        assert deo(FeatureSet(env.features.features.copy()))[1] == certificate
+        assert ShiftSpec(kind="sine") == ShiftSpec(kind="sine") and NoiseSpec() == NoiseSpec()
+        assert cfg() == cfg()
